@@ -19,7 +19,7 @@ from .ingest import (  # noqa: F401
 from .features import (  # noqa: F401
     FEATURE_NAMES,
     BinEdges,
-    FeatureRow,
+    Dataset,
     assemble_dataset,
     fit_bin_edges,
 )

@@ -144,7 +144,7 @@ def _write_manifest(cfg: RunConfig, command: str, outputs: list[Path]) -> None:
 
 
 def _build(cfg: RunConfig, cell_km: float):
-    """(grid, rows, edges) for one granularity from the configured source."""
+    """(grid, dataset, edges) for one granularity from the configured source."""
     g = gridmod.build_grid(cfg.bbox, cell_km, cfg.mask_polygon)
     src = cfg.source
     if src.get("kind", "synthetic") == "synthetic":
@@ -164,18 +164,18 @@ def _build(cfg: RunConfig, cell_km: float):
     else:
         raise InvalidInputError(f"unknown source kind {src.get('kind')!r}")
     edges = features.fit_bin_edges(series)
-    rows = features.assemble_dataset(g, series, events, cfg.window, edges)
-    return g, rows, edges
+    ds = features.assemble_dataset(g, series, events, cfg.window, edges)
+    return g, ds, edges
 
 
 def _load_dataset(cfg: RunConfig):
-    ds = cfg.out_dir / "dataset.csv"
+    path = cfg.out_dir / "dataset.csv"
     gj = cfg.out_dir / "grid.json"
-    if not ds.exists():
-        raise InvalidInputError(f"{ds} not found; run build-dataset first")
-    rows = features.read_dataset_csv(ds)
+    if not path.exists():
+        raise InvalidInputError(f"{path} not found; run build-dataset first")
+    ds = features.read_dataset_csv(path)
     g = gridmod.load_grid(gj) if gj.exists() else None
-    return g, rows
+    return g, ds
 
 
 # ---------------------------------------------------------------------------
@@ -183,27 +183,27 @@ def _load_dataset(cfg: RunConfig):
 
 
 def cmd_build_dataset(cfg: RunConfig) -> int:
-    g, rows, edges = _build(cfg, cfg.cell_km)
+    g, ds, edges = _build(cfg, cfg.cell_km)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_ds = cfg.out_dir / "dataset.csv"
     out_grid = cfg.out_dir / "grid.json"
     out_edges = cfg.out_dir / "bin_edges.json"
-    features.write_dataset_csv(rows, out_ds)
+    features.write_dataset_csv(ds, out_ds)
     gridmod.save_grid(g, out_grid)
     features.write_bin_edges_json(edges, out_edges)
     _write_manifest(cfg, "build-dataset", [out_ds, out_grid, out_edges])
-    n1 = sum(r.label for r in rows)
-    print(f"dataset: {len(rows)} cells ({g.n_rows}x{g.n_cols} grid at "
-          f"{cfg.cell_km:g} km), {n1} with conflicts, {len(rows) - n1} without")
+    n1 = int(ds.y.sum())
+    print(f"dataset: {len(ds)} cells ({g.n_rows}x{g.n_cols} grid at "
+          f"{cfg.cell_km:g} km), {n1} with conflicts, {len(ds) - n1} without")
     for p in (out_ds, out_grid, out_edges):
         print(f"wrote {p}")
     return 0
 
 
 def cmd_test_univariate(cfg: RunConfig) -> int:
-    _, rows = _load_dataset(cfg)
+    _, ds = _load_dataset(cfg)
     m = cfg.stats.get("bonferroni_m")
-    results = stats.run_univariate(rows, m=m)
+    results = stats.run_univariate(ds, m=m)
     out = cfg.out_dir / "univariate.csv"
     stats.write_univariate_csv(results, out)
     _write_manifest(cfg, "test-univariate", [out])
@@ -214,17 +214,16 @@ def cmd_test_univariate(cfg: RunConfig) -> int:
 
 
 def cmd_learn_tree(cfg: RunConfig) -> int:
-    _, rows = _load_dataset(cfg)
-    params = hypotheses.CartParams(
-        max_depth=cfg.tree["max_depth"], min_leaf=cfg.tree["min_leaf"], seed=cfg.seed)
-    tree = hypotheses.train_cart(rows, params)
+    _, ds = _load_dataset(cfg)
+    params = hypotheses.CartParams(max_depth=cfg.tree["max_depth"], min_leaf=cfg.tree["min_leaf"])
+    tree = hypotheses.train_cart(ds, params)
     out_json = cfg.out_dir / "tree.json"
     out_dot = cfg.out_dir / "tree.dot"
     hypotheses.save_tree(tree, out_json)
     out_dot.write_text(hypotheses.tree_to_dot(tree), encoding="utf-8")
     _write_manifest(cfg, "learn-tree", [out_json, out_dot])
     paths = hypotheses.extract_paths(tree, cfg.tree["min_support"], cfg.tree["min_purity"])
-    print(f"tree trained on {len(rows)} rows; {len(paths)} candidate hypothesis paths")
+    print(f"tree trained on {len(ds)} rows; {len(paths)} candidate hypothesis paths")
     for p in (out_json, out_dot):
         print(f"wrote {p}")
     return 0
@@ -265,7 +264,7 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, golden: bool,
             return 5
         return 0
 
-    _, rows = _load_dataset(cfg)
+    _, ds = _load_dataset(cfg)
     if which == "builtin":
         named = [(name, bh.predicate) for name, bh in hypotheses.builtin_hypotheses().items()
                  if only is None or name == only]
@@ -280,7 +279,7 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, golden: bool,
     doc = []
     for name, pred in named:
         try:
-            table, res = hypotheses.evaluate_hypothesis(pred, rows)
+            table, res = hypotheses.evaluate_hypothesis(pred, ds)
         except (DegeneratePartitionError, UndefinedTestError) as exc:
             print(f"{name}: skipped ({exc})")
             continue
@@ -311,13 +310,13 @@ def cmd_train_suite(cfg: RunConfig) -> int:
     outputs = []
     best_lines = []
     for km in cfg.granularities:
-        _, rows, _ = _build(cfg, km)
+        _, ds, _ = _build(cfg, km)
         specs = ml.default_suite(cfg.seed)
         if cfg.ml.get("class_weight"):
             specs = [ml.ClassifierSpec(s.kind, {"class_weight": "balanced"}, s.seed)
                      if "class_weight" in ml._DEFAULT_HYPERPARAMS[s.kind] else s
                      for s in specs]
-        report = ml.run_suite(rows, specs, cfg.ml["test_fraction"], cfg.seed)
+        report = ml.run_suite(ds, specs, cfg.ml["test_fraction"], cfg.seed)
         out = cfg.out_dir / f"suite_{km:g}km.csv"
         ml.write_suite_csv(report, out)
         outputs.append(out)
@@ -327,16 +326,7 @@ def cmd_train_suite(cfg: RunConfig) -> int:
               f"AUC={'NA' if best.auc is None else f'{best.auc:.2f}'}")
         print(f"wrote {out}")
     out_best = cfg.out_dir / "best_summary.csv"
-    with out_best.open("w", newline="", encoding="utf-8") as fh:
-        import csv as _csv
-
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["Country", "Granularity km", "Best Classifier", "Precision",
-                    "Recall", "F1-Score", "AUC"])
-        for km, b in best_lines:
-            w.writerow([cfg.country, f"{km:g}", b.classifier, repr(b.precision),
-                        repr(b.recall), repr(b.f1),
-                        "NA" if b.auc is None else repr(b.auc)])
+    ml.write_best_summary_csv(cfg.country, best_lines, out_best)
     outputs.append(out_best)
     _write_manifest(cfg, "train-suite", outputs)
     print(f"wrote {out_best}")
@@ -344,14 +334,13 @@ def cmd_train_suite(cfg: RunConfig) -> int:
 
 
 def cmd_riskmap(cfg: RunConfig) -> int:
-    g, rows = _load_dataset(cfg)
+    g, ds = _load_dataset(cfg)
     if g is None:
         raise InvalidInputError("grid.json not found; run build-dataset first")
     spec = ml.ClassifierSpec(kind=cfg.riskmap["model"], seed=cfg.seed)
-    model = ml.train(spec, rows)
-    scores = ml.predict_proba(model, rows)
-    surface = riskmap.surface_from_rows(g, [r.cell for r in rows], scores,
-                                        model_id=spec.kind)
+    model = ml.train(spec, ds)
+    scores = ml.predict_proba(model, ds)
+    surface = riskmap.surface_from_rows(g, ds.cells, scores, model_id=spec.kind)
     out_geo = cfg.out_dir / "risk.geojson"
     out_pgm = cfg.out_dir / "risk.pgm"
     out_csv = cfg.out_dir / "risk.csv"

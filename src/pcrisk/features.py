@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, MissingVariableError, OutOfBoundsError
-from .grid import CellId, Grid, cell_of, neighbor_offsets
+from .grid import Grid, cell_of, neighbor_offsets
 from .ingest import VARIABLES, CellSeries, ConflictEvent, Window
 
 log = logging.getLogger(__name__)
@@ -48,10 +48,6 @@ class BinEdges:
     lo: float
     hi: float
     n_bins: int = N_BINS
-
-    @property
-    def width(self) -> float:
-        return (self.hi - self.lo) / self.n_bins
 
     @property
     def degenerate(self) -> bool:
@@ -139,24 +135,19 @@ def histogram_features(series: CellSeries, edges: BinEdges) -> np.ndarray:
     return out / len(series.samples)
 
 
-def neighbor_features(grid: Grid, conflict_counts: np.ndarray,
-                      c: CellId) -> tuple[np.ndarray, np.ndarray]:
-    """(presence booleans, conflict counts) over nested neighborhoods j=1..5.
-
-    conflict_counts is an (n_rows, n_cols) integer array covering every
-    grid cell.
-    """
-    if conflict_counts.shape != (grid.n_rows, grid.n_cols):
-        raise InvalidInputError("conflict_counts shape must match the grid")
-    counts = np.zeros(len(NEIGHBOR_RADII), dtype=int)
+def neighbor_counts(conflict_counts: np.ndarray) -> np.ndarray:
+    """(n_rows, n_cols, 5) conflict counts over the nested neighborhoods
+    j=1..5 of every cell: the sum of the grid's per-cell counts over
+    neighbor_offsets(j), where cells off the grid count 0."""
+    n_rows, n_cols = conflict_counts.shape
+    pad = max(NEIGHBOR_RADII)
+    padded = np.zeros((n_rows + 2 * pad, n_cols + 2 * pad), dtype=np.int64)
+    padded[pad:pad + n_rows, pad:pad + n_cols] = conflict_counts
+    out = np.zeros((n_rows, n_cols, len(NEIGHBOR_RADII)), dtype=np.int64)
     for k, j in enumerate(NEIGHBOR_RADII):
-        total = 0
         for dr, dc in neighbor_offsets(j):
-            r, col = c.row + dr, c.col + dc
-            if 0 <= r < grid.n_rows and 0 <= col < grid.n_cols:
-                total += int(conflict_counts[r, col])
-        counts[k] = total
-    return counts > 0, counts
+            out[:, :, k] += padded[pad + dr:pad + dr + n_rows, pad + dc:pad + dc + n_cols]
+    return out
 
 
 def count_events_per_cell(grid: Grid, events: list[ConflictEvent],
@@ -183,67 +174,66 @@ def count_events_per_cell(grid: Grid, events: list[ConflictEvent],
     return counts
 
 
-@dataclass
-class FeatureRow:
-    """One cell's 120-feature vector and binary conflict label."""
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """The feature table: one row per masked grid cell, row-major.
 
-    cell: CellId
-    hist: np.ndarray          # 110 floats, 11 variables x 10 bins
-    nbr_presence: np.ndarray  # 5 booleans
-    nbr_count: np.ndarray     # 5 non-negative ints
-    label: int
+    cells is (n, 2) int (row, col), X is (n, 120) float in FEATURE_NAMES
+    order and y holds the binary conflict labels.
+    """
 
-    def vector(self) -> np.ndarray:
-        return np.concatenate([
-            self.hist,
-            self.nbr_presence.astype(float),
-            self.nbr_count.astype(float),
-        ])
+    cells: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def take(self, idx) -> "Dataset":
+        """The rows at idx, in that order."""
+        return Dataset(self.cells[idx], self.X[idx], self.y[idx])
+
+
+_N_HIST = len(HIST_FEATURE_NAMES)
+_VARIABLE_COL = {var: vi * N_BINS for vi, var in enumerate(VARIABLES)}
 
 
 def assemble_dataset(grid: Grid, series: list[CellSeries],
                      events: list[ConflictEvent], window: Window,
-                     edges: dict[str, BinEdges] | None = None) -> list[FeatureRow]:
-    """One FeatureRow per masked grid cell, ordered row-major.
+                     edges: dict[str, BinEdges] | None = None) -> Dataset:
+    """The 120 features and the label of every masked grid cell, row-major.
 
     label = 1 iff at least one pastoral event falls in the cell within the
     window; neighbor features use the same window's per-cell event counts.
+    A cell without a series for a variable gets all-zero bins for it.
     """
     window.validate()
     if edges is None:
         edges = fit_bin_edges(series)
-    by_cell_var: dict[tuple[CellId, str], CellSeries] = {}
+    cells = np.argwhere(grid.mask)
+    row_of = {(r, c): i for i, (r, c) in enumerate(cells.tolist())}
+    X = np.zeros((len(cells), N_FEATURES))
+    seen = set()
     for s in series:
         key = (s.cell, s.variable)
-        if key in by_cell_var:
+        if key in seen:
             raise InvalidInputError(
                 f"duplicate series for cell ({s.cell.row},{s.cell.col}) variable {s.variable}")
-        by_cell_var[key] = s
+        seen.add(key)
+        i = row_of.get((s.cell.row, s.cell.col))
+        col = _VARIABLE_COL.get(s.variable)
+        if i is not None and col is not None:
+            X[i, col:col + N_BINS] = histogram_features(s, edges[s.variable])
     counts = count_events_per_cell(grid, events, window)
-    rows = []
-    for cell in grid.masked_cells():
-        hist = np.empty(len(HIST_FEATURE_NAMES), dtype=float)
-        for vi, var in enumerate(VARIABLES):
-            s = by_cell_var.get((cell, var))
-            if s is None:
-                s = CellSeries(cell=cell, variable=var, samples=[])
-            hist[vi * N_BINS:(vi + 1) * N_BINS] = histogram_features(s, edges[var])
-        presence, nbr_counts = neighbor_features(grid, counts, cell)
-        rows.append(FeatureRow(
-            cell=cell,
-            hist=hist,
-            nbr_presence=presence,
-            nbr_count=nbr_counts,
-            label=int(counts[cell.row, cell.col] > 0),
-        ))
-    return rows
+    nbr = neighbor_counts(counts)[grid.mask]
+    X[:, _N_HIST:_N_HIST + len(NEIGHBOR_RADII)] = nbr > 0
+    X[:, _N_HIST + len(NEIGHBOR_RADII):] = nbr
+    return Dataset(cells=cells, X=X, y=(counts[grid.mask] > 0).astype(int))
 
 
-def to_matrix(rows: list[FeatureRow]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack rows into (X, y) for the statistics and learning modules."""
-    X = np.stack([r.vector() for r in rows]) if rows else np.empty((0, N_FEATURES))
-    y = np.array([r.label for r in rows], dtype=int)
-    return X, y
+def to_matrix(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) of a dataset, not copied."""
+    return ds.X, ds.y
 
 
 # ---------------------------------------------------------------------------
@@ -252,36 +242,37 @@ def to_matrix(rows: list[FeatureRow]) -> tuple[np.ndarray, np.ndarray]:
 _CSV_HEADER = ("row", "col", "label") + FEATURE_NAMES
 
 
-def write_dataset_csv(rows: list[FeatureRow], path) -> None:
+def write_dataset_csv(ds: Dataset, path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(_CSV_HEADER)
-        for r in rows:
-            rec = [r.cell.row, r.cell.col, r.label]
-            rec.extend(repr(float(v)) for v in r.hist)
-            rec.extend(int(v) for v in r.nbr_presence)
-            rec.extend(int(v) for v in r.nbr_count)
-            w.writerow(rec)
+        for (r, c), label, x in zip(ds.cells.tolist(), ds.y.tolist(), ds.X.tolist()):
+            w.writerow([r, c, label, *map(repr, x[:_N_HIST]), *map(int, x[_N_HIST:])])
 
 
-def read_dataset_csv(path) -> list[FeatureRow]:
-    rows = []
+def read_dataset_csv(path) -> Dataset:
+    """Inverse of write_dataset_csv; a malformed row raises
+    InvalidInputError naming the file and line."""
+    ints, floats = [], []
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != _CSV_HEADER:
+        if tuple(next(reader, ())) != _CSV_HEADER:
             raise InvalidInputError(f"unexpected dataset header in {path}")
-        nh = len(HIST_FEATURE_NAMES)
-        nj = len(NEIGHBOR_RADII)
         for rec in reader:
-            rows.append(FeatureRow(
-                cell=CellId(int(rec[0]), int(rec[1])),
-                label=int(rec[2]),
-                hist=np.array([float(v) for v in rec[3:3 + nh]]),
-                nbr_presence=np.array([int(v) for v in rec[3 + nh:3 + nh + nj]], dtype=bool),
-                nbr_count=np.array([int(v) for v in rec[3 + nh + nj:3 + nh + 2 * nj]], dtype=int),
-            ))
-    return rows
+            if len(rec) != len(_CSV_HEADER):
+                raise InvalidInputError(f"{path} line {reader.line_num}: expected "
+                                        f"{len(_CSV_HEADER)} fields, got {len(rec)}")
+            try:
+                ints.append(list(map(int, rec[:3] + rec[3 + _N_HIST:])))
+                floats.append(list(map(float, rec[3:3 + _N_HIST])))
+            except ValueError as exc:
+                raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
+    try:
+        ints = np.array(ints, dtype=np.int64).reshape(-1, 3 + N_FEATURES - _N_HIST)
+    except OverflowError:
+        raise InvalidInputError(f"{path}: integer field out of range") from None
+    X = np.hstack([np.array(floats).reshape(-1, _N_HIST), ints[:, 3:]])
+    return Dataset(cells=ints[:, :2], X=X, y=ints[:, 2])
 
 
 def write_bin_edges_json(edges: dict[str, BinEdges], path) -> None:

@@ -97,12 +97,6 @@ class Grid:
     def contains(self, c: CellId) -> bool:
         return 0 <= c.row < self.n_rows and 0 <= c.col < self.n_cols
 
-    def index(self, c: CellId) -> int:
-        """Row-major flat index of a cell."""
-        if not self.contains(c):
-            raise OutOfBoundsError(f"cell {c} outside {self.n_rows}x{self.n_cols} grid")
-        return c.row * self.n_cols + c.col
-
     def cells(self):
         """All cells in row-major order."""
         for r in range(self.n_rows):

@@ -2,7 +2,7 @@
 
 A greedy binary CART (gini criterion, midpoint thresholds, deterministic
 tie rule: lowest feature index then lowest threshold) is grown on the
-120-feature rows. Root-to-leaf paths with enough support and class-1
+120-feature matrix. Root-to-leaf paths with enough support and class-1
 purity become hypothesis predicates: conjunctions of (feature, <=/>,
 threshold) conditions defining a cell set S, which are then scored with
 Fisher's exact test, the odds ratio and its Woolf CI against the
@@ -23,7 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegeneratePartitionError, InvalidInputError
-from .features import FEATURE_INDEX, FEATURE_NAMES, FeatureRow, to_matrix
+from .features import (
+    FEATURE_INDEX,
+    FEATURE_NAMES,
+    HIST_FEATURE_NAMES,
+    N_BINS,
+    N_FEATURES,
+    Dataset,
+    to_matrix,
+)
+from .ingest import VARIABLES
 from .stats import ContingencyTable, ExactTestResult, exact_test
 
 
@@ -75,8 +84,13 @@ class HypothesisPredicate:
             if c.op not in (">", "<="):
                 raise InvalidInputError(f"unknown comparator {c.op!r}")
 
-    def matches(self, vector: np.ndarray) -> bool:
-        return all(c.holds(vector[FEATURE_INDEX[c.feature]]) for c in self.conditions)
+    def matches(self, X: np.ndarray) -> np.ndarray | np.bool_:
+        """Whether one feature vector, or each row of a matrix, satisfies
+        every condition."""
+        out = np.ones(np.shape(X)[:-1], dtype=bool)
+        for c in self.conditions:
+            out &= c.holds(X[..., FEATURE_INDEX[c.feature]])
+        return out[()]
 
     def features(self) -> tuple:
         return tuple(c.feature for c in self.conditions)
@@ -89,16 +103,12 @@ class HypothesisPredicate:
 class CartParams:
     max_depth: int | None = 4
     min_leaf: int = 1
-    criterion: str = "gini"
-    seed: int = 0
 
     def validate(self) -> None:
         if self.max_depth is not None and self.max_depth < 1:
             raise InvalidInputError("max_depth must be >= 1 or None")
         if self.min_leaf < 1:
             raise InvalidInputError("min_leaf must be >= 1")
-        if self.criterion != "gini":
-            raise InvalidInputError(f"unsupported criterion {self.criterion!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +188,13 @@ def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
     return node
 
 
-def train_cart(rows: list[FeatureRow], params: CartParams = CartParams()) -> TreeNode:
-    """CART over FeatureRows; single-class data yields a single leaf."""
+def train_cart(ds: Dataset, params: CartParams = CartParams()) -> TreeNode:
+    """CART over a dataset; single-class data yields a single leaf."""
     params.validate()
-    X, y = to_matrix(rows)
-    if len(rows) == 0:
+    X, y = to_matrix(ds)
+    if len(y) == 0:
         raise InvalidInputError("cannot train on an empty dataset")
-    rng = np.random.default_rng(params.seed)
-    return grow_tree(X, y, params.max_depth, params.min_leaf, rng)
+    return grow_tree(X, y, params.max_depth, params.min_leaf)
 
 
 def predict_leaf(node: TreeNode, vector: np.ndarray) -> TreeNode:
@@ -236,17 +245,17 @@ def extract_paths(tree: TreeNode, min_support: int = 5, min_purity: float = 0.6,
 
 
 def evaluate_hypothesis(pred: HypothesisPredicate,
-                        rows: list[FeatureRow]) -> tuple[ContingencyTable, ExactTestResult]:
+                        ds: Dataset) -> tuple[ContingencyTable, ExactTestResult]:
     """Score a predicate: membership in S against the conflict label."""
-    X, y = to_matrix(rows)
-    member = np.array([pred.matches(X[i]) for i in range(len(rows))], dtype=bool)
-    n_in = int(member.sum())
-    if n_in == 0 or n_in == len(rows):
+    X, y = to_matrix(ds)
+    member = pred.matches(X)
+    n_in, n = int(member.sum()), len(y)
+    if n_in == 0 or n_in == n:
         raise DegeneratePartitionError(
-            f"predicate [{pred.describe()}] selects {n_in} of {len(rows)} cells")
+            f"predicate [{pred.describe()}] selects {n_in} of {n} cells")
     a = int(y[member].sum())
     c = int(y[~member].sum())
-    table = ContingencyTable(a=a, b=n_in - a, c=c, d=len(rows) - n_in - c)
+    table = ContingencyTable(a=a, b=n_in - a, c=c, d=n - n_in - c)
     return table, exact_test(table)
 
 
@@ -322,19 +331,18 @@ def builtin_hypotheses() -> dict[str, BuiltinHypothesis]:
     return {bh.name: bh for bh in _BUILTINS}
 
 
-def golden_dataset(bh: BuiltinHypothesis) -> list[FeatureRow]:
+def golden_dataset(bh: BuiltinHypothesis) -> Dataset:
     """Reconstruct a dataset realizing a built-in hypothesis' table:
     (a+b) rows satisfying the predicate, a of them labelled 1, and (c+d)
-    rows violating the first condition, c of them labelled 1."""
-    sat = _template_row(bh.predicate, satisfy=True)
-    vio = _template_row(bh.predicate, satisfy=False)
+    rows violating the first condition, c of them labelled 1; row i sits
+    in cell (0, i)."""
     t = bh.table
-    rows = []
-    for i in range(t.n_in):
-        rows.append(_clone_row(sat, index=i, label=int(i < t.a)))
-    for i in range(t.n_out):
-        rows.append(_clone_row(vio, index=t.n_in + i, label=int(i < t.c)))
-    return rows
+    templates = np.stack([_template_vector(bh.predicate, satisfy=True),
+                          _template_vector(bh.predicate, satisfy=False)])
+    X = np.repeat(templates, [t.n_in, t.n_out], axis=0)
+    y = np.r_[np.arange(t.n_in) < t.a, np.arange(t.n_out) < t.c].astype(int)
+    cells = np.column_stack([np.zeros(t.total, dtype=int), np.arange(t.total)])
+    return Dataset(cells=cells, X=X, y=y)
 
 
 def _interval_value(lo: float | None, hi: float | None, integral: bool) -> float:
@@ -353,11 +361,7 @@ def _interval_value(lo: float | None, hi: float | None, integral: bool) -> float
     return 0.5 * hi
 
 
-def _template_row(pred: HypothesisPredicate, satisfy: bool) -> FeatureRow:
-    from .features import N_BINS, HIST_FEATURE_NAMES
-    from .grid import CellId
-    from .ingest import VARIABLES
-
+def _template_vector(pred: HypothesisPredicate, satisfy: bool) -> np.ndarray:
     bounds: dict[str, list] = {}
     order = []
     for c in pred.conditions:
@@ -384,12 +388,12 @@ def _template_row(pred: HypothesisPredicate, satisfy: bool) -> FeatureRow:
             else:
                 values[feat] = float(np.ceil(hi) + 1.0) if integral else hi + 0.5 * (1.0 - hi)
 
-    hist = np.zeros(len(HIST_FEATURE_NAMES))
+    x = np.zeros(N_FEATURES)
     used_mass: dict[str, float] = {}
     cond_bins: dict[str, set] = {}
     for feat, v in values.items():
         if feat in FEATURE_INDEX and not feat.startswith("NBR"):
-            hist[FEATURE_INDEX[feat]] = v
+            x[FEATURE_INDEX[feat]] = v
             var = feat.rstrip("0123456789")
             used_mass[var] = used_mass.get(var, 0.0) + v
             bin_no = int(feat[len(var):]) - 1
@@ -399,7 +403,7 @@ def _template_row(pred: HypothesisPredicate, satisfy: bool) -> FeatureRow:
         rest = 1.0 - used_mass.get(var, 0.0)
         taken = cond_bins.get(var, set())
         spare = next(b for b in range(N_BINS) if b not in taken)
-        hist[vi * N_BINS + spare] = rest
+        x[vi * N_BINS + spare] = rest
 
     nbr_count = np.zeros(5, dtype=int)
     for j in range(1, 6):
@@ -408,16 +412,10 @@ def _template_row(pred: HypothesisPredicate, satisfy: bool) -> FeatureRow:
             nbr_count[j - 1] = int(values[feat])
     # counts are non-decreasing over nested neighborhoods
     nbr_count = np.maximum.accumulate(nbr_count)
-    return FeatureRow(cell=CellId(0, 0), hist=hist,
-                      nbr_presence=nbr_count > 0, nbr_count=nbr_count, label=0)
-
-
-def _clone_row(template: FeatureRow, index: int, label: int) -> FeatureRow:
-    from .grid import CellId
-
-    return FeatureRow(cell=CellId(0, index), hist=template.hist.copy(),
-                      nbr_presence=template.nbr_presence.copy(),
-                      nbr_count=template.nbr_count.copy(), label=label)
+    nh = len(HIST_FEATURE_NAMES)
+    x[nh:nh + 5] = nbr_count > 0
+    x[nh + 5:] = nbr_count
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Classifier suite over feature rows: eight models, stratified splits,
+"""Classifier suite over the feature table: eight models, stratified splits,
 and conflict-class evaluation metrics.
 
 Models are trained from scratch on numpy so every run is deterministic for
@@ -19,9 +19,10 @@ training loss is non-increasing across epochs.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
     NonConvergenceError,
     StratificationError,
 )
-from .features import FeatureRow, to_matrix
+from .features import Dataset, to_matrix
 from .hypotheses import TreeNode, grow_tree, predict_leaf, tree_from_dict, tree_to_dict
 
 CLASSIFIER_KINDS = (
@@ -80,20 +81,12 @@ def default_suite(seed: int = 0) -> list[ClassifierSpec]:
 
 
 @dataclass(frozen=True)
-class Metrics:
-    precision: float
-    recall: float
-    f1: float
-    auc: float | None  # None when the labels are single-class
-
-
-@dataclass(frozen=True)
 class EvalRow:
     classifier: str
     precision: float
     recall: float
     f1: float
-    auc: float | None
+    auc: float | None  # None when the labels are single-class
 
 
 @dataclass(frozen=True)
@@ -107,12 +100,12 @@ class EvalReport:
 # split and metrics
 
 
-def split(rows: list[FeatureRow], test_fraction: float, seed: int
-          ) -> tuple[list[FeatureRow], list[FeatureRow]]:
-    """Stratified random split preserving the class ratio within one row."""
+def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Stratified random split preserving the class ratio within one row;
+    each side keeps the dataset's row order."""
     if not 0.0 < test_fraction < 1.0:
         raise InvalidInputError("test_fraction must be in (0, 1)")
-    labels = np.array([r.label for r in rows])
+    labels = ds.y
     if labels.min(initial=1) == labels.max(initial=0):
         raise InsufficientDataError("split needs both classes present")
     rng = np.random.default_rng(seed)
@@ -128,12 +121,13 @@ def split(rows: list[FeatureRow], test_fraction: float, seed: int
         perm = rng.permutation(len(idx))
         test_idx.extend(idx[perm[:n_test]])
         train_idx.extend(idx[perm[n_test:]])
-    return ([rows[i] for i in sorted(train_idx)], [rows[i] for i in sorted(test_idx)])
+    return ds.take(sorted(train_idx)), ds.take(sorted(test_idx))
 
 
-def metrics(scores, labels, threshold: float = 0.5) -> Metrics:
+def metrics(scores, labels, threshold: float = 0.5) -> EvalRow:
     """Precision/recall/F1 for the conflict class at the threshold, plus
-    rank-statistic AUC (ties count 0.5). AUC is None for single-class labels."""
+    rank-statistic AUC (ties count 0.5), with an empty classifier name. AUC
+    is None for single-class labels."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     pred = scores >= threshold
@@ -146,10 +140,10 @@ def metrics(scores, labels, threshold: float = 0.5) -> Metrics:
     n1 = int((labels == 1).sum())
     n0 = len(labels) - n1
     if n1 == 0 or n0 == 0:
-        return Metrics(precision, recall, f1, None)
+        return EvalRow("", precision, recall, f1, None)
     ranks = rankdata(scores)
     auc = (float(ranks[labels == 1].sum()) - n1 * (n1 + 1) / 2.0) / (n0 * n1)
-    return Metrics(precision, recall, f1, auc)
+    return EvalRow("", precision, recall, f1, auc)
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +636,11 @@ def _new_model(spec: ClassifierSpec):
     return _MODEL_CLASSES[spec.kind](hp, spec.seed)
 
 
-def train(spec: ClassifierSpec, rows: list[FeatureRow]):
-    """Fit one classifier on feature rows; both classes must be present."""
-    if not rows:
+def train(spec: ClassifierSpec, ds: Dataset):
+    """Fit one classifier on a dataset; both classes must be present."""
+    if not len(ds):
         raise InsufficientDataError("cannot train on an empty dataset")
-    X, y = to_matrix(rows)
+    X, y = to_matrix(ds)
     if not np.isfinite(X).all():
         raise InvalidInputError("non-finite feature values")
     if y.min(initial=1) == y.max(initial=0):
@@ -654,9 +648,9 @@ def train(spec: ClassifierSpec, rows: list[FeatureRow]):
     return _new_model(spec).fit(X, y)
 
 
-def predict_proba(model, rows: list[FeatureRow]) -> np.ndarray:
+def predict_proba(model, ds: Dataset) -> np.ndarray:
     """Conflict-class score per row, in [0, 1]."""
-    X, _ = to_matrix(rows)
+    X, _ = to_matrix(ds)
     return model.predict_proba(X)
 
 
@@ -691,17 +685,15 @@ def _tupled(kind: str, hp: dict) -> dict:
 # suite runner
 
 
-def run_suite(rows: list[FeatureRow], specs: list[ClassifierSpec],
+def run_suite(ds: Dataset, specs: list[ClassifierSpec],
               test_fraction: float = 0.2, seed: int = 0) -> EvalReport:
     """Train every spec on one stratified split and score the test side."""
-    train_rows, test_rows = split(rows, test_fraction, seed)
-    y_test = np.array([r.label for r in test_rows])
+    train_ds, test_ds = split(ds, test_fraction, seed)
     out = []
     for spec in specs:
-        model = train(spec, train_rows)
-        m = metrics(predict_proba(model, test_rows), y_test)
-        out.append(EvalRow(classifier=spec.kind, precision=m.precision,
-                           recall=m.recall, f1=m.f1, auc=m.auc))
+        model = train(spec, train_ds)
+        m = metrics(predict_proba(model, test_ds), test_ds.y)
+        out.append(replace(m, classifier=spec.kind))
     desc = f"stratified {1 - test_fraction:.0%}/{test_fraction:.0%} split"
     return EvalReport(rows=tuple(out), split=desc, seed=seed)
 
@@ -713,11 +705,20 @@ def best_row(report: EvalReport) -> EvalRow:
 
 
 def write_suite_csv(report: EvalReport, path) -> None:
-    import csv
-
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["Classifier", "Precision", "Recall", "F1-Score", "AUC"])
         for r in report.rows:
             w.writerow([r.classifier, repr(r.precision), repr(r.recall), repr(r.f1),
                         "NA" if r.auc is None else repr(r.auc)])
+
+
+def write_best_summary_csv(country: str, best: list[tuple[float, EvalRow]], path) -> None:
+    """One row per (granularity in km, best suite row)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["Country", "Granularity km", "Best Classifier", "Precision",
+                    "Recall", "F1-Score", "AUC"])
+        for km, b in best:
+            w.writerow([country, f"{km:g}", b.classifier, repr(b.precision),
+                        repr(b.recall), repr(b.f1), "NA" if b.auc is None else repr(b.auc)])

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, ValidationError
-from .grid import CellId, Grid
+from .grid import Grid
 
 #: 5-stop linear color scale, low risk to high risk
 COLOR_STOPS = ("#2c7bb6", "#abd9e9", "#ffffbf", "#fdae61", "#d7191c")
@@ -55,12 +55,12 @@ def _hex_to_rgb(h: str) -> tuple[int, int, int]:
     return (int(h[1:3], 16), int(h[3:5], 16), int(h[5:7], 16))
 
 
-def surface_from_rows(grid: Grid, cells: list[CellId], scores,
+def surface_from_rows(grid: Grid, cells: np.ndarray, scores,
                       model_id: str = "") -> RiskSurface:
-    """Scatter per-cell scores into a full-grid surface (unmasked cells 0)."""
+    """Scatter per-cell scores into a full-grid surface (unmasked cells 0);
+    cells is a dataset's (n, 2) array of (row, col)."""
     values = np.zeros((grid.n_rows, grid.n_cols))
-    for cell, s in zip(cells, scores):
-        values[cell.row, cell.col] = float(s)
+    values[cells[:, 0], cells[:, 1]] = scores
     return RiskSurface(grid=grid, values=values, model_id=model_id)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .errors import InsufficientDataError, InvalidInputError, UndefinedTestError
-from .features import HIST_FEATURE_NAMES, FEATURE_INDEX, FeatureRow, to_matrix
+from .features import HIST_FEATURE_NAMES, FEATURE_INDEX, Dataset, to_matrix
 
 #: tie tolerance when summing hypergeometric point probabilities
 FISHER_TIE_REL_TOL = 1e-7
@@ -135,7 +135,7 @@ def bonferroni(p: float, m: int) -> float:
     return min(1.0, m * p)
 
 
-def run_univariate(rows: list[FeatureRow], family=None,
+def run_univariate(ds: Dataset, family=None,
                    m: int | None = None) -> list[MeanDiffResult]:
     """Welch test for every feature in the family, class 1 vs class 0.
 
@@ -145,7 +145,7 @@ def run_univariate(rows: list[FeatureRow], family=None,
     """
     if family is None:
         family = list(HIST_FEATURE_NAMES)
-    X, y = to_matrix(rows)
+    X, y = to_matrix(ds)
     n1 = int(y.sum())
     if n1 == 0 or n1 == len(y):
         raise InsufficientDataError("univariate testing needs both classes present")

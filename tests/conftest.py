@@ -29,5 +29,5 @@ def small_country():
     window = Window(dt.date(2015, 1, 1), dt.date(2016, 12, 31))
     series, events = synth_country(seed=42, grid=g, months=24,
                                    planted=PlantedEffect(base_rate=0.08))
-    rows = assemble_dataset(g, series, events, window)
-    return g, series, events, window, rows
+    ds = assemble_dataset(g, series, events, window)
+    return g, series, events, window, ds

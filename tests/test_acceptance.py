@@ -22,7 +22,7 @@ from oracles import (
     welch_p_quad,
 )
 from pcrisk.cli import main as cli_main
-from pcrisk.features import neighbor_features
+from pcrisk.features import neighbor_counts
 from pcrisk.grid import CellId
 from pcrisk.ml import (
     _flatten_params,
@@ -124,20 +124,19 @@ def test_c06_feature_invariants():
 
         g = square_grid(9, 9)
         series, events = synth_country(31, g, 18)
-        rows = assemble_dataset(g, series, events,
-                                Window(dt.date(2015, 1, 1), dt.date(2016, 6, 30)))
-        for r in rows:
-            assert len(r.vector()) == 120
-            sums = r.hist.reshape(11, 10).sum(axis=1)
+        ds = assemble_dataset(g, series, events,
+                              Window(dt.date(2015, 1, 1), dt.date(2016, 6, 30)))
+        for x in ds.X:
+            assert len(x) == 120
+            sums = x[:110].reshape(11, 10).sum(axis=1)
             assert np.abs(sums - 1.0).max() <= 1e-9
         rng = np.random.default_rng(5)
         for n_rows, n_cols in ((4, 6), (11, 9), (20, 20)):
-            gg = square_grid(n_rows, n_cols)
             counts = rng.integers(0, 3, size=(n_rows, n_cols))
             probe = [CellId(0, 0), CellId(n_rows - 1, n_cols - 1),
                      CellId(n_rows // 2, n_cols // 2)]
             for cell in probe:
-                _, nbr = neighbor_features(gg, counts, cell)
+                nbr = neighbor_counts(counts)[cell.row, cell.col]
                 for k, j in enumerate((1, 2, 3, 4, 5)):
                     want = sum(counts[r, c] for r, c in
                                lattice_neighbors(n_rows, n_cols, cell.row, cell.col, j))

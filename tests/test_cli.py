@@ -126,6 +126,29 @@ class TestPipelineCommands:
                  "--config", cfg, "--out-dir", str(tmp_path / "x"))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fault", ["short_row", "non_numeric", "non_integer",
+                                       "out_of_range"])
+    def test_malformed_dataset_usage_error(self, built, capsys, fault):
+        cfg, out = built
+        path = out / "dataset.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        if fault == "short_row":
+            fields = fields[:-3]
+        elif fault == "non_numeric":
+            fields[10] = "abc"
+        elif fault == "non_integer":
+            fields[-1] = "2.5"  # NBRC5 is a count
+        else:
+            fields[-1] = str(2 ** 64)
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert _run("test-univariate", "--config", cfg, "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "dataset.csv" in err
+        if fault != "out_of_range":
+            assert "line 3" in err
+
     def test_riskmap_outputs(self, built):
         cfg, out = built
         assert _run("riskmap", "--config", cfg, "--out-dir", str(out)) == 0

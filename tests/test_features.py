@@ -19,9 +19,8 @@ from pcrisk.features import (
     count_events_per_cell,
     fit_bin_edges,
     histogram_features,
-    neighbor_features,
+    neighbor_counts,
     read_dataset_csv,
-    to_matrix,
     write_dataset_csv,
 )
 
@@ -46,7 +45,7 @@ class TestBinEdges:
 
     def test_negative_span(self):
         e = fit_bin_edges([_series([-5.0, 15.0])], variables=("LAI",))["LAI"]
-        assert e.width == 2.0
+        assert e.edges()[1] == -3.0
         assert e.edges()[0] == -5.0 and e.edges()[-1] == 15.0
 
     def test_min_max_across_cells(self):
@@ -154,37 +153,28 @@ class TestHistogramFeatures:
 
 class TestNeighborFeatures:
     def test_all_zero_counts(self):
-        g = square_grid(5, 5)
         counts = np.zeros((5, 5), dtype=int)
-        presence, nbr = neighbor_features(g, counts, CellId(2, 2))
-        assert not presence.any() and nbr.sum() == 0
+        assert neighbor_counts(counts).sum() == 0
 
     def test_single_adjacent_conflict_nested(self):
-        g = square_grid(5, 5)
         counts = np.zeros((5, 5), dtype=int)
         counts[2, 3] = 1
-        presence, nbr = neighbor_features(g, counts, CellId(2, 2))
-        assert presence.all()
-        assert nbr.tolist() == [1, 1, 1, 1, 1]
+        assert neighbor_counts(counts)[2, 2].tolist() == [1, 1, 1, 1, 1]
 
     def test_handbuilt_5x5_matches_bruteforce(self):
-        g = square_grid(5, 5)
         rng = np.random.default_rng(0)
         counts = rng.integers(0, 4, size=(5, 5))
-        for cell in g.cells():
-            _, nbr = neighbor_features(g, counts, cell)
-            for k, j in enumerate((1, 2, 3, 4, 5)):
-                want = sum(counts[r, c]
-                           for r, c in lattice_neighbors(5, 5, cell.row, cell.col, j))
-                assert nbr[k] == want
+        nbr = neighbor_counts(counts)
+        for row in range(5):
+            for col in range(5):
+                for k, j in enumerate((1, 2, 3, 4, 5)):
+                    want = sum(counts[r, c] for r, c in lattice_neighbors(5, 5, row, col, j))
+                    assert nbr[row, col, k] == want
 
     def test_counts_monotone_in_j(self):
-        g = square_grid(6, 6)
         rng = np.random.default_rng(1)
         counts = rng.integers(0, 3, size=(6, 6))
-        for cell in g.cells():
-            _, nbr = neighbor_features(g, counts, cell)
-            assert (np.diff(nbr) >= 0).all()
+        assert (np.diff(neighbor_counts(counts), axis=2) >= 0).all()
 
 
 def _event(lat, lon, day=dt.date(2015, 6, 15)):
@@ -201,8 +191,8 @@ class TestAssembleDataset:
 
     def test_no_events_all_labels_zero(self):
         g = square_grid(3, 3)
-        rows = assemble_dataset(g, self._full_series(g), [], WINDOW)
-        assert all(r.label == 0 for r in rows)
+        ds = assemble_dataset(g, self._full_series(g), [], WINDOW)
+        assert not ds.y.any()
 
     def test_140_cells_13_conflict_cells(self):
         g = square_grid(10, 14)
@@ -211,63 +201,60 @@ class TestAssembleDataset:
             lat, lon = g.cell_center(CellId(k // 14, k % 14))
             events.append(_event(lat, lon))
             events.append(_event(lat, lon))  # several events in one cell still = 1 label
-        rows = assemble_dataset(g, self._full_series(g), events, WINDOW)
-        assert len(rows) == 140
-        assert sum(r.label for r in rows) == 13
+        ds = assemble_dataset(g, self._full_series(g), events, WINDOW)
+        assert len(ds) == 140
+        assert ds.y.sum() == 13
 
     def test_vector_length_is_120(self):
         g = square_grid(3, 3)
-        rows = assemble_dataset(g, self._full_series(g), [], WINDOW)
+        ds = assemble_dataset(g, self._full_series(g), [], WINDOW)
         assert N_FEATURES == 120
-        assert all(len(r.vector()) == 120 for r in rows)
+        assert ds.X.shape == (9, 120)
         assert len(FEATURE_NAMES) == 120
 
     def test_event_outside_grid_skipped(self, caplog):
         g = square_grid(3, 3)
         with caplog.at_level("WARNING"):
-            rows = assemble_dataset(g, self._full_series(g),
-                                    [_event(-45.0, 100.0)], WINDOW)
-        assert all(r.label == 0 for r in rows)
+            ds = assemble_dataset(g, self._full_series(g),
+                                  [_event(-45.0, 100.0)], WINDOW)
+        assert not ds.y.any()
         assert any("skipped" in r.message for r in caplog.records)
 
     def test_histograms_sum_to_one_per_variable(self):
         g = square_grid(4, 4)
-        rows = assemble_dataset(g, self._full_series(g), [], WINDOW)
-        for r in rows:
-            sums = r.hist.reshape(11, 10).sum(axis=1)
-            assert np.abs(sums - 1.0).max() <= 1e-9
+        ds = assemble_dataset(g, self._full_series(g), [], WINDOW)
+        sums = ds.X[:, :110].reshape(-1, 11, 10).sum(axis=2)
+        assert np.abs(sums - 1.0).max() <= 1e-9
 
     def test_presence_is_count_derived(self):
         g = square_grid(4, 4)
         lat, lon = g.cell_center(CellId(1, 1))
-        rows = assemble_dataset(g, self._full_series(g), [_event(lat, lon)], WINDOW)
-        for r in rows:
-            assert np.array_equal(r.nbr_presence, r.nbr_count > 0)
+        ds = assemble_dataset(g, self._full_series(g), [_event(lat, lon)], WINDOW)
+        assert ds.X[:, 115:].any()
+        assert np.array_equal(ds.X[:, 110:115], ds.X[:, 115:] > 0)
 
     def test_deterministic_row_order(self):
         g = square_grid(3, 4)
         s = self._full_series(g)
-        r1 = assemble_dataset(g, s, [], WINDOW)
-        r2 = assemble_dataset(g, s, [], WINDOW)
-        assert [r.cell for r in r1] == [r.cell for r in r2]
-        assert [r.cell for r in r1] == sorted(r.cell for r in r1)
+        d1 = assemble_dataset(g, s, [], WINDOW)
+        d2 = assemble_dataset(g, s, [], WINDOW)
+        assert np.array_equal(d1.cells, d2.cells)
+        assert d1.cells.tolist() == sorted(d1.cells.tolist())
 
 
 class TestDatasetCsv:
     def test_roundtrip(self, tmp_path, small_country):
-        _, _, _, _, rows = small_country
+        _, _, _, _, ds = small_country
         p = tmp_path / "ds.csv"
-        write_dataset_csv(rows, p)
+        write_dataset_csv(ds, p)
         back = read_dataset_csv(p)
-        assert len(back) == len(rows)
-        X1, y1 = to_matrix(rows)
-        X2, y2 = to_matrix(back)
-        assert np.array_equal(X1, X2) and np.array_equal(y1, y2)
+        assert np.array_equal(back.cells, ds.cells)
+        assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
 
     def test_header_names(self, tmp_path, small_country):
-        _, _, _, _, rows = small_country
+        _, _, _, _, ds = small_country
         p = tmp_path / "ds.csv"
-        write_dataset_csv(rows, p)
+        write_dataset_csv(ds, p)
         header = p.read_text().splitlines()[0].split(",")
         assert header[:3] == ["row", "col", "label"]
         assert header[3] == "LAI1" and header[112] == "T2M_MIN10"

@@ -3,8 +3,7 @@ import pytest
 
 from oracles import exhaustive_cart, same_tree
 from pcrisk.errors import DegeneratePartitionError, InvalidInputError
-from pcrisk.features import FEATURE_NAMES, FeatureRow, to_matrix
-from pcrisk.grid import CellId
+from pcrisk.features import FEATURE_NAMES, Dataset, to_matrix
 from pcrisk.hypotheses import (
     CartParams,
     Condition,
@@ -23,14 +22,12 @@ from pcrisk.hypotheses import (
 
 
 def _rows_from_xy(X, y):
-    rows = []
-    for i in range(len(y)):
-        vec = np.zeros(120)
-        vec[:X.shape[1]] = X[i]
-        rows.append(FeatureRow(cell=CellId(0, i), hist=vec[:110],
-                               nbr_presence=vec[110:115] > 0,
-                               nbr_count=vec[115:].astype(int), label=int(y[i])))
-    return rows
+    """A dataset whose first features are X's columns, the rest zero."""
+    n = len(y)
+    Xf = np.zeros((n, 120))
+    Xf[:, :X.shape[1]] = X
+    cells = np.column_stack([np.zeros(n, dtype=int), np.arange(n)])
+    return Dataset(cells=cells, X=Xf, y=np.asarray(y, dtype=int))
 
 
 class TestTrainCart:
@@ -88,8 +85,6 @@ class TestTrainCart:
     def test_bad_params(self):
         with pytest.raises(InvalidInputError):
             CartParams(max_depth=0).validate()
-        with pytest.raises(InvalidInputError):
-            CartParams(criterion="entropy").validate()
 
 
 class TestExtractPaths:
@@ -117,6 +112,7 @@ class TestExtractPaths:
         Xm, ym = to_matrix(rows)
         for pred in extract_paths(tree, min_support=1, min_purity=0.0):
             member = np.array([pred.matches(Xm[i]) for i in range(len(rows))])
+            assert np.array_equal(pred.matches(Xm), member)
             leaf = predict_leaf(tree, Xm[np.nonzero(member)[0][0]])
             assert member.sum() == leaf.n_samples
             assert ym[member].sum() == leaf.n_class1
@@ -194,9 +190,8 @@ class TestBuiltinHypotheses:
 
     def test_golden_rows_keep_histogram_invariant(self):
         for bh in builtin_hypotheses().values():
-            for row in golden_dataset(bh)[:2]:
-                sums = row.hist.reshape(11, 10).sum(axis=1)
-                assert np.abs(sums - 1.0).max() <= 1e-9
+            sums = golden_dataset(bh).X[:, :110].reshape(-1, 11, 10).sum(axis=2)
+            assert np.abs(sums - 1.0).max() <= 1e-9
 
 
 class TestTreeExport:

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import exhaustive_stump
 from pcrisk.errors import InsufficientDataError, InvalidInputError, StratificationError
-from pcrisk.features import FeatureRow
-from pcrisk.grid import CellId
+from pcrisk.features import Dataset
 from pcrisk.ml import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
@@ -29,14 +28,12 @@ from pcrisk.ml import (
 
 
 def _rows(X, y):
-    rows = []
-    for i in range(len(y)):
-        vec = np.zeros(120)
-        vec[:X.shape[1]] = X[i]
-        rows.append(FeatureRow(cell=CellId(i // 100, i % 100), hist=vec[:110],
-                               nbr_presence=vec[110:115] > 0,
-                               nbr_count=vec[115:].astype(int), label=int(y[i])))
-    return rows
+    """A dataset whose first features are X's columns, the rest zero."""
+    n = len(y)
+    Xf = np.zeros((n, 120))
+    Xf[:, :X.shape[1]] = X
+    cells = np.column_stack([np.arange(n) // 100, np.arange(n) % 100])
+    return Dataset(cells=cells, X=Xf, y=np.asarray(y, dtype=int))
 
 
 def _blobs(n=80, seed=0, gap=3.0, d=4):
@@ -52,21 +49,21 @@ class TestSplit:
         X, _ = _blobs(100)
         y = np.r_[np.ones(10), np.zeros(90)].astype(int)
         tr, te = split(_rows(X, y), 0.2, seed=3)
-        assert sum(r.label for r in te) == 2 and len(te) == 20
-        assert sum(r.label for r in tr) == 8
+        assert te.y.sum() == 2 and len(te) == 20
+        assert tr.y.sum() == 8
 
     def test_same_seed_identical(self):
         X, y = _blobs(60)
         r = _rows(X, y)
         tr1, te1 = split(r, 0.25, seed=9)
         tr2, te2 = split(r, 0.25, seed=9)
-        assert [x.cell for x in te1] == [x.cell for x in te2]
+        assert np.array_equal(te1.cells, te2.cells)
 
     def test_half_split_of_four(self):
         X = np.random.default_rng(0).random((4, 2))
         y = np.array([0, 0, 1, 1])
         tr, te = split(_rows(X, y), 0.5, seed=1)
-        assert sum(r.label for r in te) == 1 and sum(r.label for r in tr) == 1
+        assert te.y.sum() == 1 and tr.y.sum() == 1
 
     def test_class_too_small(self):
         X = np.random.default_rng(0).random((20, 2))
@@ -187,7 +184,7 @@ class TestModels:
     def test_duplicate_rows_identical_scores(self, small_country):
         _, _, _, _, rows = small_country
         model = train(ClassifierSpec("MLP", seed=0), rows)
-        doubled = rows + rows
+        doubled = rows.take(np.tile(np.arange(len(rows)), 2))
         s = predict_proba(model, doubled)
         assert np.array_equal(s[:len(rows)], s[len(rows):])
 

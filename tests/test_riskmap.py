@@ -5,7 +5,7 @@ import pytest
 
 from conftest import square_grid
 from pcrisk.errors import ValidationError
-from pcrisk.grid import CellId, cell_of
+from pcrisk.grid import cell_of
 from pcrisk.riskmap import (
     COLOR_STOPS,
     RiskSurface,
@@ -141,6 +141,6 @@ class TestDeterminism:
 
     def test_surface_from_rows_scatter(self):
         g = square_grid(3, 3)
-        s = surface_from_rows(g, [CellId(1, 2), CellId(0, 0)], [0.7, 0.2], "m")
+        s = surface_from_rows(g, np.array([[1, 2], [0, 0]]), [0.7, 0.2], "m")
         assert s.values[1, 2] == 0.7 and s.values[0, 0] == 0.2
         assert s.model_id == "m"

@@ -102,26 +102,21 @@ class TestBonferroni:
 
 class TestRunUnivariate:
     def _rows(self, shift=0.0, n=40, seed=0):
-        from pcrisk.features import FeatureRow
-        from pcrisk.grid import CellId
+        from pcrisk.features import Dataset
 
         rng = np.random.default_rng(seed)
-        rows = []
+        y = (np.arange(n) < n // 2).astype(int)
+        X = np.zeros((n, 120))
         for i in range(n):
-            label = int(i < n // 2)
-            hist = rng.random(110)
-            if label:
-                hist[0] += shift
-            rows.append(FeatureRow(cell=CellId(0, i), hist=hist,
-                                   nbr_presence=np.zeros(5, bool),
-                                   nbr_count=np.zeros(5, int), label=label))
-        return rows
+            X[i, :110] = rng.random(110)
+        X[:, 0] += shift * y
+        cells = np.column_stack([np.zeros(n, dtype=int), np.arange(n)])
+        return Dataset(cells=cells, X=X, y=y)
 
     def test_constant_feature_p_one(self):
-        rows = self._rows()
-        for r in rows:
-            r.hist[3] = 0.5
-        res = run_univariate(rows)
+        ds = self._rows()
+        ds.X[:, 3] = 0.5
+        res = run_univariate(ds)
         by_name = {r.variable: r for r in res}
         assert by_name[HIST_FEATURE_NAMES[3]].diff == 0.0
         assert by_name[HIST_FEATURE_NAMES[3]].p_bonferroni == 1.0
@@ -139,9 +134,9 @@ class TestRunUnivariate:
         assert [r.variable for r in res] == list(HIST_FEATURE_NAMES)
 
     def test_single_class_rejected(self):
-        rows = [r for r in self._rows() if r.label == 0]
+        ds = self._rows()
         with pytest.raises(InsufficientDataError):
-            run_univariate(rows)
+            run_univariate(ds.take(ds.y == 0))
 
     def test_csv_shape(self, tmp_path):
         res = run_univariate(self._rows())
