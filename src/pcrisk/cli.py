@@ -20,21 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features, grid as gridmod, hypotheses, ingest, ml, riskmap, stats
-from .errors import (
-    DegeneratePartitionError,
-    InsufficientDataError,
-    InvalidInputError,
-    NonConvergenceError,
-    PCRiskError,
-    SchemaError,
-    StratificationError,
-    UndefinedTestError,
-    ValidationError,
-)
-
-_USAGE_ERRORS = (InvalidInputError, SchemaError, ValidationError)
-_DATA_ERRORS = (InsufficientDataError, UndefinedTestError, DegeneratePartitionError,
-                StratificationError, NonConvergenceError)
+from .errors import DegeneratePartitionError, InvalidInputError, PCRiskError, UndefinedTestError
 
 _DEFAULTS = {
     "country": "Synthia",
@@ -158,9 +144,7 @@ def _build(cfg: RunConfig, cell_km: float):
         rules = (ingest.load_keyword_rules(src["keyword_rules"])
                  if "keyword_rules" in src else ingest.default_keyword_rules())
         events = ingest.filter_pastoral(events, cfg.window, rules)
-        series = []
-        for var in ingest.VARIABLES:
-            series.extend(ingest.parse_series(src["series_csv"], var, g))
+        series = ingest.parse_series(src["series_csv"], g)
     else:
         raise InvalidInputError(f"unknown source kind {src.get('kind')!r}")
     edges = features.fit_bin_edges(series)
@@ -309,13 +293,9 @@ def cmd_train_suite(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     best_lines = []
+    specs = ml.default_suite(cfg.seed, cfg.ml.get("class_weight"))
     for km in cfg.granularities:
         _, ds, _ = _build(cfg, km)
-        specs = ml.default_suite(cfg.seed)
-        if cfg.ml.get("class_weight"):
-            specs = [ml.ClassifierSpec(s.kind, {"class_weight": "balanced"}, s.seed)
-                     if "class_weight" in ml._DEFAULT_HYPERPARAMS[s.kind] else s
-                     for s in specs]
         report = ml.run_suite(ds, specs, cfg.ml["test_fraction"], cfg.seed)
         out = cfg.out_dir / f"suite_{km:g}km.csv"
         ml.write_suite_csv(report, out)
@@ -405,15 +385,9 @@ def main(argv=None) -> int:
             "riskmap": cmd_riskmap,
         }[args.command]
         return handler(cfg)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except PCRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -279,8 +279,3 @@ def write_bin_edges_json(edges: dict[str, BinEdges], path) -> None:
     d = {var: {"lo": e.lo, "hi": e.hi, "n_bins": e.n_bins} for var, e in edges.items()}
     Path(path).write_text(json.dumps(d, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
-
-def read_bin_edges_json(path) -> dict[str, BinEdges]:
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {var: BinEdges(variable=var, lo=e["lo"], hi=e["hi"], n_bins=e["n_bins"])
-            for var, e in d.items()}

@@ -187,7 +187,7 @@ def cell_of(grid: Grid, lat: float, lon: float) -> CellId:
     """
     fr = (lat - grid.origin_lat) / grid.deg_per_cell_lat + _EDGE_EPS
     fc = (lon - grid.origin_lon) / grid.deg_per_cell_lon + _EDGE_EPS
-    if fr < 0 or fc < 0 or fr > grid.n_rows + _EDGE_EPS or fc > grid.n_cols + _EDGE_EPS:
+    if not (0 <= fr <= grid.n_rows + _EDGE_EPS and 0 <= fc <= grid.n_cols + _EDGE_EPS):
         raise OutOfBoundsError(f"point ({lat}, {lon}) outside grid bbox")
     row = min(int(fr), grid.n_rows - 1)
     col = min(int(fc), grid.n_cols - 1)
@@ -206,19 +206,6 @@ def neighbor_offsets(j: int) -> tuple[tuple[int, int], ...]:
         if (dr, dc) != (0, 0) and dr * dr + dc * dc <= j * j
     ]
     return tuple(sorted(offs))
-
-
-def neighbors(grid: Grid, c: CellId, j: int) -> set[CellId]:
-    """Cells within Euclidean lattice distance j of c, excluding c, clipped
-    to the grid."""
-    if not grid.contains(c):
-        raise OutOfBoundsError(f"cell {c} outside {grid.n_rows}x{grid.n_cols} grid")
-    out = set()
-    for dr, dc in neighbor_offsets(j):
-        r, col = c.row + dr, c.col + dc
-        if 0 <= r < grid.n_rows and 0 <= col < grid.n_cols:
-            out.add(CellId(r, col))
-    return out
 
 
 def _point_in_polygon(lat: float, lon: float, polygon) -> bool:

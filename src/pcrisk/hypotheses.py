@@ -225,8 +225,8 @@ def _merge_conditions(conds: list[Condition]) -> tuple:
     return tuple(tight[k] for k in order)
 
 
-def extract_paths(tree: TreeNode, min_support: int = 5, min_purity: float = 0.6,
-                  feature_names=FEATURE_NAMES) -> list[HypothesisPredicate]:
+def extract_paths(tree: TreeNode, min_support: int = 5,
+                  min_purity: float = 0.6) -> list[HypothesisPredicate]:
     """Root-to-leaf paths whose leaf has >= min_support rows and class-1
     purity >= min_purity, as predicates; left-to-right traversal order."""
     out = []
@@ -236,7 +236,7 @@ def extract_paths(tree: TreeNode, min_support: int = 5, min_purity: float = 0.6,
             if conds and node.n_samples >= min_support and node.purity >= min_purity:
                 out.append(HypothesisPredicate(conditions=_merge_conditions(conds)))
             return
-        name = feature_names[node.feature]
+        name = FEATURE_NAMES[node.feature]
         walk(node.left, conds + [Condition(name, "<=", node.threshold)])
         walk(node.right, conds + [Condition(name, ">", node.threshold)])
 
@@ -422,30 +422,30 @@ def _template_vector(pred: HypothesisPredicate, satisfy: bool) -> np.ndarray:
 # tree export and hypothesis reports
 
 
-def tree_to_dict(node: TreeNode, feature_names=FEATURE_NAMES) -> dict:
+def tree_to_dict(node: TreeNode) -> dict:
     if node.is_leaf:
         return {"n_samples": node.n_samples, "n_class1": node.n_class1}
     return {
         "n_samples": node.n_samples,
         "n_class1": node.n_class1,
-        "feature": feature_names[node.feature],
+        "feature": FEATURE_NAMES[node.feature],
         "threshold": node.threshold,
-        "left": tree_to_dict(node.left, feature_names),
-        "right": tree_to_dict(node.right, feature_names),
+        "left": tree_to_dict(node.left),
+        "right": tree_to_dict(node.right),
     }
 
 
-def tree_from_dict(d: dict, feature_names=FEATURE_NAMES) -> TreeNode:
+def tree_from_dict(d: dict) -> TreeNode:
     node = TreeNode(n_samples=int(d["n_samples"]), n_class1=int(d["n_class1"]))
     if "feature" in d:
-        node.feature = feature_names.index(d["feature"])
+        node.feature = FEATURE_NAMES.index(d["feature"])
         node.threshold = float(d["threshold"])
-        node.left = tree_from_dict(d["left"], feature_names)
-        node.right = tree_from_dict(d["right"], feature_names)
+        node.left = tree_from_dict(d["left"])
+        node.right = tree_from_dict(d["right"])
     return node
 
 
-def tree_to_dot(node: TreeNode, feature_names=FEATURE_NAMES) -> str:
+def tree_to_dot(node: TreeNode) -> str:
     """Graphviz digraph of the tree (left edge = condition holds)."""
     lines = ["digraph cart {", "  node [shape=box];"]
     counter = [0]
@@ -457,7 +457,7 @@ def tree_to_dot(node: TreeNode, feature_names=FEATURE_NAMES) -> str:
             lines.append(f'  n{nid} [label="class1 {n.n_class1}/{n.n_samples}"];')
         else:
             lines.append(
-                f'  n{nid} [label="{feature_names[n.feature]} <= {n.threshold:g}\\n'
+                f'  n{nid} [label="{FEATURE_NAMES[n.feature]} <= {n.threshold:g}\\n'
                 f'class1 {n.n_class1}/{n.n_samples}"];')
             lid = emit(n.left)
             rid = emit(n.right)
@@ -470,14 +470,13 @@ def tree_to_dot(node: TreeNode, feature_names=FEATURE_NAMES) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_tree(node: TreeNode, path, feature_names=FEATURE_NAMES) -> None:
-    Path(path).write_text(
-        json.dumps(tree_to_dict(node, feature_names), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
+def save_tree(node: TreeNode, path) -> None:
+    Path(path).write_text(json.dumps(tree_to_dict(node), sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
 
 
-def load_tree(path, feature_names=FEATURE_NAMES) -> TreeNode:
-    return tree_from_dict(json.loads(Path(path).read_text(encoding="utf-8")), feature_names)
+def load_tree(path) -> TreeNode:
+    return tree_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def hypothesis_report_rows(named_results, country: str) -> list[dict]:

@@ -199,19 +199,20 @@ def filter_pastoral(events, window: Window, rules: KeywordRules | None = None) -
 # ---------------------------------------------------------------------------
 # series parsing
 
-_CANONICAL_COLS = ("cell_row", "cell_col", "timestamp", "value")
-_LATLON_COLS = ("lat", "lon", "timestamp", "value")
+_CANONICAL_COLS = ("cell_row", "cell_col", "variable", "timestamp", "value")
+_LATLON_COLS = ("lat", "lon", "variable", "timestamp", "value")
 
 
-def parse_series(path, variable: str, grid: Grid | None = None) -> list[CellSeries]:
-    """Parse one variable's series CSV into per-cell sorted series.
+def parse_series(path, grid: Grid | None = None) -> list[CellSeries]:
+    """Parse a series CSV into one sorted series per (cell, variable), in
+    VARIABLES order, then cell order.
 
     Accepts the cell-indexed layout or the lat/lon layout (the latter
-    requires a grid to map coordinates through cell_of). A 'variable'
-    column, when present, filters rows to the requested variable.
+    requires a grid to map coordinates through cell_of); both need a
+    'variable' column. Rows of other variables are skipped and counted in
+    a warning; a field that does not parse raises InvalidInputError naming
+    the file and line.
     """
-    if variable not in VARIABLES:
-        raise InvalidInputError(f"unknown variable {variable!r}")
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -225,28 +226,30 @@ def parse_series(path, variable: str, grid: Grid | None = None) -> list[CellSeri
         else:
             raise SchemaError(
                 f"series file {path} needs columns {_CANONICAL_COLS} or {_LATLON_COLS}")
-        has_var_col = "variable" in cols
-        samples: dict[CellId, list] = {}
+        samples: dict[str, dict[CellId, list]] = {var: {} for var in VARIABLES}
+        n_skipped = 0
         for row in reader:
-            if has_var_col and row["variable"].strip() != variable:
-                continue
-            if by_cell_layout:
-                cell = CellId(int(row["cell_row"]), int(row["cell_col"]))
-            else:
-                cell = cell_of(grid, float(row["lat"]), float(row["lon"]))
-            ts = dt.date.fromisoformat(row["timestamp"].strip())
-            samples.setdefault(cell, []).append((ts, float(row["value"])))
+            try:
+                by_cell = samples.get(row["variable"].strip())
+                if by_cell is None:
+                    n_skipped += 1
+                    continue
+                if by_cell_layout:
+                    cell = CellId(int(row["cell_row"]), int(row["cell_col"]))
+                else:
+                    cell = cell_of(grid, float(row["lat"]), float(row["lon"]))
+                ts = dt.date.fromisoformat(row["timestamp"].strip())
+                by_cell.setdefault(cell, []).append((ts, float(row["value"])))
+            except (ValueError, AttributeError, TypeError) as exc:
+                raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
+    if n_skipped:
+        log.warning("skipped %d row(s) of unknown variables in %s", n_skipped, path.name)
     out = []
-    for cell in sorted(samples):
-        rows = sorted(samples[cell])
-        for (t1, _), (t2, _) in zip(rows, rows[1:]):
-            if t1 == t2:
-                raise DuplicateTimestampError(
-                    f"duplicate timestamp {t1} for cell ({cell.row},{cell.col}) "
-                    f"variable {variable} in {path.name}")
-        s = CellSeries(cell=cell, variable=variable, samples=rows)
-        s.validate()
-        out.append(s)
+    for var, by_cell in samples.items():
+        for cell in sorted(by_cell):
+            s = CellSeries(cell=cell, variable=var, samples=sorted(by_cell[cell]))
+            s.validate()
+            out.append(s)
     return out
 
 

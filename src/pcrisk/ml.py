@@ -72,12 +72,17 @@ class ClassifierSpec:
             if k not in hp:
                 raise InvalidInputError(f"{self.kind} has no hyperparameter {k!r}")
             hp[k] = v
+        if hp.get("class_weight") not in (None, "balanced"):
+            raise InvalidInputError(f"unknown class_weight {hp['class_weight']!r}")
         return hp
 
 
-def default_suite(seed: int = 0) -> list[ClassifierSpec]:
-    """One spec per kind, default hyperparameters, shared seed."""
-    return [ClassifierSpec(kind=k, seed=seed) for k in CLASSIFIER_KINDS]
+def default_suite(seed: int = 0, class_weight=None) -> list[ClassifierSpec]:
+    """One spec per kind with default hyperparameters, except class_weight
+    on every kind that has it; shared seed."""
+    return [ClassifierSpec(k, {"class_weight": class_weight}
+                           if "class_weight" in _DEFAULT_HYPERPARAMS[k] else {}, seed)
+            for k in CLASSIFIER_KINDS]
 
 
 @dataclass(frozen=True)
@@ -124,13 +129,13 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     return ds.take(sorted(train_idx)), ds.take(sorted(test_idx))
 
 
-def metrics(scores, labels, threshold: float = 0.5) -> EvalRow:
-    """Precision/recall/F1 for the conflict class at the threshold, plus
+def metrics(scores, labels) -> EvalRow:
+    """Precision/recall/F1 for the conflict class at score 0.5, plus
     rank-statistic AUC (ties count 0.5), with an empty classifier name. AUC
     is None for single-class labels."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    pred = scores >= threshold
+    pred = scores >= 0.5
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
     fn = int(np.sum(~pred & (labels == 1)))
@@ -497,8 +502,6 @@ def _sample_weights(y, class_weight) -> np.ndarray:
     n = len(y)
     if class_weight is None:
         return np.ones(n)
-    if class_weight != "balanced":
-        raise InvalidInputError(f"unknown class_weight {class_weight!r}")
     n1 = int(np.sum(y == 1))
     w = np.where(y == 1, n / (2.0 * n1), n / (2.0 * (n - n1)))
     return w
@@ -688,6 +691,8 @@ def _tupled(kind: str, hp: dict) -> dict:
 def run_suite(ds: Dataset, specs: list[ClassifierSpec],
               test_fraction: float = 0.2, seed: int = 0) -> EvalReport:
     """Train every spec on one stratified split and score the test side."""
+    for spec in specs:
+        spec.resolved()  # reject a bad spec before the first fit
     train_ds, test_ds = split(ds, test_fraction, seed)
     out = []
     for spec in specs:

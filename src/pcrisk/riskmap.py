@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,6 @@ class RiskSurface:
     grid: Grid
     values: np.ndarray  # (n_rows, n_cols) floats in [0, 1]
     model_id: str = ""
-    metadata: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.values.shape != (self.grid.n_rows, self.grid.n_cols):

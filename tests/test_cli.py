@@ -1,8 +1,14 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pcrisk import errors
 from pcrisk.cli import main
+from pcrisk.ingest import VARIABLES
 
 
 def _cfg(tmp_path, **overrides) -> str:
@@ -65,8 +71,6 @@ class TestBuildDataset:
         events.write_text("event_date,latitude,longitude,country,notes\n", encoding="utf-8")
         series = tmp_path / "series.csv"
         lines = ["cell_row,cell_col,variable,timestamp,value"]
-        from pcrisk.ingest import VARIABLES
-
         for var in VARIABLES:
             for m in (1, 2):
                 lines.append(f"0,0,{var},2015-0{m}-01,{m}.0")
@@ -82,6 +86,119 @@ class TestBuildDataset:
         cfg = _cfg(tmp_path, source={"kind": "files", "events_csv": "/nope.csv",
                                      "series_csv": "/nope2.csv"})
         assert _run("build-dataset", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 3
+
+
+def _series_table() -> list[list[str]]:
+    """Header, then two months of every variable in cells (0,0) and (1,2)."""
+    return [["cell_row", "cell_col", "variable", "timestamp", "value"],
+            *([str(r), str(c), var, f"2015-0{m}-01", f"{m + r}.5"]
+              for var in VARIABLES for r, c in ((0, 0), (1, 2)) for m in (1, 2))]
+
+
+def _events_table() -> list[list[str]]:
+    return [["event_date", "latitude", "longitude", "country", "notes"],
+            ["2015-03-15", "0.5", "10.5", "Testland", "herders attacked farmers"],
+            ["2015-04-15", "2.1", "12.0", "Testland", "cattle raid by herders"],
+            ["2015-05-15", "1.0", "11.0", "Testland", "market protest"]]
+
+
+def _write_csv(path: Path, table: list[list[str]]) -> Path:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        # "\r\n" line ends, so a field holding "\r" or "\n" gets quoted
+        csv.writer(fh).writerows(table)
+    return path
+
+
+def _files_cfg(tmp_path, series=None, events=None) -> str:
+    series_csv = _write_csv(tmp_path / "series.csv", series or _series_table())
+    events_csv = _write_csv(tmp_path / "events.csv", events or _events_table())
+    return _cfg(tmp_path, source={"kind": "files", "events_csv": str(events_csv),
+                                  "series_csv": str(series_csv)})
+
+
+def _latlon(table):
+    """The same samples in the lat/lon layout, each at a point inside its cell."""
+    return [["lat", "lon", "variable", "timestamp", "value"],
+            *([f"{0.3 + 0.9 * int(r)}", f"{10.3 + 0.9 * int(c)}", var, ts, v]
+              for r, c, var, ts, v in table[1:])]
+
+
+def _series_fault(fault: str) -> list[list[str]]:
+    """The series table with one input fault; a fault in one row is on file
+    line 7."""
+    t = _series_table()
+    if fault == "non_numeric_value":
+        t[6][4] = "abc"
+    elif fault == "impossible_date":
+        t[6][3] = "2015-02-30"
+    elif fault == "non_integer_cell_row":
+        t[6][0] = "0.5"
+    elif fault == "short_row":
+        t[6] = t[6][:3]
+    elif fault == "duplicate_timestamp":
+        t.append(list(t[6]))
+    elif fault == "missing_variable":
+        t = [r for r in t if r[2] != "SSW"]
+    elif fault == "latlon_outside_bbox":
+        t = _latlon(t)
+        t[6][0] = "-3.0"
+    elif fault == "no_variable_column":
+        t = [r[:2] + r[3:] for r in t]
+    return t
+
+
+class TestFilesSource:
+    def test_both_layouts_build_the_same_dataset(self, tmp_path):
+        # the unfaulted tables the fault tests start from are valid input
+        for name, table in (("cells", _series_table()), ("latlon", _latlon(_series_table()))):
+            (tmp_path / name).mkdir()
+            cfg = _files_cfg(tmp_path / name, table)
+            assert _run("build-dataset", "--config", cfg,
+                        "--out-dir", str(tmp_path / name / "out")) == 0
+        assert ((tmp_path / "cells" / "out" / "dataset.csv").read_bytes()
+                == (tmp_path / "latlon" / "out" / "dataset.csv").read_bytes())
+
+    @pytest.mark.parametrize("fault", [
+        "non_numeric_value", "impossible_date", "non_integer_cell_row", "short_row",
+        "duplicate_timestamp", "missing_variable", "latlon_outside_bbox", "no_variable_column"])
+    def test_series_fault_exits_3(self, tmp_path, capsys, fault):
+        cfg = _files_cfg(tmp_path, _series_fault(fault))
+        assert _run("build-dataset", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if fault in ("non_numeric_value", "impossible_date", "non_integer_cell_row",
+                     "short_row"):
+            assert "series.csv line 7" in err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.sampled_from(["series", "events"]), line=st.integers(0, 200),
+           field=st.integers(0, 4), text=st.text(max_size=12))
+    @example(which="events", line=1, field=1, text="nan")
+    @example(which="series", line=1, field=4, text="nan")
+    @example(which="series", line=1, field=2, text="NDVI")
+    def test_fuzzed_field_exits_0_3_or_4(self, which, line, field, text):
+        tables = {"series": _series_table(), "events": _events_table()}
+        t = tables[which]
+        t[line % len(t)][field] = text
+        with tempfile.TemporaryDirectory() as d:
+            cfg = _files_cfg(Path(d), tables["series"], tables["events"])
+            assert _run("build-dataset", "--config", cfg, "--out-dir", f"{d}/o") in (0, 3, 4)
+
+
+def test_every_error_class_maps_to_3_or_4():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    data_faults = {errors.InsufficientDataError, errors.UndefinedTestError,
+                   errors.DegeneratePartitionError, errors.StratificationError,
+                   errors.NonConvergenceError}
+    found = {errors.PCRiskError, *subclasses(errors.PCRiskError)}
+    assert data_faults < found
+    for cls in found:
+        assert cls.exit_code == (4 if cls in data_faults else 3), cls.__name__
 
 
 class TestPipelineCommands:
@@ -170,6 +287,17 @@ class TestTrainSuite:
         assert total == 24
         best = (out / "best_summary.csv").read_text().splitlines()
         assert len(best) == 4  # header + one per granularity
+
+    def test_unknown_class_weight_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_fit(spec, ds):
+            raise AssertionError(f"{spec.kind} trained")
+
+        monkeypatch.setattr("pcrisk.ml.train", no_fit)
+        cfg = _cfg(tmp_path, granularities=[100], ml={"class_weight": "foo"})
+        out = tmp_path / "suite"
+        assert _run("train-suite", "--config", cfg, "--out-dir", str(out)) == 3
+        assert "class_weight 'foo'" in capsys.readouterr().err
+        assert not list(out.glob("suite_*.csv"))
 
     def test_identical_rerun(self, tmp_path):
         cfg = _cfg(tmp_path, granularities=[100])

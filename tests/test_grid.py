@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import lattice_neighbors
 from conftest import square_grid
 from pcrisk.errors import InvalidInputError, OutOfBoundsError
+from pcrisk.features import NEIGHBOR_RADII, neighbor_counts
 from pcrisk.grid import (
     KM_PER_DEG,
     BBox,
@@ -14,7 +16,7 @@ from pcrisk.grid import (
     build_grid,
     cell_of,
     load_grid,
-    neighbors,
+    neighbor_offsets,
     save_grid,
 )
 
@@ -73,6 +75,12 @@ class TestCellOf:
         with pytest.raises(OutOfBoundsError):
             cell_of(g, -1.0, 1.0)
 
+    @pytest.mark.parametrize("lat,lon", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_point_raises(self, lat, lon):
+        g = build_grid(BBox(0.0, 0.0, 3.0, 3.0), 100.0)
+        with pytest.raises(OutOfBoundsError):
+            cell_of(g, lat, lon)
+
     def test_every_cell_hit_by_its_center(self):
         g = square_grid(5, 7)
         for c in g.cells():
@@ -85,51 +93,54 @@ class TestCellOf:
         assert c.row == g.n_rows - 1
 
 
+def _neighbors(n_rows: int, n_cols: int, r: int, c: int, j: int) -> set:
+    """Cells whose radius-j conflict count sees a lone event at (r, c), read
+    from neighbor_counts of a one-hot count grid. The offsets are symmetric
+    (test_symmetry), so these are the radius-j neighbours of (r, c)."""
+    counts = np.zeros((n_rows, n_cols), dtype=int)
+    counts[r, c] = 1
+    hit = neighbor_counts(counts)[:, :, NEIGHBOR_RADII.index(j)]
+    assert set(np.unique(hit)) <= {0, 1}
+    return {(row, col) for row, col in np.argwhere(hit).tolist()}
+
+
 class TestNeighbors:
     def test_j1_interior_is_von_neumann(self):
-        g = square_grid(3, 3)
-        got = neighbors(g, CellId(1, 1), 1)
-        assert got == {CellId(0, 1), CellId(2, 1), CellId(1, 0), CellId(1, 2)}
+        assert neighbor_offsets(1) == ((-1, 0), (0, -1), (0, 1), (1, 0))
+        assert _neighbors(3, 3, 1, 1, 1) == {(0, 1), (2, 1), (1, 0), (1, 2)}
 
     def test_j1_corner_clipped(self):
-        g = square_grid(3, 3)
-        assert neighbors(g, CellId(0, 0), 1) == {CellId(0, 1), CellId(1, 0)}
+        assert _neighbors(3, 3, 0, 0, 1) == {(0, 1), (1, 0)}
 
     def test_j2_interior_count_matches_enumeration(self):
         # frozen from the lattice enumeration oracle: 12 offsets with
         # 0 < d <= 2 (distance-sqrt(5) cells are outside radius 2)
-        g = square_grid(20, 20)
-        got = neighbors(g, CellId(5, 5), 2)
-        assert {(c.row, c.col) for c in got} == lattice_neighbors(20, 20, 5, 5, 2)
+        assert len(neighbor_offsets(2)) == 12
+        got = _neighbors(20, 20, 5, 5, 2)
+        assert got == lattice_neighbors(20, 20, 5, 5, 2)
         assert len(got) == 12
-
-    def test_out_of_grid_cell_raises(self):
-        g = square_grid(3, 3)
-        with pytest.raises(OutOfBoundsError):
-            neighbors(g, CellId(3, 0), 1)
 
     @given(st.integers(0, 7), st.integers(0, 7), st.integers(1, 4))
     def test_nesting_monotone(self, r, c, j):
-        g = square_grid(8, 8)
-        assert neighbors(g, CellId(r, c), j) <= neighbors(g, CellId(r, c), j + 1)
+        assert set(neighbor_offsets(j)) <= set(neighbor_offsets(j + 1))
+        assert _neighbors(8, 8, r, c, j) <= _neighbors(8, 8, r, c, j + 1)
 
     @given(st.integers(0, 7), st.integers(0, 7), st.integers(1, 5))
     def test_self_excluded(self, r, c, j):
-        g = square_grid(8, 8)
-        assert CellId(r, c) not in neighbors(g, CellId(r, c), j)
+        assert (0, 0) not in neighbor_offsets(j)
+        assert (r, c) not in _neighbors(8, 8, r, c, j)
 
     @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.integers(0, 7),
            st.integers(1, 5))
     def test_symmetry(self, r1, c1, r2, c2, j):
-        g = square_grid(8, 8)
-        a, b = CellId(r1, c1), CellId(r2, c2)
-        assert (a in neighbors(g, b, j)) == (b in neighbors(g, a, j))
+        offs = neighbor_offsets(j)
+        assert set(offs) == {(-dr, -dc) for dr, dc in offs}
+        a, b = (r1, c1), (r2, c2)
+        assert (a in _neighbors(8, 8, *b, j)) == (b in _neighbors(8, 8, *a, j))
 
     @given(st.integers(0, 11), st.integers(0, 11), st.integers(1, 5))
     def test_matches_bruteforce_on_12x12(self, r, c, j):
-        g = square_grid(12, 12)
-        got = {(x.row, x.col) for x in neighbors(g, CellId(r, c), j)}
-        assert got == lattice_neighbors(12, 12, r, c, j)
+        assert _neighbors(12, 12, r, c, j) == lattice_neighbors(12, 12, r, c, j)
 
 
 class TestSerialization:

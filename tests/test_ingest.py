@@ -123,24 +123,35 @@ class TestParseSeries:
     def test_two_cells_twelve_months(self, tmp_path):
         rows = [f"0,{c},LAI,2015-{m:02d}-01,{m + c}.5" for c in (0, 1) for m in range(1, 13)]
         p = self._series_csv(tmp_path, rows)
-        got = parse_series(p, "LAI")
+        got = parse_series(p)
         assert len(got) == 2
         assert all(len(s.samples) == 12 for s in got)
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         rows = ["0,0,LAI,2015-03-01,3.0", "0,0,LAI,2015-01-01,1.0", "0,0,LAI,2015-02-01,2.0"]
-        got = parse_series(self._series_csv(tmp_path, rows), "LAI")
+        got = parse_series(self._series_csv(tmp_path, rows))
         assert [v for _, v in got[0].samples] == [1.0, 2.0, 3.0]
 
     def test_duplicate_timestamp_raises(self, tmp_path):
         rows = ["0,0,LAI,2015-01-01,1.0", "0,0,LAI,2015-01-01,2.0"]
         with pytest.raises(DuplicateTimestampError, match=r"\(0,0\)"):
-            parse_series(self._series_csv(tmp_path, rows), "LAI")
+            parse_series(self._series_csv(tmp_path, rows))
 
     def test_variable_column_filters(self, tmp_path):
-        rows = ["0,0,LAI,2015-01-01,1.0", "0,0,GRN,2015-01-01,0.5"]
-        got = parse_series(self._series_csv(tmp_path, rows), "GRN")
-        assert len(got) == 1 and got[0].variable == "GRN"
+        # one pass groups the rows by variable (VARIABLES order), then by cell
+        rows = ["1,0,LAI,2015-01-01,1.0", "0,0,GRN,2015-01-01,0.5", "0,0,LAI,2015-01-01,2.0",
+                "0,0,GRN,2015-02-01,0.25"]
+        got = parse_series(self._series_csv(tmp_path, rows))
+        assert [(s.variable, s.cell) for s in got] == [
+            ("LAI", CellId(0, 0)), ("LAI", CellId(1, 0)), ("GRN", CellId(0, 0))]
+        assert [v for _, v in got[2].samples] == [0.5, 0.25]
+
+    def test_unknown_variable_rows_skipped_and_counted(self, tmp_path, caplog):
+        rows = ["0,0,LAI,2015-01-01,1.0", "0,0,NDVI,2015-01-01,0.5", "0,0,lai,2015-01-01,0.5"]
+        with caplog.at_level("WARNING"):
+            got = parse_series(self._series_csv(tmp_path, rows))
+        assert [s.variable for s in got] == ["LAI"]
+        assert any("skipped 2 row(s)" in r.message for r in caplog.records)
 
     def test_latlon_layout_maps_through_grid(self, tmp_path):
         g = square_grid(3, 3)
@@ -148,7 +159,7 @@ class TestParseSeries:
         p = tmp_path / "series.csv"
         p.write_text("lat,lon,variable,timestamp,value\n"
                      f"{lat},{lon},LAI,2015-01-01,1.25\n", encoding="utf-8")
-        got = parse_series(p, "LAI", grid=g)
+        got = parse_series(p, grid=g)
         assert got[0].cell == CellId(1, 2)
 
     def test_latlon_layout_without_grid_raises(self, tmp_path):
@@ -156,17 +167,18 @@ class TestParseSeries:
         p.write_text("lat,lon,variable,timestamp,value\n0.5,0.5,LAI,2015-01-01,1.0\n",
                      encoding="utf-8")
         with pytest.raises(SchemaError):
-            parse_series(p, "LAI")
+            parse_series(p)
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
-        series = [CellSeries(CellId(0, c), "SSW",
+        series = [CellSeries(CellId(0, c), var,
                              [(dt.date(2015, m, 1), float(rng.normal())) for m in range(1, 13)])
-                  for c in range(3)]
+                  for var in ("SSW", "RH2M") for c in range(3)]
         p = tmp_path / "rt.csv"
         write_series_csv(series, p)
-        back = parse_series(p, "SSW")
-        assert [s.samples for s in back] == [s.samples for s in series]
+        back = parse_series(p)
+        assert [(s.cell, s.variable, s.samples) for s in back] == \
+            [(s.cell, s.variable, s.samples) for s in series]
 
 
 class TestSynthCountry:

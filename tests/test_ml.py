@@ -263,6 +263,27 @@ class TestSuite:
         r2 = run_suite(rows, default_suite(seed=0), 0.25, seed=0)
         assert r1 == r2
 
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    def test_default_suite_class_weight(self, class_weight):
+        specs = default_suite(seed=4, class_weight=class_weight)
+        assert [s.kind for s in specs] == list(CLASSIFIER_KINDS)
+        weighted = {"LogisticRegression", "LinearSVM", "MLP", "DeepNN"}
+        for s in specs:
+            assert s.seed == 4
+            hp = s.resolved()
+            assert hp == {**ClassifierSpec(s.kind).resolved(),
+                          **({"class_weight": class_weight} if s.kind in weighted else {})}
+
+    def test_bad_class_weight_rejected_before_any_fit(self, small_country, monkeypatch):
+        def no_fit(spec, ds):
+            raise AssertionError(f"{spec.kind} trained")
+
+        monkeypatch.setattr("pcrisk.ml.train", no_fit)
+        with pytest.raises(InvalidInputError, match="class_weight"):
+            run_suite(small_country[4], default_suite(seed=0, class_weight="foo"), 0.25)
+        with pytest.raises(InvalidInputError, match="class_weight"):
+            ClassifierSpec("MLP", {"class_weight": True}).resolved()
+
     def test_best_row_max_f1_ties_by_auc(self):
         from pcrisk.ml import EvalReport, EvalRow
 

@@ -1,5 +1,6 @@
 """The benchmark's layer tracer (perfbench/layertrace.py) wraps pcrisk
-functions by name. This runs a traced pipeline at 200 km cells, so a rename
+functions by name. These run a traced pipeline at 200 km cells from the
+synthetic source and from the benchmark's generated input files, so a rename
 that breaks `perfbench/run.py --trace 1` fails here too."""
 
 import json
@@ -9,13 +10,22 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import write_files_inputs  # noqa: E402
+
 STAGES = (["build-dataset"], ["test-univariate"], ["learn-tree"],
           ["eval-hypotheses", "--which", "tree"], ["riskmap"])
 
 
-def test_traced_pipeline_runs(tmp_path):
+def _demo_config() -> dict:
     cfg = json.loads((ROOT / "configs" / "synthetic_demo.json").read_text(encoding="utf-8"))
     cfg.update(cell_km=200, granularities=[200])
+    return cfg
+
+
+def _traced_run(tmp_path, cfg: dict) -> dict:
+    """Run STAGES under perfbench/child.py --spans; returns its result."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     result = tmp_path / "result.json"
@@ -31,4 +41,20 @@ def test_traced_pipeline_runs(tmp_path):
     doc = json.loads(result.read_text(encoding="utf-8"))
     assert [s["command"] for s in doc["stages"]] == [s[0] for s in STAGES], proc.stderr
     assert all(s["rc"] == 0 for s in doc["stages"]), proc.stderr
+    return doc
+
+
+def test_traced_pipeline_runs(tmp_path):
+    doc = _traced_run(tmp_path, _demo_config())
     assert doc["layers"]["features.samples_binned"] > 0
+
+
+def test_traced_files_pipeline_reads_series_once(tmp_path):
+    cfg = _demo_config()
+    events_csv, series_csv = tmp_path / "events.csv", tmp_path / "series.csv"
+    write_files_inputs(7, cfg, events_csv, series_csv)
+    cfg["source"] = {"kind": "files", "events_csv": str(events_csv),
+                     "series_csv": str(series_csv)}
+    layers = _traced_run(tmp_path, cfg)["layers"]
+    assert layers["ingest.parse_series.calls"] == 1
+    assert layers["features.samples_binned"] > 0
