@@ -66,13 +66,30 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _convert(where: str, key: str, value, convert):
+    """convert(value), with a bad value reported as an input fault naming
+    where the config came from and the key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{where}: bad {key} {value!r} ({exc})") from None
+
+
 def resolve_config(args) -> RunConfig:
     raw = dict(_DEFAULTS)
+    where = "built-in config"
     if args.config:
         cfg_path = Path(args.config)
+        where = f"config file {cfg_path}"
         if not cfg_path.exists():
-            raise InvalidInputError(f"config file {cfg_path} does not exist")
-        raw = _merge(raw, json.loads(cfg_path.read_text(encoding="utf-8")))
+            raise InvalidInputError(f"{where} does not exist")
+        try:
+            doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise InvalidInputError(f"{where} is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise InvalidInputError(f"{where} must hold a JSON object")
+        raw = _merge(raw, doc)
     if args.seed is not None:
         raw["seed"] = args.seed
     if getattr(args, "cell_km", None) is not None:
@@ -88,18 +105,21 @@ def resolve_config(args) -> RunConfig:
                 raise InvalidInputError(f"input path {src[key]} does not exist")
         if "keyword_rules" in src and not Path(src["keyword_rules"]).exists():
             raise InvalidInputError(f"input path {src['keyword_rules']} does not exist")
-    window = ingest.Window(
-        start=dt.date.fromisoformat(raw["window"]["start"]),
-        end=dt.date.fromisoformat(raw["window"]["end"]))
+    window_doc = raw["window"] if isinstance(raw["window"], dict) else {}
+    start, end = (_convert(where, f"window.{k}", window_doc.get(k), dt.date.fromisoformat)
+                  for k in ("start", "end"))
+    window = ingest.Window(start=start, end=end)
     window.validate()
-    bbox = gridmod.BBox(*[float(v) for v in raw["bbox"]])
+    bbox = _convert(where, "bbox", raw["bbox"],
+                    lambda b: gridmod.BBox(*[float(v) for v in b]))
     out_dir = Path(args.out_dir)
     raw["out_dir"] = str(out_dir)
     return RunConfig(
         country=raw["country"], bbox=bbox, mask_polygon=raw["mask_polygon"],
-        cell_km=float(raw["cell_km"]),
-        granularities=tuple(float(g) for g in raw["granularities"]),
-        window=window, seed=int(raw["seed"]), source=src,
+        cell_km=_convert(where, "cell_km", raw["cell_km"], float),
+        granularities=_convert(where, "granularities", raw["granularities"],
+                               lambda gs: tuple(float(g) for g in gs)),
+        window=window, seed=_convert(where, "seed", raw["seed"], int), source=src,
         tree=raw["tree"], ml=raw["ml"], stats=raw["stats"], riskmap=raw["riskmap"],
         out_dir=out_dir, raw=raw)
 

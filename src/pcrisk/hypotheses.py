@@ -114,48 +114,63 @@ class CartParams:
 # ---------------------------------------------------------------------------
 # CART training
 
+#: row limit below which every split score's integer numerator fits int64
+MAX_CART_ROWS = 2 ** 22
+
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
                 feature_ids: np.ndarray) -> tuple[int, float] | None:
     """Split minimizing weighted gini impurity, or None.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values. Impurities are compared as exact rationals: for a candidate the
-    score is N/D with integer N = (nL^2 - aL^2 - bL^2)*nR +
-    (nR^2 - aR^2 - bR^2)*nL and D = nL*nR; N and D are small enough that
-    float64 division orders candidates exactly, so ties are genuine and
-    resolved by lowest feature index, then lowest threshold.
+    values of each feature in feature_ids (ascending). A candidate's score
+    is the rational N/D with integers N = (nL^2 - aL^2 - bL^2)*nR +
+    (nR^2 - aR^2 - bR^2)*nL and D = nL*nR, where N <= n^3/8 fits int64 for
+    n < MAX_CART_ROWS. The least score is found exactly (_exact_argmin);
+    ties go to the lowest feature index, then the lowest threshold.
     """
     n = len(y)
-    best = None  # (score, feature, threshold)
-    for f in feature_ids:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        cum1 = np.cumsum(ys)
-        sizes = np.arange(1, n, dtype=np.int64)
-        boundary = xs[:-1] < xs[1:]
-        if min_leaf > 1:
-            boundary &= (sizes >= min_leaf) & (n - sizes >= min_leaf)
-        idx = np.nonzero(boundary)[0]
-        if idx.size == 0:
-            continue
-        nL = sizes[idx]
-        aL = cum1[idx].astype(np.int64)
-        bL = nL - aL
-        nR = n - nL
-        aR = int(cum1[-1]) - aL
-        bR = nR - aR
-        num = (nL * nL - aL * aL - bL * bL) * nR + (nR * nR - aR * aR - bR * bR) * nL
-        score = num / (nL * nR)
-        k = int(np.argmin(score))  # first minimum => lowest threshold
-        cand = (float(score[k]), int(f))
-        if best is None or cand[0] < best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-            i = int(idx[k])
-            best = (cand[0], cand[1], float((xs[i] + xs[i + 1]) / 2.0))
-    if best is None:
+    Xs = X.T[feature_ids]
+    order = np.argsort(Xs, axis=1, kind="stable")
+    xs = np.take_along_axis(Xs, order, axis=1)
+    cum1 = np.cumsum(y[order], axis=1)
+    boundary = xs[:, :-1] < xs[:, 1:]
+    if min_leaf > 1:
+        sizes = np.arange(1, n)
+        boundary &= (sizes >= min_leaf) & (n - sizes >= min_leaf)
+    row, pos = np.nonzero(boundary)  # (feature, threshold) order
+    if row.size == 0:
         return None
-    return best[1], best[2]
+    nL = pos.astype(np.int64) + 1
+    aL = cum1[row, pos].astype(np.int64)
+    bL = nL - aL
+    nR = n - nL
+    aR = cum1[row, -1].astype(np.int64) - aL
+    bR = nR - aR
+    num = (nL * nL - aL * aL - bL * bL) * nR + (nR * nR - aR * aR - bR * bR) * nL
+    k = _exact_argmin(num, nL * nR)
+    r, i = int(row[k]), int(pos[k])
+    return int(feature_ids[r]), float((xs[r, i] + xs[r, i + 1]) / 2.0)
+
+
+def _exact_argmin(num: np.ndarray, den: np.ndarray) -> int:
+    """First index of the least num[i] / den[i] (non-negative int64 arrays,
+    den > 0), compared exactly.
+
+    The float64 quotients only shortlist: num and den round by at most half
+    an ulp each when converted, and the division once more, so every exact
+    minimum's quotient is below m * (1 + 2**-50), m the least quotient.
+    The shortlist is then compared by cross-multiplying in Python ints, so
+    distinct rationals that round to one double (1/3 and
+    6004799503160661/2**54) are still told apart.
+    """
+    score = num / den
+    near = np.nonzero(score <= score.min() * (1.0 + 2.0 ** -50))[0]
+    best = int(near[0])
+    for i in near[1:]:
+        if int(num[i]) * int(den[best]) < int(num[best]) * int(den[i]):
+            best = int(i)
+    return best
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
@@ -167,6 +182,8 @@ def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
     split (used by random forests); the tie rule applies within the sample.
     """
     n, d = X.shape
+    if n >= MAX_CART_ROWS:
+        raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {n}")
     node = TreeNode(n_samples=n, n_class1=int(y.sum()))
     depth_left = None if max_depth is None else max_depth
     if n < 2 * min_leaf or node.n_class1 in (0, n) or depth_left == 0:

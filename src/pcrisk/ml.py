@@ -14,7 +14,8 @@ a fixed seed and all models serialize to JSON:
                       hidden layers)
 
 Batch-gradient models use a halve-on-increase step, so their recorded
-training loss is non-increasing across epochs.
+training loss is non-increasing across epochs. A line-search trial costs one
+forward pass; backpropagation runs only for the trial that is accepted.
 """
 
 from __future__ import annotations
@@ -243,9 +244,10 @@ class AdaBoostModel:
         self.n_features = X.shape[1]
         n = len(y)
         w = np.full(n, 1.0 / n)
+        search = _StumpSearch(X, y)
         self.stumps, self.alphas = [], []
         for _ in range(self.hyperparams["n_rounds"]):
-            stump = _best_stump(X, y, w)
+            stump = search.best(w)
             if stump is None:
                 break
             f, thr, pol = stump
@@ -286,36 +288,50 @@ def _stump_predict(X, f: int, thr: float, pol: int) -> np.ndarray:
     return (gt if pol == 1 else ~gt).astype(int)
 
 
-def _best_stump(X, y, w) -> tuple[int, float, int] | None:
+class _StumpSearch:
     """Exhaustive weighted-error stump search over midpoint thresholds.
 
     Polarity +1 predicts class 1 on value > threshold, -1 on value <=
     threshold. Ties resolve to the lowest feature, lowest threshold,
-    polarity +1 first.
+    polarity +1 first. The per-feature sort order and the candidate
+    thresholds do not depend on the weights, so they are computed once per
+    fit; each search is then one cumsum per class over feature-major (d, n)
+    arrays.
     """
-    n, d = X.shape
-    pos_total = float(w[y == 1].sum())
-    best = None  # (err, f, thr, pol_rank)
-    for f in range(d):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        wp = np.cumsum(np.where(y[order] == 1, w[order], 0.0))  # positive mass left
-        wn = np.cumsum(np.where(y[order] == 0, w[order], 0.0))  # negative mass left
-        neg_total = float(wn[-1])
-        for i in np.nonzero(xs[:-1] < xs[1:])[0]:
-            thr = float((xs[i] + xs[i + 1]) / 2.0)
-            pos_left, neg_left = float(wp[i]), float(wn[i])
-            err_gt = pos_left + (neg_total - neg_left)
-            err_le = (pos_total - pos_left) + neg_left
-            for pol_rank, err in enumerate((err_gt, err_le)):
-                # round away cumsum dust so genuinely tied errors fall
-                # through to the (feature, threshold, polarity) tie rule
-                cand = (round(err, 9), f, thr, pol_rank)
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
-        return None
-    return (best[1], best[2], 1 if best[3] == 0 else -1)
+
+    def __init__(self, X, y):
+        Xt = X.T
+        self.order = np.argsort(Xt, axis=1, kind="stable")  # (d, n)
+        xs = np.take_along_axis(Xt, self.order, axis=1)
+        self.is_pos = y[self.order] == 1
+        self.is_neg = y[self.order] == 0
+        self.pos = y == 1
+        # one candidate per gap between consecutive distinct sorted values,
+        # in (feature, threshold) order
+        self.feature, self.index = np.nonzero(xs[:, :-1] < xs[:, 1:])
+        self.threshold = (xs[self.feature, self.index] + xs[self.feature, self.index + 1]) / 2.0
+
+    def best(self, w) -> tuple[int, float, int] | None:
+        """(feature, threshold, polarity) of least weighted error under w, or None."""
+        if self.feature.size == 0:
+            return None
+        pos_total = float(w[self.pos].sum())
+        wo = w[self.order]
+        wp = np.cumsum(np.where(self.is_pos, wo, 0.0), axis=1)  # positive mass left
+        wn = np.cumsum(np.where(self.is_neg, wo, 0.0), axis=1)  # negative mass left
+        pos_left = wp[self.feature, self.index]
+        neg_left = wn[self.feature, self.index]
+        err_gt = pos_left + (wn[self.feature, -1] - neg_left)
+        err_le = (pos_total - pos_left) + neg_left
+        # round(err, 9) absorbs cumsum dust so genuinely tied errors fall
+        # through to the (feature, threshold, polarity) tie rule; every error
+        # that can round to the minimum's rounding lies within 1e-8 of it
+        cut = min(float(err_gt.min()), float(err_le.min())) + 1e-8
+        best = min((round(float(errs[k]), 9), int(self.feature[k]),
+                    float(self.threshold[k]), pol_rank)
+                   for pol_rank, errs in enumerate((err_gt, err_le))
+                   for k in np.nonzero(errs <= cut)[0])
+        return (best[1], best[2], 1 if best[3] == 0 else -1)
 
 
 class LogisticModel:
@@ -332,7 +348,7 @@ class LogisticModel:
         sw = _sample_weights(y, hp["class_weight"])
         w0 = np.zeros(X.shape[1] + 1)
         self.w, self.loss_history = _batch_gd(
-            lambda w: logistic_loss_grad(w, X, y, hp["l2"], sw),
+            lambda w: logistic_forward(w, X, y, hp["l2"], sw),
             w0, lr=hp["lr"], epochs=hp["epochs"], tol=hp["tol"])
         return self
 
@@ -462,7 +478,7 @@ class MlpModel:
         params = init_mlp_params(sizes, rng)
         flat, shapes = _flatten_params(params)
         flat, self.loss_history = _batch_gd(
-            lambda p: mlp_loss_grad(p, shapes, X, y, hp["l2"], sw),
+            lambda p: mlp_forward(p, shapes, X, y, hp["l2"], sw),
             flat, lr=hp["lr"], epochs=hp["epochs"], tol=hp["tol"])
         self.layers = _unflatten_params(flat, shapes)
         return self
@@ -507,10 +523,11 @@ def _sample_weights(y, class_weight) -> np.ndarray:
     return w
 
 
-def logistic_loss_grad(w, X, y, l2: float, sample_weight=None):
+def logistic_forward(w, X, y, l2: float, sample_weight=None):
     """Mean weighted cross-entropy + (l2/2)||w||^2 (bias unregularized).
 
-    w's last entry is the bias. Returns (loss, grad).
+    w's last entry is the bias. Returns (loss, backward), where backward()
+    returns the gradient from the logits this pass computed.
     """
     n = len(y)
     sw = np.ones(n) if sample_weight is None else sample_weight
@@ -518,11 +535,21 @@ def logistic_loss_grad(w, X, y, l2: float, sample_weight=None):
     # log(1 + e^z) - y z, computed stably
     loss = float(np.mean(sw * (np.logaddexp(0.0, z) - y * z)))
     loss += 0.5 * l2 * float(w[:-1] @ w[:-1])
-    resid = sw * (_sigmoid(z) - y) / n
-    grad = np.empty_like(w)
-    grad[:-1] = X.T @ resid + l2 * w[:-1]
-    grad[-1] = resid.sum()
-    return loss, grad
+
+    def backward():
+        resid = sw * (_sigmoid(z) - y) / n
+        grad = np.empty_like(w)
+        grad[:-1] = X.T @ resid + l2 * w[:-1]
+        grad[-1] = resid.sum()
+        return grad
+
+    return loss, backward
+
+
+def logistic_loss_grad(w, X, y, l2: float, sample_weight=None):
+    """(loss, grad) of logistic_forward."""
+    loss, backward = logistic_forward(w, X, y, l2, sample_weight)
+    return loss, backward()
 
 
 def init_mlp_params(sizes: list[int], rng: np.random.Generator):
@@ -540,15 +567,15 @@ def _flatten_params(params):
 
 
 def _unflatten_params(flat, shapes):
+    """(W, b) views into flat, one pair per layer."""
     params = []
     k = 0
     for (ws, bs) in shapes:
         nw = ws[0] * ws[1]
         W = flat[k:k + nw].reshape(ws)
         k += nw
-        b = flat[k:k + bs[0]]
+        params.append((W, flat[k:k + bs[0]]))
         k += bs[0]
-        params.append((W.copy(), b.copy()))
     return params
 
 
@@ -560,47 +587,67 @@ def _mlp_logits(layers, X):
     return (h @ W + b).ravel()
 
 
-def mlp_loss_grad(flat, shapes, X, y, l2: float, sample_weight=None):
-    """Loss and flattened gradient of the tanh MLP with logistic output."""
+def mlp_forward(flat, shapes, X, y, l2: float, sample_weight=None):
+    """Loss of the tanh MLP with logistic output, and backward(): the
+    flattened gradient from the activations this pass cached. backward
+    skips the gradient with respect to X, which no parameter needs."""
     n = len(y)
     sw = np.ones(n) if sample_weight is None else sample_weight
     layers = _unflatten_params(flat, shapes)
     acts = [X]
     h = X
     for W, b in layers[:-1]:
-        h = np.tanh(h @ W + b)
+        h = h @ W
+        h += b
+        np.tanh(h, out=h)
         acts.append(h)
     Wo, bo = layers[-1]
     z = (h @ Wo + bo).ravel()
     loss = float(np.mean(sw * (np.logaddexp(0.0, z) - y * z)))
     loss += 0.5 * l2 * sum(float((W * W).sum()) for W, _ in layers)
 
-    grads = [None] * len(layers)
-    delta = (sw * (_sigmoid(z) - y) / n)[:, None]  # (n, 1)
-    grads[-1] = (acts[-1].T @ delta + l2 * Wo, delta.sum(axis=0))
-    back = delta @ Wo.T
-    for li in range(len(layers) - 2, -1, -1):
-        W, b = layers[li]
-        d = back * (1.0 - acts[li + 1] ** 2)
-        grads[li] = (acts[li].T @ d + l2 * W, d.sum(axis=0))
-        back = d @ W.T
-    flat_grad = np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
-    return loss, flat_grad
+    def backward():
+        grads = [None] * len(layers)
+        delta = (sw * (_sigmoid(z) - y) / n)[:, None]  # (n, 1)
+        grads[-1] = (acts[-1].T @ delta + l2 * Wo, delta.sum(axis=0))
+        back = delta @ Wo.T
+        for li in range(len(layers) - 2, -1, -1):
+            W = layers[li][0]
+            d = acts[li + 1] ** 2
+            np.subtract(1.0, d, out=d)
+            d *= back
+            gW = acts[li].T @ d
+            gW += l2 * W
+            grads[li] = (gW, d.sum(axis=0))
+            if li:
+                back = d @ W.T
+        return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+
+    return loss, backward
 
 
-def _batch_gd(loss_grad, x0, lr: float, epochs: int, tol: float):
+def mlp_loss_grad(flat, shapes, X, y, l2: float, sample_weight=None):
+    """Loss and flattened gradient of the tanh MLP with logistic output."""
+    loss, backward = mlp_forward(flat, shapes, X, y, l2, sample_weight)
+    return loss, backward()
+
+
+def _batch_gd(forward, x0, lr: float, epochs: int, tol: float):
     """Gradient descent with halve-on-increase steps: accepted loss never
-    increases. Raises NonConvergenceError on a non-finite loss."""
+    increases. forward(x) returns (loss, backward); only an accepted
+    point's backward() runs, so a rejected line-search trial costs one
+    forward pass. Raises NonConvergenceError on a non-finite loss."""
     x = x0
-    loss, grad = loss_grad(x)
+    loss, backward = forward(x)
     if not math.isfinite(loss):
         raise NonConvergenceError("initial loss is not finite", last_loss=loss)
     history = [loss]
     for _ in range(epochs):
+        grad = backward()
         step = lr
         for _ in range(60):
             trial = x - step * grad
-            t_loss, t_grad = loss_grad(trial)
+            t_loss, t_backward = forward(trial)
             if math.isfinite(t_loss) and t_loss <= loss:
                 break
             step *= 0.5
@@ -608,7 +655,7 @@ def _batch_gd(loss_grad, x0, lr: float, epochs: int, tol: float):
             history.append(loss)
             break
         improved = loss - t_loss
-        x, loss, grad = trial, t_loss, t_grad
+        x, loss, backward = trial, t_loss, t_backward
         lr = min(step * 1.25, 10.0)
         history.append(loss)
         if improved < tol:

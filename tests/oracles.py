@@ -3,7 +3,10 @@
 Everything here is deliberately brute-force and kept separate from the
 library code paths it checks: exact rational arithmetic for the
 combinatorial tests, numeric quadrature for distribution tails, and
-exhaustive search for trees and stumps.
+exhaustive search for trees and stumps. The scalar stump search, the
+one-pass MLP loss and gradient, and the gradient-on-every-trial descent
+are the earlier library versions of what ml now computes with fewer passes;
+the library must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
+
+from pcrisk.errors import NonConvergenceError
 
 TIE = Fraction(1, 10**7)  # relative tie tolerance mirrored by the library
 
@@ -162,3 +167,100 @@ def exhaustive_stump(X, y) -> tuple:
                 if best is None or cand < best:
                     best = cand
     return (best[1], best[2], 1 if best[3] == 0 else -1)
+
+
+def scalar_best_stump(X, y, w) -> tuple | None:
+    """Weighted-error stump search, one feature and one threshold at a time.
+
+    Polarity +1 predicts class 1 on value > threshold, -1 on value <=
+    threshold. Errors are rounded to 9 decimals, then ties go to the lowest
+    feature, lowest threshold, polarity +1 first.
+    """
+    n, d = X.shape
+    pos_total = float(w[y == 1].sum())
+    best = None  # (err, f, thr, pol_rank)
+    for f in range(d):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        wp = np.cumsum(np.where(y[order] == 1, w[order], 0.0))  # positive mass left
+        wn = np.cumsum(np.where(y[order] == 0, w[order], 0.0))  # negative mass left
+        neg_total = float(wn[-1])
+        for i in np.nonzero(xs[:-1] < xs[1:])[0]:
+            thr = float((xs[i] + xs[i + 1]) / 2.0)
+            pos_left, neg_left = float(wp[i]), float(wn[i])
+            err_gt = pos_left + (neg_total - neg_left)
+            err_le = (pos_total - pos_left) + neg_left
+            for pol_rank, err in enumerate((err_gt, err_le)):
+                cand = (round(err, 9), f, thr, pol_rank)
+                if best is None or cand < best:
+                    best = cand
+    if best is None:
+        return None
+    return (best[1], best[2], 1 if best[3] == 0 else -1)
+
+
+def mlp_loss_grad_full(flat, shapes, X, y, l2: float, sample_weight):
+    """Loss and flattened gradient of the tanh MLP with logistic output in
+    one pass: weights copied out of flat, and the backward pass carried
+    down to the input layer."""
+    n = len(y)
+    layers = []
+    k = 0
+    for ws, bs in shapes:
+        nw = ws[0] * ws[1]
+        layers.append((flat[k:k + nw].reshape(ws).copy(), flat[k + nw:k + nw + bs[0]].copy()))
+        k += nw + bs[0]
+    acts = [X]
+    h = X
+    for W, b in layers[:-1]:
+        h = np.tanh(h @ W + b)
+        acts.append(h)
+    Wo, bo = layers[-1]
+    z = (h @ Wo + bo).ravel()
+    loss = float(np.mean(sample_weight * (np.logaddexp(0.0, z) - y * z)))
+    loss += 0.5 * l2 * sum(float((W * W).sum()) for W, _ in layers)
+    sig = np.empty_like(z)
+    pos = z >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    sig[~pos] = ez / (1.0 + ez)
+    grads = [None] * len(layers)
+    delta = (sample_weight * (sig - y) / n)[:, None]
+    grads[-1] = (acts[-1].T @ delta + l2 * Wo, delta.sum(axis=0))
+    back = delta @ Wo.T
+    for li in range(len(layers) - 2, -1, -1):
+        W = layers[li][0]
+        d = back * (1.0 - acts[li + 1] ** 2)
+        grads[li] = (acts[li].T @ d + l2 * W, d.sum(axis=0))
+        back = d @ W.T
+    return loss, np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+
+
+def batch_gd_every_trial(loss_grad, x0, lr: float, epochs: int, tol: float):
+    """Halve-on-increase gradient descent that evaluates loss_grad(x) ->
+    (loss, grad) in full on every line-search trial. Returns (x, history)."""
+    x = x0
+    loss, grad = loss_grad(x)
+    if not math.isfinite(loss):
+        raise NonConvergenceError("initial loss is not finite", last_loss=loss)
+    history = [loss]
+    for _ in range(epochs):
+        step = lr
+        for _ in range(60):
+            trial = x - step * grad
+            t_loss, t_grad = loss_grad(trial)
+            if math.isfinite(t_loss) and t_loss <= loss:
+                break
+            step *= 0.5
+        else:
+            history.append(loss)
+            break
+        improved = loss - t_loss
+        x, loss, grad = trial, t_loss, t_grad
+        lr = min(step * 1.25, 10.0)
+        history.append(loss)
+        if improved < tol:
+            break
+    if not math.isfinite(loss):
+        raise NonConvergenceError("training diverged", last_loss=loss)
+    return x, history

@@ -82,6 +82,22 @@ class TestBuildDataset:
         rows = (out / "dataset.csv").read_text().splitlines()[1:]
         assert all(r.split(",")[2] == "0" for r in rows)
 
+    @pytest.mark.parametrize("fault, key", [
+        ({"window": {"start": "2015-13-01", "end": "2016-06-30"}}, "window.start"),
+        ({"bbox": [0.0, 10.0, 4.5]}, "bbox"),
+        ("{\"seed\": 7,", "not valid JSON"),
+        ({"cell_km": "abc"}, "cell_km"),
+    ], ids=["window_month_13", "bbox_three_numbers", "malformed_json", "cell_km_text"])
+    def test_config_fault_exits_3(self, tmp_path, capsys, fault, key):
+        if isinstance(fault, str):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(fault, encoding="utf-8")
+        else:
+            cfg = _cfg(tmp_path, **fault)
+        assert _run("build-dataset", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert "config.json" in err and key in err
+
     def test_missing_input_path_errors(self, tmp_path):
         cfg = _cfg(tmp_path, source={"kind": "files", "events_csv": "/nope.csv",
                                      "series_csv": "/nope2.csv"})

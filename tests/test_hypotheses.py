@@ -4,6 +4,7 @@ import pytest
 from oracles import exhaustive_cart, same_tree
 from pcrisk.errors import DegeneratePartitionError, InvalidInputError
 from pcrisk.features import FEATURE_NAMES, Dataset, to_matrix
+from pcrisk import hypotheses
 from pcrisk.hypotheses import (
     CartParams,
     Condition,
@@ -18,6 +19,8 @@ from pcrisk.hypotheses import (
     save_tree,
     train_cart,
     tree_to_dot,
+    _best_split,
+    _exact_argmin,
 )
 
 
@@ -85,6 +88,47 @@ class TestTrainCart:
     def test_bad_params(self):
         with pytest.raises(InvalidInputError):
             CartParams(max_depth=0).validate()
+
+    def test_sampled_features_split_matches_oracle(self):
+        # the split search on a random-forest-style feature sample picks
+        # what the exhaustive search picks on those columns alone
+        rng = np.random.default_rng(314)
+        for trial in range(40):
+            n = int(rng.integers(4, 31))
+            d = int(rng.integers(2, 8))
+            X = np.round(rng.random((n, d)), 1)
+            y = np.r_[0, 1, (rng.random(n - 2) < 0.5).astype(int)]
+            fids = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+            min_leaf = int(rng.integers(1, 3))
+            got = _best_split(X, y, min_leaf, fids)
+            want = exhaustive_cart(X[:, fids], y, max_depth=1, min_leaf=min_leaf)
+            if "feature" not in want:
+                assert got is None, trial
+            else:
+                assert got == (int(fids[want["feature"]]), want["threshold"]), trial
+
+    def test_exact_argmin_separates_float_ties(self):
+        # 1/3 rounds to 6004799503160661 / 2**54, which is smaller exactly
+        num = np.array([1, 6004799503160661], dtype=np.int64)
+        den = np.array([3, 2 ** 54], dtype=np.int64)
+        assert num[0] / den[0] == num[1] / den[1]
+        assert _exact_argmin(num, den) == 1
+        assert _exact_argmin(num[::-1].copy(), den[::-1].copy()) == 0
+        # beyond 2**53 the int64 -> float64 conversion rounds, and the float
+        # quotients can even reverse the exact order
+        num = np.array([13305283907666136, 37637270992633564], dtype=np.int64)
+        den = np.array([327, 925], dtype=np.int64)
+        assert num[0] / den[0] < num[1] / den[1]
+        assert 37637270992633564 * 327 < 13305283907666136 * 925
+        assert _exact_argmin(num, den) == 1
+        # an exact tie keeps the first index, i.e. the lower feature/threshold
+        assert _exact_argmin(np.array([5, 2, 1]), np.array([6, 6, 3])) == 1
+
+    def test_row_limit(self, monkeypatch):
+        monkeypatch.setattr(hypotheses, "MAX_CART_ROWS", 8)
+        X = np.arange(8.0)[:, None]
+        with pytest.raises(InvalidInputError, match="fewer than 8 rows"):
+            grow_tree(X, (X[:, 0] > 3).astype(int))
 
 
 class TestExtractPaths:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import exhaustive_stump
+from oracles import (
+    batch_gd_every_trial,
+    exhaustive_stump,
+    mlp_loss_grad_full,
+    scalar_best_stump,
+)
+from pcrisk import ml
 from pcrisk.errors import InsufficientDataError, InvalidInputError, StratificationError
 from pcrisk.features import Dataset
 from pcrisk.ml import (
@@ -23,6 +29,8 @@ from pcrisk.ml import (
     train,
     write_suite_csv,
     _flatten_params,
+    _sample_weights,
+    _StumpSearch,
     init_mlp_params,
 )
 
@@ -248,6 +256,84 @@ class TestGradients:
             fd = self._central_diff(lambda v: mlp_loss_grad(v, shapes, X, y, 0.02)[0], flat)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-12)
             assert rel <= 1e-4
+
+
+@st.composite
+def _stump_problems(draw):
+    """Small integer-valued features, so thresholds tie across features,
+    with uniform or random weights."""
+    n = draw(st.integers(2, 25))
+    d = draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(st.integers(0, 4), min_size=n * d, max_size=n * d)),
+                 dtype=float).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        w = np.full(n, 1.0 / n)
+    else:
+        w = np.array(draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n)), dtype=float)
+        w /= w.sum()
+    return X, y, w
+
+
+class TestReferenceEquivalence:
+    """The presorted stump search and the forward-only line search against
+    the earlier implementations kept in oracles.py: equal bit for bit."""
+
+    @given(_stump_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_stump_matches_scalar_search(self, problem):
+        X, y, w = problem
+        assert _StumpSearch(X, y).best(w) == scalar_best_stump(X, y, w)
+
+    def test_adaboost_rounds_match_scalar_search(self, monkeypatch):
+        # reweighting leaves cumsum dust, so later rounds meet near-ties
+        best = _StumpSearch.best
+        rng = np.random.default_rng(41)
+        for trial in range(8):
+            n = int(rng.integers(20, 60))
+            X = rng.integers(0, 6, size=(n, 5)).astype(float)
+            y = (rng.random(n) < 0.4).astype(int)
+            rounds = []
+
+            def checked_best(search, w):
+                got = best(search, w)
+                assert got == scalar_best_stump(X, y, w), (trial, len(rounds))
+                rounds.append(got)
+                return got
+
+            monkeypatch.setattr(_StumpSearch, "best", checked_best)
+            model = ml.AdaBoostModel(ClassifierSpec("AdaBoost", {"n_rounds": 25}).resolved(), 0)
+            model.fit(X, y)
+            assert rounds and rounds[:len(model.stumps)] == model.stumps
+
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    @pytest.mark.parametrize("kind", ["LogisticRegression", "MLP", "DeepNN"])
+    def test_gd_matches_gradient_on_every_trial(self, kind, class_weight):
+        X, y = _blobs(60, seed=5, d=6)
+        ds = _rows(X, y)
+        spec = ClassifierSpec(kind, {"class_weight": class_weight}, seed=3)
+        hp = spec.resolved()
+        model = train(spec, ds)
+        sw = _sample_weights(ds.y, class_weight)
+        calls = []
+        if kind == "LogisticRegression":
+            x0 = np.zeros(ds.X.shape[1] + 1)
+
+            def loss_grad(w):
+                calls.append(1)
+                return logistic_loss_grad(w, ds.X, ds.y, hp["l2"], sw)
+        else:
+            sizes = [ds.X.shape[1], *hp["hidden"], 1]
+            x0, shapes = _flatten_params(init_mlp_params(sizes, np.random.default_rng(3)))
+
+            def loss_grad(p):
+                calls.append(1)
+                return mlp_loss_grad_full(p, shapes, ds.X, ds.y, hp["l2"], sw)
+        x, history = batch_gd_every_trial(loss_grad, x0, hp["lr"], hp["epochs"], hp["tol"])
+        assert len(calls) > len(history)  # some line-search trials were rejected
+        assert model.loss_history == history
+        got = model.w if kind == "LogisticRegression" else _flatten_params(model.layers)[0]
+        assert got.tobytes() == x.tobytes()
 
 
 class TestSuite:

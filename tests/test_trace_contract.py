@@ -1,7 +1,8 @@
 """The benchmark's layer tracer (perfbench/layertrace.py) wraps pcrisk
 functions by name. These run a traced pipeline at 200 km cells from the
-synthetic source and from the benchmark's generated input files, so a rename
-that breaks `perfbench/run.py --trace 1` fails here too."""
+synthetic source and from the benchmark's generated input files, and a traced
+train-suite at 100 km, so a rename that breaks `perfbench/run.py --trace 1`
+fails here too."""
 
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from layertrace import CLASSIFIER_KINDS  # noqa: E402
 from workloads import write_files_inputs  # noqa: E402
 
 STAGES = (["build-dataset"], ["test-univariate"], ["learn-tree"],
@@ -24,22 +26,22 @@ def _demo_config() -> dict:
     return cfg
 
 
-def _traced_run(tmp_path, cfg: dict) -> dict:
-    """Run STAGES under perfbench/child.py --spans; returns its result."""
+def _traced_run(tmp_path, cfg: dict, stages=STAGES) -> dict:
+    """Run stages under perfbench/child.py --spans; returns its result."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     result = tmp_path / "result.json"
     argv = [sys.executable, str(ROOT / "perfbench" / "child.py"),
             "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
             "--result", str(result), "--spans", str(tmp_path / "spans.json")]
-    for stage in STAGES:
+    for stage in stages:
         argv += ["--stage", json.dumps(stage)]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(result.read_text(encoding="utf-8"))
-    assert [s["command"] for s in doc["stages"]] == [s[0] for s in STAGES], proc.stderr
+    assert [s["command"] for s in doc["stages"]] == [s[0] for s in stages], proc.stderr
     assert all(s["rc"] == 0 for s in doc["stages"]), proc.stderr
     return doc
 
@@ -58,3 +60,12 @@ def test_traced_files_pipeline_reads_series_once(tmp_path):
     layers = _traced_run(tmp_path, cfg)["layers"]
     assert layers["ingest.parse_series.calls"] == 1
     assert layers["features.samples_binned"] > 0
+
+
+def test_traced_train_suite(tmp_path):
+    cfg = _demo_config()
+    cfg.update(cell_km=100, granularities=[100])
+    layers = _traced_run(tmp_path, cfg, stages=[["train-suite"]])["layers"]
+    for kind in CLASSIFIER_KINDS:
+        assert layers[f"ml.train.{kind}.s"] > 0, kind
+    assert layers["ml.epochs.DeepNN"] == 400
