@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 from .grid import BBox, CellId, Grid, build_grid, cell_of  # noqa: F401
 from .ingest import (  # noqa: F401
     VARIABLES,
-    CellSeries,
     ConflictEvent,
     PlantedEffect,
+    VariableSeries,
     Window,
     synth_country,
 )

@@ -2,10 +2,14 @@
 5 neighborhood-presence and 5 neighborhood-count features (120 total),
 and the binary conflict label.
 
-Histogram bins are 10 equal widths between the dataset-wide min and max of
-each variable; a cell's bin value is the fraction of its monthly samples
-falling in that bin. Bins are half-open [lo, hi) except the last, which is
-closed so the dataset maximum lands in bin 10.
+Series arrive as one ingest.VariableSeries (sample cells and values as
+arrays) per variable and are binned and counted as arrays. Histogram bins
+are 10 equal widths between the min and max of each variable over every
+sample, those of cells off the grid or the mask included, though such cells
+get no row. A cell's bin value is the fraction of its own samples falling
+in that bin, so missing months normalise by the samples the cell has. Bins
+are half-open [lo, hi) except the last, which is closed so the dataset
+maximum lands in bin 10.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError, MissingVariableError, OutOfBoundsError
 from .grid import Grid, cell_of, neighbor_offsets
-from .ingest import VARIABLES, CellSeries, ConflictEvent, Window
+from .ingest import VARIABLES, ConflictEvent, VariableSeries, Window
 
 log = logging.getLogger(__name__)
 
@@ -91,18 +95,36 @@ class BinEdges:
         lo_q = Fraction(lo)
         return n * (Fraction(value) - lo_q) // (Fraction(hi) - lo_q), False
 
+    def bins(self, values: np.ndarray) -> tuple[np.ndarray, int]:
+        """bin_of over a float64 array: every value's bin and the number of
+        values clamped. bin_of's float quotient and slack test run
+        elementwise; only the values they leave open take its rational path."""
+        lo, hi, n = self.lo, self.hi, self.n_bins
+        if hi <= lo:  # degenerate
+            return np.zeros(len(values), dtype=np.int64), 0
+        inside = ~((values < lo) | (values >= hi))  # NaN goes to bin_of, which raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = (values - lo) * n / (hi - lo)
+            i = np.floor(q)
+            slack = q * 2.0 ** -50
+            fast = inside & (hi - lo <= _MAX_FLOAT) & (q < n) & (
+                ((i == 0) | (q - i > slack)) & (i + 1 - q > slack))
+        out = np.where(fast, i, np.where(values < hi, 0, n - 1)).astype(np.int64)
+        for k in np.flatnonzero(inside & ~fast):
+            out[k] = self.bin_of(float(values[k]))[0]
+        return out, int(np.count_nonzero((values < lo) | (values > hi)))
 
-def fit_bin_edges(all_series: list[CellSeries],
+
+def fit_bin_edges(all_series: list[VariableSeries],
                   variables=VARIABLES) -> dict[str, BinEdges]:
     """Dataset-wide min/max per variable (all cells, all timestamps)."""
     lo: dict[str, float] = {}
     hi: dict[str, float] = {}
     for s in all_series:
-        if s.variable not in variables or not s.samples:
+        if s.variable not in variables or not len(s.samples):
             continue
-        vals = s.values()
-        lo[s.variable] = min(lo.get(s.variable, np.inf), float(vals.min()))
-        hi[s.variable] = max(hi.get(s.variable, -np.inf), float(vals.max()))
+        lo[s.variable] = min(lo.get(s.variable, np.inf), float(s.samples.min()))
+        hi[s.variable] = max(hi.get(s.variable, -np.inf), float(s.samples.max()))
     out = {}
     for var in variables:
         if var not in lo:
@@ -111,8 +133,10 @@ def fit_bin_edges(all_series: list[CellSeries],
     return out
 
 
-def histogram_features(series: CellSeries, edges: BinEdges) -> np.ndarray:
-    """Fraction of the cell's samples per bin; all-zero for an empty series.
+def histogram_features(series: VariableSeries, edges: BinEdges,
+                       rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, n_bins): row i holds the fraction of the samples with
+    rows == i in each bin, all-zero if it has none; rows -1 are left out.
 
     Samples outside [lo, hi] (possible only when edges were fitted on a
     different dataset) are clamped into the boundary bin and counted in a
@@ -121,18 +145,14 @@ def histogram_features(series: CellSeries, edges: BinEdges) -> np.ndarray:
     if series.variable != edges.variable:
         raise InvalidInputError(
             f"edges fitted for {edges.variable}, series is {series.variable}")
-    out = np.zeros(edges.n_bins, dtype=float)
-    if not series.samples:
-        return out
-    n_clamped = 0
-    for _, v in series.samples:
-        idx, clamped = edges.bin_of(v)
-        out[idx] += 1.0
-        n_clamped += clamped
+    keep = rows >= 0
+    bins, n_clamped = edges.bins(series.samples[keep])
     if n_clamped:
         log.warning("%d sample(s) of %s outside fitted range [%g, %g]; clamped",
                     n_clamped, series.variable, edges.lo, edges.hi)
-    return out / len(series.samples)
+    n = edges.n_bins
+    counts = np.bincount(rows[keep] * n + bins, minlength=n_rows * n).reshape(n_rows, n)
+    return counts / np.maximum(counts.sum(axis=1), 1)[:, None]
 
 
 def neighbor_counts(conflict_counts: np.ndarray) -> np.ndarray:
@@ -198,32 +218,35 @@ _N_HIST = len(HIST_FEATURE_NAMES)
 _VARIABLE_COL = {var: vi * N_BINS for vi, var in enumerate(VARIABLES)}
 
 
-def assemble_dataset(grid: Grid, series: list[CellSeries],
+def assemble_dataset(grid: Grid, series: list[VariableSeries],
                      events: list[ConflictEvent], window: Window,
                      edges: dict[str, BinEdges] | None = None) -> Dataset:
     """The 120 features and the label of every masked grid cell, row-major.
 
     label = 1 iff at least one pastoral event falls in the cell within the
     window; neighbor features use the same window's per-cell event counts.
-    A cell without a series for a variable gets all-zero bins for it.
+    A cell without samples of a variable gets all-zero bins for it, and
+    samples of cells off the grid or the mask are not binned.
     """
     window.validate()
     if edges is None:
         edges = fit_bin_edges(series)
     cells = np.argwhere(grid.mask)
-    row_of = {(r, c): i for i, (r, c) in enumerate(cells.tolist())}
+    row_of = np.full(grid.mask.shape, -1, dtype=np.int64)
+    row_of[grid.mask] = np.arange(len(cells))
     X = np.zeros((len(cells), N_FEATURES))
     seen = set()
     for s in series:
-        key = (s.cell, s.variable)
-        if key in seen:
-            raise InvalidInputError(
-                f"duplicate series for cell ({s.cell.row},{s.cell.col}) variable {s.variable}")
-        seen.add(key)
-        i = row_of.get((s.cell.row, s.cell.col))
+        if s.variable in seen:
+            raise InvalidInputError(f"duplicate series for variable {s.variable}")
+        seen.add(s.variable)
         col = _VARIABLE_COL.get(s.variable)
-        if i is not None and col is not None:
-            X[i, col:col + N_BINS] = histogram_features(s, edges[s.variable])
+        if col is None:
+            continue
+        r, c = s.cells.T
+        on_grid = (r >= 0) & (r < grid.n_rows) & (c >= 0) & (c < grid.n_cols)
+        rows = np.where(on_grid, row_of[r * on_grid, c * on_grid], -1)  # zeroed: in bounds
+        X[:, col:col + N_BINS] = histogram_features(s, edges[s.variable], rows, len(cells))
     counts = count_events_per_cell(grid, events, window)
     nbr = neighbor_counts(counts)[grid.mask]
     X[:, _N_HIST:_N_HIST + len(NEIGHBOR_RADII)] = nbr > 0
@@ -251,14 +274,15 @@ def write_dataset_csv(ds: Dataset, path) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Inverse of write_dataset_csv; a malformed row raises
-    InvalidInputError naming the file and line."""
-    ints, floats = [], []
+    """Inverse of write_dataset_csv; a malformed row or a non-finite
+    feature raises InvalidInputError naming the file and line."""
+    ints, floats, lines = [], [], []
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != _CSV_HEADER:
             raise InvalidInputError(f"unexpected dataset header in {path}")
         for rec in reader:
+            lines.append(reader.line_num)
             if len(rec) != len(_CSV_HEADER):
                 raise InvalidInputError(f"{path} line {reader.line_num}: expected "
                                         f"{len(_CSV_HEADER)} fields, got {len(rec)}")
@@ -271,7 +295,11 @@ def read_dataset_csv(path) -> Dataset:
         ints = np.array(ints, dtype=np.int64).reshape(-1, 3 + N_FEATURES - _N_HIST)
     except OverflowError:
         raise InvalidInputError(f"{path}: integer field out of range") from None
-    X = np.hstack([np.array(floats).reshape(-1, _N_HIST), ints[:, 3:]])
+    hist = np.array(floats).reshape(-1, _N_HIST)
+    for i, k in np.argwhere(~np.isfinite(hist))[:1]:
+        raise InvalidInputError(f"{path} line {lines[i]}: non-finite "
+                                f"{HIST_FEATURE_NAMES[k]} {float(hist[i, k])!r}")
+    X = np.hstack([hist, ints[:, 3:]])
     return Dataset(cells=ints[:, :2], X=X, y=ints[:, 2])
 
 

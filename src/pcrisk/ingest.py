@@ -27,7 +27,7 @@ from .errors import (
     InvalidInputError,
     SchemaError,
 )
-from .grid import CellId, Grid, cell_of
+from .grid import Grid, cell_of
 
 log = logging.getLogger(__name__)
 
@@ -78,31 +78,15 @@ class EventSchema:
     notes: str = "notes"
 
 
-@dataclass
-class CellSeries:
-    """Time-stamped observations of one variable for one cell."""
+@dataclass(frozen=True, eq=False)
+class VariableSeries:
+    """Every sample of one variable: samples[i] was observed in the cell
+    (row, col) = cells[i]. cells is (k, 2) int64 and samples (k,) float64;
+    a cell may hold any number of samples, including none."""
 
-    cell: CellId
     variable: str
-    samples: list  # [(date, float)], strictly increasing timestamps
-
-    def validate(self) -> None:
-        if self.variable not in VARIABLES:
-            raise InvalidInputError(f"unknown variable {self.variable!r}")
-        last = None
-        for ts, v in self.samples:
-            if last is not None and ts <= last:
-                raise DuplicateTimestampError(
-                    f"cell ({self.cell.row},{self.cell.col}) variable {self.variable}: "
-                    f"timestamp {ts} not after {last}")
-            if not math.isfinite(v):
-                raise InvalidInputError(
-                    f"non-finite value for {self.variable} at {ts} in cell "
-                    f"({self.cell.row},{self.cell.col})")
-            last = ts
-
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.samples], dtype=float)
+    cells: np.ndarray
+    samples: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -203,64 +187,77 @@ _CANONICAL_COLS = ("cell_row", "cell_col", "variable", "timestamp", "value")
 _LATLON_COLS = ("lat", "lon", "variable", "timestamp", "value")
 
 
-def parse_series(path, grid: Grid | None = None) -> list[CellSeries]:
-    """Parse a series CSV into one sorted series per (cell, variable), in
-    VARIABLES order, then cell order.
+def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
+    """Parse a series CSV into one record per variable that has rows, in
+    VARIABLES order, its samples sorted by cell and then timestamp.
 
     Accepts the cell-indexed layout or the lat/lon layout (the latter
     requires a grid to map coordinates through cell_of); both need a
     'variable' column. Rows of other variables are skipped and counted in
-    a warning; a field that does not parse raises InvalidInputError naming
-    the file and line.
+    a warning. A field that does not parse raises InvalidInputError naming
+    the file and line; a timestamp repeated in one cell, or a non-finite
+    value, raises an error naming the cell and the variable.
     """
     path = Path(path)
+    var_index = {var: vi for vi, var in enumerate(VARIABLES)}
+    keys: list[int] = []  # variable index, row, col, day ordinal of each sample
+    values: list[float] = []
+    days: dict[str, int] = {}  # timestamp field -> day ordinal
+    n_skipped = 0
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        cols = reader.fieldnames or ()
-        if all(c in cols for c in _CANONICAL_COLS):
-            by_cell_layout = True
-        elif all(c in cols for c in _LATLON_COLS):
-            if grid is None:
-                raise SchemaError(f"series file {path} uses lat/lon layout; a grid is required")
-            by_cell_layout = False
-        else:
+        reader = csv.reader(fh)
+        cols = next(reader, [])
+        col = {name: i for i, name in enumerate(cols)}
+        by_cell_layout = all(c in col for c in _CANONICAL_COLS)
+        if not by_cell_layout and not all(c in col for c in _LATLON_COLS):
             raise SchemaError(
                 f"series file {path} needs columns {_CANONICAL_COLS} or {_LATLON_COLS}")
-        samples: dict[str, dict[CellId, list]] = {var: {} for var in VARIABLES}
-        n_skipped = 0
-        for row in reader:
+        if not by_cell_layout and grid is None:
+            raise SchemaError(f"series file {path} uses lat/lon layout; a grid is required")
+        i_a, i_b, i_var, i_ts, i_val = (col[c] for c in (
+            _CANONICAL_COLS if by_cell_layout else _LATLON_COLS))
+        for rec in reader:
+            if not rec:
+                continue  # blank line
             try:
-                by_cell = samples.get(row["variable"].strip())
-                if by_cell is None:
+                vi = var_index.get(rec[i_var].strip())
+                if vi is None:
                     n_skipped += 1
                     continue
                 if by_cell_layout:
-                    cell = CellId(int(row["cell_row"]), int(row["cell_col"]))
+                    r, c = int(rec[i_a]), int(rec[i_b])
                 else:
-                    cell = cell_of(grid, float(row["lat"]), float(row["lon"]))
-                ts = dt.date.fromisoformat(row["timestamp"].strip())
-                by_cell.setdefault(cell, []).append((ts, float(row["value"])))
-            except (ValueError, AttributeError, TypeError) as exc:
+                    cell = cell_of(grid, float(rec[i_a]), float(rec[i_b]))
+                    r, c = cell.row, cell.col
+                stamp = rec[i_ts]
+                day = days.get(stamp)
+                if day is None:
+                    day = days[stamp] = dt.date.fromisoformat(stamp.strip()).toordinal()
+                values.append(float(rec[i_val]))
+                keys += (vi, r, c, day)
+            except IndexError:
+                raise InvalidInputError(f"{path} line {reader.line_num}: expected "
+                                        f"{len(cols)} fields, got {len(rec)}") from None
+            except ValueError as exc:
                 raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
     if n_skipped:
         log.warning("skipped %d row(s) of unknown variables in %s", n_skipped, path.name)
-    out = []
-    for var, by_cell in samples.items():
-        for cell in sorted(by_cell):
-            s = CellSeries(cell=cell, variable=var, samples=sorted(by_cell[cell]))
-            s.validate()
-            out.append(s)
-    return out
-
-
-def write_series_csv(series: list[CellSeries], path) -> None:
-    """Canonical cell-indexed series CSV; floats round-trip bit-exactly."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["cell_row", "cell_col", "variable", "timestamp", "value"])
-        for s in series:
-            for ts, v in s.samples:
-                w.writerow([s.cell.row, s.cell.col, s.variable, ts.isoformat(), repr(v)])
+    try:
+        keys = np.array(keys, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:
+        raise InvalidInputError(f"{path}: cell index out of range") from None
+    order = np.lexsort(keys.T[::-1])
+    keys, values = keys[order], np.array(values)[order]
+    for bad, error, what in (((keys[1:] == keys[:-1]).all(axis=1), DuplicateTimestampError,
+                              "timestamp repeated"),
+                             (~np.isfinite(values), InvalidInputError, "non-finite value")):
+        if bad.any():
+            vi, r, c, day = keys[bad.argmax()].tolist()
+            raise error(f"{path}: cell ({r},{c}) variable {VARIABLES[vi]} at "
+                        f"{dt.date.fromordinal(day)}: {what}")
+    bounds = np.searchsorted(keys[:, 0], np.arange(len(VARIABLES) + 1))
+    return [VariableSeries(var, keys[a:b, 1:3], values[a:b])
+            for var, a, b in zip(VARIABLES, bounds[:-1], bounds[1:]) if b > a]
 
 
 # ---------------------------------------------------------------------------
@@ -330,27 +327,17 @@ class PlantedEffect:
         return 0.5 * (self.low_mean + self.high_mean)
 
 
-def month_sequence(start: dt.date, months: int) -> list[dt.date]:
-    """First-of-month dates starting at start's month."""
-    out = []
-    y, m = start.year, start.month
-    for _ in range(months):
-        out.append(dt.date(y, m, 1))
-        m += 1
-        if m > 12:
-            y, m = y + 1, 1
-    return out
-
-
 def synth_country(seed: int, grid: Grid, months: int,
                   planted: PlantedEffect = PlantedEffect(),
                   start: dt.date = dt.date(2015, 1, 1),
                   country: str = "Synthia",
-                  ) -> tuple[list[CellSeries], list[ConflictEvent]]:
+                  ) -> tuple[list[VariableSeries], list[ConflictEvent]]:
     """Generate seasonal series for all 11 variables plus planted conflicts.
 
-    Deterministic for a fixed seed: draws follow a fixed order (stratum,
-    then per-variable cell means and monthly values, then events).
+    Each variable's record holds every masked cell's months, cell by cell
+    in row-major order. Deterministic for a fixed seed: draws follow a
+    fixed order (stratum, then per-variable cell means and monthly values,
+    then events).
     """
     if months < 1:
         raise InvalidInputError("months must be >= 1")
@@ -358,12 +345,13 @@ def synth_country(seed: int, grid: Grid, months: int,
     rng = np.random.default_rng(seed)
     cells = list(grid.masked_cells())
     n = len(cells)
-    dates = month_sequence(start, months)
     t = np.arange(months, dtype=float)
+    sample_cells = np.repeat(np.argwhere(grid.mask), months, axis=0)
+    sample_cells.flags.writeable = False  # shared by every variable's record
 
     in_stratum = rng.random(n) < planted.risk_fraction
 
-    series: list[CellSeries] = []
+    series: list[VariableSeries] = []
     for var in VARIABLES:
         lo, hi, amp, sd = VARIABLE_PROFILES[var]
         if var == planted.variable:
@@ -382,10 +370,7 @@ def synth_country(seed: int, grid: Grid, months: int,
             values = np.maximum(values, 0.0)
         if var in _CAP_ONE:
             values = np.minimum(values, 1.0)
-        for i, cell in enumerate(cells):
-            series.append(CellSeries(
-                cell=cell, variable=var,
-                samples=list(zip(dates, values[i].tolist()))))
+        series.append(VariableSeries(var, sample_cells, values.ravel()))
 
     p_hot, p_cold = planted.risk_rate, planted.base_rate
     events: list[ConflictEvent] = []
@@ -396,9 +381,9 @@ def synth_country(seed: int, grid: Grid, months: int,
         n_events = 1 + rng.poisson(planted.extra_events_rate)
         lat_s, lon_w, lat_n, lon_e = grid.cell_bounds(cell)
         for _ in range(n_events):
-            month = dates[int(rng.integers(0, months))]
+            y, m = divmod(start.month - 1 + int(rng.integers(0, months)), 12)
             events.append(ConflictEvent(
-                date=month.replace(day=15),
+                date=dt.date(start.year + y, m + 1, 15),
                 lat=float(rng.uniform(lat_s, lat_n)),
                 lon=float(rng.uniform(lon_w, lon_e)),
                 country=country,
@@ -407,14 +392,3 @@ def synth_country(seed: int, grid: Grid, months: int,
             ))
     return series, events
 
-
-def planted_risk_cells(series: list[CellSeries], planted: PlantedEffect) -> set[CellId]:
-    """Recover the risk stratum from data: cells whose planted-variable mean
-    falls below the regime cutpoint."""
-    cut = planted.regime_cutpoint
-    out = set()
-    for s in series:
-        if s.variable == planted.variable and s.samples:
-            if float(s.values().mean()) < cut:
-                out.add(s.cell)
-    return out

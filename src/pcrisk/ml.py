@@ -98,8 +98,6 @@ class EvalRow:
 @dataclass(frozen=True)
 class EvalReport:
     rows: tuple
-    split: str
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +744,7 @@ def run_suite(ds: Dataset, specs: list[ClassifierSpec],
         model = train(spec, train_ds)
         m = metrics(predict_proba(model, test_ds), test_ds.y)
         out.append(replace(m, classifier=spec.kind))
-    desc = f"stratified {1 - test_fraction:.0%}/{test_fraction:.0%} split"
-    return EvalReport(rows=tuple(out), split=desc, seed=seed)
+    return EvalReport(rows=tuple(out))
 
 
 def best_row(report: EvalReport) -> EvalRow:

@@ -1,10 +1,13 @@
+import csv
 import datetime as dt
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pcrisk.grid import KM_PER_DEG, BBox, build_grid
-from pcrisk.ingest import PlantedEffect, Window, synth_country
+from pcrisk.grid import KM_PER_DEG, BBox, CellId, build_grid
+from pcrisk.ingest import PlantedEffect, VariableSeries, Window, synth_country
 from pcrisk.features import assemble_dataset
 
 
@@ -19,6 +22,36 @@ def square_grid(n_rows: int, n_cols: int, cell_km: float = 100.0, lat0: float = 
     g = build_grid(bbox, cell_km)
     assert (g.n_rows, g.n_cols) == (n_rows, n_cols)
     return g
+
+
+def write_series_csv(series: list[VariableSeries], path,
+                     start: dt.date = dt.date(2015, 1, 1)) -> None:
+    """Canonical cell-indexed series CSV of the records; a cell's k-th
+    sample in a record is stamped k months after start. Floats round-trip
+    bit-exactly."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["cell_row", "cell_col", "variable", "timestamp", "value"])
+        for s in series:
+            seen: dict[tuple, int] = {}
+            for (r, c), v in zip(s.cells.tolist(), s.samples.tolist()):
+                k = seen[r, c] = seen.get((r, c), -1) + 1
+                y, m = divmod(start.month - 1 + k, 12)
+                w.writerow([r, c, s.variable, dt.date(start.year + y, m + 1, 1).isoformat(),
+                            repr(v)])
+
+
+def planted_risk_cells(series: list[VariableSeries], planted: PlantedEffect) -> set[CellId]:
+    """Recover the risk stratum from data: cells whose planted-variable mean
+    falls below the regime cutpoint."""
+    out = set()
+    for s in series:
+        if s.variable == planted.variable:
+            cells, which = np.unique(s.cells, axis=0, return_inverse=True)
+            which = which.ravel()
+            out.update(CellId(r, c) for k, (r, c) in enumerate(cells.tolist())
+                       if float(s.samples[which == k].mean()) < planted.regime_cutpoint)
+    return out
 
 
 @pytest.fixture(scope="session")

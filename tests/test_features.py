@@ -8,9 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import square_grid
 from oracles import histogram_bin, lattice_neighbors
-from pcrisk.errors import MissingVariableError
+from pcrisk.errors import InvalidInputError, MissingVariableError
 from pcrisk.grid import CellId
-from pcrisk.ingest import CellSeries, ConflictEvent, Window
+from pcrisk.ingest import VARIABLES, ConflictEvent, VariableSeries, Window, parse_series
 from pcrisk.features import (
     FEATURE_NAMES,
     N_FEATURES,
@@ -28,8 +28,14 @@ WINDOW = Window(dt.date(2015, 1, 1), dt.date(2016, 12, 31))
 
 
 def _series(values, variable="LAI", cell=CellId(0, 0)):
-    dates = [dt.date(2015 + m // 12, m % 12 + 1, 1) for m in range(len(values))]
-    return CellSeries(cell=cell, variable=variable, samples=list(zip(dates, values)))
+    cells = np.tile([cell.row, cell.col], (len(values), 1))
+    return VariableSeries(variable=variable, cells=cells, samples=np.array(values, dtype=float))
+
+
+def _hist(values, edges):
+    """The histogram of one cell holding values."""
+    rows = np.zeros(len(values), dtype=np.int64)
+    return histogram_features(_series(values, edges.variable), edges, rows, 1)[0]
 
 
 class TestBinEdges:
@@ -40,7 +46,7 @@ class TestBinEdges:
     def test_constant_variable_degenerate(self):
         e = fit_bin_edges([_series([7.0, 7.0])], variables=("LAI",))["LAI"]
         assert e.degenerate
-        h = histogram_features(_series([7.0, 7.0]), e)
+        h = _hist([7.0, 7.0], e)
         assert h[0] == 1.0 and h[1:].sum() == 0.0
 
     def test_negative_span(self):
@@ -89,35 +95,64 @@ class TestBinEdges:
         e = BinEdges("LAI", lo, hi, n_bins)
         assert e.bin_of(value) == (histogram_bin(value, lo, hi, n_bins), False)
 
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 12))
+    @example(a=0.0, b=1.0, n_bins=10)  # 0.3 * 10 rounds up to 3.0; 0.3 is in bin 2
+    @example(a=0.0, b=5e-324, n_bins=10)  # width underflows to 0
+    @example(a=0.0, b=3e-323, n_bins=10)  # width rounds to a multiple of the subnormal step
+    @example(a=-1.5e308, b=1.5e308, n_bins=10)  # hi - lo overflows
+    @example(a=math.ldexp(-10, 1020), b=math.ldexp(9, 1020), n_bins=10)  # value - lo overflows too
+    def test_bins_match_bin_of_and_oracle(self, a, b, n_bins):
+        # every exact edge lo + k*(hi-lo)/n, the values within two ulps of
+        # it, and the bin midpoints; those beyond lo or hi are clamped
+        lo, hi = min(a, b), max(a, b)
+        assume(lo < hi)
+        lo_q, span = Fraction(lo), Fraction(hi) - Fraction(lo)
+        values = [float(lo_q + j * span / (2 * n_bins)) for j in range(2 * n_bins + 1)]
+        for k in range(0, 2 * n_bins + 1, 2):
+            for direction in (-math.inf, math.inf):
+                value = values[k]
+                for _ in range(2):
+                    value = math.nextafter(value, direction)
+                    values.append(value)
+        e = BinEdges("LAI", lo, hi, n_bins)
+        got, n_clamped = e.bins(np.array(values))
+        assert got.dtype == np.int64
+        assert list(zip(got.tolist(), (v < lo or v > hi for v in values))) == \
+            [e.bin_of(v) for v in values]
+        assert n_clamped == sum(v < lo or v > hi for v in values)
+        inside = [(k, v) for k, v in zip(got.tolist(), values) if lo <= v <= hi]
+        assert [k for k, _ in inside] == [histogram_bin(v, lo, hi, n_bins) for _, v in inside]
+
 
 class TestHistogramFeatures:
     def test_three_values_three_bins(self):
         e = BinEdges("LAI", 0.0, 10.0)
-        h = histogram_features(_series([0.0, 5.0, 10.0]), e)
+        h = _hist([0.0, 5.0, 10.0], e)
         expect = np.zeros(10)
         expect[[0, 5, 9]] = 1 / 3
         assert np.allclose(h, expect)
 
     def test_single_bin_mass(self):
         e = BinEdges("LAI", 0.0, 10.0)
-        h = histogram_features(_series([1.1, 1.2, 1.9]), e)
+        h = _hist([1.1, 1.2, 1.9], e)
         assert h[1] == 1.0
 
     def test_empty_series_all_zero(self):
         e = BinEdges("LAI", 0.0, 10.0)
-        assert histogram_features(_series([]), e).sum() == 0.0
+        assert _hist([], e).sum() == 0.0
 
     def test_out_of_range_clamped_with_warning(self, caplog):
         e = BinEdges("LAI", 0.0, 10.0)
         with caplog.at_level("WARNING"):
-            h = histogram_features(_series([-3.0, 12.0, 5.0]), e)
+            h = _hist([-3.0, 12.0, 5.0], e)
         assert h[0] == pytest.approx(1 / 3) and h[9] == pytest.approx(1 / 3)
         assert any("clamped" in r.message for r in caplog.records)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=40))
     def test_sums_to_one(self, values):
         e = BinEdges("LAI", -50.0, 50.0)
-        h = histogram_features(_series(values), e)
+        h = _hist(values, e)
         assert abs(h.sum() - 1.0) <= 1e-9
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=30), st.randoms())
@@ -125,8 +160,8 @@ class TestHistogramFeatures:
         e = BinEdges("LAI", -50.0, 50.0)
         shuffled = list(values)
         rnd.shuffle(shuffled)
-        h1 = histogram_features(_series(values), e)
-        h2 = histogram_features(_series(shuffled), e)
+        h1 = _hist(values, e)
+        h2 = _hist(shuffled, e)
         assert np.array_equal(h1, h2)
 
     @given(st.lists(st.integers(-10, 10), min_size=2, max_size=25),
@@ -145,9 +180,9 @@ class TestHistogramFeatures:
         mapped = [scale * v + shift for v in values]
         assume(all(math.isfinite(v) for v in mapped))
         base = fit_bin_edges([_series(values)], variables=("LAI",))["LAI"]
-        h1 = histogram_features(_series(values), base)
+        h1 = _hist(values, base)
         refit = fit_bin_edges([_series(mapped)], variables=("LAI",))["LAI"]
-        h2 = histogram_features(_series(mapped), refit)
+        h2 = _hist(mapped, refit)
         assert np.array_equal(h1, h2)
 
 
@@ -232,6 +267,47 @@ class TestAssembleDataset:
         ds = assemble_dataset(g, self._full_series(g), [_event(lat, lon)], WINDOW)
         assert ds.X[:, 115:].any()
         assert np.array_equal(ds.X[:, 110:115], ds.X[:, 115:] > 0)
+
+    def test_missing_months_normalise_by_available_samples(self, tmp_path):
+        # files source on a 2x2 grid: cell (0,1) has 20 of 24 SSW months and
+        # no LAI rows; cell (5,5) is off the grid, so it gets no row, but its
+        # samples still set the bin edges
+        g = square_grid(2, 2)
+        rng = np.random.default_rng(4)
+        months = [f"{2015 + m // 12}-{m % 12 + 1:02d}-01" for m in range(24)]
+        lines = ["cell_row,cell_col,variable,timestamp,value"]
+        for var in VARIABLES:
+            for cell in ((0, 0), (0, 1), (1, 0), (1, 1), (5, 5)):
+                stamps = months
+                if cell == (0, 1):
+                    stamps = {"LAI": [], "SSW": months[:6] + months[10:]}.get(var, months)
+                for ts in stamps:
+                    value = 150.0 if cell == (5, 5) else rng.uniform(0.0, 100.0)
+                    lines.append(f"{cell[0]},{cell[1]},{var},{ts},{value!r}")
+        p = tmp_path / "series.csv"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        series = parse_series(p, g)
+        edges = fit_bin_edges(series)
+        assert edges["SSW"].hi == edges["LAI"].hi == 150.0
+        ds = assemble_dataset(g, series, [], WINDOW, edges)
+        assert ds.cells.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        ssw_col, lai_col = FEATURE_NAMES.index("SSW1"), FEATURE_NAMES.index("LAI1")
+        ssw = next(s for s in series if s.variable == "SSW")
+        values = ssw.samples[(ssw.cells == [0, 1]).all(axis=1)]
+        assert len(values) == 20
+        counts = np.bincount([histogram_bin(v, edges["SSW"].lo, 150.0, 10)
+                              for v in values.tolist()], minlength=10)
+        got = ds.X[1, ssw_col:ssw_col + 10]
+        assert np.array_equal(got, counts / 20)
+        assert abs(got.sum() - 1.0) <= 1e-12
+        assert not ds.X[1, lai_col:lai_col + 10].any()
+        assert np.allclose(ds.X[[0, 2, 3], lai_col:lai_col + 10].sum(axis=1), 1.0)
+
+    def test_second_record_of_a_variable_rejected(self):
+        g = square_grid(2, 2)
+        series = self._full_series(g)
+        with pytest.raises(InvalidInputError, match="duplicate series for variable LAI"):
+            assemble_dataset(g, series + series[:1], [], WINDOW)
 
     def test_deterministic_row_order(self):
         g = square_grid(3, 4)

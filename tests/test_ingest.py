@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from conftest import square_grid
+from conftest import planted_risk_cells, square_grid, write_series_csv
 from pcrisk.errors import (
     DuplicateTimestampError,
     InvalidInputError,
@@ -12,7 +12,6 @@ from pcrisk.errors import (
 from pcrisk.grid import CellId
 from pcrisk.ingest import (
     VARIABLES,
-    CellSeries,
     ConflictEvent,
     EventSchema,
     KeywordRules,
@@ -21,10 +20,9 @@ from pcrisk.ingest import (
     default_keyword_rules,
     filter_pastoral,
     parse_events,
+    VariableSeries,
     parse_series,
-    planted_risk_cells,
     synth_country,
-    write_series_csv,
 )
 
 WINDOW = Window(dt.date(2015, 1, 1), dt.date(2022, 9, 30))
@@ -124,13 +122,14 @@ class TestParseSeries:
         rows = [f"0,{c},LAI,2015-{m:02d}-01,{m + c}.5" for c in (0, 1) for m in range(1, 13)]
         p = self._series_csv(tmp_path, rows)
         got = parse_series(p)
-        assert len(got) == 2
-        assert all(len(s.samples) == 12 for s in got)
+        assert len(got) == 1
+        assert got[0].cells.tolist() == [[0, 0]] * 12 + [[0, 1]] * 12
+        assert len(got[0].samples) == 24
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         rows = ["0,0,LAI,2015-03-01,3.0", "0,0,LAI,2015-01-01,1.0", "0,0,LAI,2015-02-01,2.0"]
         got = parse_series(self._series_csv(tmp_path, rows))
-        assert [v for _, v in got[0].samples] == [1.0, 2.0, 3.0]
+        assert got[0].samples.tolist() == [1.0, 2.0, 3.0]
 
     def test_duplicate_timestamp_raises(self, tmp_path):
         rows = ["0,0,LAI,2015-01-01,1.0", "0,0,LAI,2015-01-01,2.0"]
@@ -142,9 +141,9 @@ class TestParseSeries:
         rows = ["1,0,LAI,2015-01-01,1.0", "0,0,GRN,2015-01-01,0.5", "0,0,LAI,2015-01-01,2.0",
                 "0,0,GRN,2015-02-01,0.25"]
         got = parse_series(self._series_csv(tmp_path, rows))
-        assert [(s.variable, s.cell) for s in got] == [
-            ("LAI", CellId(0, 0)), ("LAI", CellId(1, 0)), ("GRN", CellId(0, 0))]
-        assert [v for _, v in got[2].samples] == [0.5, 0.25]
+        assert [(s.variable, s.cells.tolist()) for s in got] == [
+            ("LAI", [[0, 0], [1, 0]]), ("GRN", [[0, 0], [0, 0]])]
+        assert got[1].samples.tolist() == [0.5, 0.25]
 
     def test_unknown_variable_rows_skipped_and_counted(self, tmp_path, caplog):
         rows = ["0,0,LAI,2015-01-01,1.0", "0,0,NDVI,2015-01-01,0.5", "0,0,lai,2015-01-01,0.5"]
@@ -160,7 +159,7 @@ class TestParseSeries:
         p.write_text("lat,lon,variable,timestamp,value\n"
                      f"{lat},{lon},LAI,2015-01-01,1.25\n", encoding="utf-8")
         got = parse_series(p, grid=g)
-        assert got[0].cell == CellId(1, 2)
+        assert got[0].cells.tolist() == [[1, 2]]
 
     def test_latlon_layout_without_grid_raises(self, tmp_path):
         p = tmp_path / "series.csv"
@@ -171,14 +170,16 @@ class TestParseSeries:
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
-        series = [CellSeries(CellId(0, c), var,
-                             [(dt.date(2015, m, 1), float(rng.normal())) for m in range(1, 13)])
-                  for var in ("SSW", "RH2M") for c in range(3)]
+        cells = np.repeat([[0, c] for c in range(3)], 12, axis=0)
+        series = [VariableSeries(var, cells, rng.normal(size=len(cells)))
+                  for var in ("SSW", "RH2M")]
         p = tmp_path / "rt.csv"
         write_series_csv(series, p)
         back = parse_series(p)
-        assert [(s.cell, s.variable, s.samples) for s in back] == \
-            [(s.cell, s.variable, s.samples) for s in series]
+        assert [s.variable for s in back] == [s.variable for s in series]
+        for s, b in zip(series, back):
+            assert np.array_equal(b.cells, s.cells)
+            assert b.samples.tobytes() == s.samples.tobytes()
 
 
 class TestSynthCountry:
@@ -187,7 +188,8 @@ class TestSynthCountry:
         s1, e1 = synth_country(9, g, 12)
         s2, e2 = synth_country(9, g, 12)
         assert e1 == e2
-        assert all(a.samples == b.samples for a, b in zip(s1, s2))
+        assert all(a.samples.tobytes() == b.samples.tobytes()
+                   and np.array_equal(a.cells, b.cells) for a, b in zip(s1, s2))
 
     def test_different_seed_differs(self):
         g = square_grid(6, 6)
@@ -203,10 +205,12 @@ class TestSynthCountry:
     def test_all_variables_emitted_and_valid(self):
         g = square_grid(4, 4)
         series, _ = synth_country(5, g, 6)
-        assert {s.variable for s in series} == set(VARIABLES)
+        assert [s.variable for s in series] == list(VARIABLES)
+        cells = np.repeat(np.argwhere(g.mask), 6, axis=0)
         for s in series:
-            s.validate()
-        assert len(series) == g.n_cells * len(VARIABLES)
+            assert np.array_equal(s.cells, cells)
+            assert s.samples.shape == (g.n_cells * 6,)
+            assert np.isfinite(s.samples).all()
 
     def test_planted_or_recovered_on_500_cells(self):
         # Monte Carlo over 200 generator seeds puts the stratum-vs-label

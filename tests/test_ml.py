@@ -375,7 +375,7 @@ class TestSuite:
 
         rows = (EvalRow("A", 1, 1, 0.8, 0.7), EvalRow("B", 1, 1, 0.9, 0.6),
                 EvalRow("C", 1, 1, 0.9, 0.95))
-        assert best_row(EvalReport(rows=rows, split="", seed=0)).classifier == "C"
+        assert best_row(EvalReport(rows=rows)).classifier == "C"
 
     def test_csv_shape(self, small_country, tmp_path):
         _, _, _, _, rows = small_country

@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from layertrace import CLASSIFIER_KINDS  # noqa: E402
+from pcrisk.grid import BBox, build_grid  # noqa: E402
+from pcrisk.ingest import VARIABLES  # noqa: E402
 from workloads import write_files_inputs  # noqa: E402
 
 STAGES = (["build-dataset"], ["test-univariate"], ["learn-tree"],
@@ -47,8 +49,12 @@ def _traced_run(tmp_path, cfg: dict, stages=STAGES) -> dict:
 
 
 def test_traced_pipeline_runs(tmp_path):
-    doc = _traced_run(tmp_path, _demo_config())
-    assert doc["layers"]["features.samples_binned"] > 0
+    cfg = _demo_config()
+    doc = _traced_run(tmp_path, cfg)
+    # build-dataset bins every month of every variable in every masked cell once
+    g = build_grid(BBox(*cfg["bbox"]), cfg["cell_km"], cfg.get("mask_polygon"))
+    n_samples = len(VARIABLES) * int(g.mask.sum()) * cfg["source"]["months"]
+    assert doc["layers"]["features.samples_binned"] == n_samples
 
 
 def test_traced_files_pipeline_reads_series_once(tmp_path):
@@ -59,7 +65,9 @@ def test_traced_files_pipeline_reads_series_once(tmp_path):
                      "series_csv": str(series_csv)}
     layers = _traced_run(tmp_path, cfg)["layers"]
     assert layers["ingest.parse_series.calls"] == 1
-    assert layers["features.samples_binned"] > 0
+    # one sample per data row of the series CSV
+    n_rows = len(series_csv.read_text(encoding="utf-8").splitlines()) - 1
+    assert layers["features.samples_binned"] == n_rows
 
 
 def test_traced_train_suite(tmp_path):
