@@ -125,7 +125,11 @@ def resolve_config(args) -> RunConfig:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with path.open("rb") as fh:
+        while block := fh.read(1 << 20):
+            h.update(block)
+    return h.hexdigest()
 
 
 def _write_manifest(cfg: RunConfig, command: str, outputs: list[Path]) -> None:

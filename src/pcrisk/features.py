@@ -14,10 +14,10 @@ maximum lands in bin 10.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -261,46 +261,101 @@ def to_matrix(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# dataset.csv is a header line, then one line per row: row, col and label,
+# the repr() of each histogram value and each neighbor feature as an
+# integer, comma-separated and unquoted.
 
 _CSV_HEADER = ("row", "col", "label") + FEATURE_NAMES
+_ROW_DTYPE = np.dtype([("head", np.int64, 3), ("hist", np.float64, _N_HIST),
+                       ("counts", np.int64, N_FEATURES - _N_HIST)])
+
+
+def _text(values: np.ndarray, fmt) -> np.ndarray:
+    """fmt(v) for every v of a float64 array, as an object array of its
+    shape. fmt runs once per distinct bit pattern, so -0.0 keeps its sign."""
+    keys, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(fmt, keys.view(np.float64).tolist())), dtype=object)
+    return text[where.reshape(values.shape)]
 
 
 def write_dataset_csv(ds: Dataset, path) -> None:
+    """The header line, then one line per row of ds."""
+    X = np.asarray(ds.X, dtype=np.float64)
+    table = np.empty((len(ds), len(_CSV_HEADER)), dtype=object)
+    table[:, :2] = ds.cells.astype(str)
+    table[:, 2] = ds.y.astype(str)
+    table[:, 3:3 + _N_HIST] = _text(X[:, :_N_HIST], repr)
+    table[:, 3 + _N_HIST:] = _text(X[:, _N_HIST:], lambda v: str(int(v)))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_CSV_HEADER)
-        for (r, c), label, x in zip(ds.cells.tolist(), ds.y.tolist(), ds.X.tolist()):
-            w.writerow([r, c, label, *map(repr, x[:_N_HIST]), *map(int, x[_N_HIST:])])
+        fh.write(",".join(_CSV_HEADER) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in table.tolist())
+
+
+def _parse(lines: list[str], dtype) -> np.ndarray:
+    """The lines as a 1-d array of dtype, parsed in C; floats round as
+    float() rounds them. Blank lines are skipped, without the warning
+    loadtxt gives when every line is blank."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          quotechar=None, ndmin=1)
+
+
+def _parses(text: str, dtype) -> bool:
+    """Whether text is one line holding dtype's fields."""
+    try:
+        return len(_parse([text], dtype)) == 1
+    except ValueError:
+        return False
+
+
+def _fault_at_line(path, lines: list[str]) -> InvalidInputError:
+    """The error naming the first of lines (file line 2 on) that is blank or
+    does not parse on its own, and the field at fault."""
+    for lineno, line in enumerate(lines, start=2):
+        line = line.removesuffix("\r")
+        fields = line.split(",") if line else []
+        if len(fields) != len(_CSV_HEADER):
+            return InvalidInputError(f"{path} line {lineno}: expected "
+                                     f"{len(_CSV_HEADER)} fields, got {len(fields)}")
+        if _parses(line, _ROW_DTYPE):
+            continue
+        for k, (name, field) in enumerate(zip(_CSV_HEADER, fields)):
+            is_float = 3 <= k < 3 + _N_HIST
+            if not _parses(field, np.float64 if is_float else np.int64):
+                return InvalidInputError(f"{path} line {lineno}: {name} {field!r} is not "
+                                         f"{'a number' if is_float else 'a 64-bit integer'}")
+    return InvalidInputError(f"{path}: unreadable dataset")
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Inverse of write_dataset_csv; a malformed row or a non-finite
-    feature raises InvalidInputError naming the file and line."""
-    ints, floats, lines = [], [], []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != _CSV_HEADER:
-            raise InvalidInputError(f"unexpected dataset header in {path}")
-        for rec in reader:
-            lines.append(reader.line_num)
-            if len(rec) != len(_CSV_HEADER):
-                raise InvalidInputError(f"{path} line {reader.line_num}: expected "
-                                        f"{len(_CSV_HEADER)} fields, got {len(rec)}")
-            try:
-                ints.append(list(map(int, rec[:3] + rec[3 + _N_HIST:])))
-                floats.append(list(map(float, rec[3:3 + _N_HIST])))
-            except ValueError as exc:
-                raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
+    """Inverse of write_dataset_csv. The file must be UTF-8 without blank
+    or comment lines; a line may end in CR LF. A malformed line or a
+    non-finite feature raises InvalidInputError naming the file and line."""
+    data = Path(path).read_bytes()
     try:
-        ints = np.array(ints, dtype=np.int64).reshape(-1, 3 + N_FEATURES - _N_HIST)
-    except OverflowError:
-        raise InvalidInputError(f"{path}: integer field out of range") from None
-    hist = np.array(floats).reshape(-1, _N_HIST)
+        header, *lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InvalidInputError(f"{path} line {lineno}: not UTF-8 ({exc.reason})") from None
+    if header.removesuffix("\r").split(",") != list(_CSV_HEADER):
+        raise InvalidInputError(f"unexpected dataset header in {path}")
+    if lines[-1:] == [""]:
+        lines.pop()  # the newline that ends the last line
+    try:
+        rows = _parse(lines, _ROW_DTYPE)
+    except ValueError:
+        rows = None
+    if rows is None or len(rows) != len(lines):  # a blank line was skipped
+        raise _fault_at_line(path, lines)
+    hist = rows["hist"]
     for i, k in np.argwhere(~np.isfinite(hist))[:1]:
-        raise InvalidInputError(f"{path} line {lines[i]}: non-finite "
+        raise InvalidInputError(f"{path} line {i + 2}: non-finite "
                                 f"{HIST_FEATURE_NAMES[k]} {float(hist[i, k])!r}")
-    X = np.hstack([hist, ints[:, 3:]])
-    return Dataset(cells=ints[:, :2], X=X, y=ints[:, 2])
+    head = rows["head"]
+    return Dataset(cells=head[:, :2].copy(), X=np.hstack([hist, rows["counts"]]),
+                   y=head[:, 2].copy())
 
 
 def write_bin_edges_json(edges: dict[str, BinEdges], path) -> None:

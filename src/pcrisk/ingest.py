@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -90,17 +91,55 @@ class VariableSeries:
 
 
 # ---------------------------------------------------------------------------
+# reading CSV files
+
+
+def _read_fault(path: Path, exc: Exception) -> InvalidInputError:
+    """The input fault behind exc, a csv.Error or UnicodeDecodeError met
+    while reading path, naming the first line that is not UTF-8, else the
+    line where the record that csv could not read begins. Files are decoded
+    in blocks, so exc itself does not know the line."""
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return InvalidInputError(f"{path} line {lineno}: not UTF-8 ({bad.reason})")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        start = 1
+        try:
+            for _ in reader:
+                start = reader.line_num + 1
+        except csv.Error as bad:
+            return InvalidInputError(f"{path} line {start}: {bad}")
+    return InvalidInputError(f"{path}: {exc}")
+
+
+@contextmanager
+def _open_csv(path: Path):
+    """path opened for csv reading; a csv.Error or UnicodeDecodeError while
+    it is open becomes an InvalidInputError naming the line."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield fh
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _read_fault(path, exc) from None
+
+
+# ---------------------------------------------------------------------------
 # event parsing and pastoral filtering
 
 
 def parse_events(path, schema: EventSchema = EventSchema()) -> list[ConflictEvent]:
     """Parse a conflict-event CSV.
 
-    Rows with unparseable coordinates or dates are logged and skipped,
-    never silently dropped. A missing mapped column raises SchemaError.
+    Rows with unparseable coordinates or dates, or too few fields, are
+    logged and skipped, never silently dropped. A missing mapped column
+    raises SchemaError.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             log.warning("events file %s is empty", path)
@@ -112,6 +151,8 @@ def parse_events(path, schema: EventSchema = EventSchema()) -> list[ConflictEven
         n_skipped = 0
         for lineno, row in enumerate(reader, start=2):
             try:
+                if row[schema.notes] is None:  # csv.DictReader fills a short row with None
+                    raise ValueError(f"row has no {schema.notes!r} field")
                 events.append(ConflictEvent(
                     date=dt.date.fromisoformat(row[schema.date].strip()),
                     lat=float(row[schema.lat]),
@@ -204,7 +245,7 @@ def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
     values: list[float] = []
     days: dict[str, int] = {}  # timestamp field -> day ordinal
     n_skipped = 0
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         cols = next(reader, [])
         col = {name: i for i, name in enumerate(cols)}

@@ -6,18 +6,22 @@ combinatorial tests, numeric quadrature for distribution tails, and
 exhaustive search for trees and stumps. The scalar stump search, the
 one-pass MLP loss and gradient, and the gradient-on-every-trial descent
 are the earlier library versions of what ml now computes with fewer passes;
-the library must match them bit for bit.
+the library must match them bit for bit. So must the array dataset.csv
+writer and reader match the per-field ones here.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
 
 from pcrisk.errors import NonConvergenceError
+from pcrisk.features import FEATURE_NAMES, HIST_FEATURE_NAMES
 
 TIE = Fraction(1, 10**7)  # relative tie tolerance mirrored by the library
 
@@ -264,3 +268,30 @@ def batch_gd_every_trial(loss_grad, x0, lr: float, epochs: int, tol: float):
     if not math.isfinite(loss):
         raise NonConvergenceError("training diverged", last_loss=loss)
     return x, history
+
+
+# ---------------------------------------------------------------------------
+# dataset.csv, one field at a time
+
+N_HIST = len(HIST_FEATURE_NAMES)
+
+
+def write_dataset_csv_per_field(ds, path) -> None:
+    """dataset.csv through csv.writer: repr() of every histogram value and
+    int() of every neighbor feature, one field at a time."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(("row", "col", "label") + FEATURE_NAMES)
+        for (r, c), label, x in zip(ds.cells.tolist(), ds.y.tolist(), ds.X.tolist()):
+            w.writerow([r, c, label, *map(repr, x[:N_HIST]), *map(int, x[N_HIST:])])
+
+
+def read_dataset_csv_per_field(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, X, y) of a dataset.csv with float() of every histogram field
+    and int() of every other field."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    ints = np.array([[int(v) for v in r[:3] + r[3 + N_HIST:]] for r in rows],
+                    dtype=np.int64).reshape(len(rows), -1)
+    hist = np.array([[float(v) for v in r[3:3 + N_HIST]] for r in rows]).reshape(len(rows), -1)
+    return ints[:, :2], np.hstack([hist, ints[:, 3:]]), ints[:, 2]

@@ -218,6 +218,34 @@ class TestFilesSource:
             cfg = _files_cfg(Path(d), tables["series"], tables["events"])
             assert _run("build-dataset", "--config", cfg, "--out-dir", f"{d}/o") in (0, 3, 4)
 
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.sampled_from(["series", "events", "dataset"]), line=st.integers(0, 200),
+           offset=st.integers(0, 2000), byte=st.sampled_from([b'"', b"\xff", b"\r", b"\n"]))
+    @example(which="series", line=6, offset=0, byte=b"\xff")
+    @example(which="events", line=2, offset=3, byte=b"\xff")
+    @example(which="events", line=1, offset=20, byte=b'"')  # country quoted to the end
+    @example(which="dataset", line=2, offset=0, byte=b"\n")  # an empty line
+    @example(which="dataset", line=2, offset=0, byte=b'"')
+    def test_fuzzed_byte_exits_0_3_or_4(self, which, line, offset, byte):
+        # the byte goes before one byte of one line, never between a line
+        # and its newline, so a damaged dataset.csv never just gains a CR LF
+        with tempfile.TemporaryDirectory() as d:
+            cfg = _files_cfg(Path(d))
+            out = Path(d) / "o"
+            if which == "dataset":
+                assert _run("build-dataset", "--config", cfg, "--out-dir", str(out)) == 0
+            path = out / "dataset.csv" if which == "dataset" else Path(d) / f"{which}.csv"
+            lines = path.read_bytes().split(b"\n")
+            k = line % (len(lines) - 1)  # the file ends in a newline
+            at = offset % len(lines[k])
+            lines[k] = lines[k][:at] + byte + lines[k][at:]
+            path.write_bytes(b"\n".join(lines))
+            if which != "dataset":
+                assert _run("build-dataset", "--config", cfg, "--out-dir", str(out)) in (0, 3, 4)
+                return
+            for command in ("test-univariate", "learn-tree", "eval-hypotheses", "riskmap"):
+                assert _run(command, "--config", cfg, "--out-dir", str(out)) == 3, command
+
 
 def test_every_error_class_maps_to_3_or_4():
     def subclasses(cls):
@@ -277,7 +305,8 @@ class TestPipelineCommands:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("fault", ["short_row", "non_numeric", "non_integer",
-                                       "out_of_range"])
+                                       "out_of_range", "blank_line", "comment_line",
+                                       "unmatched_quote", "bad_utf8"])
     def test_malformed_dataset_usage_error(self, built, capsys, fault):
         cfg, out = built
         path = out / "dataset.csv"
@@ -289,15 +318,21 @@ class TestPipelineCommands:
             fields[10] = "abc"
         elif fault == "non_integer":
             fields[-1] = "2.5"  # NBRC5 is a count
-        else:
+        elif fault == "out_of_range":
             fields[-1] = str(2 ** 64)
+        elif fault == "unmatched_quote":
+            fields[10] = '"' + fields[10]
+        elif fault == "bad_utf8":
+            fields[10] += "\udcff"  # written as the byte 0xff
         lines[2] = ",".join(fields)
-        path.write_text("\n".join(lines) + "\n")
+        if fault == "blank_line":
+            lines.insert(2, "")
+        elif fault == "comment_line":
+            lines.insert(2, "# " + lines[2])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         assert _run("test-univariate", "--config", cfg, "--out-dir", str(out)) == 3
         err = capsys.readouterr().err
-        assert "dataset.csv" in err
-        if fault != "out_of_range":
-            assert "line 3" in err
+        assert "dataset.csv line 3" in err, err
 
     def test_non_finite_dataset_field_exits_3(self, built, capsys):
         cfg, out = built

@@ -1,20 +1,32 @@
 import datetime as dt
+import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import square_grid
-from oracles import histogram_bin, lattice_neighbors
+from oracles import (
+    histogram_bin,
+    lattice_neighbors,
+    read_dataset_csv_per_field,
+    write_dataset_csv_per_field,
+)
+from pcrisk.cli import main as cli_main
 from pcrisk.errors import InvalidInputError, MissingVariableError
 from pcrisk.grid import CellId
 from pcrisk.ingest import VARIABLES, ConflictEvent, VariableSeries, Window, parse_series
 from pcrisk.features import (
     FEATURE_NAMES,
+    HIST_FEATURE_NAMES,
     N_FEATURES,
     BinEdges,
+    Dataset,
     assemble_dataset,
     count_events_per_cell,
     fit_bin_edges,
@@ -318,6 +330,30 @@ class TestAssembleDataset:
         assert d1.cells.tolist() == sorted(d1.cells.tolist())
 
 
+#: floats whose text is easy to get wrong, repeated so tables share values
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e-7)
+_INT64 = (-2 ** 63, 2 ** 63 - 1, 0, 1, -1)
+
+
+@st.composite
+def _datasets(draw):
+    """Tables of 0 to 5 rows: edge-case and random finite histogram values,
+    int64 extremes in row, col and label, and neighbor features that are
+    integers in the int64 range."""
+    n = draw(st.integers(0, 5))
+    hist = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    counts = st.one_of(st.sampled_from((-2.0 ** 63, 2.0 ** 63 - 1024, 0.0, 1.0, 2.0 ** 53 + 2)),
+                       st.integers(-2 ** 53, 2 ** 53).map(float))
+    ints = st.one_of(st.sampled_from(_INT64), st.integers(-2 ** 63, 2 ** 63 - 1))
+    n_hist = len(HIST_FEATURE_NAMES)
+    X = np.hstack([draw(arrays(np.float64, (n, n_hist), elements=hist)),
+                   draw(arrays(np.float64, (n, N_FEATURES - n_hist), elements=counts))])
+    return Dataset(cells=draw(arrays(np.int64, (n, 2), elements=ints)), X=X,
+                   y=draw(arrays(np.int64, (n,), elements=ints)))
+
+
 class TestDatasetCsv:
     def test_roundtrip(self, tmp_path, small_country):
         _, _, _, _, ds = small_country
@@ -326,6 +362,49 @@ class TestDatasetCsv:
         back = read_dataset_csv(p)
         assert np.array_equal(back.cells, ds.cells)
         assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ds=_datasets())
+    def test_writes_per_field_bytes_and_reads_back_the_bits(self, ds):
+        with tempfile.TemporaryDirectory() as d:
+            ours, oracle = Path(d) / "ours.csv", Path(d) / "oracle.csv"
+            write_dataset_csv(ds, ours)
+            write_dataset_csv_per_field(ds, oracle)
+            assert ours.read_bytes() == oracle.read_bytes()
+            back = read_dataset_csv(ours)
+        assert back.X.dtype == np.float64 and back.X.shape == ds.X.shape
+        assert np.array_equal(back.X.view(np.int64), ds.X.view(np.int64))
+        assert np.array_equal(back.cells, ds.cells) and np.array_equal(back.y, ds.y)
+
+    @pytest.mark.parametrize("config, cell_km", [
+        ("demo", 100), ("demo", 75), ("demo", 50), ("demo", 25), ("c10", 100), ("c10", 75)])
+    def test_built_tables_match_per_field_io(self, tmp_path, config, cell_km):
+        # every field of every row of the tables the CLI builds: the parsed
+        # bits are float()'s and int()'s, and writing them again gives the
+        # per-field writer's bytes, which are the file's
+        if config == "demo":
+            doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                              / "synthetic_demo.json").read_text(encoding="utf-8"))
+        else:  # the determinism criterion's config
+            doc = {"country": "Det", "bbox": [0.0, 10.0, 6.2, 17.4],
+                   "window": {"start": "2015-01-01", "end": "2016-06-30"},
+                   "source": {"kind": "synthetic", "months": 18,
+                              "planted": {"odds_ratio": 30.0, "base_rate": 0.1}},
+                   "seed": 13}
+        doc["cell_km"] = cell_km
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["build-dataset", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        built = out / "dataset.csv"
+        ds = read_dataset_csv(built)
+        cells, X, y = read_dataset_csv_per_field(built)
+        assert np.array_equal(ds.X.view(np.int64), X.view(np.int64))
+        assert np.array_equal(ds.cells, cells) and np.array_equal(ds.y, y)
+        write_dataset_csv(ds, tmp_path / "again.csv")
+        write_dataset_csv_per_field(ds, tmp_path / "oracle.csv")
+        assert ((tmp_path / "again.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+                == built.read_bytes())
 
     def test_header_names(self, tmp_path, small_country):
         _, _, _, _, ds = small_country
