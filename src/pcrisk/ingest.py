@@ -97,8 +97,8 @@ class VariableSeries:
 def _read_fault(path: Path, exc: Exception) -> InvalidInputError:
     """The input fault behind exc, a csv.Error or UnicodeDecodeError met
     while reading path, naming the first line that is not UTF-8, else the
-    line where the record that csv could not read begins. Files are decoded
-    in blocks, so exc itself does not know the line."""
+    line where the record that a strict csv reader could not read begins.
+    Files are decoded in blocks, so exc itself does not know the line."""
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -106,7 +106,7 @@ def _read_fault(path: Path, exc: Exception) -> InvalidInputError:
             except UnicodeDecodeError as bad:
                 return InvalidInputError(f"{path} line {lineno}: not UTF-8 ({bad.reason})")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         start = 1
         try:
             for _ in reader:
@@ -119,7 +119,9 @@ def _read_fault(path: Path, exc: Exception) -> InvalidInputError:
 @contextmanager
 def _open_csv(path: Path):
     """path opened for csv reading; a csv.Error or UnicodeDecodeError while
-    it is open becomes an InvalidInputError naming the line."""
+    it is open becomes an InvalidInputError naming the line. Readers of it
+    pass strict=True, so a stray or unclosed quote is such an error rather
+    than a field that runs on over the following lines."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             yield fh
@@ -136,11 +138,12 @@ def parse_events(path, schema: EventSchema = EventSchema()) -> list[ConflictEven
 
     Rows with unparseable coordinates or dates, or too few fields, are
     logged and skipped, never silently dropped. A missing mapped column
-    raises SchemaError.
+    raises SchemaError; quoting that breaks the csv grammar raises
+    InvalidInputError naming the line where its record starts.
     """
     path = Path(path)
     with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, strict=True)
         if reader.fieldnames is None:
             log.warning("events file %s is empty", path)
             return []
@@ -149,7 +152,7 @@ def parse_events(path, schema: EventSchema = EventSchema()) -> list[ConflictEven
                 raise SchemaError(f"events file {path} lacks mapped column {col!r}")
         events = []
         n_skipped = 0
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 if row[schema.notes] is None:  # csv.DictReader fills a short row with None
                     raise ValueError(f"row has no {schema.notes!r} field")
@@ -162,7 +165,7 @@ def parse_events(path, schema: EventSchema = EventSchema()) -> list[ConflictEven
                 ))
             except (ValueError, AttributeError, TypeError) as exc:
                 n_skipped += 1
-                log.warning("skipping %s line %d: %s", path.name, lineno, exc)
+                log.warning("skipping %s line %d: %s", path.name, reader.line_num, exc)
     if not events and n_skipped == 0:
         log.warning("events file %s has a header but no rows", path)
     if n_skipped:
@@ -197,10 +200,31 @@ def default_keyword_rules() -> KeywordRules:
 
 
 def load_keyword_rules(path) -> KeywordRules:
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "include" not in d or not d["include"]:
+    """Rules from a JSON object with a non-empty 'include' list and an
+    optional 'exclude' list of regular expressions; a fault in the file
+    raises SchemaError or InvalidInputError naming the file and the key."""
+    try:
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise InvalidInputError(f"keyword rules {path} is not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise SchemaError(f"keyword rules {path} must hold a JSON object")
+    rules = {}
+    for key in ("include", "exclude"):
+        patterns = d.get(key, [])
+        if not (isinstance(patterns, list) and all(isinstance(p, str) for p in patterns)):
+            raise SchemaError(f"keyword rules {path}: {key!r} must be a list of strings")
+        for p in patterns:
+            try:
+                re.compile(p, re.IGNORECASE)
+            except re.error as exc:
+                raise InvalidInputError(
+                    f"keyword rules {path}: {key!r} pattern {p!r} does not compile ({exc})"
+                ) from None
+        rules[key] = tuple(patterns)
+    if not rules["include"]:
         raise SchemaError(f"keyword rules {path} must define a non-empty 'include' list")
-    return KeywordRules(include=tuple(d["include"]), exclude=tuple(d.get("exclude", ())))
+    return KeywordRules(**rules)
 
 
 def filter_pastoral(events, window: Window, rules: KeywordRules | None = None) -> list[ConflictEvent]:
@@ -246,7 +270,7 @@ def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
     days: dict[str, int] = {}  # timestamp field -> day ordinal
     n_skipped = 0
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         cols = next(reader, [])
         col = {name: i for i, name in enumerate(cols)}
         by_cell_layout = all(c in col for c in _CANONICAL_COLS)

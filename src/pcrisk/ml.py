@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     InsufficientDataError,
@@ -145,9 +144,23 @@ def metrics(scores, labels) -> EvalRow:
     n0 = len(labels) - n1
     if n1 == 0 or n0 == 0:
         return EvalRow("", precision, recall, f1, None)
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     auc = (float(ranks[labels == 1].sum()) - n1 * (n1 + 1) / 2.0) / (n0 * n1)
     return EvalRow("", precision, recall, f1, auc)
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a, ties sharing their mean rank, as rankdata(a) of
+    scipy's stats package gives them: every rank is NaN if a holds a NaN."""
+    if np.isnan(a).any():
+        return np.full(len(a), np.nan)
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], len(s)]
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -245,6 +248,41 @@ class TestFilesSource:
                 return
             for command in ("test-univariate", "learn-tree", "eval-hypotheses", "riskmap"):
                 assert _run(command, "--config", cfg, "--out-dir", str(out)) == 3, command
+
+
+class TestKeywordRulesFile:
+    @pytest.mark.parametrize("text,key", [
+        ('{"include": ["herd"', "not valid JSON"),
+        ("null", "JSON object"),
+        ('{"include": "herd"}', "'include'"),
+        ('{"include": ["herd", 3]}', "'include'"),
+        ('{"include": ["herd"], "exclude": "market"}', "'exclude'"),
+        ('{"include": ["herd("]}', "'include'"),
+        ('{"include": ["herd"], "exclude": ["[market"]}', "'exclude'"),
+    ], ids=["bad_json", "not_object", "include_string", "include_non_string",
+            "exclude_string", "include_bad_regex", "exclude_bad_regex"])
+    def test_fault_exits_3_naming_file_and_key(self, tmp_path, capsys, text, key):
+        rules = tmp_path / "rules.json"
+        rules.write_text(text, encoding="utf-8")
+        cfg = json.loads(Path(_files_cfg(tmp_path)).read_text(encoding="utf-8"))
+        cfg["source"]["keyword_rules"] = str(rules)
+        (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+        assert _run("build-dataset", "--config", str(tmp_path / "config.json"),
+                    "--out-dir", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rules.json" in err and key in err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 1 s of import time in every command
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pcrisk.cli; assert 'scipy.stats' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_error_class_maps_to_3_or_4():

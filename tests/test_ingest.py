@@ -57,6 +57,34 @@ class TestParseEvents:
         assert len(events) == 2
         assert any("skipping" in r.message for r in caplog.records)
 
+    def _twenty_events(self, tmp_path, damage):
+        rows = [f'2016-01-{d:02d},5.1,12.3,Chad,"herders attacked farmers {d}"'
+                for d in range(1, 21)]
+        rows[3] = damage(rows[3])  # file line 5
+        return _events_csv(tmp_path, rows)
+
+    def test_quote_before_country_exits_naming_line(self, tmp_path):
+        # a lax csv reader runs the quoted field on to the end of the file
+        p = self._twenty_events(tmp_path, lambda r: r.replace(",Chad", ',"Chad'))
+        with pytest.raises(InvalidInputError, match="events.csv line 5"):
+            parse_events(p)
+
+    def test_unclosed_notes_quote_exits_naming_line(self, tmp_path):
+        # a lax csv reader merges this event with the next one
+        p = self._twenty_events(tmp_path, lambda r: r[:-1])
+        with pytest.raises(InvalidInputError, match="events.csv line 5"):
+            parse_events(p)
+
+    def test_skip_names_file_line_after_multiline_notes(self, tmp_path, caplog):
+        p = _events_csv(tmp_path, [
+            '2016-01-02,5.1,12.3,Chad,"herders\nattacked\nfarmers"',
+            "2017-03-04,abc,13.0,Chad,dispute over cattle",
+        ])
+        with caplog.at_level("WARNING"):
+            events = parse_events(p)
+        assert len(events) == 1 and events[0].notes == "herders\nattacked\nfarmers"
+        assert any("events.csv line 5:" in r.message for r in caplog.records)
+
     def test_header_only(self, tmp_path, caplog):
         p = _events_csv(tmp_path, [])
         with caplog.at_level("WARNING"):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from oracles import (
     batch_gd_every_trial,
@@ -101,6 +102,23 @@ class TestMetrics:
     def test_single_class_auc_none(self):
         m = metrics([0.9, 0.8], [1, 1])
         assert m.auc is None and m.recall == 1.0
+
+    def test_nan_score_gives_nan_auc(self):
+        # scipy.stats.rankdata propagates a NaN to every rank
+        m = metrics([0.9, math.nan, 0.2, 0.1], [1, 1, 0, 0])
+        assert math.isnan(m.auc)
+
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, -1.0, 5e-324, math.inf,
+                                     -math.inf, 0.1 + 0.2, 0.3]), min_size=1, max_size=60)
+           | st.lists(st.floats(allow_nan=False), min_size=1, max_size=60))
+    @settings(max_examples=200)
+    def test_average_ranks_equal_rankdata(self, values):
+        a = np.array(values)
+        assert ml._average_ranks(a).tobytes() == rankdata(a).tobytes()
+
+    def test_average_ranks_nan_equal_rankdata(self):
+        a = np.array([0.5, math.nan, 0.5, -0.0, 0.0])
+        assert ml._average_ranks(a).tobytes() == rankdata(a).tobytes()
 
     @given(st.lists(st.tuples(st.integers(1, 99), st.integers(0, 1)),
                     min_size=4, max_size=40).filter(

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as sps
 
 from oracles import fisher_p_enumerate, welch_p_quad
 from pcrisk.errors import InsufficientDataError, InvalidInputError, UndefinedTestError
 from pcrisk.features import HIST_FEATURE_NAMES
+from pcrisk import stats
 from pcrisk.stats import (
     ContingencyTable,
     bonferroni,
@@ -78,6 +80,68 @@ class TestWelch:
     def test_ci_brackets_diff(self):
         r = welch_t_test([0.0, 1.0, 2.0], [5.0, 6.0, 9.0])
         assert r.ci_low <= r.diff <= r.ci_high
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestScipyStatsOracle:
+    """p-values and interval bounds equal, bit for bit, what the
+    scipy.stats distribution objects give for the same t, df and alpha."""
+
+    def _check_welch(self, x0, x1):
+        r = welch_t_test(x0, x1)
+        se = math.sqrt(np.var(x0, ddof=1) / len(x0) + np.var(x1, ddof=1) / len(x1))
+        t = r.diff / se
+        p = 1.0 if t == 0.0 else float(2.0 * sps.t.sf(abs(t), r.df))
+        half = float(sps.t.ppf(0.975, r.df)) * se
+        assert _bits(r.p_raw) == _bits(p)
+        assert _bits(r.ci_low) == _bits(r.diff - half)
+        assert _bits(r.ci_high) == _bits(r.diff + half)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_welch_seeded(self, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-50, 50)
+        x0 = rng.normal(0, 1, size=int(rng.integers(2, 400))) * scale
+        x1 = (rng.normal(rng.uniform(-2, 2), rng.uniform(0.01, 5),
+                         size=int(rng.integers(2, 400))) * scale)
+        self._check_welch(x0, x1)
+
+    @pytest.mark.parametrize("x0,x1", [
+        ([0.0, 1.0], [5e-324, 1.0]),                 # t subnormal
+        ([0.0, 1e-60], [1e60, 1e60]),                # t near 1e120, df 1
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),          # t 0
+        (np.arange(50000.0), np.arange(50000.0) + 0.5),  # df near 1e5
+    ])
+    def test_welch_edges(self, x0, x1):
+        self._check_welch(np.asarray(x0), np.asarray(x1))
+
+    @pytest.mark.parametrize("df", [0.0, 5e-324, 0.5, 1.0, 7.3, 1e308, math.inf, math.nan])
+    @pytest.mark.parametrize("t", [0.0, 5e-324, 1.96, 1e300, math.inf, math.nan])
+    def test_t_ufuncs_at_edges(self, t, df):
+        # the identities welch_t_test relies on, at df and t the samples
+        # cannot produce
+        with np.errstate(all="ignore"):
+            assert (_bits(2.0 * stats.special.stdtr(df, -abs(t)))
+                    == _bits(2.0 * sps.t.sf(abs(t), df)))
+            assert _bits(stats.special.stdtrit(df, 0.975)) == _bits(sps.t.ppf(0.975, df))
+
+    @given(st.integers(0, 60), st.integers(0, 60), st.integers(0, 60), st.integers(0, 60),
+           st.floats(1e-12, 1.0, exclude_max=True))
+    @settings(max_examples=200)
+    def test_woolf_bounds(self, a, b, c, d, alpha):
+        t = ContingencyTable(a, b, c, d)
+        if t.total == 0:
+            return
+        lo, hi = woolf_ci(t, alpha)
+        ca, cb, cc, cd = (v + 0.5 for v in t.cells()) if t.has_zero_cell else t.cells()
+        log_or = math.log((ca * cd) / (cb * cc))
+        se = math.sqrt(1 / ca + 1 / cb + 1 / cc + 1 / cd)
+        z = float(sps.norm.ppf(1.0 - alpha / 2.0))
+        assert _bits(lo) == _bits(math.exp(log_or - z * se))
+        assert _bits(hi) == _bits(math.exp(log_or + z * se))
 
 
 class TestBonferroni:
