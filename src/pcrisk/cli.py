@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import hashlib
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features, grid as gridmod, hypotheses, ingest, ml, riskmap, stats
+from .artifacts import read_json, write_json
 from .errors import DegeneratePartitionError, InvalidInputError, PCRiskError, UndefinedTestError
 
 _DEFAULTS = {
@@ -83,10 +83,7 @@ def resolve_config(args) -> RunConfig:
         where = f"config file {cfg_path}"
         if not cfg_path.exists():
             raise InvalidInputError(f"{where} does not exist")
-        try:
-            doc = json.loads(cfg_path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise InvalidInputError(f"{where} is not valid JSON: {exc}") from None
+        doc = read_json(cfg_path, "config file")
         if not isinstance(doc, dict):
             raise InvalidInputError(f"{where} must hold a JSON object")
         raw = _merge(raw, doc)
@@ -145,8 +142,7 @@ def _write_manifest(cfg: RunConfig, command: str, outputs: list[Path]) -> None:
         "inputs": inputs,
         "outputs": sorted(p.name for p in outputs),
     }
-    (cfg.out_dir / "manifest.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(cfg.out_dir / "manifest.json", doc, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +172,11 @@ def _build(cfg: RunConfig, cell_km: float):
     return g, ds, edges
 
 
-def _load_dataset(cfg: RunConfig):
+def _load_dataset(cfg: RunConfig) -> features.Dataset:
     path = cfg.out_dir / "dataset.csv"
-    gj = cfg.out_dir / "grid.json"
     if not path.exists():
         raise InvalidInputError(f"{path} not found; run build-dataset first")
-    ds = features.read_dataset_csv(path)
-    g = gridmod.load_grid(gj) if gj.exists() else None
-    return g, ds
+    return features.read_dataset_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +202,7 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
 
 
 def cmd_test_univariate(cfg: RunConfig) -> int:
-    _, ds = _load_dataset(cfg)
+    ds = _load_dataset(cfg)
     m = cfg.stats.get("bonferroni_m")
     results = stats.run_univariate(ds, m=m)
     out = cfg.out_dir / "univariate.csv"
@@ -222,9 +215,8 @@ def cmd_test_univariate(cfg: RunConfig) -> int:
 
 
 def cmd_learn_tree(cfg: RunConfig) -> int:
-    _, ds = _load_dataset(cfg)
-    params = hypotheses.CartParams(max_depth=cfg.tree["max_depth"], min_leaf=cfg.tree["min_leaf"])
-    tree = hypotheses.train_cart(ds, params)
+    ds = _load_dataset(cfg)
+    tree = hypotheses.train_cart(ds, cfg.tree["max_depth"], cfg.tree["min_leaf"])
     out_json = cfg.out_dir / "tree.json"
     out_dot = cfg.out_dir / "tree.dot"
     hypotheses.save_tree(tree, out_json)
@@ -239,8 +231,8 @@ def cmd_learn_tree(cfg: RunConfig) -> int:
 
 def _golden_check() -> tuple[list, int]:
     """Evaluate the built-in hypotheses on datasets reconstructed from their
-    frozen contingency tables; count mismatches."""
-    report_rows = []
+    frozen contingency tables; the report rows and the mismatch count."""
+    results = []
     n_bad = 0
     for name, bh in hypotheses.builtin_hypotheses().items():
         table, res = hypotheses.evaluate_hypothesis(bh.predicate, hypotheses.golden_dataset(bh))
@@ -253,18 +245,17 @@ def _golden_check() -> tuple[list, int]:
         status = "ok" if ok else "MISMATCH"
         print(f"{name} ({bh.country}): OR {res.odds_ratio:.2f} vs {bh.odds_ratio:.2f}, "
               f"p {res.p:.3g} vs {bh.p:.3g} -> {status}")
-        report_rows.extend(hypotheses.hypothesis_report_rows(
-            [(name, bh.predicate, table, res)], bh.country))
-    return report_rows, n_bad
+        results.append((bh.country, name, table, res))
+    return results, n_bad
 
 
 def cmd_eval_hypotheses(cfg: RunConfig, which: str, golden: bool,
                         only: str | None) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if golden:
-        report_rows, n_bad = _golden_check()
+        results, n_bad = _golden_check()
         out = cfg.out_dir / "hypotheses_golden.csv"
-        hypotheses.write_hypothesis_csv(report_rows, out)
+        hypotheses.write_hypothesis_csv(results, out)
         _write_manifest(cfg, "eval-hypotheses", [out])
         print(f"wrote {out}")
         if n_bad:
@@ -272,7 +263,7 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, golden: bool,
             return 5
         return 0
 
-    _, ds = _load_dataset(cfg)
+    ds = _load_dataset(cfg)
     if which == "builtin":
         named = [(name, bh.predicate) for name, bh in hypotheses.builtin_hypotheses().items()
                  if only is None or name == only]
@@ -283,7 +274,7 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, golden: bool,
         tree = hypotheses.load_tree(tree_path)
         preds = hypotheses.extract_paths(tree, cfg.tree["min_support"], cfg.tree["min_purity"])
         named = [(f"Path{i + 1}", p) for i, p in enumerate(preds)]
-    report_rows = []
+    results = []
     doc = []
     for name, pred in named:
         try:
@@ -291,8 +282,7 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, golden: bool,
         except (DegeneratePartitionError, UndefinedTestError) as exc:
             print(f"{name}: skipped ({exc})")
             continue
-        report_rows.extend(hypotheses.hypothesis_report_rows(
-            [(name, pred, table, res)], cfg.country))
+        results.append((cfg.country, name, table, res))
         doc.append({
             "name": name,
             "conditions": [{"feature": c.feature, "op": c.op, "threshold": c.threshold}
@@ -305,8 +295,8 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, golden: bool,
         print(f"{name}: [{pred.describe()}] OR={res.odds_ratio:.3g} p={res.p:.3g}")
     out_csv = cfg.out_dir / "hypotheses.csv"
     out_json = cfg.out_dir / "hypotheses.json"
-    hypotheses.write_hypothesis_csv(report_rows, out_csv)
-    out_json.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    hypotheses.write_hypothesis_csv(results, out_csv)
+    write_json(out_json, doc, indent=2)
     _write_manifest(cfg, "eval-hypotheses", [out_csv, out_json])
     for p in (out_csv, out_json):
         print(f"wrote {p}")
@@ -338,9 +328,11 @@ def cmd_train_suite(cfg: RunConfig) -> int:
 
 
 def cmd_riskmap(cfg: RunConfig) -> int:
-    g, ds = _load_dataset(cfg)
-    if g is None:
-        raise InvalidInputError("grid.json not found; run build-dataset first")
+    ds = _load_dataset(cfg)
+    grid_path = cfg.out_dir / "grid.json"
+    if not grid_path.exists():
+        raise InvalidInputError(f"{grid_path} not found; run build-dataset first")
+    g = gridmod.load_grid(grid_path)
     spec = ml.ClassifierSpec(kind=cfg.riskmap["model"], seed=cfg.seed)
     model = ml.train(spec, ds)
     scores = ml.predict_proba(model, ds)

@@ -14,7 +14,6 @@ maximum lands in bin 10.
 
 from __future__ import annotations
 
-import json
 import logging
 import sys
 import warnings
@@ -24,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import InvalidInputError, MissingVariableError, OutOfBoundsError
 from .grid import Grid, cell_of, neighbor_offsets
 from .ingest import VARIABLES, ConflictEvent, VariableSeries, Window
@@ -360,5 +360,5 @@ def read_dataset_csv(path) -> Dataset:
 
 def write_bin_edges_json(edges: dict[str, BinEdges], path) -> None:
     d = {var: {"lo": e.lo, "hi": e.hi, "n_bins": e.n_bins} for var, e in edges.items()}
-    Path(path).write_text(json.dumps(d, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(path, d, indent=2)
 

@@ -12,14 +12,13 @@ Grids are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .errors import InvalidInputError, OutOfBoundsError
 
 # arc length of one degree at the mean Earth radius (6371 km)
@@ -223,9 +222,13 @@ def _point_in_polygon(lat: float, lon: float, polygon) -> bool:
 
 
 def save_grid(grid: Grid, path) -> None:
-    Path(path).write_text(json.dumps(grid.to_dict(), sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    write_json(path, grid.to_dict(), indent=2)
 
 
 def load_grid(path) -> Grid:
-    return Grid.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Inverse of save_grid; a damaged file raises InvalidInputError naming it."""
+    doc = read_json(path, "grid")
+    try:
+        return Grid.from_dict(doc)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InvalidInputError(f"grid {path} is malformed ({type(exc).__name__}: {exc})") from None

@@ -15,13 +15,11 @@ across platforms.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_json, write_json, write_table
 from .errors import DegeneratePartitionError, InvalidInputError
 from .features import (
     FEATURE_INDEX,
@@ -99,18 +97,6 @@ class HypothesisPredicate:
         return " and ".join(c.describe() for c in self.conditions)
 
 
-@dataclass(frozen=True)
-class CartParams:
-    max_depth: int | None = 4
-    min_leaf: int = 1
-
-    def validate(self) -> None:
-        if self.max_depth is not None and self.max_depth < 1:
-            raise InvalidInputError("max_depth must be >= 1 or None")
-        if self.min_leaf < 1:
-            raise InvalidInputError("min_leaf must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # CART training
 
@@ -178,40 +164,48 @@ def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
               max_features: int | None = None) -> TreeNode:
     """Greedy CART on a label array in {0, 1}.
 
-    max_features, when set, samples that many candidate feature indices per
-    split (used by random forests); the tie rule applies within the sample.
+    max_depth is None or at least 1, and min_leaf at least 1. max_features,
+    when set, samples that many candidate feature indices per split (used by
+    random forests); the tie rule applies within the sample.
     """
     n, d = X.shape
     if n >= MAX_CART_ROWS:
         raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {n}")
-    node = TreeNode(n_samples=n, n_class1=int(y.sum()))
-    depth_left = None if max_depth is None else max_depth
-    if n < 2 * min_leaf or node.n_class1 in (0, n) or depth_left == 0:
+    if max_depth is not None and max_depth < 1:
+        raise InvalidInputError("max_depth must be >= 1 or None")
+    if min_leaf < 1:
+        raise InvalidInputError("min_leaf must be >= 1")
+
+    def grow(X, y, depth_left) -> TreeNode:
+        n = len(y)
+        node = TreeNode(n_samples=n, n_class1=int(y.sum()))
+        if n < 2 * min_leaf or node.n_class1 in (0, n) or depth_left == 0:
+            return node
+        if max_features is not None and max_features < d:
+            feature_ids = np.sort(rng.choice(d, size=max_features, replace=False))
+        else:
+            feature_ids = np.arange(d)
+        split = _best_split(X, y, min_leaf, feature_ids)
+        if split is None:
+            return node
+        f, thr = split
+        go_left = X[:, f] <= thr
+        child_depth = None if depth_left is None else depth_left - 1
+        node.feature = f
+        node.threshold = thr
+        node.left = grow(X[go_left], y[go_left], child_depth)
+        node.right = grow(X[~go_left], y[~go_left], child_depth)
         return node
-    if max_features is not None and max_features < d:
-        feature_ids = np.sort(rng.choice(d, size=max_features, replace=False))
-    else:
-        feature_ids = np.arange(d)
-    split = _best_split(X, y, min_leaf, feature_ids)
-    if split is None:
-        return node
-    f, thr = split
-    go_left = X[:, f] <= thr
-    child_depth = None if max_depth is None else max_depth - 1
-    node.feature = f
-    node.threshold = thr
-    node.left = grow_tree(X[go_left], y[go_left], child_depth, min_leaf, rng, max_features)
-    node.right = grow_tree(X[~go_left], y[~go_left], child_depth, min_leaf, rng, max_features)
-    return node
+
+    return grow(X, y, max_depth)
 
 
-def train_cart(ds: Dataset, params: CartParams = CartParams()) -> TreeNode:
+def train_cart(ds: Dataset, max_depth: int | None = 4, min_leaf: int = 1) -> TreeNode:
     """CART over a dataset; single-class data yields a single leaf."""
-    params.validate()
     X, y = to_matrix(ds)
     if len(y) == 0:
         raise InvalidInputError("cannot train on an empty dataset")
-    return grow_tree(X, y, params.max_depth, params.min_leaf)
+    return grow_tree(X, y, max_depth, min_leaf)
 
 
 def predict_leaf(node: TreeNode, vector: np.ndarray) -> TreeNode:
@@ -488,41 +482,21 @@ def tree_to_dot(node: TreeNode) -> str:
 
 
 def save_tree(node: TreeNode, path) -> None:
-    Path(path).write_text(json.dumps(tree_to_dict(node), sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    write_json(path, tree_to_dict(node), indent=2)
 
 
 def load_tree(path) -> TreeNode:
-    return tree_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Inverse of save_tree; a damaged file raises InvalidInputError naming it."""
+    doc = read_json(path, "tree")
+    try:
+        return tree_from_dict(doc)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InvalidInputError(f"tree {path} is malformed ({type(exc).__name__}: {exc})") from None
 
 
-def hypothesis_report_rows(named_results, country: str) -> list[dict]:
-    """Rows for the exact-test report: one per (name, predicate, table, result)."""
-    out = []
-    for name, pred, table, res in named_results:
-        out.append({
-            "Country": country,
-            "Hypothesis": name,
-            "Predicate": pred.describe(),
-            "Count S": table.a,
-            "% S": 100.0 * table.a / table.n_in,
-            "Count S̄": table.c,
-            "% S̄": 100.0 * table.c / table.n_out,
-            "Odds Ratio": res.odds_ratio,
-            "95% CI lower": res.ci_low,
-            "95% CI upper": res.ci_high,
-            "P-value": res.p,
-        })
-    return out
-
-
-def write_hypothesis_csv(report_rows: list[dict], path) -> None:
-    cols = ["Country", "Hypothesis", "Count S", "% S", "Count S̄", "% S̄",
-            "Odds Ratio", "95% CI lower", "95% CI upper", "P-value"]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for r in report_rows:
-            w.writerow([r["Country"], r["Hypothesis"], r["Count S"], repr(r["% S"]),
-                        r["Count S̄"], repr(r["% S̄"]), repr(r["Odds Ratio"]),
-                        repr(r["95% CI lower"]), repr(r["95% CI upper"]), repr(r["P-value"])])
+def write_hypothesis_csv(results, path) -> None:
+    """The exact-test report: one row per (country, name, table, result)."""
+    write_table(path, ["Country", "Hypothesis", "Count S", "% S", "Count S̄", "% S̄",
+                       "Odds Ratio", "95% CI lower", "95% CI upper", "P-value"],
+                ([country, name, t.a, 100.0 * t.a / t.n_in, t.c, 100.0 * t.c / t.n_out,
+                  r.odds_ratio, r.ci_low, r.ci_high, r.p] for country, name, t, r in results))

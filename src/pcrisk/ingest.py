@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_json
 from .errors import (
     DuplicateTimestampError,
     InvalidInputError,
@@ -203,10 +204,7 @@ def load_keyword_rules(path) -> KeywordRules:
     """Rules from a JSON object with a non-empty 'include' list and an
     optional 'exclude' list of regular expressions; a fault in the file
     raises SchemaError or InvalidInputError naming the file and the key."""
-    try:
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise InvalidInputError(f"keyword rules {path} is not valid JSON: {exc}") from None
+    d = read_json(path, "keyword rules")
     if not isinstance(d, dict):
         raise SchemaError(f"keyword rules {path} must hold a JSON object")
     rules = {}

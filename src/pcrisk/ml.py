@@ -20,14 +20,12 @@ forward pass; backpropagation runs only for the trial that is accepted.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_json, write_json, write_table
 from .errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -183,6 +181,7 @@ class TreeModel:
         return self
 
     def predict_proba(self, X):
+        _check_dim(X, self.n_features)
         return np.array([predict_leaf(self.root, x).purity for x in X])
 
     def state_dict(self):
@@ -227,6 +226,7 @@ class ForestModel:
         return self
 
     def predict_proba(self, X):
+        _check_dim(X, self.n_features)
         acc = np.zeros(len(X))
         for tree in self.trees:
             acc += np.array([predict_leaf(tree, x).purity for x in X])
@@ -278,6 +278,7 @@ class AdaBoostModel:
         return self
 
     def predict_proba(self, X):
+        _check_dim(X, self.n_features)
         vote = np.zeros(len(X))
         total = sum(self.alphas)
         for (f, thr, pol), alpha in zip(self.stumps, self.alphas):
@@ -718,16 +719,22 @@ def predict_proba(model, ds: Dataset) -> np.ndarray:
 def save_model(model, spec: ClassifierSpec, path) -> None:
     doc = {"kind": spec.kind, "hyperparams": _jsonable(spec.resolved()),
            "seed": spec.seed, "state": model.state_dict()}
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def load_model(path):
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    spec = ClassifierSpec(kind=doc["kind"],
-                          hyperparams=_tupled(doc["kind"], doc["hyperparams"]),
-                          seed=doc["seed"])
-    model = _new_model(spec)
-    model.load_state(doc["state"])
+    """(model, spec) saved by save_model; a damaged file raises
+    InvalidInputError naming it."""
+    doc = read_json(path, "model")
+    try:
+        spec = ClassifierSpec(kind=doc["kind"],
+                              hyperparams=_tupled(doc["kind"], doc["hyperparams"]),
+                              seed=doc["seed"])
+        model = _new_model(spec)
+        model.load_state(doc["state"])
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InvalidInputError(
+            f"model {path} is malformed ({type(exc).__name__}: {exc})") from None
     return model, spec
 
 
@@ -767,20 +774,13 @@ def best_row(report: EvalReport) -> EvalRow:
 
 
 def write_suite_csv(report: EvalReport, path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["Classifier", "Precision", "Recall", "F1-Score", "AUC"])
-        for r in report.rows:
-            w.writerow([r.classifier, repr(r.precision), repr(r.recall), repr(r.f1),
-                        "NA" if r.auc is None else repr(r.auc)])
+    write_table(path, ["Classifier", "Precision", "Recall", "F1-Score", "AUC"],
+                ([r.classifier, r.precision, r.recall, r.f1, r.auc] for r in report.rows))
 
 
 def write_best_summary_csv(country: str, best: list[tuple[float, EvalRow]], path) -> None:
     """One row per (granularity in km, best suite row)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["Country", "Granularity km", "Best Classifier", "Precision",
-                    "Recall", "F1-Score", "AUC"])
-        for km, b in best:
-            w.writerow([country, f"{km:g}", b.classifier, repr(b.precision),
-                        repr(b.recall), repr(b.f1), "NA" if b.auc is None else repr(b.auc)])
+    write_table(path, ["Country", "Granularity km", "Best Classifier", "Precision",
+                       "Recall", "F1-Score", "AUC"],
+                ([country, f"{km:g}", b.classifier, b.precision, b.recall, b.f1, b.auc]
+                 for km, b in best))

@@ -6,13 +6,12 @@ Rendering is a pure function of the surface, so reruns are byte-identical.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json, write_table
 from .errors import InvalidInputError, ValidationError
 from .grid import Grid
 
@@ -91,7 +90,7 @@ def render_geojson(surface: RiskSurface, path) -> None:
         "properties": {"model_id": surface.model_id, "cell_km": g.cell_km},
         "features": features,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def render_pgm(surface: RiskSurface, path) -> None:
@@ -108,8 +107,5 @@ def render_csv(surface: RiskSurface, path) -> None:
     """row,col,risk for every masked cell."""
     surface.validate()
     g = surface.grid
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["row", "col", "risk"])
-        for cell in g.masked_cells():
-            w.writerow([cell.row, cell.col, repr(float(surface.values[cell.row, cell.col]))])
+    write_table(path, ["row", "col", "risk"],
+                ([c.row, c.col, surface.values[c.row, c.col]] for c in g.masked_cells()))

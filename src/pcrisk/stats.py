@@ -10,14 +10,13 @@ confidence intervals.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy import special  # not scipy's stats package, which takes about 1 s to import
 
+from .artifacts import write_table
 from .errors import InsufficientDataError, InvalidInputError, UndefinedTestError
 from .features import HIST_FEATURE_NAMES, FEATURE_INDEX, Dataset, to_matrix
 
@@ -115,8 +114,18 @@ def welch_t_test(x0, x1, variable: str = "") -> MeanDiffResult:
         return MeanDiffResult(variable=variable, diff=diff, ci_low=diff, ci_high=diff,
                               p_raw=p, p_bonferroni=p, df=float(n0 + n1 - 2),
                               degenerate=True)
-    se2 = v0 / n0 + v1 / n1
-    df = se2 ** 2 / ((v0 / n0) ** 2 / (n0 - 1) + (v1 / n1) ** 2 / (n1 - 1))
+    s0, s1 = v0 / n0, v1 / n1
+    se2 = s0 + s1
+    try:
+        df = se2 ** 2 / (s0 ** 2 / (n0 - 1) + s1 ** 2 / (n1 - 1))
+    except (OverflowError, ZeroDivisionError):
+        df = math.nan
+    if not math.isfinite(df):
+        # a square overflowed or both underflowed; df is unchanged when both
+        # terms are divided by the larger one, which keeps every square <= 4
+        m = max(s0, s1)
+        a, b = s0 / m, s1 / m
+        df = (a + b) ** 2 / (a ** 2 / (n0 - 1) + b ** 2 / (n1 - 1))
     se = math.sqrt(se2)
     t = diff / se
     p = 1.0 if t == 0.0 else float(2.0 * special.stdtr(df, -abs(t)))
@@ -226,10 +235,6 @@ def _maybe_corrected_cells(t: ContingencyTable) -> tuple[float, float, float, fl
 
 
 def write_univariate_csv(results: list[MeanDiffResult], path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["Variable", "Difference in mean", "95% CI lower",
-                    "95% CI upper", "Bonferroni P-value"])
-        for r in results:
-            w.writerow([r.variable, repr(r.diff), repr(r.ci_low),
-                        repr(r.ci_high), repr(r.p_bonferroni)])
+    write_table(path, ["Variable", "Difference in mean", "95% CI lower", "95% CI upper",
+                       "Bonferroni P-value"],
+                ([r.variable, r.diff, r.ci_low, r.ci_high, r.p_bonferroni] for r in results))

@@ -327,6 +327,34 @@ class TestPipelineCommands:
         assert not (out / "tree.json").exists()
         assert _run("eval-hypotheses", "--config", cfg, "--out-dir", str(out)) == 3
 
+    def test_only_riskmap_reads_grid(self, built, capsys):
+        cfg, out = built
+        path = out / "grid.json"
+        path.write_bytes(path.read_bytes()[:40])
+        for command in ("test-univariate", "learn-tree", "eval-hypotheses"):
+            assert _run(command, "--config", cfg, "--out-dir", str(out)) == 0, command
+        capsys.readouterr()
+        assert _run("riskmap", "--config", cfg, "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "grid.json is not valid JSON" in err, err
+        path.unlink()
+        assert _run("riskmap", "--config", cfg, "--out-dir", str(out)) == 3
+        assert "grid.json not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"n_samples": 3}',
+        json.dumps({"n_samples": 4, "n_class1": 2, "feature": "XX", "threshold": 0.5,
+                    "left": {"n_samples": 2, "n_class1": 0},
+                    "right": {"n_samples": 2, "n_class1": 2}}),
+        "not json",
+    ], ids=["missing_key", "unknown_feature", "not_json"])
+    def test_damaged_tree_exits_3(self, built, capsys, text):
+        cfg, out = built
+        (out / "tree.json").write_text(text, encoding="utf-8")
+        assert _run("eval-hypotheses", "--config", cfg, "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: tree ") and "tree.json" in err, err
+
     def test_golden_mode_passes_without_dataset(self, tmp_path):
         cfg = _cfg(tmp_path)
         out = tmp_path / "golden"

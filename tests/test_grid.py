@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -153,6 +154,15 @@ class TestSerialization:
         assert (g2.n_rows, g2.n_cols, g2.cell_km) == (g.n_rows, g.n_cols, g.cell_km)
         assert (g2.mask == g.mask).all()
         assert g2.origin_lat == g.origin_lat and g2.anchor_lat == g.anchor_lat
+
+    @pytest.mark.parametrize("doc", [{"n_rows": 2}, [], dict(
+        origin_lat=0.0, origin_lon=0.0, anchor_lat=1.0, cell_km=50.0, n_rows=2, n_cols=2,
+        mask=[1, 0, 1])], ids=["missing_key", "not_object", "short_mask"])
+    def test_damaged_file_names_it(self, tmp_path, doc):
+        p = tmp_path / "grid.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="grid .*grid.json is malformed"):
+            load_grid(p)
 
     def test_projection_inverse_consistency(self):
         g = square_grid(4, 5)

@@ -6,7 +6,6 @@ from pcrisk.errors import DegeneratePartitionError, InvalidInputError
 from pcrisk.features import FEATURE_NAMES, Dataset, to_matrix
 from pcrisk import hypotheses
 from pcrisk.hypotheses import (
-    CartParams,
     Condition,
     HypothesisPredicate,
     builtin_hypotheses,
@@ -86,8 +85,13 @@ class TestTrainCart:
         assert tree_to_dict(t1) == tree_to_dict(t2)
 
     def test_bad_params(self):
-        with pytest.raises(InvalidInputError):
-            CartParams(max_depth=0).validate()
+        X = np.arange(8.0)[:, None]
+        y = (X[:, 0] > 3).astype(int)
+        for max_depth, min_leaf in [(0, 1), (-1, 1), (4, 0)]:
+            with pytest.raises(InvalidInputError):
+                grow_tree(X, y, max_depth, min_leaf)
+            with pytest.raises(InvalidInputError):
+                train_cart(_rows_from_xy(X, y), max_depth, min_leaf)
 
     def test_sampled_features_split_matches_oracle(self):
         # the split search on a random-forest-style feature sample picks
@@ -152,7 +156,7 @@ class TestExtractPaths:
         X = np.round(rng.random((60, 5)), 2)
         y = (X[:, 0] + 0.3 * rng.random(60) > 0.7).astype(int)
         rows = _rows_from_xy(X, y)
-        tree = train_cart(rows, CartParams(max_depth=3, min_leaf=2))
+        tree = train_cart(rows, max_depth=3, min_leaf=2)
         Xm, ym = to_matrix(rows)
         for pred in extract_paths(tree, min_support=1, min_purity=0.0):
             member = np.array([pred.matches(Xm[i]) for i in range(len(rows))])

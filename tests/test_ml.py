@@ -229,6 +229,22 @@ class TestModels:
             hist = np.array(model.loss_history)
             assert (np.diff(hist) <= 1e-12).all(), kind
 
+    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+    def test_feature_count_checked(self, kind):
+        X, y = _blobs(60, seed=1)
+        model = train(ClassifierSpec(kind, seed=0), _rows(X, y))
+        for width in (5, 240):
+            with pytest.raises(InvalidInputError, match=f"expects 120 features, got {width}"):
+                model.predict_proba(np.full((3, width), 0.5))
+
+    @pytest.mark.parametrize("kind", ["DecisionTree", "RandomForest"])
+    @pytest.mark.parametrize("hp", [{"max_depth": -1}, {"max_depth": 0}, {"min_leaf": 0}],
+                             ids=["max_depth_-1", "max_depth_0", "min_leaf_0"])
+    def test_bad_tree_hyperparams_rejected(self, kind, hp):
+        X, y = _blobs(40)
+        with pytest.raises(InvalidInputError):
+            train(ClassifierSpec(kind, hp, seed=0), _rows(X, y))
+
     def test_unknown_kind_and_hyperparam(self):
         with pytest.raises(InvalidInputError):
             ClassifierSpec("SVC").resolved()
@@ -433,3 +449,13 @@ class TestSerialization:
             back, spec2 = load_model(p)
             assert spec2.kind == kind
             assert np.allclose(predict_proba(back, rows), predict_proba(model, rows))
+
+    @pytest.mark.parametrize("text", ['{"kind": "DecisionTree"}', '[1, 2]',
+                                      '{"kind": "GaussianNB", "hyperparams": {}, "seed": 0, '
+                                      '"state": {"theta": "x"}}', '{"kind": '],
+                             ids=["missing_key", "not_object", "bad_state", "truncated"])
+    def test_damaged_file_names_it(self, tmp_path, text):
+        p = tmp_path / "model.json"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="model .*model.json"):
+            load_model(p)

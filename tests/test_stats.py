@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,26 @@ class TestWelch:
     def test_ci_brackets_diff(self):
         r = welch_t_test([0.0, 1.0, 2.0], [5.0, 6.0, 9.0])
         assert r.ci_low <= r.diff <= r.ci_high
+
+    @pytest.mark.parametrize("seed", [8, 11, 13, 29, 30, 31, 36])
+    def test_df_at_extreme_scales(self, seed):
+        # each class scaled by its own 10**U(-100, 100); for these seeds the
+        # squares in the plain df formula overflow
+        rng = np.random.default_rng(seed)
+        x0 = rng.normal(size=20) * 10.0 ** rng.uniform(-100, 100)
+        x1 = rng.normal(size=25) * 10.0 ** rng.uniform(-100, 100)
+        r = welch_t_test(x0, x1)
+        s0 = Fraction(float(np.var(x0, ddof=1))) / 20
+        s1 = Fraction(float(np.var(x1, ddof=1))) / 25
+        want = (s0 + s1) ** 2 / (s0 ** 2 / 19 + s1 ** 2 / 24)
+        assert r.df == pytest.approx(float(want), rel=1e-12)
+        assert 0.0 <= r.p_raw <= 1.0
+
+    def test_df_when_squares_underflow(self):
+        # (v / n) ** 2 is 0 for both classes; the exact df is 39.2513816361200...
+        rng = np.random.default_rng(0)
+        r = welch_t_test(rng.normal(size=20) * 1e-100, rng.normal(size=25) * 1e-100)
+        assert r.df == pytest.approx(39.25138163612008, rel=1e-12)
 
 
 def _bits(x: float) -> bytes:
