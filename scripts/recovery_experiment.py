@@ -18,9 +18,9 @@ import tempfile
 from pathlib import Path
 
 from pcrisk.cli import main as pcrisk_main
+from pcrisk.grid import KM_PER_DEG
 
 CELL_KM = 100.0
-KM_PER_DEG = 111.19492664455873
 
 
 def run_one(seed: int, n_rows: int, n_cols: int, odds_ratio: float,

@@ -7,7 +7,7 @@ hypothesis evaluation, an eight-classifier benchmark, and risk-map export.
 
 __version__ = "0.1.0"
 
-from .grid import BBox, CellId, Grid, build_grid, cell_of  # noqa: F401
+from .grid import BBox, Grid, build_grid, cell_of  # noqa: F401
 from .ingest import (  # noqa: F401
     VARIABLES,
     ConflictEvent,

@@ -33,10 +33,12 @@ def write_json(path, doc, indent: int | None = None) -> None:
 
 
 def read_json(path, what: str):
-    """The JSON document in path. A file that is not UTF-8 JSON raises
-    InvalidInputError naming `what` and the path."""
+    """The JSON document in path. A file that cannot be read or is not
+    UTF-8 JSON raises InvalidInputError naming `what` and the path."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, say
+        raise InvalidInputError(f"{what} {path} cannot be read ({exc.strerror or exc})") from None
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise InvalidInputError(f"{what} {path} is not valid JSON: {exc}") from None
 

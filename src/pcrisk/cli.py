@@ -10,6 +10,7 @@ config and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import hashlib
 import sys
@@ -71,8 +72,57 @@ def _convert(where: str, key: str, value, convert):
     where the config came from and the key."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{where}: bad {key} {value!r} ({exc})") from None
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
+#: converters of the values in each config section; a key not listed here
+#: passes through as it is, except in the source's sub-objects
+_SECTIONS = {
+    "source": {"kind": _text, "months": _optional(_integer), "events_csv": _text,
+               "series_csv": _text, "keyword_rules": _text},
+    "tree": {"max_depth": _optional(_integer), "min_leaf": _integer, "min_support": _integer,
+             "min_purity": float},
+    "ml": {"test_fraction": float},
+    "stats": {"bonferroni_m": _optional(_integer)},
+    "riskmap": {"model": _text},
+}
+#: converters of the keys of the source's sub-objects: the fields, all with a
+#: str or float default, of the records they become; no other key is allowed
+_SOURCE_RECORDS = {key: {f.name: _text if isinstance(f.default, str) else float
+                         for f in dataclasses.fields(record)}
+                   for key, record in (("planted", ingest.PlantedEffect),
+                                       ("event_schema", ingest.EventSchema))}
+
+
+def _section(where: str, key: str, doc, converters: dict, strict: bool = False) -> dict:
+    """A copy of the config object doc found at key, its values converted;
+    strict rejects keys that converters does not name."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{where}: {key} must be a JSON object, got {doc!r}")
+    out = dict(doc)
+    for name, value in doc.items():
+        if name in converters:
+            out[name] = _convert(where, f"{key}.{name}", value, converters[name])
+        elif strict:
+            raise InvalidInputError(f"{where}: unknown key {key}.{name}")
+    return out
 
 
 def resolve_config(args) -> RunConfig:
@@ -93,7 +143,11 @@ def resolve_config(args) -> RunConfig:
         raw["cell_km"] = float(args.cell_km)
     if raw["seed"] is None:
         raise InvalidInputError("a seed is required: set it in the config or pass --seed")
-    src = dict(raw["source"])
+    sections = {key: _section(where, key, raw[key], conv) for key, conv in _SECTIONS.items()}
+    src = sections["source"]
+    for key, converters in _SOURCE_RECORDS.items():
+        if src.get(key) is not None:
+            src[key] = _section(where, f"source.{key}", src[key], converters, strict=True)
     if src.get("kind") == "files":
         for key in ("events_csv", "series_csv"):
             if key not in src:
@@ -116,9 +170,9 @@ def resolve_config(args) -> RunConfig:
         cell_km=_convert(where, "cell_km", raw["cell_km"], float),
         granularities=_convert(where, "granularities", raw["granularities"],
                                lambda gs: tuple(float(g) for g in gs)),
-        window=window, seed=_convert(where, "seed", raw["seed"], int), source=src,
-        tree=raw["tree"], ml=raw["ml"], stats=raw["stats"], riskmap=raw["riskmap"],
-        out_dir=out_dir, raw=raw)
+        window=window, seed=_convert(where, "seed", raw["seed"], _integer), source=src,
+        tree=sections["tree"], ml=sections["ml"], stats=sections["stats"],
+        riskmap=sections["riskmap"], out_dir=out_dir, raw=raw)
 
 
 def _sha256(path: Path) -> str:
@@ -159,7 +213,7 @@ def _build(cfg: RunConfig, cell_km: float):
         series, events = ingest.synth_country(
             cfg.seed, g, months, planted, start=cfg.window.start, country=cfg.country)
     elif src["kind"] == "files":
-        schema = ingest.EventSchema(**src.get("event_schema", {}))
+        schema = ingest.EventSchema(**(src.get("event_schema") or {}))
         events = ingest.parse_events(src["events_csv"], schema)
         rules = (ingest.load_keyword_rules(src["keyword_rules"])
                  if "keyword_rules" in src else ingest.default_keyword_rules())

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json
-from .errors import InvalidInputError, MissingVariableError, OutOfBoundsError
+from .errors import InvalidInputError, MissingVariableError
 from .grid import Grid, cell_of, neighbor_offsets
 from .ingest import VARIABLES, ConflictEvent, VariableSeries, Window
 
@@ -175,20 +175,12 @@ def count_events_per_cell(grid: Grid, events: list[ConflictEvent],
     """Events per cell within the window; events outside the grid or the
     country mask are logged and skipped."""
     window.validate()
+    kept = [ev for ev in events if window.contains(ev.date)]
+    row, col = cell_of(grid, [ev.lat for ev in kept], [ev.lon for ev in kept]).T
+    on_mask = (row >= 0) & grid.mask[row, col]  # mask[-1, -1] is a real cell: row >= 0 drops it
     counts = np.zeros((grid.n_rows, grid.n_cols), dtype=int)
-    n_skipped = 0
-    for ev in events:
-        if not window.contains(ev.date):
-            continue
-        try:
-            cell = cell_of(grid, ev.lat, ev.lon)
-        except OutOfBoundsError:
-            n_skipped += 1
-            continue
-        if not grid.mask[cell.row, cell.col]:
-            n_skipped += 1
-            continue
-        counts[cell.row, cell.col] += 1
+    np.add.at(counts, (row[on_mask], col[on_mask]), 1)
+    n_skipped = len(kept) - int(np.count_nonzero(on_mask))
     if n_skipped:
         log.warning("skipped %d event(s) outside the grid or country mask", n_skipped)
     return counts

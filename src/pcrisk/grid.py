@@ -5,7 +5,8 @@ length (50/75/100 km by default, any positive edge via config) using an
 equirectangular projection anchored at the bbox center. Cells are addressed
 by (row, col): row 0 sits on the southern edge and grows northward, col 0
 on the western edge and grows eastward. Cells are half-open in both axes,
-so a point on a shared boundary belongs to the higher-index cell.
+so a point on a shared boundary belongs to the higher-index cell. Cells are
+int (row, col) pairs in the last axis of an array; (-1, -1) is no cell.
 
 Grids are immutable after construction and safe to share across workers.
 """
@@ -13,7 +14,7 @@ Grids are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -26,12 +27,6 @@ KM_PER_DEG = math.pi * 6371.0 / 180.0
 
 # slack (in cells) absorbing float round-off at cell boundaries
 _EDGE_EPS = 1e-9
-
-
-@dataclass(frozen=True, order=True)
-class CellId:
-    row: int
-    col: int
 
 
 @dataclass(frozen=True)
@@ -93,32 +88,15 @@ class Grid:
     def n_cells(self) -> int:
         return self.n_rows * self.n_cols
 
-    def contains(self, c: CellId) -> bool:
-        return 0 <= c.row < self.n_rows and 0 <= c.col < self.n_cols
-
-    def cells(self):
-        """All cells in row-major order."""
-        for r in range(self.n_rows):
-            for c in range(self.n_cols):
-                yield CellId(r, c)
-
-    def masked_cells(self):
-        """Cells inside the country mask, row-major order."""
-        for c in self.cells():
-            if self.mask[c.row, c.col]:
-                yield c
-
-    def cell_bounds(self, c: CellId) -> tuple[float, float, float, float]:
-        """(lat_south, lon_west, lat_north, lon_east) of a cell."""
-        if not self.contains(c):
-            raise OutOfBoundsError(f"cell {c} outside grid")
-        lat_s = self.origin_lat + c.row * self.deg_per_cell_lat
-        lon_w = self.origin_lon + c.col * self.deg_per_cell_lon
+    def cell_bounds(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lat_south, lon_west, lat_north, lon_east) arrays of (..., 2) cells."""
+        row, col = np.moveaxis(np.asarray(cells), -1, 0)
+        off = ~((0 <= row) & (row < self.n_rows) & (0 <= col) & (col < self.n_cols))
+        if off.any():
+            raise OutOfBoundsError(f"cell ({row[off][0]}, {col[off][0]}) outside grid")
+        lat_s = self.origin_lat + row * self.deg_per_cell_lat
+        lon_w = self.origin_lon + col * self.deg_per_cell_lon
         return (lat_s, lon_w, lat_s + self.deg_per_cell_lat, lon_w + self.deg_per_cell_lon)
-
-    def cell_center(self, c: CellId) -> tuple[float, float]:
-        lat_s, lon_w, lat_n, lon_e = self.cell_bounds(c)
-        return (0.5 * (lat_s + lat_n), 0.5 * (lon_w + lon_e))
 
     def to_dict(self) -> dict:
         return {
@@ -169,28 +147,31 @@ def build_grid(bbox: BBox, cell_km: float, mask_polygon=None) -> Grid:
         n_cols=n_cols,
         mask=np.ones((n_rows, n_cols), dtype=bool),
     )
-    if mask_polygon is not None:
-        mask = np.zeros((n_rows, n_cols), dtype=bool)
-        for c in grid.cells():
-            mask[c.row, c.col] = _point_in_polygon(*grid.cell_center(c), mask_polygon)
-        grid = Grid(grid.origin_lat, grid.origin_lon, grid.anchor_lat,
-                    grid.cell_km, grid.n_rows, grid.n_cols, mask)
-    return grid
+    if mask_polygon is None:
+        return grid
+    try:
+        polygon = np.asarray(mask_polygon, dtype=np.float64)
+    except (TypeError, ValueError):
+        polygon = np.empty(0)
+    if polygon.shape[1:] != (2,) or len(polygon) < 3:
+        raise InvalidInputError(f"mask_polygon needs 3 or more (lat, lon) pairs: {mask_polygon!r}")
+    lat_s, lon_w, lat_n, lon_e = grid.cell_bounds(np.moveaxis(np.indices(grid.mask.shape), 0, -1))
+    return replace(grid, mask=_in_polygon(0.5 * (lat_s + lat_n), 0.5 * (lon_w + lon_e), polygon))
 
 
-def cell_of(grid: Grid, lat: float, lon: float) -> CellId:
-    """Cell containing a point; boundary points go to the higher-index cell.
+def cell_of(grid: Grid, lat, lon) -> np.ndarray:
+    """The (row, col) of the cell holding each point, as an int64 array of
+    shape (..., 2); boundary points go to the higher-index cell.
 
     Total on the grid's bbox: the far north/east edges map into the last
-    row/column.
+    row/column. A point outside it, or with a NaN coordinate, gets (-1, -1).
     """
-    fr = (lat - grid.origin_lat) / grid.deg_per_cell_lat + _EDGE_EPS
-    fc = (lon - grid.origin_lon) / grid.deg_per_cell_lon + _EDGE_EPS
-    if not (0 <= fr <= grid.n_rows + _EDGE_EPS and 0 <= fc <= grid.n_cols + _EDGE_EPS):
-        raise OutOfBoundsError(f"point ({lat}, {lon}) outside grid bbox")
-    row = min(int(fr), grid.n_rows - 1)
-    col = min(int(fc), grid.n_cols - 1)
-    return CellId(row, col)
+    fr = (np.asarray(lat, dtype=np.float64) - grid.origin_lat) / grid.deg_per_cell_lat + _EDGE_EPS
+    fc = (np.asarray(lon, dtype=np.float64) - grid.origin_lon) / grid.deg_per_cell_lon + _EDGE_EPS
+    inside = ((0 <= fr) & (fr <= grid.n_rows + _EDGE_EPS)
+              & (0 <= fc) & (fc <= grid.n_cols + _EDGE_EPS))
+    cells = np.stack([np.minimum(fr, grid.n_rows - 1), np.minimum(fc, grid.n_cols - 1)], axis=-1)
+    return np.where(inside[..., None], cells, -1).astype(np.int64)  # floors, as fr, fc >= 0
 
 
 @lru_cache(maxsize=None)
@@ -207,17 +188,13 @@ def neighbor_offsets(j: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(offs))
 
 
-def _point_in_polygon(lat: float, lon: float, polygon) -> bool:
-    """Ray-casting point-in-polygon test on (lat, lon) vertices."""
-    inside = False
-    n = len(polygon)
-    for i in range(n):
-        la1, lo1 = polygon[i]
-        la2, lo2 = polygon[(i + 1) % n]
-        if (lo1 > lon) != (lo2 > lon):
+def _in_polygon(lat: np.ndarray, lon: np.ndarray, polygon: np.ndarray) -> np.ndarray:
+    """Ray-casting test of every (lat, lon) point against a (k, 2) polygon."""
+    inside = np.zeros(np.shape(lat), dtype=bool)
+    for (la1, lo1), (la2, lo2) in zip(polygon.tolist(), np.roll(polygon, -1, axis=0).tolist()):
+        if lo1 != lo2:  # no ray crosses an edge of constant longitude
             t = (lon - lo1) / (lo2 - lo1)
-            if lat < la1 + t * (la2 - la1):
-                inside = not inside
+            inside ^= ((lo1 > lon) != (lo2 > lon)) & (lat < la1 + t * (la2 - la1))
     return inside
 
 

@@ -90,9 +90,6 @@ class HypothesisPredicate:
             out &= c.holds(X[..., FEATURE_INDEX[c.feature]])
         return out[()]
 
-    def features(self) -> tuple:
-        return tuple(c.feature for c in self.conditions)
-
     def describe(self) -> str:
         return " and ".join(c.describe() for c in self.conditions)
 

@@ -27,6 +27,7 @@ from .artifacts import read_json
 from .errors import (
     DuplicateTimestampError,
     InvalidInputError,
+    OutOfBoundsError,
     SchemaError,
 )
 from .grid import Grid, cell_of
@@ -66,7 +67,6 @@ class ConflictEvent:
     lon: float
     country: str
     notes: str
-    is_pastoral: bool = False
 
 
 @dataclass(frozen=True)
@@ -226,21 +226,14 @@ def load_keyword_rules(path) -> KeywordRules:
 
 
 def filter_pastoral(events, window: Window, rules: KeywordRules | None = None) -> list[ConflictEvent]:
-    """Keep events inside the window whose notes match the include rules
-    and none of the exclude rules; marks survivors is_pastoral."""
+    """The events inside the window whose notes match the include rules
+    and none of the exclude rules."""
     window.validate()
     if rules is None:
         rules = default_keyword_rules()
     if not rules.include:
         raise InvalidInputError("keyword rules must contain at least one include pattern")
-    out = []
-    for ev in events:
-        if not window.contains(ev.date):
-            continue
-        if rules.matches(ev.notes):
-            out.append(ev if ev.is_pastoral else
-                       ConflictEvent(ev.date, ev.lat, ev.lon, ev.country, ev.notes, True))
-    return out
+    return [ev for ev in events if window.contains(ev.date) and rules.matches(ev.notes)]
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +252,12 @@ def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
     'variable' column. Rows of other variables are skipped and counted in
     a warning. A field that does not parse raises InvalidInputError naming
     the file and line; a timestamp repeated in one cell, or a non-finite
-    value, raises an error naming the cell and the variable.
+    value, raises an error naming the cell and the variable; a lat/lon
+    point outside the grid's bbox, one naming the file and the point.
     """
     path = Path(path)
     var_index = {var: vi for vi, var in enumerate(VARIABLES)}
-    keys: list[int] = []  # variable index, row, col, day ordinal of each sample
+    keys: list = []  # variable index, row and col (or lat and lon), day ordinal of each sample
     values: list[float] = []
     days: dict[str, int] = {}  # timestamp field -> day ordinal
     n_skipped = 0
@@ -279,6 +273,7 @@ def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
             raise SchemaError(f"series file {path} uses lat/lon layout; a grid is required")
         i_a, i_b, i_var, i_ts, i_val = (col[c] for c in (
             _CANONICAL_COLS if by_cell_layout else _LATLON_COLS))
+        convert = int if by_cell_layout else float
         for rec in reader:
             if not rec:
                 continue  # blank line
@@ -287,17 +282,13 @@ def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
                 if vi is None:
                     n_skipped += 1
                     continue
-                if by_cell_layout:
-                    r, c = int(rec[i_a]), int(rec[i_b])
-                else:
-                    cell = cell_of(grid, float(rec[i_a]), float(rec[i_b]))
-                    r, c = cell.row, cell.col
+                a, b = convert(rec[i_a]), convert(rec[i_b])
                 stamp = rec[i_ts]
                 day = days.get(stamp)
                 if day is None:
                     day = days[stamp] = dt.date.fromisoformat(stamp.strip()).toordinal()
                 values.append(float(rec[i_val]))
-                keys += (vi, r, c, day)
+                keys += (vi, a, b, day)
             except IndexError:
                 raise InvalidInputError(f"{path} line {reader.line_num}: expected "
                                         f"{len(cols)} fields, got {len(rec)}") from None
@@ -306,9 +297,14 @@ def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
     if n_skipped:
         log.warning("skipped %d row(s) of unknown variables in %s", n_skipped, path.name)
     try:
-        keys = np.array(keys, dtype=np.int64).reshape(-1, 4)
+        keys = np.array(keys, dtype=np.int64 if by_cell_layout else np.float64).reshape(-1, 4)
     except OverflowError:
         raise InvalidInputError(f"{path}: cell index out of range") from None
+    if not by_cell_layout:  # variable indices and day ordinals are exact in float64
+        cells = cell_of(grid, keys[:, 1], keys[:, 2])
+        for lat, lon in keys[cells[:, 0] < 0, 1:3].tolist()[:1]:
+            raise OutOfBoundsError(f"{path}: point ({lat}, {lon}) outside grid bbox")
+        keys = np.hstack([keys[:, :1], cells, keys[:, 3:]]).astype(np.int64)
     order = np.lexsort(keys.T[::-1])
     keys, values = keys[order], np.array(values)[order]
     for bad, error, what in (((keys[1:] == keys[:-1]).all(axis=1), DuplicateTimestampError,
@@ -406,10 +402,10 @@ def synth_country(seed: int, grid: Grid, months: int,
         raise InvalidInputError("months must be >= 1")
     planted.validate()
     rng = np.random.default_rng(seed)
-    cells = list(grid.masked_cells())
+    cells = np.argwhere(grid.mask)
     n = len(cells)
     t = np.arange(months, dtype=float)
-    sample_cells = np.repeat(np.argwhere(grid.mask), months, axis=0)
+    sample_cells = np.repeat(cells, months, axis=0)
     sample_cells.flags.writeable = False  # shared by every variable's record
 
     in_stratum = rng.random(n) < planted.risk_fraction
@@ -436,13 +432,12 @@ def synth_country(seed: int, grid: Grid, months: int,
         series.append(VariableSeries(var, sample_cells, values.ravel()))
 
     p_hot, p_cold = planted.risk_rate, planted.base_rate
+    bounds = zip(*(b.tolist() for b in grid.cell_bounds(cells)))
     events: list[ConflictEvent] = []
-    for i, cell in enumerate(cells):
-        p = p_hot if in_stratum[i] else p_cold
-        if rng.random() >= p:
+    for hot, (lat_s, lon_w, lat_n, lon_e) in zip(in_stratum.tolist(), bounds):
+        if rng.random() >= (p_hot if hot else p_cold):
             continue
         n_events = 1 + rng.poisson(planted.extra_events_rate)
-        lat_s, lon_w, lat_n, lon_e = grid.cell_bounds(cell)
         for _ in range(n_events):
             y, m = divmod(start.month - 1 + int(rng.integers(0, months)), 12)
             events.append(ConflictEvent(
@@ -451,7 +446,6 @@ def synth_country(seed: int, grid: Grid, months: int,
                 lon=float(rng.uniform(lon_w, lon_e)),
                 country=country,
                 notes="Herders clashed with farmers over access to grazing land.",
-                is_pastoral=True,
             ))
     return series, events
 

@@ -728,7 +728,7 @@ def load_model(path):
     doc = read_json(path, "model")
     try:
         spec = ClassifierSpec(kind=doc["kind"],
-                              hyperparams=_tupled(doc["kind"], doc["hyperparams"]),
+                              hyperparams=_tupled(doc["hyperparams"]),
                               seed=doc["seed"])
         model = _new_model(spec)
         model.load_state(doc["state"])
@@ -742,7 +742,7 @@ def _jsonable(hp: dict) -> dict:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in hp.items()}
 
 
-def _tupled(kind: str, hp: dict) -> dict:
+def _tupled(hp: dict) -> dict:
     out = dict(hp)
     if "hidden" in out:
         out["hidden"] = tuple(out["hidden"])

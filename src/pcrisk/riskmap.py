@@ -69,17 +69,18 @@ def render_geojson(surface: RiskSurface, path) -> None:
     """
     surface.validate()
     g = surface.grid
+    cells = np.argwhere(g.mask)
+    bounds = (b.tolist() for b in g.cell_bounds(cells))
     features = []
-    for cell in g.masked_cells():
-        risk = float(surface.values[cell.row, cell.col])
-        lat_s, lon_w, lat_n, lon_e = g.cell_bounds(cell)
+    for (row, col), risk, lat_s, lon_w, lat_n, lon_e in zip(
+            cells.tolist(), surface.values[g.mask].tolist(), *bounds):
         ring = [[lon_w, lat_s], [lon_e, lat_s], [lon_e, lat_n],
                 [lon_w, lat_n], [lon_w, lat_s]]
         features.append({
             "type": "Feature",
             "properties": {
-                "row": cell.row,
-                "col": cell.col,
+                "row": row,
+                "col": col,
                 "risk": risk,
                 "color": risk_color(risk),
             },
@@ -108,4 +109,5 @@ def render_csv(surface: RiskSurface, path) -> None:
     surface.validate()
     g = surface.grid
     write_table(path, ["row", "col", "risk"],
-                ([c.row, c.col, surface.values[c.row, c.col]] for c in g.masked_cells()))
+                ([row, col, risk] for (row, col), risk in
+                 zip(np.argwhere(g.mask).tolist(), surface.values[g.mask].tolist())))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcrisk.grid import KM_PER_DEG, BBox, CellId, build_grid
+from pcrisk.grid import KM_PER_DEG, BBox, build_grid
 from pcrisk.ingest import PlantedEffect, VariableSeries, Window, synth_country
 from pcrisk.features import assemble_dataset
 
@@ -22,6 +22,12 @@ def square_grid(n_rows: int, n_cols: int, cell_km: float = 100.0, lat0: float = 
     g = build_grid(bbox, cell_km)
     assert (g.n_rows, g.n_cols) == (n_rows, n_cols)
     return g
+
+
+def cell_center(g, row: int, col: int) -> tuple[float, float]:
+    """(lat, lon) of the center of cell (row, col)."""
+    lat_s, lon_w, lat_n, lon_e = g.cell_bounds((row, col))
+    return float(0.5 * (lat_s + lat_n)), float(0.5 * (lon_w + lon_e))
 
 
 def write_series_csv(series: list[VariableSeries], path,
@@ -41,15 +47,15 @@ def write_series_csv(series: list[VariableSeries], path,
                             repr(v)])
 
 
-def planted_risk_cells(series: list[VariableSeries], planted: PlantedEffect) -> set[CellId]:
+def planted_risk_cells(series: list[VariableSeries], planted: PlantedEffect) -> set[tuple]:
     """Recover the risk stratum from data: cells whose planted-variable mean
-    falls below the regime cutpoint."""
+    falls below the regime cutpoint, as (row, col) tuples."""
     out = set()
     for s in series:
         if s.variable == planted.variable:
             cells, which = np.unique(s.cells, axis=0, return_inverse=True)
             which = which.ravel()
-            out.update(CellId(r, c) for k, (r, c) in enumerate(cells.tolist())
+            out.update((r, c) for k, (r, c) in enumerate(cells.tolist())
                        if float(s.samples[which == k].mean()) < planted.regime_cutpoint)
     return out
 

@@ -7,7 +7,8 @@ exhaustive search for trees and stumps. The scalar stump search, the
 one-pass MLP loss and gradient, and the gradient-on-every-trial descent
 are the earlier library versions of what ml now computes with fewer passes;
 the library must match them bit for bit. So must the array dataset.csv
-writer and reader match the per-field ones here.
+writer and reader match the per-field ones here, and the array cell lookup,
+cell bounds and polygon mask match the scalar versions here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate
 
-from pcrisk.errors import NonConvergenceError
+from pcrisk.errors import NonConvergenceError, OutOfBoundsError
 from pcrisk.features import FEATURE_NAMES, HIST_FEATURE_NAMES
 
 TIE = Fraction(1, 10**7)  # relative tie tolerance mirrored by the library
@@ -295,3 +296,54 @@ def read_dataset_csv_per_field(path) -> tuple[np.ndarray, np.ndarray, np.ndarray
                     dtype=np.int64).reshape(len(rows), -1)
     hist = np.array([[float(v) for v in r[3:3 + N_HIST]] for r in rows]).reshape(len(rows), -1)
     return ints[:, :2], np.hstack([hist, ints[:, 3:]]), ints[:, 2]
+
+
+# ---------------------------------------------------------------------------
+# grid cells, one point at a time
+#
+# The earlier library versions of cell_of, the cell bounds and center, and
+# the polygon test. Cells were CellId(row, col) objects then; here they are
+# (row, col) tuples, which is the only change.
+
+EDGE_EPS = 1e-9  # mirrored by the library
+
+
+def scalar_cell_of(grid, lat: float, lon: float) -> tuple[int, int]:
+    """Cell containing a point; boundary points go to the higher-index cell.
+
+    Total on the grid's bbox: the far north/east edges map into the last
+    row/column.
+    """
+    fr = (lat - grid.origin_lat) / grid.deg_per_cell_lat + EDGE_EPS
+    fc = (lon - grid.origin_lon) / grid.deg_per_cell_lon + EDGE_EPS
+    if not (0 <= fr <= grid.n_rows + EDGE_EPS and 0 <= fc <= grid.n_cols + EDGE_EPS):
+        raise OutOfBoundsError(f"point ({lat}, {lon}) outside grid bbox")
+    row = min(int(fr), grid.n_rows - 1)
+    col = min(int(fc), grid.n_cols - 1)
+    return (row, col)
+
+
+def scalar_cell_bounds(grid, row: int, col: int) -> tuple[float, float, float, float]:
+    """(lat_south, lon_west, lat_north, lon_east) of a cell."""
+    lat_s = grid.origin_lat + row * grid.deg_per_cell_lat
+    lon_w = grid.origin_lon + col * grid.deg_per_cell_lon
+    return (lat_s, lon_w, lat_s + grid.deg_per_cell_lat, lon_w + grid.deg_per_cell_lon)
+
+
+def scalar_cell_center(grid, row: int, col: int) -> tuple[float, float]:
+    lat_s, lon_w, lat_n, lon_e = scalar_cell_bounds(grid, row, col)
+    return (0.5 * (lat_s + lat_n), 0.5 * (lon_w + lon_e))
+
+
+def point_in_polygon(lat: float, lon: float, polygon) -> bool:
+    """Ray-casting point-in-polygon test on (lat, lon) vertices."""
+    inside = False
+    n = len(polygon)
+    for i in range(n):
+        la1, lo1 = polygon[i]
+        la2, lo2 = polygon[(i + 1) % n]
+        if (lo1 > lon) != (lo2 > lon):
+            t = (lon - lo1) / (lo2 - lo1)
+            if lat < la1 + t * (la2 - la1):
+                inside = not inside
+    return inside

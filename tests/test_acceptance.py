@@ -23,7 +23,6 @@ from oracles import (
 )
 from pcrisk.cli import main as cli_main
 from pcrisk.features import neighbor_counts
-from pcrisk.grid import CellId
 from pcrisk.ml import (
     _flatten_params,
     init_mlp_params,
@@ -133,13 +132,12 @@ def test_c06_feature_invariants():
         rng = np.random.default_rng(5)
         for n_rows, n_cols in ((4, 6), (11, 9), (20, 20)):
             counts = rng.integers(0, 3, size=(n_rows, n_cols))
-            probe = [CellId(0, 0), CellId(n_rows - 1, n_cols - 1),
-                     CellId(n_rows // 2, n_cols // 2)]
-            for cell in probe:
-                nbr = neighbor_counts(counts)[cell.row, cell.col]
+            probe = [(0, 0), (n_rows - 1, n_cols - 1), (n_rows // 2, n_cols // 2)]
+            for row, col in probe:
+                nbr = neighbor_counts(counts)[row, col]
                 for k, j in enumerate((1, 2, 3, 4, 5)):
                     want = sum(counts[r, c] for r, c in
-                               lattice_neighbors(n_rows, n_cols, cell.row, cell.col, j))
+                               lattice_neighbors(n_rows, n_cols, row, col, j))
                     assert nbr[k] == want
 
 

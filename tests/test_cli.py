@@ -274,6 +274,71 @@ class TestKeywordRulesFile:
         assert not (tmp_path / "o" / "dataset.csv").exists()
 
 
+def _files_source(tmp_path, **extra) -> dict:
+    """A files source over the valid event and series tables, plus extra keys."""
+    return {"kind": "files",
+            "events_csv": str(_write_csv(tmp_path / "events.csv", _events_table())),
+            "series_csv": str(_write_csv(tmp_path / "series.csv", _series_table())), **extra}
+
+
+def _directory(tmp_path, name) -> str:
+    (tmp_path / name).mkdir()
+    return str(tmp_path / name)
+
+
+class TestConfigSections:
+    @pytest.mark.parametrize("command, fault, key", [
+        ("learn-tree", {"tree": {"max_depth": "four"}}, "tree.max_depth"),
+        ("learn-tree", {"tree": {"min_support": "five"}}, "tree.min_support"),
+        ("learn-tree", {"tree": {"max_depth": 2.5}}, "tree.max_depth"),
+        ("build-dataset", {"seed": 7.5}, "seed"),
+        ("learn-tree", {"tree": [1, 2]}, "tree must be a JSON object"),
+        ("train-suite", {"ml": {"test_fraction": "a fifth"}}, "ml.test_fraction"),
+        ("test-univariate", {"stats": {"bonferroni_m": "three"}}, "stats.bonferroni_m"),
+        ("build-dataset", {"source": {"kind": "synthetic", "months": "two years"}},
+         "source.months"),
+        ("build-dataset", {"source": {"kind": "synthetic", "planted": {"odds": 2.0}}},
+         "unknown key source.planted.odds"),
+        ("build-dataset", lambda tmp: {"source": _files_source(
+            tmp, event_schema={"day": "event_date"})}, "unknown key source.event_schema.day"),
+        ("build-dataset", lambda tmp: {"source": _files_source(
+            tmp, keyword_rules=_directory(tmp, "rules_dir"))}, "keyword rules"),
+        ("build-dataset", None, "config file"),
+    ], ids=["tree_max_depth_text", "tree_min_support_text", "tree_max_depth_fraction",
+            "seed_fraction", "tree_not_object",
+            "ml_test_fraction_text", "stats_bonferroni_m_text", "source_months_text",
+            "planted_unknown_key", "event_schema_unknown_key", "keyword_rules_directory",
+            "config_directory"])
+    def test_fault_exits_3_naming_file_and_key(self, tmp_path, capsys, command, fault, key):
+        out = tmp_path / "out"  # a dataset for the analysis stages to read
+        assert _run("build-dataset", "--config", _cfg(tmp_path), "--out-dir", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        if fault is None:
+            cfg, named = _directory(tmp_path, "config_dir"), "config_dir"
+        else:
+            overrides = fault(tmp_path) if callable(fault) else fault
+            cfg = _cfg(tmp_path, granularities=[100], **overrides)
+            named = "rules_dir" if "keyword_rules" in overrides.get("source", {}) else "config.json"
+        assert _run(command, "--config", cfg, "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and key in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_numeric_strings_and_valid_nulls(self, tmp_path):
+        trees = []
+        for k, tree in enumerate(({"max_depth": 2}, {"max_depth": "2", "min_leaf": "1"},
+                                  {"max_depth": None})):
+            cfg = _cfg(tmp_path, tree=tree, stats={"bonferroni_m": None},
+                       ml={"class_weight": None},
+                       source={"kind": "synthetic", "months": None, "planted": None})
+            out = tmp_path / f"out{k}"
+            for command in ("build-dataset", "test-univariate", "learn-tree"):
+                assert _run(command, "--config", cfg, "--out-dir", str(out)) == 0, command
+            trees.append((out / "tree.json").read_bytes())
+        assert trees[0] == trees[1] != trees[2]
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs about 1 s of import time in every command
     root = Path(__file__).resolve().parent.parent

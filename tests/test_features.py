@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import square_grid
+from conftest import cell_center, square_grid
 from oracles import (
     histogram_bin,
     lattice_neighbors,
@@ -19,7 +20,6 @@ from oracles import (
 )
 from pcrisk.cli import main as cli_main
 from pcrisk.errors import InvalidInputError, MissingVariableError
-from pcrisk.grid import CellId
 from pcrisk.ingest import VARIABLES, ConflictEvent, VariableSeries, Window, parse_series
 from pcrisk.features import (
     FEATURE_NAMES,
@@ -39,8 +39,8 @@ from pcrisk.features import (
 WINDOW = Window(dt.date(2015, 1, 1), dt.date(2016, 12, 31))
 
 
-def _series(values, variable="LAI", cell=CellId(0, 0)):
-    cells = np.tile([cell.row, cell.col], (len(values), 1))
+def _series(values, variable="LAI", cell=(0, 0)):
+    cells = np.tile(cell, (len(values), 1))
     return VariableSeries(variable=variable, cells=cells, samples=np.array(values, dtype=float))
 
 
@@ -67,7 +67,7 @@ class TestBinEdges:
         assert e.edges()[0] == -5.0 and e.edges()[-1] == 15.0
 
     def test_min_max_across_cells(self):
-        e = fit_bin_edges([_series([1.0, 2.0]), _series([9.0], cell=CellId(0, 1))],
+        e = fit_bin_edges([_series([1.0, 2.0]), _series([9.0], cell=(0, 1))],
                           variables=("LAI",))["LAI"]
         assert (e.lo, e.hi) == (1.0, 9.0)
 
@@ -226,7 +226,7 @@ class TestNeighborFeatures:
 
 def _event(lat, lon, day=dt.date(2015, 6, 15)):
     return ConflictEvent(date=day, lat=lat, lon=lon, country="X",
-                         notes="herders", is_pastoral=True)
+                         notes="herders")
 
 
 class TestAssembleDataset:
@@ -245,7 +245,7 @@ class TestAssembleDataset:
         g = square_grid(10, 14)
         events = []
         for k in range(13):
-            lat, lon = g.cell_center(CellId(k // 14, k % 14))
+            lat, lon = cell_center(g, k // 14, k % 14)
             events.append(_event(lat, lon))
             events.append(_event(lat, lon))  # several events in one cell still = 1 label
         ds = assemble_dataset(g, self._full_series(g), events, WINDOW)
@@ -275,7 +275,7 @@ class TestAssembleDataset:
 
     def test_presence_is_count_derived(self):
         g = square_grid(4, 4)
-        lat, lon = g.cell_center(CellId(1, 1))
+        lat, lon = cell_center(g, 1, 1)
         ds = assemble_dataset(g, self._full_series(g), [_event(lat, lon)], WINDOW)
         assert ds.X[:, 115:].any()
         assert np.array_equal(ds.X[:, 110:115], ds.X[:, 115:] > 0)
@@ -420,7 +420,18 @@ class TestDatasetCsv:
 class TestEventCounts:
     def test_window_filters_events(self):
         g = square_grid(3, 3)
-        lat, lon = g.cell_center(CellId(0, 0))
+        lat, lon = cell_center(g, 0, 0)
         counts = count_events_per_cell(
             g, [_event(lat, lon, dt.date(2013, 1, 1)), _event(lat, lon)], WINDOW)
         assert counts[0, 0] == 1
+
+    def test_events_off_the_grid_or_mask_skipped_with_warning(self, caplog):
+        g = square_grid(3, 3)
+        mask = g.mask.copy()
+        mask[2, 2] = False
+        g = dataclasses.replace(g, mask=mask)
+        events = [_event(*cell_center(g, 1, 1)) for _ in range(3)] + [
+            _event(*cell_center(g, 2, 2)), _event(-5.0, 20.0), _event(math.nan, 20.0)]
+        counts = count_events_per_cell(g, events, WINDOW)
+        assert counts[1, 1] == 3 and counts.sum() == 3
+        assert "skipped 3 event(s) outside the grid or country mask" in caplog.text

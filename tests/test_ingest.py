@@ -3,13 +3,13 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from conftest import planted_risk_cells, square_grid, write_series_csv
+from conftest import cell_center, planted_risk_cells, square_grid, write_series_csv
 from pcrisk.errors import (
     DuplicateTimestampError,
     InvalidInputError,
     SchemaError,
 )
-from pcrisk.grid import CellId
+from pcrisk.grid import cell_of
 from pcrisk.ingest import (
     VARIABLES,
     ConflictEvent,
@@ -111,8 +111,9 @@ def _ev(notes, day=dt.date(2016, 6, 1)):
 
 class TestFilterPastoral:
     def test_include_match_kept(self):
-        kept = filter_pastoral([_ev("herders attacked farmers")], WINDOW)
-        assert len(kept) == 1 and kept[0].is_pastoral
+        ev = _ev("herders attacked farmers")
+        kept = filter_pastoral([ev], WINDOW)
+        assert len(kept) == 1 and kept[0] is ev
 
     def test_non_match_dropped(self):
         assert filter_pastoral([_ev("market bombing")], WINDOW) == []
@@ -182,7 +183,7 @@ class TestParseSeries:
 
     def test_latlon_layout_maps_through_grid(self, tmp_path):
         g = square_grid(3, 3)
-        lat, lon = g.cell_center(CellId(1, 2))
+        lat, lon = cell_center(g, 1, 2)
         p = tmp_path / "series.csv"
         p.write_text("lat,lon,variable,timestamp,value\n"
                      f"{lat},{lon},LAI,2015-01-01,1.25\n", encoding="utf-8")
@@ -244,14 +245,14 @@ class TestSynthCountry:
         # Monte Carlo over 200 generator seeds puts the stratum-vs-label
         # odds ratio inside [10, 40] for the large majority of draws;
         # seed 11 is frozen as a conforming draw
-        from pcrisk.grid import cell_of
         from pcrisk.stats import ContingencyTable, odds_ratio
 
         g = square_grid(20, 25)
         planted = PlantedEffect(odds_ratio=20.0, base_rate=0.05)
         series, events = synth_country(11, g, 24, planted)
         risk = planted_risk_cells(series, planted)
-        hot_cells = {cell_of(g, ev.lat, ev.lon) for ev in events}
+        hot_cells = set(map(tuple, cell_of(g, [ev.lat for ev in events],
+                                           [ev.lon for ev in events]).tolist()))
         a = len(risk & hot_cells)
         b = len(risk - hot_cells)
         c = len(hot_cells - risk)
@@ -260,9 +261,7 @@ class TestSynthCountry:
         assert 10.0 <= got <= 40.0
 
     def test_events_fall_inside_their_grid(self):
-        from pcrisk.grid import cell_of
-
         g = square_grid(8, 8)
         _, events = synth_country(3, g, 12)
         for ev in events:
-            cell_of(g, ev.lat, ev.lon)  # must not raise
+            assert (cell_of(g, ev.lat, ev.lon) >= 0).all()
