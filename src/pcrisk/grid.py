@@ -126,9 +126,10 @@ class Grid:
 def build_grid(bbox: BBox, cell_km: float, mask_polygon=None) -> Grid:
     """Cover a bbox with square cells of edge cell_km.
 
-    Partial edge cells are kept. When mask_polygon (a list of (lat, lon)
-    vertices) is given, a cell is masked in iff its center falls inside
-    the polygon; otherwise every cell counts.
+    Partial edge cells are kept. Without mask_polygon every cell counts;
+    with one (a list of (lat, lon) vertices) a cell is masked in iff its
+    center falls inside the polygon, and a polygon that holds no cell
+    center raises InvalidInputError.
     """
     bbox.validate()
     if cell_km <= 0:
@@ -156,7 +157,11 @@ def build_grid(bbox: BBox, cell_km: float, mask_polygon=None) -> Grid:
     if polygon.shape[1:] != (2,) or len(polygon) < 3:
         raise InvalidInputError(f"mask_polygon needs 3 or more (lat, lon) pairs: {mask_polygon!r}")
     lat_s, lon_w, lat_n, lon_e = grid.cell_bounds(np.moveaxis(np.indices(grid.mask.shape), 0, -1))
-    return replace(grid, mask=_in_polygon(0.5 * (lat_s + lat_n), 0.5 * (lon_w + lon_e), polygon))
+    mask = _in_polygon(0.5 * (lat_s + lat_n), 0.5 * (lon_w + lon_e), polygon)
+    if not mask.any():
+        raise InvalidInputError(f"mask_polygon selects no cell center of the {n_rows} x {n_cols} "
+                                f"grid of {cell_km} km cells: {mask_polygon!r}")
+    return replace(grid, mask=mask)
 
 
 def cell_of(grid: Grid, lat, lon) -> np.ndarray:
@@ -192,9 +197,11 @@ def _in_polygon(lat: np.ndarray, lon: np.ndarray, polygon: np.ndarray) -> np.nda
     """Ray-casting test of every (lat, lon) point against a (k, 2) polygon."""
     inside = np.zeros(np.shape(lat), dtype=bool)
     for (la1, lo1), (la2, lo2) in zip(polygon.tolist(), np.roll(polygon, -1, axis=0).tolist()):
-        if lo1 != lo2:  # no ray crosses an edge of constant longitude
-            t = (lon - lo1) / (lo2 - lo1)
-            inside ^= ((lo1 > lon) != (lo2 > lon)) & (lat < la1 + t * (la2 - la1))
+        # t only where the edge spans the point's longitude, so |t| <= 1: off
+        # the span a near-vertical edge would overflow the division
+        spans = (lo1 > lon) != (lo2 > lon)
+        t = (lon[spans] - lo1) / (lo2 - lo1)
+        inside[spans] ^= lat[spans] < la1 + t * (la2 - la1)
     return inside
 
 

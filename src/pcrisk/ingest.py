@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
@@ -241,6 +242,18 @@ def filter_pastoral(events, window: Window, rules: KeywordRules | None = None) -
 
 _CANONICAL_COLS = ("cell_row", "cell_col", "variable", "timestamp", "value")
 _LATLON_COLS = ("lat", "lon", "variable", "timestamp", "value")
+_VAR_INDEX = {var: vi for vi, var in enumerate(VARIABLES)}
+
+#: bytes that the C parse reads otherwise than csv.reader, int() and float():
+#: a quote, NUL, and the separators \x1c-\x1f, which numpy skips around a
+#: number but int() and float() reject
+_SLOW_BYTES = b'"\x00\x1c\x1d\x1e\x1f'
+#: width of the variable field in the C parse; a field that fills it may be cut
+_VAR_WIDTH = 16
+_EPOCH = dt.date(1970, 1, 1).toordinal()
+#: bytewise bounds of a YYYY-MM-DD timestamp in the C parse's 11-byte field
+_STAMP_LO, _STAMP_HI = (np.frombuffer(b, dtype=np.uint8) for b in (b"0000-00-00\0",
+                                                                   b"9999-99-99\0"))
 
 
 def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
@@ -254,31 +267,68 @@ def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
     the file and line; a timestamp repeated in one cell, or a non-finite
     value, raises an error naming the cell and the variable; a lat/lon
     point outside the grid's bbox, one naming the file and the point.
+
+    Plain files are parsed in C (_parse_series_c); any other file goes
+    through csv.reader row by row, with the same result.
     """
     path = Path(path)
-    var_index = {var: vi for vi, var in enumerate(VARIABLES)}
-    keys: list = []  # variable index, row and col (or lat and lon), day ordinal of each sample
+    by_cell_layout, keys, values, n_skipped = (_parse_series_c(path, grid)
+                                               or _parse_series_rows(path, grid))
+    if n_skipped:
+        log.warning("skipped %d row(s) of unknown variables in %s", n_skipped, path.name)
+    if not by_cell_layout:  # variable indices and day ordinals are exact in float64
+        cells = cell_of(grid, keys[:, 1], keys[:, 2])
+        for lat, lon in keys[cells[:, 0] < 0, 1:3].tolist()[:1]:
+            raise OutOfBoundsError(f"{path}: point ({lat}, {lon}) outside grid bbox")
+        keys = np.hstack([keys[:, :1], cells, keys[:, 3:]]).astype(np.int64)
+    values = np.array(values)
+    if not _rows_sorted(keys):  # lexsort is stable, so sorted keys keep their order
+        order = np.lexsort(keys.T[::-1])
+        keys, values = keys[order], values[order]
+    for bad, error, what in (((keys[1:] == keys[:-1]).all(axis=1), DuplicateTimestampError,
+                              "timestamp repeated"),
+                             (~np.isfinite(values), InvalidInputError, "non-finite value")):
+        if bad.any():
+            vi, r, c, day = keys[bad.argmax()].tolist()
+            raise error(f"{path}: cell ({r},{c}) variable {VARIABLES[vi]} at "
+                        f"{dt.date.fromordinal(day)}: {what}")
+    bounds = np.searchsorted(keys[:, 0], np.arange(len(VARIABLES) + 1))
+    return [VariableSeries(var, keys[a:b, 1:3], values[a:b])
+            for var, a, b in zip(VARIABLES, bounds[:-1], bounds[1:]) if b > a]
+
+
+def _series_columns(path: Path, cols: list[str], grid: Grid | None) -> tuple[bool, list[int]]:
+    """Whether a series header names the cell-indexed layout, and the
+    positions of its five columns in _CANONICAL_COLS or _LATLON_COLS order."""
+    col = {name: i for i, name in enumerate(cols)}
+    by_cell_layout = all(c in col for c in _CANONICAL_COLS)
+    if not by_cell_layout and not all(c in col for c in _LATLON_COLS):
+        raise SchemaError(
+            f"series file {path} needs columns {_CANONICAL_COLS} or {_LATLON_COLS}")
+    if not by_cell_layout and grid is None:
+        raise SchemaError(f"series file {path} uses lat/lon layout; a grid is required")
+    return by_cell_layout, [col[c] for c in (_CANONICAL_COLS if by_cell_layout else _LATLON_COLS)]
+
+
+def _parse_series_rows(path: Path, grid: Grid | None) -> tuple:
+    """(by_cell_layout, keys, values, n_skipped) of a series file, read row
+    by row with a strict csv.reader. keys is (n, 4): the variable index, row
+    and col (int64) or lat and lon (float64), and day ordinal of each kept
+    sample, in file order; values holds their values."""
+    keys: list = []
     values: list[float] = []
     days: dict[str, int] = {}  # timestamp field -> day ordinal
     n_skipped = 0
     with _open_csv(path) as fh:
         reader = csv.reader(fh, strict=True)
         cols = next(reader, [])
-        col = {name: i for i, name in enumerate(cols)}
-        by_cell_layout = all(c in col for c in _CANONICAL_COLS)
-        if not by_cell_layout and not all(c in col for c in _LATLON_COLS):
-            raise SchemaError(
-                f"series file {path} needs columns {_CANONICAL_COLS} or {_LATLON_COLS}")
-        if not by_cell_layout and grid is None:
-            raise SchemaError(f"series file {path} uses lat/lon layout; a grid is required")
-        i_a, i_b, i_var, i_ts, i_val = (col[c] for c in (
-            _CANONICAL_COLS if by_cell_layout else _LATLON_COLS))
+        by_cell_layout, (i_a, i_b, i_var, i_ts, i_val) = _series_columns(path, cols, grid)
         convert = int if by_cell_layout else float
         for rec in reader:
             if not rec:
                 continue  # blank line
             try:
-                vi = var_index.get(rec[i_var].strip())
+                vi = _VAR_INDEX.get(rec[i_var].strip())
                 if vi is None:
                     n_skipped += 1
                     continue
@@ -294,29 +344,81 @@ def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
                                         f"{len(cols)} fields, got {len(rec)}") from None
             except ValueError as exc:
                 raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
-    if n_skipped:
-        log.warning("skipped %d row(s) of unknown variables in %s", n_skipped, path.name)
     try:
         keys = np.array(keys, dtype=np.int64 if by_cell_layout else np.float64).reshape(-1, 4)
     except OverflowError:
         raise InvalidInputError(f"{path}: cell index out of range") from None
-    if not by_cell_layout:  # variable indices and day ordinals are exact in float64
-        cells = cell_of(grid, keys[:, 1], keys[:, 2])
-        for lat, lon in keys[cells[:, 0] < 0, 1:3].tolist()[:1]:
-            raise OutOfBoundsError(f"{path}: point ({lat}, {lon}) outside grid bbox")
-        keys = np.hstack([keys[:, :1], cells, keys[:, 3:]]).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])
-    keys, values = keys[order], np.array(values)[order]
-    for bad, error, what in (((keys[1:] == keys[:-1]).all(axis=1), DuplicateTimestampError,
-                              "timestamp repeated"),
-                             (~np.isfinite(values), InvalidInputError, "non-finite value")):
-        if bad.any():
-            vi, r, c, day = keys[bad.argmax()].tolist()
-            raise error(f"{path}: cell ({r},{c}) variable {VARIABLES[vi]} at "
-                        f"{dt.date.fromordinal(day)}: {what}")
-    bounds = np.searchsorted(keys[:, 0], np.arange(len(VARIABLES) + 1))
-    return [VariableSeries(var, keys[a:b, 1:3], values[a:b])
-            for var, a, b in zip(VARIABLES, bounds[:-1], bounds[1:]) if b > a]
+    return by_cell_layout, keys, values, n_skipped
+
+
+def _parse_series_c(path: Path, grid: Grid | None) -> tuple | None:
+    """What _parse_series_rows returns, from one np.loadtxt pass in C; None
+    for a file that pass might read otherwise. It takes ASCII files without
+    _SLOW_BYTES or lines beyond the csv field size limit, whose kept rows'
+    timestamps are all dates written YYYY-MM-DD."""
+    data = path.read_bytes()
+    if (not data.isascii() or any(b in data for b in _SLOW_BYTES)
+            or _has_long_line(data, csv.field_size_limit())):
+        return None
+    del data
+    with path.open(encoding="ascii", newline=None) as fh:  # csv.reader's line ends
+        cols = fh.readline().removesuffix("\n").split(",")
+        by_cell_layout, usecols = _series_columns(path, cols, grid)
+        coord = np.int64 if by_cell_layout else np.float64
+        dtype = np.dtype([("a", coord), ("b", coord), ("var", f"S{_VAR_WIDTH}"),
+                          ("ts", "S11"), ("value", np.float64)])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file without rows
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                  quotechar=None, usecols=usecols, ndmin=1)
+        except ValueError:
+            return None
+    # the file groups rows by variable, so look up the head of each run
+    var = rows["var"]
+    head = np.ones(len(var), dtype=bool)
+    head[1:] = var[1:] != var[:-1]
+    starts = np.flatnonzero(head)
+    names = var[starts].tolist()
+    if any(len(name) == _VAR_WIDTH for name in names):
+        return None
+    vi = np.repeat(np.array([_VAR_INDEX.get(name.decode().strip(), -1) for name in names],
+                            dtype=np.int64), np.diff(starts, append=len(var)))
+    kept = vi >= 0
+    n_skipped = len(rows) - int(np.count_nonzero(kept))
+    if n_skipped:
+        rows, vi = rows[kept], vi[kept]
+    stamps = np.ascontiguousarray(rows["ts"]).view(np.uint8).reshape(-1, 11)
+    if not ((_STAMP_LO <= stamps) & (stamps <= _STAMP_HI)).all():
+        return None
+    try:  # numpy checks the month and the day of the month
+        day = rows["ts"].astype("M8[D]").view(np.int64) + _EPOCH
+    except ValueError:
+        return None
+    if not (day >= 1).all():  # year 0
+        return None
+    keys = np.column_stack((vi, rows["a"], rows["b"], day))  # int64, or float64 for lat/lon
+    return by_cell_layout, keys, rows["value"], n_skipped
+
+
+def _has_long_line(data: bytes, limit: int) -> bool:
+    """Whether a line of data holds more than limit bytes."""
+    start = 0
+    while len(data) - start > limit:
+        end = data.rfind(b"\n", start, start + limit + 1)
+        if end < 0:
+            return True
+        start = end + 1
+    return False
+
+
+def _rows_sorted(keys: np.ndarray) -> bool:
+    """Whether the rows of keys are in lexicographic order."""
+    before, after = keys[:-1], keys[1:]
+    in_order = np.ones(len(before), dtype=bool)
+    for j in reversed(range(keys.shape[1])):
+        in_order = (before[:, j] < after[:, j]) | ((before[:, j] == after[:, j]) & in_order)
+    return bool(in_order.all())
 
 
 # ---------------------------------------------------------------------------

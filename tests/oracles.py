@@ -7,13 +7,16 @@ exhaustive search for trees and stumps. The scalar stump search, the
 one-pass MLP loss and gradient, and the gradient-on-every-trial descent
 are the earlier library versions of what ml now computes with fewer passes;
 the library must match them bit for bit. So must the array dataset.csv
-writer and reader match the per-field ones here, and the array cell lookup,
-cell bounds and polygon mask match the scalar versions here.
+writer and reader match the per-field ones here, the array cell lookup,
+cell bounds and polygon mask match the scalar versions here, and the series
+CSV parse match the row-by-row one here.
 """
 
 from __future__ import annotations
 
 import csv
+import datetime as dt
+import logging
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -21,8 +24,16 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate
 
-from pcrisk.errors import NonConvergenceError, OutOfBoundsError
+from pcrisk.errors import (
+    DuplicateTimestampError,
+    InvalidInputError,
+    NonConvergenceError,
+    OutOfBoundsError,
+    SchemaError,
+)
 from pcrisk.features import FEATURE_NAMES, HIST_FEATURE_NAMES
+from pcrisk.grid import Grid, cell_of
+from pcrisk.ingest import VARIABLES, VariableSeries, _open_csv
 
 TIE = Fraction(1, 10**7)  # relative tie tolerance mirrored by the library
 
@@ -347,3 +358,92 @@ def point_in_polygon(lat: float, lon: float, polygon) -> bool:
             if lat < la1 + t * (la2 - la1):
                 inside = not inside
     return inside
+
+
+# ---------------------------------------------------------------------------
+# series CSV, one row at a time
+#
+# The earlier library parse_series, which read every file through
+# csv.reader; the C-parsed front end must give the same records, warning or
+# error on every file.
+
+log = logging.getLogger("pcrisk.ingest")
+
+_CANONICAL_COLS = ("cell_row", "cell_col", "variable", "timestamp", "value")
+_LATLON_COLS = ("lat", "lon", "variable", "timestamp", "value")
+
+
+def parse_series_per_row(path, grid: Grid | None = None) -> list[VariableSeries]:
+    """Parse a series CSV into one record per variable that has rows, in
+    VARIABLES order, its samples sorted by cell and then timestamp.
+
+    Accepts the cell-indexed layout or the lat/lon layout (the latter
+    requires a grid to map coordinates through cell_of); both need a
+    'variable' column. Rows of other variables are skipped and counted in
+    a warning. A field that does not parse raises InvalidInputError naming
+    the file and line; a timestamp repeated in one cell, or a non-finite
+    value, raises an error naming the cell and the variable; a lat/lon
+    point outside the grid's bbox, one naming the file and the point.
+    """
+    path = Path(path)
+    var_index = {var: vi for vi, var in enumerate(VARIABLES)}
+    keys: list = []  # variable index, row and col (or lat and lon), day ordinal of each sample
+    values: list[float] = []
+    days: dict[str, int] = {}  # timestamp field -> day ordinal
+    n_skipped = 0
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh, strict=True)
+        cols = next(reader, [])
+        col = {name: i for i, name in enumerate(cols)}
+        by_cell_layout = all(c in col for c in _CANONICAL_COLS)
+        if not by_cell_layout and not all(c in col for c in _LATLON_COLS):
+            raise SchemaError(
+                f"series file {path} needs columns {_CANONICAL_COLS} or {_LATLON_COLS}")
+        if not by_cell_layout and grid is None:
+            raise SchemaError(f"series file {path} uses lat/lon layout; a grid is required")
+        i_a, i_b, i_var, i_ts, i_val = (col[c] for c in (
+            _CANONICAL_COLS if by_cell_layout else _LATLON_COLS))
+        convert = int if by_cell_layout else float
+        for rec in reader:
+            if not rec:
+                continue  # blank line
+            try:
+                vi = var_index.get(rec[i_var].strip())
+                if vi is None:
+                    n_skipped += 1
+                    continue
+                a, b = convert(rec[i_a]), convert(rec[i_b])
+                stamp = rec[i_ts]
+                day = days.get(stamp)
+                if day is None:
+                    day = days[stamp] = dt.date.fromisoformat(stamp.strip()).toordinal()
+                values.append(float(rec[i_val]))
+                keys += (vi, a, b, day)
+            except IndexError:
+                raise InvalidInputError(f"{path} line {reader.line_num}: expected "
+                                        f"{len(cols)} fields, got {len(rec)}") from None
+            except ValueError as exc:
+                raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
+    if n_skipped:
+        log.warning("skipped %d row(s) of unknown variables in %s", n_skipped, path.name)
+    try:
+        keys = np.array(keys, dtype=np.int64 if by_cell_layout else np.float64).reshape(-1, 4)
+    except OverflowError:
+        raise InvalidInputError(f"{path}: cell index out of range") from None
+    if not by_cell_layout:  # variable indices and day ordinals are exact in float64
+        cells = cell_of(grid, keys[:, 1], keys[:, 2])
+        for lat, lon in keys[cells[:, 0] < 0, 1:3].tolist()[:1]:
+            raise OutOfBoundsError(f"{path}: point ({lat}, {lon}) outside grid bbox")
+        keys = np.hstack([keys[:, :1], cells, keys[:, 3:]]).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    keys, values = keys[order], np.array(values)[order]
+    for bad, error, what in (((keys[1:] == keys[:-1]).all(axis=1), DuplicateTimestampError,
+                              "timestamp repeated"),
+                             (~np.isfinite(values), InvalidInputError, "non-finite value")):
+        if bad.any():
+            vi, r, c, day = keys[bad.argmax()].tolist()
+            raise error(f"{path}: cell ({r},{c}) variable {VARIABLES[vi]} at "
+                        f"{dt.date.fromordinal(day)}: {what}")
+    bounds = np.searchsorted(keys[:, 0], np.arange(len(VARIABLES) + 1))
+    return [VariableSeries(var, keys[a:b, 1:3], values[a:b])
+            for var, a, b in zip(VARIABLES, bounds[:-1], bounds[1:]) if b > a]

@@ -102,6 +102,14 @@ class TestBuildDataset:
         err = capsys.readouterr().err
         assert "config.json" in err and key in err
 
+    def test_mask_polygon_without_cells_exits_3(self, tmp_path, capsys):
+        # a triangle beside the bbox used to fail later, naming a variable
+        cfg = _cfg(tmp_path, mask_polygon=[[40, 50], [41, 50], [41, 51]])
+        assert _run("build-dataset", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: mask_polygon selects no cell center"), err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
     def test_demo_artifacts_pinned(self, tmp_path):
         # the bundled demo at 100 km, pinned so that a drift in the
         # generator's draw order or in binning shows; reruns alone cannot

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     lattice_neighbors,
@@ -62,9 +62,10 @@ class TestBuildGrid:
 
     @pytest.mark.parametrize("polygon", [
         [[0, 1, 2]], [(0.0, 0.0), (1.0, 1.0)], [], "abc", 5, [[0, "x"], [1, 1], [2, 0]],
-        [[0, 1], [2], [3, 4]], [[[0, 1]], [[2, 3]], [[4, 5]]]],
+        [[0, 1], [2], [3, 4]], [[[0, 1]], [[2, 3]], [[4, 5]]],
+        [(40.0, 50.0), (41.0, 50.0), (41.0, 51.0)], [(0.01, 0.01), (0.01, 0.1), (0.1, 0.01)]],
         ids=["triple", "two_vertices", "empty", "string", "number", "text_coordinate",
-             "ragged", "nested"])
+             "ragged", "nested", "beside_bbox", "between_centers"])
     def test_bad_mask_polygon_rejected(self, polygon):
         with pytest.raises(InvalidInputError, match="mask_polygon"):
             build_grid(BBox(0.0, 0.0, 3.0, 3.0), 100.0, mask_polygon=polygon)
@@ -151,12 +152,20 @@ class TestScalarOracles:
     @settings(max_examples=150, deadline=None)
     @given(_grid_and_polygon(), st.lists(st.floats(-0.5, 1.5), max_size=8),
            st.lists(st.floats(-0.5, 1.5), max_size=8))
+    # a near-vertical edge: a cell center off its longitude span overflowed
+    # the ray-crossing division
+    @example((BBox(0.0, 0.0, 1.0, 3.0), 166.7923899668381,
+              [(0.0, 0.0), (0.0, 0.0), (0.75, 1.1125369292536007e-308)]), [], [])
     def test_array_versions_match_scalar_ones(self, case, lat_fracs, lon_fracs):
         bbox, cell_km, polygon = case
-        g = build_grid(bbox, cell_km, polygon)
+        g = build_grid(bbox, cell_km)
         want = [[point_in_polygon(*scalar_cell_center(g, r, c), polygon)
                  for c in range(g.n_cols)] for r in range(g.n_rows)]
-        assert g.mask.tolist() == want
+        if any(map(any, want)):
+            assert build_grid(bbox, cell_km, polygon).mask.tolist() == want
+        else:
+            with pytest.raises(InvalidInputError, match="selects no cell center"):
+                build_grid(bbox, cell_km, polygon)
 
         cells = np.argwhere(np.ones(g.mask.shape, dtype=bool))
         got = np.stack(g.cell_bounds(cells), axis=-1)

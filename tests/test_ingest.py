@@ -1,15 +1,24 @@
+import csv
 import datetime as dt
+import json
+import logging
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import cell_center, planted_risk_cells, square_grid, write_series_csv
+from oracles import parse_series_per_row
+from pcrisk import ingest
 from pcrisk.errors import (
     DuplicateTimestampError,
     InvalidInputError,
     SchemaError,
 )
-from pcrisk.grid import cell_of
+from pcrisk.grid import BBox, build_grid, cell_of
 from pcrisk.ingest import (
     VARIABLES,
     ConflictEvent,
@@ -24,6 +33,11 @@ from pcrisk.ingest import (
     parse_series,
     synth_country,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import write_files_inputs  # noqa: E402
 
 WINDOW = Window(dt.date(2015, 1, 1), dt.date(2022, 9, 30))
 
@@ -209,6 +223,174 @@ class TestParseSeries:
         for s, b in zip(series, back):
             assert np.array_equal(b.cells, s.cells)
             assert b.samples.tobytes() == s.samples.tobytes()
+
+
+def _series_outcome(parse, path, grid) -> tuple:
+    """What parse makes of a series file: its records, bit for bit and by
+    dtype, with the warnings it logged; or its exception's type and text."""
+    logged: list = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: logged.append(record.getMessage())
+    logger = logging.getLogger("pcrisk.ingest")
+    logger.addHandler(handler)
+    try:
+        records = parse(path, grid)
+    except Exception as exc:
+        return type(exc), str(exc)
+    finally:
+        logger.removeHandler(handler)
+    return [(s.variable, s.cells.dtype.str, s.cells.shape, s.cells.tobytes(), s.samples.dtype.str,
+             s.samples.shape, s.samples.tobytes()) for s in records], logged
+
+
+_GRID = square_grid(3, 3)
+_CELLS_HEADER = ("cell_row", "cell_col", "variable", "timestamp", "value")
+_LATLON_HEADER = ("lat", "lon", "variable", "timestamp", "value")
+#: field texts on which numpy's parsers and int(), float() or
+#: date.fromisoformat() may part ways
+_TRICKY_FIELDS = ("0_1", "1_0", "20150101", " 2015-01-01", "2015-01", "2015-01-01T00",
+                  "+2015-01-01", "0000-01-01", "2015-02-29", "NaT", "+3", " 3", "3 ", "-0",
+                  "3.0", "1e400", "nan", "inf", "-9223372036854775808", "9223372036854775808",
+                  "99999999999999999999", "LAI\x1c", " LAI ", "\x1f1", "\t1", "0x10", "",
+                  '"LAI"', "PRECTOTCORR", "PRECTOTCORR_LONGER", "NDVI", "LAI,GRN")
+
+
+def _series_file(rows, header=_CELLS_HEADER, end="\n") -> bytes:
+    return "".join(",".join(map(str, r)) + end for r in [header, *rows]).encode()
+
+
+@st.composite
+def _series_files(draw) -> bytes:
+    """A canonical series file for _GRID in either layout, with at most one
+    field, line, line end or column order perturbed."""
+    latlon = draw(st.booleans())
+    samples = draw(st.lists(st.tuples(st.sampled_from(VARIABLES[:3] + ("NDVI",)),
+                                      st.integers(0, 2), st.integers(0, 2),
+                                      st.sampled_from(["2015-01-01", "2015-02-01", "2016-02-29"])),
+                            max_size=8, unique=True))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(samples), max_size=len(samples)))
+    rows = []
+    for (var, r, c, stamp), v in zip(samples, values):
+        a, b = map(repr, cell_center(_GRID, r, c)) if latlon else (r, c)
+        rows.append([a, b, var, stamp, repr(v)])
+    lines = [list(_LATLON_HEADER if latlon else _CELLS_HEADER), *rows]
+    end = "\n"
+    kind = draw(st.sampled_from(["none", "field", "line", "crlf", "columns", "quote", "byte"]))
+    if kind == "field":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i][draw(st.integers(0, 4))] = draw(st.one_of(
+            st.sampled_from(_TRICKY_FIELDS), st.text(st.characters(max_codepoint=0x7f), max_size=5),
+            st.text(max_size=3)))
+    elif kind == "line":
+        i = draw(st.integers(0, len(lines)))
+        line = draw(st.one_of(st.sampled_from(["", " ", "\r", "0,0,LAI", "0,0,NDVI"]),
+                              st.builds(list, st.sampled_from(rows or [["0"] * 5]))))
+        if draw(st.booleans()) and i < len(lines):
+            del lines[i]
+        else:
+            lines.insert(i, [line] if isinstance(line, str) else line)
+    elif kind == "crlf":
+        end = "\r\n"
+    elif kind == "columns":
+        order = draw(st.permutations(range(5)))
+        extra = draw(st.booleans())
+        lines = [[line[k] for k in order if k < len(line)] + ["x"] * extra for line in lines]
+    elif kind == "quote":
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i]) - 1)) if lines[i] else 0
+        if lines[i]:
+            lines[i][j] = f'"{lines[i][j]}"'
+    data = "".join(",".join(map(str, line)) + end for line in lines).encode()
+    if kind == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\x00", b"\x1c", b"\xc3\xa9", b"\xff", b'"',
+                                                 b"\r", b"\n", b","])) + data[at:]
+    if draw(st.booleans()):
+        data = data.removesuffix(end.encode())  # no newline at the end
+    return data
+
+
+class TestParseSeriesOracle:
+    """parse_series against the row-by-row parse it replaced: the same
+    records, bit for bit and by dtype, and the same warnings, or the same
+    error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=_series_files())
+    @example(data=_series_file([["0_1", 0, "LAI", "2015-01-01", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI", "2015-01-01", "1_0"]]))
+    @example(data=_series_file([[0, 0, "LAI", "20150101", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI", " 2015-01-01", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI", "2015-01", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI", "2015-01-01T00", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI", "+2015-01-01", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI", "0000-01-01", 1.0]]))
+    @example(data=_series_file([["+3", " 3", "LAI", "2015-01-01", 1.0]]))
+    @example(data=_series_file([["\x1c3", 0, "LAI", "2015-01-01", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI", "2015-01-01", "nan"]]))
+    @example(data=_series_file([[0, 0, "LAI", "2015-01-01", "1e400"]]))
+    @example(data=_series_file([["99999999999999999999", 0, "LAI", "2015-01-01", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI\x1c", "2015-01-01", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI", "2015-01-01", 1.0],
+                                [0, 0, "LAI", "2015-02-01", 2.0]], end="\r\n"))
+    @example(data=_series_file([[0, 0, "LAI", "2015-01-01", 1.0], [],
+                                [0, 0, "LAI", "2015-02-01", 2.0]]))
+    @example(data=_series_file([]))
+    @example(data=_series_file([["LAI", "2015-01-01", 0, 1.0, 0, "x"]],
+                               header=("variable", "timestamp", "cell_col", "value",
+                                       "cell_row", "extra")))
+    @example(data=_series_file([[0, 0, '"LAI"', "2015-01-01", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI", "2015-01-01", 1.0, '"a,b"']]))
+    @example(data=_series_file([[0, 0, "PRECTOTCORR_LONGER", "2015-01-01", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI", "2015-01-01 ", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI\x00", "2015-01-01", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI" + " " * 13 + "x", "2015-01-01", 1.0]]))
+    @example(data=_series_file([[0, 0, "LAI", "2015-01-01", 1.0, "x" * (csv.field_size_limit() + 1)]]))
+    def test_matches_the_row_oracle(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "series.csv"
+            path.write_bytes(data)
+            want = _series_outcome(parse_series_per_row, path, _GRID)
+            assert _series_outcome(parse_series, path, _GRID) == want
+
+
+class TestParseSeriesFrontEnds:
+    @staticmethod
+    def _benchmark_series(tmp_path) -> tuple[Path, object]:
+        cfg = json.loads((ROOT / "configs" / "synthetic_demo.json").read_text(encoding="utf-8"))
+        cfg["cell_km"] = 400
+        path = tmp_path / "series.csv"
+        write_files_inputs(7, cfg, tmp_path / "events.csv", path)
+        return path, build_grid(BBox(*cfg["bbox"]), cfg["cell_km"])
+
+    def test_plain_file_is_parsed_without_csv_reader(self, tmp_path, monkeypatch):
+        path, g = self._benchmark_series(tmp_path)
+        want = _series_outcome(parse_series_per_row, path, g)
+        assert isinstance(want[0], list) and want[0]  # records, not an error
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called on a plain series file")
+
+        monkeypatch.setattr(ingest.csv, "reader", refuse)
+        assert _series_outcome(parse_series, path, g) == want
+
+    @pytest.mark.parametrize("old, new", [(b",LAI,", b',"LAI",'), (b",GRN,", b",GRN\xc3\xa9,")],
+                             ids=["quoted", "non_ascii"])
+    def test_other_files_go_through_csv_reader(self, tmp_path, monkeypatch, old, new):
+        path, g = self._benchmark_series(tmp_path)
+        path.write_bytes(path.read_bytes().replace(old, new))
+        want = _series_outcome(parse_series_per_row, path, g)
+        calls = []
+        reader = csv.reader
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(ingest.csv, "reader", counted)
+        assert _series_outcome(parse_series, path, g) == want
+        assert calls
 
 
 class TestSynthCountry:
