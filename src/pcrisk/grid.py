@@ -128,8 +128,8 @@ def build_grid(bbox: BBox, cell_km: float, mask_polygon=None) -> Grid:
 
     Partial edge cells are kept. Without mask_polygon every cell counts;
     with one (a list of (lat, lon) vertices) a cell is masked in iff its
-    center falls inside the polygon, and a polygon that holds no cell
-    center raises InvalidInputError.
+    center falls inside the polygon, and a polygon with a non-finite vertex
+    or that holds no cell center raises InvalidInputError.
     """
     bbox.validate()
     if cell_km <= 0:
@@ -156,6 +156,11 @@ def build_grid(bbox: BBox, cell_km: float, mask_polygon=None) -> Grid:
         polygon = np.empty(0)
     if polygon.shape[1:] != (2,) or len(polygon) < 3:
         raise InvalidInputError(f"mask_polygon needs 3 or more (lat, lon) pairs: {mask_polygon!r}")
+    bad = np.flatnonzero(~np.isfinite(polygon).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise InvalidInputError(f"mask_polygon vertex {k} is not finite: "
+                                f"{tuple(polygon[k].tolist())!r}")
     lat_s, lon_w, lat_n, lon_e = grid.cell_bounds(np.moveaxis(np.indices(grid.mask.shape), 0, -1))
     mask = _in_polygon(0.5 * (lat_s + lat_n), 0.5 * (lon_w + lon_e), polygon)
     if not mask.any():

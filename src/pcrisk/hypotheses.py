@@ -101,19 +101,20 @@ class HypothesisPredicate:
 MAX_CART_ROWS = 2 ** 22
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
+def _best_split(Xs: np.ndarray, y: np.ndarray, min_leaf: int,
                 feature_ids: np.ndarray) -> tuple[int, float] | None:
     """Split minimizing weighted gini impurity, or None.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature in feature_ids (ascending). A candidate's score
+    Xs holds the node's values of the features in feature_ids (ascending),
+    one row per feature and one column per sample of y. Candidate
+    thresholds are midpoints between consecutive distinct sorted values of
+    each feature. A candidate's score
     is the rational N/D with integers N = (nL^2 - aL^2 - bL^2)*nR +
     (nR^2 - aR^2 - bR^2)*nL and D = nL*nR, where N <= n^3/8 fits int64 for
     n < MAX_CART_ROWS. The least score is found exactly (_exact_argmin);
     ties go to the lowest feature index, then the lowest threshold.
     """
     n = len(y)
-    Xs = X.T[feature_ids]
     order = np.argsort(Xs, axis=1, kind="stable")
     xs = np.take_along_axis(Xs, order, axis=1)
     cum1 = np.cumsum(y[order], axis=1)
@@ -164,6 +165,9 @@ def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
     max_depth is None or at least 1, and min_leaf at least 1. max_features,
     when set, samples that many candidate feature indices per split (used by
     random forests); the tie rule applies within the sample.
+
+    Nodes are grown depth first, left before right, each from the indices
+    of its rows into X; a node gathers only the columns it scores.
     """
     n, d = X.shape
     if n >= MAX_CART_ROWS:
@@ -172,29 +176,31 @@ def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
         raise InvalidInputError("max_depth must be >= 1 or None")
     if min_leaf < 1:
         raise InvalidInputError("min_leaf must be >= 1")
-
-    def grow(X, y, depth_left) -> TreeNode:
-        n = len(y)
-        node = TreeNode(n_samples=n, n_class1=int(y.sum()))
-        if n < 2 * min_leaf or node.n_class1 in (0, n) or depth_left == 0:
-            return node
-        if max_features is not None and max_features < d:
+    sample = max_features is not None and max_features < d
+    root = TreeNode(n_samples=n, n_class1=int(y.sum()))
+    todo = [(root, np.arange(n), max_depth)]
+    while todo:
+        node, rows, depth_left = todo.pop()
+        if node.n_samples < 2 * min_leaf or node.n_class1 in (0, node.n_samples) \
+                or depth_left == 0:
+            continue
+        if sample:
             feature_ids = np.sort(rng.choice(d, size=max_features, replace=False))
+            Xs = X.T[np.ix_(feature_ids, rows)]
         else:
             feature_ids = np.arange(d)
-        split = _best_split(X, y, min_leaf, feature_ids)
+            Xs = X[rows].T  # whole rows gather faster than every column by index
+        split = _best_split(Xs, y[rows], min_leaf, feature_ids)
         if split is None:
-            return node
-        f, thr = split
-        go_left = X[:, f] <= thr
+            continue
+        node.feature, node.threshold = split
+        go_left = X[rows, node.feature] <= node.threshold
+        left, right = rows[go_left], rows[~go_left]
+        node.left = TreeNode(n_samples=len(left), n_class1=int(y[left].sum()))
+        node.right = TreeNode(n_samples=len(right), n_class1=int(y[right].sum()))
         child_depth = None if depth_left is None else depth_left - 1
-        node.feature = f
-        node.threshold = thr
-        node.left = grow(X[go_left], y[go_left], child_depth)
-        node.right = grow(X[~go_left], y[~go_left], child_depth)
-        return node
-
-    return grow(X, y, max_depth)
+        todo += [(node.right, right, child_depth), (node.left, left, child_depth)]
+    return root
 
 
 def train_cart(ds: Dataset, max_depth: int | None = 4, min_leaf: int = 1) -> TreeNode:

@@ -21,6 +21,8 @@ forward pass; backpropagation runs only for the trial that is accepted.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -755,16 +757,79 @@ def _tupled(hp: dict) -> dict:
 
 def run_suite(ds: Dataset, specs: list[ClassifierSpec],
               test_fraction: float = 0.2, seed: int = 0) -> EvalReport:
-    """Train every spec on one stratified split and score the test side."""
+    """Train every spec on one stratified split and score the test side.
+
+    The specs are fitted from both ends of the list at once when two CPUs
+    are usable (see _run_from_both_ends); rows keep the order of specs, and
+    a failing fit raises what the lowest failing spec raised.
+    """
     for spec in specs:
         spec.resolved()  # reject a bad spec before the first fit
     train_ds, test_ds = split(ds, test_fraction, seed)
-    out = []
-    for spec in specs:
-        model = train(spec, train_ds)
+    rows: list[EvalRow | None] = [None] * len(specs)
+
+    def score(i: int) -> None:
+        model = train(specs[i], train_ds)
         m = metrics(predict_proba(model, test_ds), test_ds.y)
-        out.append(replace(m, classifier=spec.kind))
-    return EvalReport(rows=tuple(out))
+        rows[i] = replace(m, classifier=specs[i].kind)
+
+    _run_from_both_ends(score, len(specs))
+    return EvalReport(rows=tuple(rows))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _run_from_both_ends(task, n: int) -> None:
+    """task(0), ..., task(n - 1), each once, as a loop over them would.
+
+    The calling thread takes indices from the front; with two or more
+    usable CPUs one worker thread takes them from the back until the two
+    meet. Once task(f) raises, neither takes an index above the lowest such
+    f, so every index below it still runs, and its exception is re-raised
+    after the worker has ended: the one a loop would have raised.
+    """
+    lock = threading.Lock()
+    front, back = 0, n  # the unclaimed indices are front .. back - 1
+    failed: dict[int, Exception] = {}
+
+    def claim(from_back: bool) -> int | None:
+        nonlocal front, back
+        with lock:
+            i = back - 1 if from_back else front
+            if front >= back or (failed and i > min(failed)):
+                return None
+            if from_back:
+                back -= 1
+            else:
+                front += 1
+            return i
+
+    def lane(from_back: bool) -> None:
+        while (i := claim(from_back)) is not None:
+            try:
+                task(i)
+            except Exception as exc:
+                with lock:
+                    failed[i] = exc
+
+    worker = None
+    if _usable_cpus() >= 2:
+        worker = threading.Thread(target=lane, args=(True,), name="run_suite-back")
+        worker.start()
+    try:
+        lane(False)
+    finally:
+        if worker is not None:
+            with lock:
+                back = front  # an interrupted caller leaves the worker nothing new
+            worker.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 def best_row(report: EvalReport) -> EvalRow:

@@ -6,10 +6,12 @@ combinatorial tests, numeric quadrature for distribution tails, and
 exhaustive search for trees and stumps. The scalar stump search, the
 one-pass MLP loss and gradient, and the gradient-on-every-trial descent
 are the earlier library versions of what ml now computes with fewer passes;
-the library must match them bit for bit. So must the array dataset.csv
-writer and reader match the per-field ones here, the array cell lookup,
-cell bounds and polygon mask match the scalar versions here, and the series
-CSV parse match the row-by-row one here.
+the library must match them bit for bit. So must the CART grown on row
+indices match the one that copied every node's rows, and the suite fitted
+from both ends of its spec list match the one-by-one loop. So must the
+array dataset.csv writer and reader match the per-field ones here, the
+array cell lookup, cell bounds and polygon mask match the scalar versions
+here, and the series CSV parse match the row-by-row one here.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import datetime as dt
 import logging
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +36,10 @@ from pcrisk.errors import (
 )
 from pcrisk.features import FEATURE_NAMES, HIST_FEATURE_NAMES
 from pcrisk.grid import Grid, cell_of
+from pcrisk.hypotheses import MAX_CART_ROWS, TreeNode
+from pcrisk.hypotheses import _best_split as _best_split_columns
 from pcrisk.ingest import VARIABLES, VariableSeries, _open_csv
+from pcrisk.ml import EvalReport, metrics, predict_proba, split, train
 
 TIE = Fraction(1, 10**7)  # relative tie tolerance mirrored by the library
 
@@ -160,6 +166,56 @@ def same_tree(node, oracle) -> bool:
             and node.threshold == oracle["threshold"]
             and same_tree(node.left, oracle["left"])
             and same_tree(node.right, oracle["right"]))
+
+
+# ---------------------------------------------------------------------------
+# CART that copies each node's rows
+
+
+def _best_split(X, y, min_leaf, feature_ids):
+    """The split search called with the node's rows (n, d), as it once was."""
+    return _best_split_columns(X.T[feature_ids], y, min_leaf, feature_ids)
+
+
+def grow_tree_copying(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
+                      min_leaf: int = 1, rng: np.random.Generator | None = None,
+                      max_features: int | None = None) -> TreeNode:
+    """Greedy CART on a label array in {0, 1}.
+
+    max_depth is None or at least 1, and min_leaf at least 1. max_features,
+    when set, samples that many candidate feature indices per split (used by
+    random forests); the tie rule applies within the sample.
+    """
+    n, d = X.shape
+    if n >= MAX_CART_ROWS:
+        raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {n}")
+    if max_depth is not None and max_depth < 1:
+        raise InvalidInputError("max_depth must be >= 1 or None")
+    if min_leaf < 1:
+        raise InvalidInputError("min_leaf must be >= 1")
+
+    def grow(X, y, depth_left) -> TreeNode:
+        n = len(y)
+        node = TreeNode(n_samples=n, n_class1=int(y.sum()))
+        if n < 2 * min_leaf or node.n_class1 in (0, n) or depth_left == 0:
+            return node
+        if max_features is not None and max_features < d:
+            feature_ids = np.sort(rng.choice(d, size=max_features, replace=False))
+        else:
+            feature_ids = np.arange(d)
+        split = _best_split(X, y, min_leaf, feature_ids)
+        if split is None:
+            return node
+        f, thr = split
+        go_left = X[:, f] <= thr
+        child_depth = None if depth_left is None else depth_left - 1
+        node.feature = f
+        node.threshold = thr
+        node.left = grow(X[go_left], y[go_left], child_depth)
+        node.right = grow(X[~go_left], y[~go_left], child_depth)
+        return node
+
+    return grow(X, y, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -447,3 +503,20 @@ def parse_series_per_row(path, grid: Grid | None = None) -> list[VariableSeries]
     bounds = np.searchsorted(keys[:, 0], np.arange(len(VARIABLES) + 1))
     return [VariableSeries(var, keys[a:b, 1:3], values[a:b])
             for var, a, b in zip(VARIABLES, bounds[:-1], bounds[1:]) if b > a]
+
+
+# ---------------------------------------------------------------------------
+# classifier suite, one spec after another
+
+
+def run_suite_sequential(ds, specs, test_fraction: float = 0.2, seed: int = 0):
+    """Train every spec on one stratified split and score the test side."""
+    for spec in specs:
+        spec.resolved()  # reject a bad spec before the first fit
+    train_ds, test_ds = split(ds, test_fraction, seed)
+    out = []
+    for spec in specs:
+        model = train(spec, train_ds)
+        m = metrics(predict_proba(model, test_ds), test_ds.y)
+        out.append(replace(m, classifier=spec.kind))
+    return EvalReport(rows=tuple(out))

@@ -110,6 +110,15 @@ class TestBuildDataset:
         assert err.startswith("error: mask_polygon selects no cell center"), err
         assert not (tmp_path / "o" / "dataset.csv").exists()
 
+    def test_mask_polygon_non_finite_vertex_exits_3(self, tmp_path, capsys):
+        # json reads Infinity; the ray casting used to warn on inf - inf
+        cfg = _cfg(tmp_path, mask_polygon=[[0, 10], [0, float("inf")], [4, 12]])
+        assert "Infinity" in Path(cfg).read_text(encoding="utf-8")
+        assert _run("build-dataset", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: mask_polygon vertex 1 is not finite: (0.0, inf)"), err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
     def test_demo_artifacts_pinned(self, tmp_path):
         # the bundled demo at 100 km, pinned so that a drift in the
         # generator's draw order or in binning shows; reruns alone cannot

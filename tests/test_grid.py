@@ -70,6 +70,13 @@ class TestBuildGrid:
         with pytest.raises(InvalidInputError, match="mask_polygon"):
             build_grid(BBox(0.0, 0.0, 3.0, 3.0), 100.0, mask_polygon=polygon)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_vertex_rejected(self, value):
+        # inf - inf in the ray casting used to warn, and a NaN vertex passed
+        polygon = [(0.0, 0.0), (0.0, value), (3.0, 1.0)]
+        with pytest.raises(InvalidInputError, match=r"mask_polygon vertex 1 is not finite"):
+            build_grid(BBox(0.0, 0.0, 3.0, 3.0), 100.0, mask_polygon=polygon)
+
 
 class TestCellOf:
     def test_origin_corner(self):

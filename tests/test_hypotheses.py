@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import exhaustive_cart, same_tree
+from oracles import exhaustive_cart, grow_tree_copying, same_tree
 from pcrisk.errors import DegeneratePartitionError, InvalidInputError
 from pcrisk.features import FEATURE_NAMES, Dataset, to_matrix
 from pcrisk import hypotheses
@@ -104,7 +108,7 @@ class TestTrainCart:
             y = np.r_[0, 1, (rng.random(n - 2) < 0.5).astype(int)]
             fids = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
             min_leaf = int(rng.integers(1, 3))
-            got = _best_split(X, y, min_leaf, fids)
+            got = _best_split(X[:, fids].T, y, min_leaf, fids)
             want = exhaustive_cart(X[:, fids], y, max_depth=1, min_leaf=min_leaf)
             if "feature" not in want:
                 assert got is None, trial
@@ -133,6 +137,72 @@ class TestTrainCart:
         X = np.arange(8.0)[:, None]
         with pytest.raises(InvalidInputError, match="fewer than 8 rows"):
             grow_tree(X, (X[:, 0] > 3).astype(int))
+
+
+def _same_nodes(a, b) -> bool:
+    """Equal trees: structure, counts, features and threshold bits."""
+    if (a.n_samples, a.n_class1, a.feature) != (b.n_samples, b.n_class1, b.feature):
+        return False
+    if a.is_leaf:
+        return True
+    return (float.hex(a.threshold) == float.hex(b.threshold)
+            and _same_nodes(a.left, b.left) and _same_nodes(a.right, b.right))
+
+
+@st.composite
+def _cart_problems(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    # few distinct values: plenty of tied splits and constant columns
+    X = np.array(draw(st.lists(st.integers(-2, 3), min_size=n * d, max_size=n * d)),
+                 dtype=float).reshape(n, d) / 2.0
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    params = dict(max_depth=draw(st.none() | st.integers(1, 6)),
+                  min_leaf=draw(st.integers(1, 4)),
+                  max_features=draw(st.none() | st.integers(1, d + 1)))
+    return X, y, params, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestRowIndexCart:
+    """grow_tree recursing on row indices against the earlier version that
+    copied every node's rows (oracles.grow_tree_copying)."""
+
+    @given(_cart_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_copying_cart(self, problem):
+        X, y, params, seed = problem
+        rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        tree = grow_tree(X, y, rng=rng, **params)
+        oracle = grow_tree_copying(X, y, rng=rng_oracle, **params)
+        assert _same_nodes(tree, oracle)
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    def test_forest_trees_match_copying_cart(self):
+        # bootstrap rows repeat, as in a random forest
+        rng = np.random.default_rng(8)
+        X = np.round(rng.random((300, 30)), 2)
+        y = (X[:, 3] + X[:, 17] + 0.5 * rng.random(300) > 1.2).astype(int)
+        for seed in range(3):
+            rows = np.random.default_rng(seed).integers(0, 300, size=300)
+            rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            tree = grow_tree(X[rows], y[rows], 12, 1, rng=rng, max_features=5)
+            oracle = grow_tree_copying(X[rows], y[rows], 12, 1, rng=rng_oracle, max_features=5)
+            assert _same_nodes(tree, oracle)
+            assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    def test_no_reference_to_x_outlives_grow_tree(self):
+        rng = np.random.default_rng(3)
+        X = np.round(rng.random((60, 8)), 1)
+        y = (X[:, 0] + rng.random(60) > 1.0).astype(int)
+        alive = weakref.ref(X)
+        gc.disable()  # a reference cycle holding X would keep it alive
+        try:
+            tree = grow_tree(X, y, None, 1, rng=rng, max_features=3)
+            del X
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert not tree.is_leaf
 
 
 class TestExtractPaths:

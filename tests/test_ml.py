@@ -1,4 +1,9 @@
 import math
+import os
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +14,16 @@ from oracles import (
     batch_gd_every_trial,
     exhaustive_stump,
     mlp_loss_grad_full,
+    run_suite_sequential,
     scalar_best_stump,
 )
-from pcrisk import ml
-from pcrisk.errors import InsufficientDataError, InvalidInputError, StratificationError
+from pcrisk import cli, ml
+from pcrisk.errors import (
+    InsufficientDataError,
+    InvalidInputError,
+    NonConvergenceError,
+    StratificationError,
+)
 from pcrisk.features import Dataset
 from pcrisk.ml import (
     CLASSIFIER_KINDS,
@@ -150,6 +161,22 @@ class TestMetrics:
 
 
 class TestModels:
+    def test_forest_fit_peak_memory(self):
+        # trees grow from row indices, so a node gathers only its sampled
+        # columns; copying each node's rows into its children peaked at
+        # about 13 MB here
+        rng = np.random.default_rng(0)
+        X = rng.random((1600, 120))
+        y = ((X[:, 0] + X[:, 7] + 0.3 * rng.random(1600)) > 1.1).astype(int)
+        tracemalloc.start()
+        try:
+            model = ml.ForestModel(ClassifierSpec("RandomForest").resolved(), 0).fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(model.trees) == 30 and not model.trees[0].is_leaf
+        assert peak < 6e6
+
     def test_logreg_separable_training_accuracy(self):
         X, y = _blobs(60, gap=8.0)
         rows = _rows(X, y)
@@ -436,6 +463,137 @@ class TestSuite:
                                 Window(dt.date(2015, 1, 1), dt.date(2016, 12, 31)))
         report = run_suite(rows, default_suite(seed=1), 0.25, seed=1)
         assert best_row(report).f1 >= 0.9
+
+
+def _report_bits(report):
+    return [(r.classifier, *(None if v is None else float.hex(v)
+                             for v in (r.precision, r.recall, r.f1, r.auc)))
+            for r in report.rows]
+
+
+def _use_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture(scope="module")
+def demo_100km():
+    """The bundled demo config's dataset at 100 km (500 cells)."""
+    config = Path(__file__).resolve().parent.parent / "configs" / "synthetic_demo.json"
+    cfg = cli.resolve_config(cli._parser().parse_args(["train-suite", "--config", str(config)]))
+    return cli._build(cfg, 100.0)[1]
+
+
+class TestSuiteOnTwoThreads:
+    """run_suite fits from both ends of the spec list on two threads when two
+    CPUs are usable, and must then equal the one-by-one loop it replaced
+    (oracles.run_suite_sequential)."""
+
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    def test_matches_sequential_suite(self, demo_100km, monkeypatch, class_weight):
+        for seed in range(5):
+            specs = default_suite(seed, class_weight)
+            want = _report_bits(run_suite_sequential(demo_100km, specs, 0.2, seed))
+            for cpus in (2, 1):
+                _use_cpus(monkeypatch, cpus)
+                assert _report_bits(run_suite(demo_100km, specs, 0.2, seed)) == want, \
+                    (seed, cpus)
+
+    @staticmethod
+    def _record_lanes(monkeypatch, started: list, before=None, after=None) -> None:
+        """Wrap ml.train to append (kind, on the main thread) as each fit starts."""
+        fit = ml.train
+
+        def recording_train(spec, ds):
+            started.append((spec.kind, threading.current_thread() is threading.main_thread()))
+            if before:
+                before(spec)
+            model = fit(spec, ds)
+            if after:
+                after(spec)
+            return model
+
+        monkeypatch.setattr(ml, "train", recording_train)
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_lanes(self, small_country, monkeypatch, cpus):
+        started = []
+        self._record_lanes(monkeypatch, started)
+        _use_cpus(monkeypatch, cpus)
+        run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
+        assert sorted(kind for kind, _ in started) == sorted(CLASSIFIER_KINDS)
+        on_main = dict(started)
+        assert on_main["DecisionTree"]
+        assert on_main["DeepNN"] is (cpus == 1)
+        if cpus == 1:
+            assert [kind for kind, _ in started] == list(CLASSIFIER_KINDS)
+
+    def test_rows_keep_spec_order(self, small_country, monkeypatch):
+        want = _report_bits(run_suite_sequential(small_country[4], default_suite(seed=0),
+                                                 0.25, seed=0))
+        # DecisionTree, first in the list, finishes after DeepNN, the last
+        deep_done = threading.Event()
+        self._record_lanes(
+            monkeypatch, [],
+            before=lambda spec: spec.kind != "DecisionTree" or deep_done.wait(timeout=60),
+            after=lambda spec: spec.kind == "DeepNN" and deep_done.set())
+        _use_cpus(monkeypatch, 2)
+        got = run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
+        assert deep_done.is_set()
+        assert _report_bits(got) == want
+
+    def test_each_index_runs_once_under_stress(self, monkeypatch):
+        # four callers at once, two lanes each, switching threads about every
+        # microsecond: every index still runs once, wherever the lanes meet
+        _use_cpus(monkeypatch, 2)
+        runs = [[] for _ in range(4)]
+        callers = [threading.Thread(target=ml._run_from_both_ends, args=(runs[c].append, 300))
+                   for c in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert [sorted(r) for r in runs] == [list(range(300))] * 4
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("failing", [("RandomForest", "DeepNN"), ("DeepNN",),
+                                         ("DecisionTree", "AdaBoost", "MLP")])
+    def test_failure_raises_what_the_loop_raises(self, small_country, monkeypatch,
+                                                 cpus, failing):
+        errors = {"DecisionTree": KeyError("front"), "RandomForest": ValueError("front"),
+                  "AdaBoost": RuntimeError("middle"), "MLP": ArithmeticError("back"),
+                  "DeepNN": NonConvergenceError("back", last_loss=None)}
+        for cls in (ml.TreeModel, ml.ForestModel, ml.AdaBoostModel, ml.MlpModel):
+            def failing_fit(self, X, y, fit=cls.fit):
+                if self.kind in failing:
+                    raise errors[self.kind]
+                return fit(self, X, y)
+
+            monkeypatch.setattr(cls, "fit", failing_fit)
+        threads = threading.active_count()
+        with pytest.raises(Exception) as want:
+            run_suite_sequential(small_country[4], default_suite(seed=0), 0.25, seed=0)
+        assert want.value is errors[failing[0]]
+        started = []
+        self._record_lanes(monkeypatch, started)
+        _use_cpus(monkeypatch, cpus)
+        with pytest.raises(type(want.value)) as got:
+            run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert threading.active_count() == threads
+        # the calling thread starts nothing after the lowest failing spec
+        first_failing = CLASSIFIER_KINDS.index(failing[0])
+        on_main = [kind for kind, main in started if main]
+        assert on_main == list(CLASSIFIER_KINDS[:len(on_main)])
+        assert len(on_main) <= first_failing + 1
+        if cpus == 1:
+            assert len(on_main) == len(started) == first_failing + 1
 
 
 class TestSerialization:
