@@ -759,9 +759,9 @@ def run_suite(ds: Dataset, specs: list[ClassifierSpec],
               test_fraction: float = 0.2, seed: int = 0) -> EvalReport:
     """Train every spec on one stratified split and score the test side.
 
-    The specs are fitted from both ends of the list at once when two CPUs
-    are usable (see _run_from_both_ends); rows keep the order of specs, and
-    a failing fit raises what the lowest failing spec raised.
+    The specs are fitted from both ends of the list at once when two lanes
+    pay (see _suite_lanes and _run_from_both_ends); rows keep the order of
+    specs, and a failing fit raises what the lowest failing spec raised.
     """
     for spec in specs:
         spec.resolved()  # reject a bad spec before the first fit
@@ -773,8 +773,16 @@ def run_suite(ds: Dataset, specs: list[ClassifierSpec],
         m = metrics(predict_proba(model, test_ds), test_ds.y)
         rows[i] = replace(m, classifier=specs[i].kind)
 
-    _run_from_both_ends(score, len(specs))
+    _run_from_both_ends(score, len(specs), _suite_lanes())
     return EvalReport(rows=tuple(rows))
+
+
+#: the functions run_suite calls for each spec, as this module defines them
+_SUITE_CALLS = (train, predict_proba)
+
+#: the variables BLAS libraries take their thread count from: OpenBLAS reads
+#: its own and then OMP_NUM_THREADS, MKL likewise
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _usable_cpus() -> int:
@@ -784,14 +792,39 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_from_both_ends(task, n: int) -> None:
+def _blas_single_threaded() -> bool:
+    """Whether the environment pins BLAS to one thread: the first of
+    _BLAS_THREAD_VARS that is set reads 1. Unset, OpenBLAS and MKL run a
+    thread per CPU."""
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value:
+            return value == "1"
+    return False
+
+
+def _suite_lanes() -> int:
+    """2 when fitting from both ends of the suite pays, else 1.
+
+    Two lanes need two usable CPUs and a BLAS pinned to one thread: a BLAS
+    thread per CPU competes with the second lane, and on two CPUs the demo
+    suite then ran slower in two lanes than in one. A train or predict_proba
+    replaced since import (a profiler's or tracer's wrapper, which may keep
+    one call stack for all threads) keeps the suite in one lane too.
+    """
+    if (train, predict_proba) != _SUITE_CALLS:
+        return 1
+    return 2 if _usable_cpus() >= 2 and _blas_single_threaded() else 1
+
+
+def _run_from_both_ends(task, n: int, lanes: int) -> None:
     """task(0), ..., task(n - 1), each once, as a loop over them would.
 
-    The calling thread takes indices from the front; with two or more
-    usable CPUs one worker thread takes them from the back until the two
-    meet. Once task(f) raises, neither takes an index above the lowest such
-    f, so every index below it still runs, and its exception is re-raised
-    after the worker has ended: the one a loop would have raised.
+    The calling thread takes indices from the front; with two lanes one
+    worker thread takes them from the back until the two meet. Once task(f)
+    raises, neither takes an index above the lowest such f, so every index
+    below it still runs, and its exception is re-raised after the worker has
+    ended: the one a loop would have raised.
     """
     lock = threading.Lock()
     front, back = 0, n  # the unclaimed indices are front .. back - 1
@@ -818,7 +851,7 @@ def _run_from_both_ends(task, n: int) -> None:
                     failed[i] = exc
 
     worker = None
-    if _usable_cpus() >= 2:
+    if lanes >= 2:
         worker = threading.Thread(target=lane, args=(True,), name="run_suite-back")
         worker.start()
     try:

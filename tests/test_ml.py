@@ -471,8 +471,14 @@ def _report_bits(report):
             for r in report.rows]
 
 
-def _use_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+def _use_lanes(monkeypatch, cpus: int, blas: str | None = "1") -> None:
+    """Patch the usable CPUs to cpus and the BLAS thread count of the
+    environment to blas (None: unset)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in ml._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if blas is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
 
 
 @pytest.fixture(scope="module")
@@ -485,8 +491,8 @@ def demo_100km():
 
 class TestSuiteOnTwoThreads:
     """run_suite fits from both ends of the spec list on two threads when two
-    CPUs are usable, and must then equal the one-by-one loop it replaced
-    (oracles.run_suite_sequential)."""
+    CPUs are usable and BLAS is pinned to one thread, and must then equal the
+    one-by-one loop it replaced (oracles.run_suite_sequential)."""
 
     @pytest.mark.parametrize("class_weight", [None, "balanced"])
     def test_matches_sequential_suite(self, demo_100km, monkeypatch, class_weight):
@@ -494,37 +500,67 @@ class TestSuiteOnTwoThreads:
             specs = default_suite(seed, class_weight)
             want = _report_bits(run_suite_sequential(demo_100km, specs, 0.2, seed))
             for cpus in (2, 1):
-                _use_cpus(monkeypatch, cpus)
+                _use_lanes(monkeypatch, cpus)
+                assert ml._suite_lanes() == cpus
                 assert _report_bits(run_suite(demo_100km, specs, 0.2, seed)) == want, \
                     (seed, cpus)
 
+    @pytest.mark.parametrize("cpus, env, lanes", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (4, {"MKL_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": " 1 "}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {}, 1),  # a BLAS thread per CPU competes with the second lane
+        (2, {"OMP_NUM_THREADS": "2"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ])
+    def test_lane_count(self, monkeypatch, cpus, env, lanes):
+        _use_lanes(monkeypatch, cpus, blas=None)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert ml._suite_lanes() == lanes
+
+    @pytest.mark.parametrize("name", ["train", "predict_proba"])
+    def test_wrapped_suite_calls_keep_one_lane(self, monkeypatch, name):
+        # a tracer or profiler that wraps them may keep one stack for all threads
+        _use_lanes(monkeypatch, 2)
+        assert ml._suite_lanes() == 2
+        fn = getattr(ml, name)
+        monkeypatch.setattr(ml, name, lambda *args: fn(*args))
+        assert ml._suite_lanes() == 1
+
     @staticmethod
     def _record_lanes(monkeypatch, started: list, before=None, after=None) -> None:
-        """Wrap ml.train to append (kind, on the main thread) as each fit starts."""
-        fit = ml.train
+        """Wrap every model's fit to append (kind, on the main thread) as the
+        fit starts, and to call before(kind) and after(kind) around it."""
+        for cls in {*ml._MODEL_CLASSES.values(), ml.MlpModel}:
+            def recording_fit(self, X, y, fit=cls.fit):
+                started.append((self.kind, threading.current_thread() is threading.main_thread()))
+                if before:
+                    before(self.kind)
+                model = fit(self, X, y)
+                if after:
+                    after(self.kind)
+                return model
 
-        def recording_train(spec, ds):
-            started.append((spec.kind, threading.current_thread() is threading.main_thread()))
-            if before:
-                before(spec)
-            model = fit(spec, ds)
-            if after:
-                after(spec)
-            return model
+            monkeypatch.setattr(cls, "fit", recording_fit)
 
-        monkeypatch.setattr(ml, "train", recording_train)
-
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_lanes(self, small_country, monkeypatch, cpus):
+    @pytest.mark.parametrize("cpus, blas, wrapped, lanes", [
+        (2, "1", False, 2), (1, "1", False, 1), (2, None, False, 1), (2, "1", True, 1)])
+    def test_lanes(self, small_country, monkeypatch, cpus, blas, wrapped, lanes):
         started = []
         self._record_lanes(monkeypatch, started)
-        _use_cpus(monkeypatch, cpus)
+        _use_lanes(monkeypatch, cpus, blas)
+        if wrapped:
+            fn = ml.train
+            monkeypatch.setattr(ml, "train", lambda spec, ds: fn(spec, ds))
         run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
         assert sorted(kind for kind, _ in started) == sorted(CLASSIFIER_KINDS)
         on_main = dict(started)
         assert on_main["DecisionTree"]
-        assert on_main["DeepNN"] is (cpus == 1)
-        if cpus == 1:
+        assert on_main["DeepNN"] is (lanes == 1)
+        if lanes == 1:
             assert [kind for kind, _ in started] == list(CLASSIFIER_KINDS)
 
     def test_rows_keep_spec_order(self, small_country, monkeypatch):
@@ -534,19 +570,19 @@ class TestSuiteOnTwoThreads:
         deep_done = threading.Event()
         self._record_lanes(
             monkeypatch, [],
-            before=lambda spec: spec.kind != "DecisionTree" or deep_done.wait(timeout=60),
-            after=lambda spec: spec.kind == "DeepNN" and deep_done.set())
-        _use_cpus(monkeypatch, 2)
+            before=lambda kind: kind != "DecisionTree" or deep_done.wait(timeout=60),
+            after=lambda kind: kind == "DeepNN" and deep_done.set())
+        _use_lanes(monkeypatch, 2)
         got = run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
         assert deep_done.is_set()
         assert _report_bits(got) == want
 
-    def test_each_index_runs_once_under_stress(self, monkeypatch):
+    def test_each_index_runs_once_under_stress(self):
         # four callers at once, two lanes each, switching threads about every
         # microsecond: every index still runs once, wherever the lanes meet
-        _use_cpus(monkeypatch, 2)
         runs = [[] for _ in range(4)]
-        callers = [threading.Thread(target=ml._run_from_both_ends, args=(runs[c].append, 300))
+        callers = [threading.Thread(target=ml._run_from_both_ends,
+                                    args=(runs[c].append, 300, 2))
                    for c in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -581,7 +617,7 @@ class TestSuiteOnTwoThreads:
         assert want.value is errors[failing[0]]
         started = []
         self._record_lanes(monkeypatch, started)
-        _use_cpus(monkeypatch, cpus)
+        _use_lanes(monkeypatch, cpus)
         with pytest.raises(type(want.value)) as got:
             run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
         assert type(got.value) is type(want.value)

@@ -77,3 +77,22 @@ def test_traced_train_suite(tmp_path):
     for kind in CLASSIFIER_KINDS:
         assert layers[f"ml.train.{kind}.s"] > 0, kind
     assert layers["ml.epochs.DeepNN"] == 400
+
+
+def test_traced_suite_fits_in_one_lane():
+    # the tracer keeps one open-span stack for all threads, so a traced suite
+    # must not fit on two threads even where an untraced one would
+    code = ("import layertrace\n"
+            "from pcrisk import ml\n"
+            "before = ml._suite_lanes()\n"
+            "layertrace.install(layertrace.Tracer('lanes'))\n"
+            "print(before, ml._suite_lanes())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       str(ROOT / "perfbench")]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, traced = map(int, proc.stdout.split())
+    assert before == (2 if len(os.sched_getaffinity(0)) >= 2 else 1)
+    assert traced == 1
