@@ -10,7 +10,9 @@ complement set.
 
 Split quality is compared through exact integer arithmetic, so the chosen
 tree is identical to an exhaustive best-split search and reproducible
-across platforms.
+across platforms. A fit ranks each column's values among its distinct
+values once; a node's split search then counts its rows per value with
+np.bincount instead of sorting them.
 """
 
 from __future__ import annotations
@@ -101,40 +103,122 @@ class HypothesisPredicate:
 MAX_CART_ROWS = 2 ** 22
 
 
-def _best_split(Xs: np.ndarray, y: np.ndarray, min_leaf: int,
-                feature_ids: np.ndarray) -> tuple[int, float] | None:
-    """Split minimizing weighted gini impurity, or None.
+def midpoint(a, b):
+    """A threshold t with a <= t < b between finite a < b (floats or arrays).
 
-    Xs holds the node's values of the features in feature_ids (ascending),
-    one row per feature and one column per sample of y. Candidate
-    thresholds are midpoints between consecutive distinct sorted values of
-    each feature. A candidate's score
-    is the rational N/D with integers N = (nL^2 - aL^2 - bL^2)*nR +
-    (nR^2 - aR^2 - bR^2)*nL and D = nL*nR, where N <= n^3/8 fits int64 for
-    n < MAX_CART_ROWS. The least score is found exactly (_exact_argmin);
-    ties go to the lowest feature index, then the lowest threshold.
+    (a + b) / 2 where that is finite and below b, else a / 2 + b / 2 where
+    that lies in [a, b), else a. The plain midpoint overflows for large a
+    and b, and rounds up to b when they are adjacent doubles; either way a
+    split at it would send b's rows to the left with a's.
     """
-    n = len(y)
-    order = np.argsort(Xs, axis=1, kind="stable")
-    xs = np.take_along_axis(Xs, order, axis=1)
-    cum1 = np.cumsum(y[order], axis=1)
-    boundary = xs[:, :-1] < xs[:, 1:]
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2.0
+    half = a / 2.0 + b / 2.0
+    return np.where(np.isfinite(mid) & (mid < b), mid,
+                    np.where((a <= half) & (half < b), half, a))
+
+
+@dataclass(frozen=True)
+class ColumnCodes:
+    """A feature matrix encoded once per fit for the split search.
+
+    values[starts[j]:starts[j + 1]] are column j's distinct values,
+    ascending (-0.0 and 0.0 are one value), and ranks[i, j] is the index of
+    X[i, j] among them. A node's row and class-1 counts per distinct value
+    are then bincounts over its rows' ranks.
+    """
+
+    ranks: np.ndarray   # (n, d) int32
+    values: np.ndarray  # (starts[-1],) float64
+    starts: np.ndarray  # (d + 1,) int64
+
+
+def encode_columns(X: np.ndarray) -> ColumnCodes:
+    """Rank every value of X among its column's distinct values.
+
+    Raises InvalidInputError naming the first column that holds a
+    non-finite value (a NaN has no place among the distinct values), or
+    when X has MAX_CART_ROWS rows or more.
+    """
+    n, d = X.shape
+    if n >= MAX_CART_ROWS:
+        raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {n}")
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        raise InvalidInputError(
+            f"CART needs finite feature values: column {int(np.argmin(finite))} is not")
+    ranks = np.empty((n, d), dtype=np.int32)
+    distinct = []
+    for j in range(d):
+        column = X[:, j]
+        ordered = np.sort(column)
+        new = np.ones(n, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        distinct.append(ordered[new])
+        ranks[:, j] = np.searchsorted(distinct[-1], column)
+    starts = np.r_[0, np.cumsum([len(v) for v in distinct], dtype=np.int64)]
+    values = np.concatenate(distinct) if distinct else np.zeros(0)
+    return ColumnCodes(ranks=ranks, values=values, starts=starts)
+
+
+def _best_split(codes: ColumnCodes, y: np.ndarray, rows: np.ndarray, min_leaf: int,
+                feature_ids: np.ndarray) -> tuple[int, float, int] | None:
+    """Split of the node holding rows minimizing weighted gini impurity, or
+    None; as (feature, threshold, rank), where a row goes left when its
+    rank in that feature's column is at most rank.
+
+    rows index codes and y, and may repeat (a bootstrap sample counts a
+    repeated row as often as it is drawn). feature_ids are the columns
+    scored, ascending. Each column's distinct values get consecutive bins;
+    two np.bincount calls over the node's bins give its row and class-1
+    counts per value, and cumulative sums of the nonzero bins give every
+    candidate's left-side counts. The work is O(len(rows) * k + B) for k
+    columns holding B distinct values in all; no node sorts.
+
+    Candidate thresholds are the midpoints between consecutive distinct
+    values of each feature within the node, in (feature, threshold) order.
+    A candidate's score is the rational N/D with integers N = (nL^2 - aL^2
+    - bL^2)*nR + (nR^2 - aR^2 - bR^2)*nL and D = nL*nR, where N <= n^3/8
+    fits int64 for n < MAX_CART_ROWS. The least score is found exactly
+    (_exact_argmin); ties go to the lowest feature index, then the lowest
+    threshold.
+    """
+    n = len(rows)
+    sizes = codes.starts[feature_ids + 1] - codes.starts[feature_ids]
+    starts = np.cumsum(sizes) - sizes  # first bin of each scored column
+    n_bins = int(sizes.sum())
+    if len(feature_ids) == len(codes.starts) - 1:
+        bins = codes.ranks[rows] + starts  # whole rows gather faster than columns by index
+    else:
+        bins = codes.ranks[np.ix_(rows, feature_ids)] + starts
+    yn = y[rows]
+    count = np.bincount(bins.ravel(), minlength=n_bins)
+    ones = np.bincount(bins[yn == 1].ravel(), minlength=n_bins)
+    present = np.flatnonzero(count)  # (feature, value) order
+    col = np.searchsorted(starts, present, side="right") - 1
+    n1 = int(yn.sum())
+    # running sums over all present bins; every earlier column adds n rows
+    # and n1 class-1 rows
+    nL = np.cumsum(count[present]) - col * n
+    aL = np.cumsum(ones[present]) - col * n1
+    usable = nL < n  # a column's last present value has nothing to its right
     if min_leaf > 1:
-        sizes = np.arange(1, n)
-        boundary &= (sizes >= min_leaf) & (n - sizes >= min_leaf)
-    row, pos = np.nonzero(boundary)  # (feature, threshold) order
-    if row.size == 0:
+        usable &= (nL >= min_leaf) & (n - nL >= min_leaf)
+    cand = np.flatnonzero(usable)
+    if cand.size == 0:
         return None
-    nL = pos.astype(np.int64) + 1
-    aL = cum1[row, pos].astype(np.int64)
+    nL, aL = nL[cand], aL[cand]
     bL = nL - aL
     nR = n - nL
-    aR = cum1[row, -1].astype(np.int64) - aL
+    aR = n1 - aL
     bR = nR - aR
     num = (nL * nL - aL * aL - bL * bL) * nR + (nR * nR - aR * aR - bR * bR) * nL
-    k = _exact_argmin(num, nL * nR)
-    r, i = int(row[k]), int(pos[k])
-    return int(feature_ids[r]), float((xs[r, i] + xs[r, i + 1]) / 2.0)
+    k = int(cand[_exact_argmin(num, nL * nR)])
+    c = int(col[k])
+    feature = int(feature_ids[c])
+    lo, hi = present[k] - starts[c], present[k + 1] - starts[c]
+    base = codes.starts[feature]
+    return feature, float(midpoint(codes.values[base + lo], codes.values[base + hi])), int(lo)
 
 
 def _exact_argmin(num: np.ndarray, den: np.ndarray) -> int:
@@ -160,16 +244,33 @@ def _exact_argmin(num: np.ndarray, den: np.ndarray) -> int:
 def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
               min_leaf: int = 1, rng: np.random.Generator | None = None,
               max_features: int | None = None) -> TreeNode:
-    """Greedy CART on a label array in {0, 1}.
+    """Greedy CART on a finite feature matrix and a label array in {0, 1}.
 
     max_depth is None or at least 1, and min_leaf at least 1. max_features,
     when set, samples that many candidate feature indices per split (used by
-    random forests); the tie rule applies within the sample.
+    random forests); the tie rule applies within the sample. A non-finite
+    value in X raises InvalidInputError naming its column.
+
+    X is encoded once (encode_columns) and the tree grown from the codes
+    (grow_from_codes), so no node sorts or copies X's rows.
+    """
+    return grow_from_codes(encode_columns(X), y, np.arange(len(y)), max_depth, min_leaf,
+                           rng, max_features)
+
+
+def grow_from_codes(codes: ColumnCodes, y: np.ndarray, rows: np.ndarray,
+                    max_depth: int | None = 4, min_leaf: int = 1,
+                    rng: np.random.Generator | None = None,
+                    max_features: int | None = None) -> TreeNode:
+    """grow_tree on the rows of an encoded matrix; rows may repeat, and a
+    repeated row counts once per occurrence, as if it were copied.
 
     Nodes are grown depth first, left before right, each from the indices
-    of its rows into X; a node gathers only the columns it scores.
+    of its rows into the codes. A node costs two bincounts over its rows'
+    ranks in the columns it scores (see _best_split); the root of an
+    n-row fit on d columns holds an (n, d) int64 array of bins at most.
     """
-    n, d = X.shape
+    n, d = len(rows), len(codes.starts) - 1
     if n >= MAX_CART_ROWS:
         raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {n}")
     if max_depth is not None and max_depth < 1:
@@ -177,8 +278,8 @@ def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
     if min_leaf < 1:
         raise InvalidInputError("min_leaf must be >= 1")
     sample = max_features is not None and max_features < d
-    root = TreeNode(n_samples=n, n_class1=int(y.sum()))
-    todo = [(root, np.arange(n), max_depth)]
+    root = TreeNode(n_samples=n, n_class1=int(y[rows].sum()))
+    todo = [(root, rows, max_depth)]
     while todo:
         node, rows, depth_left = todo.pop()
         if node.n_samples < 2 * min_leaf or node.n_class1 in (0, node.n_samples) \
@@ -186,15 +287,13 @@ def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
             continue
         if sample:
             feature_ids = np.sort(rng.choice(d, size=max_features, replace=False))
-            Xs = X.T[np.ix_(feature_ids, rows)]
         else:
             feature_ids = np.arange(d)
-            Xs = X[rows].T  # whole rows gather faster than every column by index
-        split = _best_split(Xs, y[rows], min_leaf, feature_ids)
+        split = _best_split(codes, y, rows, min_leaf, feature_ids)
         if split is None:
             continue
-        node.feature, node.threshold = split
-        go_left = X[rows, node.feature] <= node.threshold
+        node.feature, node.threshold, rank = split
+        go_left = codes.ranks[rows, node.feature] <= rank
         left, right = rows[go_left], rows[~go_left]
         node.left = TreeNode(n_samples=len(left), n_class1=int(y[left].sum()))
         node.right = TreeNode(n_samples=len(right), n_class1=int(y[right].sum()))
@@ -215,6 +314,22 @@ def predict_leaf(node: TreeNode, vector: np.ndarray) -> TreeNode:
     while not node.is_leaf:
         node = node.left if vector[node.feature] <= node.threshold else node.right
     return node
+
+
+def leaf_purity(node: TreeNode, X: np.ndarray) -> np.ndarray:
+    """predict_leaf(node, x).purity for every row x of X, found by routing
+    arrays of row indices down the tree: one comparison per internal node
+    that rows reach, not one walk per row."""
+    out = np.empty(len(X))
+    todo = [(node, np.arange(len(X)))]
+    while todo:
+        node, rows = todo.pop()
+        if node.is_leaf:
+            out[rows] = node.purity
+        elif rows.size:
+            go_left = X[rows, node.feature] <= node.threshold
+            todo += [(node.left, rows[go_left]), (node.right, rows[~go_left])]
+    return out
 
 
 # ---------------------------------------------------------------------------

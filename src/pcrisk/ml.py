@@ -35,7 +35,16 @@ from .errors import (
     StratificationError,
 )
 from .features import Dataset, to_matrix
-from .hypotheses import TreeNode, grow_tree, predict_leaf, tree_from_dict, tree_to_dict
+from .hypotheses import (
+    TreeNode,
+    encode_columns,
+    grow_from_codes,
+    grow_tree,
+    leaf_purity,
+    midpoint,
+    tree_from_dict,
+    tree_to_dict,
+)
 
 CLASSIFIER_KINDS = (
     "DecisionTree", "RandomForest", "AdaBoost", "LogisticRegression",
@@ -184,7 +193,7 @@ class TreeModel:
 
     def predict_proba(self, X):
         _check_dim(X, self.n_features)
-        return np.array([predict_leaf(self.root, x).purity for x in X])
+        return leaf_purity(self.root, X)
 
     def state_dict(self):
         return {"tree": tree_to_dict(self.root), "n_features": self.n_features}
@@ -212,18 +221,20 @@ class ForestModel:
         return int(mf)
 
     def fit(self, X, y):
+        """X is encoded once; each tree grows from the indices of its
+        bootstrap rows into that encoding, so no tree copies X."""
         self.n_features = X.shape[1]
         rng = np.random.default_rng(self.seed)
         k = self._n_split_features(X.shape[1])
+        codes = encode_columns(X)
         self.trees = []
         for _ in range(self.hyperparams["n_estimators"]):
             if self.hyperparams["bootstrap"]:
-                idx = rng.integers(0, len(y), size=len(y))
-                Xb, yb = X[idx], y[idx]
+                rows = rng.integers(0, len(y), size=len(y))
             else:
-                Xb, yb = X, y
-            self.trees.append(grow_tree(
-                Xb, yb, self.hyperparams["max_depth"], self.hyperparams["min_leaf"],
+                rows = np.arange(len(y))
+            self.trees.append(grow_from_codes(
+                codes, y, rows, self.hyperparams["max_depth"], self.hyperparams["min_leaf"],
                 rng=rng, max_features=k))
         return self
 
@@ -231,7 +242,7 @@ class ForestModel:
         _check_dim(X, self.n_features)
         acc = np.zeros(len(X))
         for tree in self.trees:
-            acc += np.array([predict_leaf(tree, x).purity for x in X])
+            acc += leaf_purity(tree, X)
         return acc / len(self.trees)
 
     def state_dict(self):
@@ -303,7 +314,8 @@ def _stump_predict(X, f: int, thr: float, pol: int) -> np.ndarray:
 
 
 class _StumpSearch:
-    """Exhaustive weighted-error stump search over midpoint thresholds.
+    """Exhaustive weighted-error stump search over midpoint thresholds
+    (hypotheses.midpoint).
 
     Polarity +1 predicts class 1 on value > threshold, -1 on value <=
     threshold. Ties resolve to the lowest feature, lowest threshold,
@@ -323,7 +335,7 @@ class _StumpSearch:
         # one candidate per gap between consecutive distinct sorted values,
         # in (feature, threshold) order
         self.feature, self.index = np.nonzero(xs[:, :-1] < xs[:, 1:])
-        self.threshold = (xs[self.feature, self.index] + xs[self.feature, self.index + 1]) / 2.0
+        self.threshold = midpoint(xs[self.feature, self.index], xs[self.feature, self.index + 1])
 
     def best(self, w) -> tuple[int, float, int] | None:
         """(feature, threshold, polarity) of least weighted error under w, or None."""

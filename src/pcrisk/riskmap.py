@@ -65,15 +65,17 @@ def surface_from_rows(grid: Grid, cells: np.ndarray, scores,
 def render_geojson(surface: RiskSurface, path) -> None:
     """One polygon feature per masked cell with risk and color properties.
 
-    Rings are counterclockwise (lon, lat), per RFC 7946.
+    Rings are counterclockwise (lon, lat), per RFC 7946. A model scores
+    many cells alike, so each distinct risk is colored once.
     """
     surface.validate()
     g = surface.grid
     cells = np.argwhere(g.mask)
     bounds = (b.tolist() for b in g.cell_bounds(cells))
+    risks = surface.values[g.mask].tolist()
+    color = {risk: risk_color(risk) for risk in set(risks)}
     features = []
-    for (row, col), risk, lat_s, lon_w, lat_n, lon_e in zip(
-            cells.tolist(), surface.values[g.mask].tolist(), *bounds):
+    for (row, col), risk, lat_s, lon_w, lat_n, lon_e in zip(cells.tolist(), risks, *bounds):
         ring = [[lon_w, lat_s], [lon_e, lat_s], [lon_e, lat_n],
                 [lon_w, lat_n], [lon_w, lat_s]]
         features.append({
@@ -82,7 +84,7 @@ def render_geojson(surface: RiskSurface, path) -> None:
                 "row": row,
                 "col": col,
                 "risk": risk,
-                "color": risk_color(risk),
+                "color": color[risk],
             },
             "geometry": {"type": "Polygon", "coordinates": [ring]},
         })

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import json
 import math
 from pathlib import Path
 
@@ -8,7 +9,10 @@ import pytest
 
 from pcrisk.grid import KM_PER_DEG, BBox, build_grid
 from pcrisk.ingest import PlantedEffect, VariableSeries, Window, synth_country
-from pcrisk.features import assemble_dataset
+from pcrisk import cli
+from pcrisk.features import assemble_dataset, read_dataset_csv
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "synthetic_demo.json"
 
 
 def square_grid(n_rows: int, n_cols: int, cell_km: float = 100.0, lat0: float = 0.0):
@@ -70,3 +74,16 @@ def small_country():
                                    planted=PlantedEffect(base_rate=0.08))
     ds = assemble_dataset(g, series, events, window)
     return g, series, events, window, ds
+
+
+@pytest.fixture(scope="session")
+def demo_table_25km(tmp_path_factory):
+    """dataset.csv of the bundled demo config at 25 km (8,000 cells), as
+    build-dataset writes it and learn-tree and riskmap read it."""
+    work = tmp_path_factory.mktemp("demo25")
+    cfg = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    cfg["cell_km"] = 25.0
+    (work / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["build-dataset", "--config", str(work / "config.json"),
+                     "--out-dir", str(work / "out")]) == 0
+    return read_dataset_csv(work / "out" / "dataset.csv")

@@ -7,7 +7,8 @@ exhaustive search for trees and stumps. The scalar stump search, the
 one-pass MLP loss and gradient, and the gradient-on-every-trial descent
 are the earlier library versions of what ml now computes with fewer passes;
 the library must match them bit for bit. So must the CART grown on row
-indices match the one that copied every node's rows, and the suite fitted
+indices, which counts each node's rows per distinct value, match the one
+that copied every node's rows and sorted every column, and the suite fitted
 from both ends of its spec list match the one-by-one loop. So must the
 array dataset.csv writer and reader match the per-field ones here, the
 array cell lookup, cell bounds and polygon mask match the scalar versions
@@ -36,8 +37,7 @@ from pcrisk.errors import (
 )
 from pcrisk.features import FEATURE_NAMES, HIST_FEATURE_NAMES
 from pcrisk.grid import Grid, cell_of
-from pcrisk.hypotheses import MAX_CART_ROWS, TreeNode
-from pcrisk.hypotheses import _best_split as _best_split_columns
+from pcrisk.hypotheses import MAX_CART_ROWS, TreeNode, _exact_argmin
 from pcrisk.ingest import VARIABLES, VariableSeries, _open_csv
 from pcrisk.ml import EvalReport, metrics, predict_proba, split, train
 
@@ -169,12 +169,48 @@ def same_tree(node, oracle) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# CART that copies each node's rows
+# CART that copies each node's rows and sorts every scored column
+
+
+def best_split_sorted(Xs: np.ndarray, y: np.ndarray, min_leaf: int,
+                      feature_ids: np.ndarray) -> tuple[int, float] | None:
+    """Split minimizing weighted gini impurity, or None.
+
+    Xs holds the node's values of the features in feature_ids (ascending),
+    one row per feature and one column per sample of y. Candidate
+    thresholds are midpoints between consecutive distinct sorted values of
+    each feature. A candidate's score
+    is the rational N/D with integers N = (nL^2 - aL^2 - bL^2)*nR +
+    (nR^2 - aR^2 - bR^2)*nL and D = nL*nR, where N <= n^3/8 fits int64 for
+    n < MAX_CART_ROWS. The least score is found exactly (_exact_argmin);
+    ties go to the lowest feature index, then the lowest threshold.
+    """
+    n = len(y)
+    order = np.argsort(Xs, axis=1, kind="stable")
+    xs = np.take_along_axis(Xs, order, axis=1)
+    cum1 = np.cumsum(y[order], axis=1)
+    boundary = xs[:, :-1] < xs[:, 1:]
+    if min_leaf > 1:
+        sizes = np.arange(1, n)
+        boundary &= (sizes >= min_leaf) & (n - sizes >= min_leaf)
+    row, pos = np.nonzero(boundary)  # (feature, threshold) order
+    if row.size == 0:
+        return None
+    nL = pos.astype(np.int64) + 1
+    aL = cum1[row, pos].astype(np.int64)
+    bL = nL - aL
+    nR = n - nL
+    aR = cum1[row, -1].astype(np.int64) - aL
+    bR = nR - aR
+    num = (nL * nL - aL * aL - bL * bL) * nR + (nR * nR - aR * aR - bR * bR) * nL
+    k = _exact_argmin(num, nL * nR)
+    r, i = int(row[k]), int(pos[k])
+    return int(feature_ids[r]), float((xs[r, i] + xs[r, i + 1]) / 2.0)
 
 
 def _best_split(X, y, min_leaf, feature_ids):
     """The split search called with the node's rows (n, d), as it once was."""
-    return _best_split_columns(X.T[feature_ids], y, min_leaf, feature_ids)
+    return best_split_sorted(X.T[feature_ids], y, min_leaf, feature_ids)
 
 
 def grow_tree_copying(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,

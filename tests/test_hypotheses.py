@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,6 +25,9 @@ from pcrisk.hypotheses import (
     tree_to_dot,
     _best_split,
     _exact_argmin,
+    encode_columns,
+    grow_from_codes,
+    midpoint,
 )
 
 
@@ -108,12 +112,12 @@ class TestTrainCart:
             y = np.r_[0, 1, (rng.random(n - 2) < 0.5).astype(int)]
             fids = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
             min_leaf = int(rng.integers(1, 3))
-            got = _best_split(X[:, fids].T, y, min_leaf, fids)
+            got = _best_split(encode_columns(X), y, np.arange(n), min_leaf, fids)
             want = exhaustive_cart(X[:, fids], y, max_depth=1, min_leaf=min_leaf)
             if "feature" not in want:
                 assert got is None, trial
             else:
-                assert got == (int(fids[want["feature"]]), want["threshold"]), trial
+                assert got[:2] == (int(fids[want["feature"]]), want["threshold"]), trial
 
     def test_exact_argmin_separates_float_ties(self):
         # 1/3 rounds to 6004799503160661 / 2**54, which is smaller exactly
@@ -138,6 +142,54 @@ class TestTrainCart:
         with pytest.raises(InvalidInputError, match="fewer than 8 rows"):
             grow_tree(X, (X[:, 0] > 3).astype(int))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_rejected_naming_column(self, bad):
+        # an infinite value once became the threshold and left the right
+        # child empty; a NaN has no place among a column's distinct values
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, bad], [3.0, 1.0]])
+        with pytest.raises(InvalidInputError, match="column 1 is not"):
+            grow_tree(X, np.array([0, 0, 1, 0]))
+        with pytest.raises(InvalidInputError, match="column 1 is not"):
+            train_cart(_rows_from_xy(X, [0, 0, 1, 0]))
+
+
+A = float(np.nextafter(1.0, 2.0))
+B = float(np.nextafter(A, 2.0))
+
+
+class TestThresholds:
+    """A split threshold t between consecutive distinct values a < b must
+    satisfy a <= t < b, or the split realises another partition than the
+    one scored."""
+
+    @pytest.mark.parametrize("a, b", [
+        (A, B),              # (a + b) / 2 rounds up to b
+        (1e308, 1.5e308),    # a + b overflows
+        (-1.5e308, -1e308),
+        (-5e-324, 0.0),      # (a + b) / 2 rounds to -0.0, and 0.0 <= -0.0
+        (5e-324, 1e-323),    # a subnormal midpoint that rounds up to b
+    ])
+    def test_depth1_split_separates_the_classes(self, a, b):
+        X = np.array([[a], [a], [b], [b]])
+        tree = grow_tree(X, np.array([0, 0, 1, 1]), max_depth=1)
+        assert a <= tree.threshold < b
+        assert (tree.left.n_samples, tree.left.n_class1) == (2, 0)
+        assert (tree.right.n_samples, tree.right.n_class1) == (2, 2)
+
+    @pytest.mark.parametrize("a, b", [(0.1, 0.3), (-2.0, 7.5), (0.0, 5e-324), (-1.0, 1.0),
+                                      (1e300, 1e301), (3.0, 3.0000000000000013)])
+    def test_midpoint_is_the_plain_one_where_that_is_right(self, a, b):
+        mid = (a + b) / 2.0
+        assert a <= mid < b
+        assert float(midpoint(a, b)).hex() == mid.hex()
+
+    def test_midpoint_on_arrays(self):
+        a = np.array([0.1, A, 1e308, -5e-324])
+        b = np.array([0.3, B, 1.5e308, 0.0])
+        t = midpoint(a, b)
+        assert ((a <= t) & (t < b)).all()
+        assert t[0] == (0.1 + 0.3) / 2.0 and t[1] == A and np.isfinite(t[2])
+
 
 def _same_nodes(a, b) -> bool:
     """Equal trees: structure, counts, features and threshold bits."""
@@ -149,31 +201,48 @@ def _same_nodes(a, b) -> bool:
             and _same_nodes(a.left, b.left) and _same_nodes(a.right, b.right))
 
 
+#: column kinds: few distinct values (plenty of tied splits and constant
+#: columns), many distinct values whose midpoints round, and signed zeros
+_COLUMNS = {
+    "few": st.integers(-2, 3).map(lambda k: k / 2.0),
+    "many": st.integers(-10 ** 6, 10 ** 6).map(lambda k: k / 7.0),
+    "zeros": st.sampled_from([-0.0, 0.0, -0.5, 0.5, 1.0]),
+}
+
+
 @st.composite
 def _cart_problems(draw):
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 6))
-    # few distinct values: plenty of tied splits and constant columns
-    X = np.array(draw(st.lists(st.integers(-2, 3), min_size=n * d, max_size=n * d)),
-                 dtype=float).reshape(n, d) / 2.0
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=d, max_size=d))
+    X = np.array([draw(st.lists(_COLUMNS[kind], min_size=n, max_size=n)) for kind in kinds],
+                 dtype=float).T
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     params = dict(max_depth=draw(st.none() | st.integers(1, 6)),
                   min_leaf=draw(st.integers(1, 4)),
                   max_features=draw(st.none() | st.integers(1, d + 1)))
-    return X, y, params, draw(st.integers(0, 2 ** 32 - 1))
+    # a bootstrap sample: row indices that may repeat, as a forest draws them
+    rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return X, y, params, rows, draw(st.integers(0, 2 ** 32 - 1))
 
 
 class TestRowIndexCart:
-    """grow_tree recursing on row indices against the earlier version that
-    copied every node's rows (oracles.grow_tree_copying)."""
+    """grow_tree counting each node's rows per distinct value against the
+    earlier version that copied every node's rows and sorted every scored
+    column (oracles.grow_tree_copying)."""
 
     @given(_cart_problems())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_matches_copying_cart(self, problem):
-        X, y, params, seed = problem
+        X, y, params, rows, seed = problem
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        tree = grow_tree(X, y, rng=rng, **params)
-        oracle = grow_tree_copying(X, y, rng=rng_oracle, **params)
+        if rows is None:
+            tree = grow_tree(X, y, rng=rng, **params)
+            oracle = grow_tree_copying(X, y, rng=rng_oracle, **params)
+        else:
+            rows = np.array(rows, dtype=np.int64)
+            tree = grow_from_codes(encode_columns(X), y, rows, rng=rng, **params)
+            oracle = grow_tree_copying(X[rows], y[rows], rng=rng_oracle, **params)
         assert _same_nodes(tree, oracle)
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
@@ -203,6 +272,26 @@ class TestRowIndexCart:
         finally:
             gc.enable()
         assert not tree.is_leaf
+
+
+class TestDemoTable25km:
+    """The bundled demo config at 25 km: 8,000 cells by 120 features."""
+
+    def test_tree_matches_copying_cart(self, demo_table_25km):
+        tree = train_cart(demo_table_25km, max_depth=4, min_leaf=1)
+        oracle = grow_tree_copying(demo_table_25km.X, demo_table_25km.y, 4, 1)
+        assert not tree.is_leaf and _same_nodes(tree, oracle)
+
+    def test_train_cart_peak_memory(self, demo_table_25km):
+        # sorting every scored column of every node peaked at 38.5 MB here;
+        # the (8000, 120) int32 ranks and the root's int64 bins take 11.5 MB
+        tracemalloc.start()
+        try:
+            train_cart(demo_table_25km, max_depth=4, min_leaf=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestExtractPaths:

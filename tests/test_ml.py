@@ -13,10 +13,13 @@ from scipy.stats import rankdata
 from oracles import (
     batch_gd_every_trial,
     exhaustive_stump,
+    grow_tree_copying,
     mlp_loss_grad_full,
     run_suite_sequential,
     scalar_best_stump,
 )
+from pcrisk.hypotheses import predict_leaf
+from test_hypotheses import _same_nodes
 from pcrisk import cli, ml
 from pcrisk.errors import (
     InsufficientDataError,
@@ -43,6 +46,7 @@ from pcrisk.ml import (
     _flatten_params,
     _sample_weights,
     _StumpSearch,
+    _stump_predict,
     init_mlp_params,
 )
 
@@ -176,6 +180,49 @@ class TestModels:
             tracemalloc.stop()
         assert len(model.trees) == 30 and not model.trees[0].is_leaf
         assert peak < 6e6
+
+    def test_forest_trees_grow_from_bootstrap_indices(self):
+        # one encoding of X serves every tree; each tree must equal the CART
+        # grown on a copy of its bootstrap rows, with the same rng draws
+        rng = np.random.default_rng(8)
+        X = np.round(rng.random((300, 30)), 2)
+        y = (X[:, 3] + X[:, 17] + 0.5 * rng.random(300) > 1.2).astype(int)
+        hp = ClassifierSpec("RandomForest", {"n_estimators": 6}).resolved()
+        model = ml.ForestModel(hp, 5).fit(X, y)
+        rng = np.random.default_rng(5)
+        for tree in model.trees:
+            idx = rng.integers(0, 300, size=300)
+            oracle = grow_tree_copying(X[idx], y[idx], hp["max_depth"], hp["min_leaf"],
+                                       rng=rng, max_features=5)
+            assert _same_nodes(tree, oracle)
+
+    @pytest.mark.parametrize("kind", ["DecisionTree", "RandomForest"])
+    def test_tree_scores_equal_per_row_walks(self, kind):
+        X, y = _blobs(200, seed=6, d=6)
+        X = np.round(X, 2)  # rows on the thresholds' either side and ties
+        model = train(ClassifierSpec(kind, {"max_depth": 5}, seed=2), _rows(X, y))
+        trees = [model.root] if kind == "DecisionTree" else model.trees
+        probe = np.vstack([_rows(X, y).X, np.random.default_rng(1).random((50, 120))])
+        probe[-1, :] = np.nan  # a NaN fails every comparison and goes right
+        walked = sum(np.array([predict_leaf(t, x).purity for x in probe]) for t in trees)
+        got = model.predict_proba(probe)
+        assert got.tobytes() == (walked / len(trees)).tobytes()
+
+    @pytest.mark.parametrize("a, b", [(float(np.nextafter(1.0, 2.0)),
+                                       float(np.nextafter(np.nextafter(1.0, 2.0), 2.0))),
+                                      (1e308, 1.5e308), (-5e-324, 0.0)])
+    def test_stump_threshold_lies_between_the_values(self, a, b):
+        X = np.array([[a], [a], [b], [b]])
+        y = np.array([0, 0, 1, 1])
+        f, thr, pol = _StumpSearch(X, y).best(np.full(4, 0.25))
+        assert (f, pol) == (0, 1) and a <= thr < b
+        assert list(_stump_predict(X, f, thr, pol)) == [0, 0, 1, 1]
+
+    def test_forest_rejects_non_finite_input(self):
+        X, y = _blobs(40)
+        X[7, 2] = np.inf
+        with pytest.raises(InvalidInputError, match="column 2 is not"):
+            ml.ForestModel(ClassifierSpec("RandomForest").resolved(), 0).fit(X, y)
 
     def test_logreg_separable_training_accuracy(self):
         X, y = _blobs(60, gap=8.0)

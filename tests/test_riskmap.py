@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import square_grid
+from pcrisk import riskmap
 from pcrisk.errors import ValidationError
 from pcrisk.grid import cell_of
 from pcrisk.riskmap import (
@@ -80,6 +81,18 @@ class TestGeojson:
         p = tmp_path / "r.geojson"
         render_geojson(_surface(np.full((2, 2), 0.5), g2), p)
         assert len(json.loads(p.read_text())["features"]) == 3
+
+    def test_each_distinct_risk_colored_once(self, tmp_path, monkeypatch):
+        values = np.array([[0.0, 0.25, 0.25, 1.0, 0.7],
+                           [0.7, -0.0, 0.25, 0.7, 0.7]])
+        calls = []
+        monkeypatch.setattr(riskmap, "risk_color", lambda r: calls.append(r) or risk_color(r))
+        p = tmp_path / "r.geojson"
+        render_geojson(_surface(values), p)
+        assert sorted(calls) == [0.0, 0.25, 0.7, 1.0]
+        props = [f["properties"] for f in json.loads(p.read_text())["features"]]
+        assert [q["risk"] for q in props] == values.ravel().tolist()
+        assert [q["color"] for q in props] == [risk_color(r) for r in values.ravel()]
 
     def test_out_of_range_value_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
