@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features, grid as gridmod, hypotheses, ingest, ml, riskmap, stats
-from .artifacts import read_json, write_json
+from .artifacts import create, read_json, write_json
 from .errors import DegeneratePartitionError, InvalidInputError, PCRiskError, UndefinedTestError
 
 _DEFAULTS = {
@@ -230,7 +230,7 @@ def _load_dataset(cfg: RunConfig) -> features.Dataset:
     path = cfg.out_dir / "dataset.csv"
     if not path.exists():
         raise InvalidInputError(f"{path} not found; run build-dataset first")
-    return features.read_dataset_csv(path)
+    return features.load_dataset(path)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +244,7 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
     out_grid = cfg.out_dir / "grid.json"
     out_edges = cfg.out_dir / "bin_edges.json"
     features.write_dataset_csv(ds, out_ds)
+    features.cache_path(out_ds).unlink(missing_ok=True)
     gridmod.save_grid(g, out_grid)
     features.write_bin_edges_json(edges, out_edges)
     _write_manifest(cfg, "build-dataset", [out_ds, out_grid, out_edges])
@@ -274,7 +275,8 @@ def cmd_learn_tree(cfg: RunConfig) -> int:
     out_json = cfg.out_dir / "tree.json"
     out_dot = cfg.out_dir / "tree.dot"
     hypotheses.save_tree(tree, out_json)
-    out_dot.write_text(hypotheses.tree_to_dot(tree), encoding="utf-8")
+    with create(out_dot) as fh:
+        fh.write(hypotheses.tree_to_dot(tree))
     _write_manifest(cfg, "learn-tree", [out_json, out_dot])
     paths = hypotheses.extract_paths(tree, cfg.tree["min_support"], cfg.tree["min_purity"])
     print(f"tree trained on {len(ds)} rows; {len(paths)} candidate hypothesis paths")

@@ -14,7 +14,10 @@ maximum lands in bin 10.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import logging
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import create, format_values, write_json
 from .errors import InvalidInputError, MissingVariableError
 from .grid import Grid, cell_of, neighbor_offsets
 from .ingest import VARIABLES, ConflictEvent, VariableSeries, Window
@@ -263,23 +266,15 @@ _ROW_DTYPE = np.dtype([("head", np.int64, 3), ("hist", np.float64, _N_HIST),
                        ("counts", np.int64, N_FEATURES - _N_HIST)])
 
 
-def _text(values: np.ndarray, fmt) -> np.ndarray:
-    """fmt(v) for every v of a float64 array, as an object array of its
-    shape. fmt runs once per distinct bit pattern, so -0.0 keeps its sign."""
-    keys, where = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(list(map(fmt, keys.view(np.float64).tolist())), dtype=object)
-    return text[where.reshape(values.shape)]
-
-
 def write_dataset_csv(ds: Dataset, path) -> None:
     """The header line, then one line per row of ds."""
     X = np.asarray(ds.X, dtype=np.float64)
     table = np.empty((len(ds), len(_CSV_HEADER)), dtype=object)
     table[:, :2] = ds.cells.astype(str)
     table[:, 2] = ds.y.astype(str)
-    table[:, 3:3 + _N_HIST] = _text(X[:, :_N_HIST], repr)
-    table[:, 3 + _N_HIST:] = _text(X[:, _N_HIST:], lambda v: str(int(v)))
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    table[:, 3:3 + _N_HIST] = format_values(X[:, :_N_HIST], repr)
+    table[:, 3 + _N_HIST:] = format_values(X[:, _N_HIST:], lambda v: str(int(v)))
+    with create(path) as fh:
         fh.write(",".join(_CSV_HEADER) + "\n")
         fh.writelines(",".join(row) + "\n" for row in table.tolist())
 
@@ -321,11 +316,13 @@ def _fault_at_line(path, lines: list[str]) -> InvalidInputError:
     return InvalidInputError(f"{path}: unreadable dataset")
 
 
-def read_dataset_csv(path) -> Dataset:
+def read_dataset_csv(path, data: bytes | None = None) -> Dataset:
     """Inverse of write_dataset_csv. The file must be UTF-8 without blank
     or comment lines; a line may end in CR LF. A malformed line or a
-    non-finite feature raises InvalidInputError naming the file and line."""
-    data = Path(path).read_bytes()
+    non-finite feature raises InvalidInputError naming the file and line.
+    data, if given, is the file's bytes, already read."""
+    if data is None:
+        data = Path(path).read_bytes()
     try:
         header, *lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
@@ -348,6 +345,78 @@ def read_dataset_csv(path) -> Dataset:
     head = rows["head"]
     return Dataset(cells=head[:, :2].copy(), X=np.hstack([hist, rows["counts"]]),
                    y=head[:, 2].copy())
+
+
+# The parse cache: dataset.csv.cache beside a dataset.csv holds the parse of
+# that file as four .npy arrays, in order: the sha256 digest of the file's
+# bytes (32 uint8), then cells, X and y. The first reader of a dataset.csv
+# writes it; later readers of the same bytes load it.
+
+
+def cache_path(path) -> Path:
+    """Where the parse of the dataset.csv at path is cached."""
+    path = Path(path)
+    return path.with_name(path.name + ".cache")
+
+
+def _cached_parse(cache: Path, digest: bytes) -> Dataset | None:
+    """The Dataset cached for the dataset.csv bytes with this sha256 digest,
+    or None if the cache is missing, stale or damaged."""
+    read = np.lib.format.read_array
+    try:
+        with cache.open("rb") as fh:
+            key = read(fh, allow_pickle=False)
+            if key.dtype != np.uint8 or key.tobytes() != digest:
+                return None
+            cells, X, y = (read(fh, allow_pickle=False) for _ in range(3))
+    except (OSError, ValueError, MemoryError):
+        # missing, truncated, not .npy, an object array (which needs pickle),
+        # or a damaged header claiming more rows than memory can hold
+        return None
+    n = len(y)
+    if ((cells.dtype, X.dtype, y.dtype) != (np.int64, np.float64, np.int64)
+            or (cells.shape, X.shape, y.shape) != ((n, 2), (n, N_FEATURES), (n,))
+            or not all(a.flags.c_contiguous for a in (cells, X, y))):
+        return None
+    return Dataset(cells=cells, X=X, y=y)
+
+
+def _write_cache(cache: Path, digest: bytes, ds: Dataset) -> None:
+    """ds as the cache of the dataset.csv bytes with this sha256 digest. The
+    file is written under a temporary name and renamed into place, so a
+    reader never sees it half written; a failed write is logged and leaves
+    the cache as it was."""
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            for a in (np.frombuffer(digest, dtype=np.uint8), ds.cells, ds.X, ds.y):
+                np.lib.format.write_array(fh, a, allow_pickle=False)
+        os.replace(tmp, cache)
+    except OSError as exc:
+        log.warning("parse cache %s not written (%s)", cache, exc.strerror or exc)
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+
+
+def load_dataset(path) -> Dataset:
+    """read_dataset_csv(path), parsed at most once per content of the file.
+
+    The file's bytes are hashed with sha256. If the cache beside the file
+    holds a parse for that digest, with int64 cells of shape (n, 2),
+    float64 X of shape (n, 120) and int64 y of shape (n,), that parse is
+    returned. Otherwise the same bytes, not a second read of the file that
+    may since have changed, are parsed by read_dataset_csv, with its
+    errors, and the parse is cached. A cache that is stale, damaged or
+    cannot be written costs only the parse.
+    """
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).digest()
+    cache = cache_path(path)
+    ds = _cached_parse(cache, digest)
+    if ds is None:
+        ds = read_dataset_csv(path, data)
+        _write_cache(cache, digest, ds)
+    return ds
 
 
 def write_bin_edges_json(edges: dict[str, BinEdges], path) -> None:

@@ -7,11 +7,10 @@ Rendering is a pure function of the surface, so reruns are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json, write_table
+from .artifacts import create, write_boxes_geojson, write_table
 from .errors import InvalidInputError, ValidationError
 from .grid import Grid
 
@@ -63,37 +62,25 @@ def surface_from_rows(grid: Grid, cells: np.ndarray, scores,
 
 
 def render_geojson(surface: RiskSurface, path) -> None:
-    """One polygon feature per masked cell with risk and color properties.
+    """One polygon feature per masked cell with row, col, risk and color
+    properties, and the model id and cell size as collection properties.
 
-    Rings are counterclockwise (lon, lat), per RFC 7946. A model scores
-    many cells alike, so each distinct risk is colored once.
+    Rings are counterclockwise (lon, lat), per RFC 7946. The file holds what
+    json.dumps(sort_keys=True) gives for that document, but the document is
+    never built: artifacts.write_boxes_geojson encodes each distinct
+    coordinate, row, col, risk and color once and joins each feature from a
+    fixed template. A model scores many cells alike, so each distinct risk
+    is also colored once.
     """
     surface.validate()
     g = surface.grid
     cells = np.argwhere(g.mask)
-    bounds = (b.tolist() for b in g.cell_bounds(cells))
-    risks = surface.values[g.mask].tolist()
-    color = {risk: risk_color(risk) for risk in set(risks)}
-    features = []
-    for (row, col), risk, lat_s, lon_w, lat_n, lon_e in zip(cells.tolist(), risks, *bounds):
-        ring = [[lon_w, lat_s], [lon_e, lat_s], [lon_e, lat_n],
-                [lon_w, lat_n], [lon_w, lat_s]]
-        features.append({
-            "type": "Feature",
-            "properties": {
-                "row": row,
-                "col": col,
-                "risk": risk,
-                "color": color[risk],
-            },
-            "geometry": {"type": "Polygon", "coordinates": [ring]},
-        })
-    doc = {
-        "type": "FeatureCollection",
-        "properties": {"model_id": surface.model_id, "cell_km": g.cell_km},
-        "features": features,
-    }
-    write_json(path, doc)
+    risks = surface.values[g.mask]
+    color = {risk: risk_color(risk) for risk in set(risks.tolist())}
+    write_boxes_geojson(path, {"model_id": surface.model_id, "cell_km": g.cell_km},
+                        g.cell_bounds(cells),
+                        {"row": cells[:, 0], "col": cells[:, 1], "risk": risks,
+                         "color": np.array([color[r] for r in risks.tolist()], dtype=str)})
 
 
 def render_pgm(surface: RiskSurface, path) -> None:
@@ -102,8 +89,9 @@ def render_pgm(surface: RiskSurface, path) -> None:
     surface.validate()
     g = surface.grid
     shades = np.rint(255.0 * np.where(g.mask, surface.values, 0.0)).astype(np.uint8)
-    header = f"P5\n{g.n_cols} {g.n_rows}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + shades[::-1].tobytes())
+    with create(path, binary=True) as fh:
+        fh.write(f"P5\n{g.n_cols} {g.n_rows}\n255\n".encode("ascii"))
+        fh.write(shades[::-1].tobytes())
 
 
 def render_csv(surface: RiskSurface, path) -> None:

@@ -9,7 +9,7 @@ import pytest
 
 from pcrisk.grid import KM_PER_DEG, BBox, build_grid
 from pcrisk.ingest import PlantedEffect, VariableSeries, Window, synth_country
-from pcrisk import cli
+from pcrisk import cli, features
 from pcrisk.features import assemble_dataset, read_dataset_csv
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "synthetic_demo.json"
@@ -62,6 +62,20 @@ def planted_risk_cells(series: list[VariableSeries], planted: PlantedEffect) -> 
             out.update((r, c) for k, (r, c) in enumerate(cells.tolist())
                        if float(s.samples[which == k].mean()) < planted.regime_cutpoint)
     return out
+
+
+def count_parses(monkeypatch) -> list:
+    """The paths features.read_dataset_csv parses from now on, appended as
+    it runs."""
+    parses = []
+    parse = features.read_dataset_csv
+
+    def counted(path, *args, **kwargs):
+        parses.append(path)
+        return parse(path, *args, **kwargs)
+
+    monkeypatch.setattr(features, "read_dataset_csv", counted)
+    return parses
 
 
 @pytest.fixture(scope="session")

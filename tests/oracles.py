@@ -12,7 +12,8 @@ that copied every node's rows and sorted every column, and the suite fitted
 from both ends of its spec list match the one-by-one loop. So must the
 array dataset.csv writer and reader match the per-field ones here, the
 array cell lookup, cell bounds and polygon mask match the scalar versions
-here, and the series CSV parse match the row-by-row one here.
+here, and the series CSV parse match the row-by-row one here. So must the
+per-value risk.geojson encoder match the document-and-json.dumps one here.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate
 
+from pcrisk.artifacts import write_json
 from pcrisk.errors import (
     DuplicateTimestampError,
     InvalidInputError,
@@ -40,6 +42,7 @@ from pcrisk.grid import Grid, cell_of
 from pcrisk.hypotheses import MAX_CART_ROWS, TreeNode, _exact_argmin
 from pcrisk.ingest import VARIABLES, VariableSeries, _open_csv
 from pcrisk.ml import EvalReport, metrics, predict_proba, split, train
+from pcrisk.riskmap import risk_color
 
 TIE = Fraction(1, 10**7)  # relative tie tolerance mirrored by the library
 
@@ -556,3 +559,44 @@ def run_suite_sequential(ds, specs, test_fraction: float = 0.2, seed: int = 0):
         m = metrics(predict_proba(model, test_ds), test_ds.y)
         out.append(replace(m, classifier=spec.kind))
     return EvalReport(rows=tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# risk.geojson as one document
+#
+# The earlier library version of riskmap.render_geojson: it builds the whole
+# FeatureCollection as dicts and lists and encodes it with write_json.
+
+
+def render_geojson_document(surface, path) -> None:
+    """One polygon feature per masked cell with risk and color properties.
+
+    Rings are counterclockwise (lon, lat), per RFC 7946. A model scores
+    many cells alike, so each distinct risk is colored once.
+    """
+    surface.validate()
+    g = surface.grid
+    cells = np.argwhere(g.mask)
+    bounds = (b.tolist() for b in g.cell_bounds(cells))
+    risks = surface.values[g.mask].tolist()
+    color = {risk: risk_color(risk) for risk in set(risks)}
+    features = []
+    for (row, col), risk, lat_s, lon_w, lat_n, lon_e in zip(cells.tolist(), risks, *bounds):
+        ring = [[lon_w, lat_s], [lon_e, lat_s], [lon_e, lat_n],
+                [lon_w, lat_n], [lon_w, lat_s]]
+        features.append({
+            "type": "Feature",
+            "properties": {
+                "row": row,
+                "col": col,
+                "risk": risk,
+                "color": color[risk],
+            },
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+        })
+    doc = {
+        "type": "FeatureCollection",
+        "properties": {"model_id": surface.model_id, "cell_km": g.cell_km},
+        "features": features,
+    }
+    write_json(path, doc)

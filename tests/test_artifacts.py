@@ -1,13 +1,17 @@
 import ast
 import csv
 import io
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pcrisk import cli
 from pcrisk.artifacts import read_json, write_json, write_table
 from pcrisk.errors import InvalidInputError
+from pcrisk.features import write_dataset_csv
+from pcrisk.riskmap import RiskSurface, render_pgm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pcrisk"
 
@@ -68,13 +72,23 @@ def test_only_artifacts_encodes_json_and_csv():
     assert {name for name, _ in found} == {"artifacts.py"}, found
 
 
-def test_writers_replace_an_existing_file(tmp_path):
+def test_writers_replace_an_existing_file(tmp_path, small_country):
     # a new file, not the old one truncated: a hard link keeps the old bytes
+    g, ds = small_country[0], small_country[4]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"cell_km": 100, "seed": 7}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["build-dataset", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    surface = RiskSurface(g, np.full((g.n_rows, g.n_cols), 0.5))
     for write, p in ((lambda p: write_json(p, {"a": 2}), tmp_path / "d.json"),
-                     (lambda p: write_table(p, ["a"], [[2]]), tmp_path / "t.csv")):
+                     (lambda p: write_table(p, ["a"], [[2]]), tmp_path / "t.csv"),
+                     (lambda p: write_dataset_csv(ds, p), tmp_path / "dataset.csv"),
+                     (lambda p: render_pgm(surface, p), tmp_path / "r.pgm"),
+                     (lambda p: cli.main(["learn-tree", "--config", str(cfg),
+                                          "--out-dir", str(out)]), out / "tree.dot")):
         p.write_text("old\n", encoding="utf-8")
         (tmp_path / "link").hardlink_to(p)
         write(p)
-        assert (tmp_path / "link").read_text(encoding="utf-8") == "old\n"
-        assert p.read_text(encoding="utf-8") != "old\n"
+        assert (tmp_path / "link").read_bytes() == b"old\n"
+        assert p.read_bytes() != b"old\n"
         (tmp_path / "link").unlink()

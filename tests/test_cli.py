@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import count_parses
 from pcrisk import errors
 from pcrisk.cli import main
 from pcrisk.ingest import VARIABLES
@@ -382,6 +383,10 @@ def test_every_error_class_maps_to_3_or_4():
         assert cls.exit_code == (4 if cls in data_faults else 3), cls.__name__
 
 
+_ANALYSIS_STAGES = (["test-univariate"], ["learn-tree"], ["eval-hypotheses", "--which", "tree"],
+                    ["riskmap"])
+
+
 class TestPipelineCommands:
     @pytest.fixture()
     def built(self, tmp_path):
@@ -495,6 +500,36 @@ class TestPipelineCommands:
                 err = capsys.readouterr().err
                 assert "dataset.csv line 3" in err and "LAI8" in err, err
         assert not (out / "tree.json").exists()
+
+    def test_analysis_stages_parse_the_table_once(self, built, monkeypatch):
+        cfg, out = built
+        parses = count_parses(monkeypatch)
+        for stage in _ANALYSIS_STAGES:
+            assert _run(*stage, "--config", cfg, "--out-dir", str(out)) == 0, stage
+        assert parses == [out / "dataset.csv"]
+
+    def test_rebuilt_table_is_parsed_again(self, built, tmp_path, monkeypatch):
+        cfg, out = built
+        parses = count_parses(monkeypatch)
+        assert _run("test-univariate", "--config", cfg, "--out-dir", str(out)) == 0
+        assert (out / "dataset.csv.cache").exists()
+        assert _run("build-dataset", "--seed", "8", "--config", cfg, "--out-dir", str(out)) == 0
+        assert not (out / "dataset.csv.cache").exists()
+        assert _run("test-univariate", "--config", cfg, "--out-dir", str(out)) == 0
+        assert len(parses) == 2
+        fresh = tmp_path / "fresh"
+        for command in ("build-dataset", "test-univariate"):
+            assert _run(command, "--seed", "8", "--config", cfg, "--out-dir", str(fresh)) == 0
+        assert (out / "univariate.csv").read_bytes() == (fresh / "univariate.csv").read_bytes()
+
+    def test_full_rerun_same_cache_and_artifacts(self, built):
+        cfg, out = built
+        runs = []
+        for _ in range(2):
+            for stage in (["build-dataset"], *_ANALYSIS_STAGES):
+                assert _run(*stage, "--config", cfg, "--out-dir", str(out)) == 0, stage
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert "dataset.csv.cache" in runs[0] and runs[0] == runs[1]
 
     def test_riskmap_outputs(self, built):
         cfg, out = built

@@ -1,5 +1,7 @@
 import dataclasses
 import datetime as dt
+import hashlib
+import io
 import json
 import math
 import tempfile
@@ -11,13 +13,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import cell_center, square_grid
+from conftest import cell_center, count_parses, square_grid
 from oracles import (
     histogram_bin,
     lattice_neighbors,
     read_dataset_csv_per_field,
     write_dataset_csv_per_field,
 )
+from pcrisk import features
 from pcrisk.cli import main as cli_main
 from pcrisk.errors import InvalidInputError, MissingVariableError
 from pcrisk.ingest import VARIABLES, ConflictEvent, VariableSeries, Window, parse_series
@@ -28,9 +31,11 @@ from pcrisk.features import (
     BinEdges,
     Dataset,
     assemble_dataset,
+    cache_path,
     count_events_per_cell,
     fit_bin_edges,
     histogram_features,
+    load_dataset,
     neighbor_counts,
     read_dataset_csv,
     write_dataset_csv,
@@ -378,7 +383,7 @@ class TestDatasetCsv:
 
     @pytest.mark.parametrize("config, cell_km", [
         ("demo", 100), ("demo", 75), ("demo", 50), ("demo", 25), ("c10", 100), ("c10", 75)])
-    def test_built_tables_match_per_field_io(self, tmp_path, config, cell_km):
+    def test_built_tables_match_per_field_io(self, tmp_path, monkeypatch, config, cell_km):
         # every field of every row of the tables the CLI builds: the parsed
         # bits are float()'s and int()'s, and writing them again gives the
         # per-field writer's bytes, which are the file's
@@ -405,6 +410,11 @@ class TestDatasetCsv:
         write_dataset_csv_per_field(ds, tmp_path / "oracle.csv")
         assert ((tmp_path / "again.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
                 == built.read_bytes())
+        # the first load parses and caches the parse, the second loads the cache
+        assert not cache_path(built).exists()
+        assert _same_table(load_dataset(built), ds)
+        parses = count_parses(monkeypatch)
+        assert _same_table(load_dataset(built), ds) and parses == []
 
     def test_header_names(self, tmp_path, small_country):
         _, _, _, _, ds = small_country
@@ -415,6 +425,129 @@ class TestDatasetCsv:
         assert header[3] == "LAI1" and header[112] == "T2M_MIN10"
         assert header[-10:] == ["NBRP1", "NBRP2", "NBRP3", "NBRP4", "NBRP5",
                                 "NBRC1", "NBRC2", "NBRC3", "NBRC4", "NBRC5"]
+
+
+def _same_table(a: Dataset, b: Dataset) -> bool:
+    """Whether a and b hold the same bits in C-contiguous arrays of the same
+    dtypes and shapes."""
+    return all(u.dtype == v.dtype and u.shape == v.shape and u.flags.c_contiguous
+               and v.flags.c_contiguous and np.array_equal(u.view(np.int64), v.view(np.int64))
+               for u, v in ((a.cells, b.cells), (a.X, b.X), (a.y, b.y)))
+
+
+def _npy(*arrays) -> bytes:
+    """The arrays as consecutive .npy records, object arrays pickled."""
+    buf = io.BytesIO()
+    for a in arrays:
+        np.lib.format.write_array(buf, a, allow_pickle=a.dtype == object)
+    return buf.getvalue()
+
+
+def _cache_bytes(damage: str, digest: bytes, ds: Dataset) -> bytes:
+    """A cache for the table ds with this digest, damaged as named."""
+    key = np.frombuffer(digest, dtype=np.uint8)
+    whole = _npy(key, ds.cells, ds.X, ds.y)
+    if damage == "huge_header":  # cells claim 10**15 rows, within the header's padding
+        shape = f"({len(ds)}, 2), }}".encode() + b" " * 16
+        assert shape in whole
+        return whole.replace(shape, f"({10 ** 15}, 2), }}".encode().ljust(len(shape)), 1)
+    return {
+        "zero_bytes": b"",
+        "truncated": whole[:len(whole) // 2],
+        "not_npy": b"\x93NUMPY garbage",
+        "no_digest": _npy(ds.cells, ds.X, ds.y),
+        "wrong_digest": _npy(np.frombuffer(hashlib.sha256(b"other").digest(), dtype=np.uint8),
+                             ds.cells[1:], ds.X[1:], ds.y[1:]),
+        "wrong_shape": _npy(key, ds.cells, ds.X[:, 1:], ds.y),
+        "wrong_rows": _npy(key, ds.cells, ds.X[1:], ds.y),
+        "wrong_dtype": _npy(key, ds.cells.astype(np.int32), ds.X, ds.y),
+        "float32": _npy(key, ds.cells, ds.X.astype(np.float32), ds.y),
+        "fortran_order": _npy(key, ds.cells, np.asfortranarray(ds.X), ds.y),
+        "object_array": _npy(key, ds.cells.astype(object), ds.X, ds.y),
+    }[damage]
+
+
+class TestParseCache:
+    @pytest.fixture()
+    def table(self, tmp_path, small_country):
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(small_country[4], path)
+        return path, read_dataset_csv(path)
+
+    def test_rewritten_table_parsed_again_and_cache_replaced(self, table, monkeypatch):
+        path, ds = table
+        parses = count_parses(monkeypatch)
+        assert _same_table(load_dataset(path), ds) and len(parses) == 1
+        other = ds.take(np.arange(len(ds))[::-1])
+        write_dataset_csv(other, path)
+        assert _same_table(load_dataset(path), other) and len(parses) == 2
+        assert _same_table(load_dataset(path), other) and len(parses) == 2
+
+    @pytest.mark.parametrize("damage", [
+        "zero_bytes", "truncated", "not_npy", "no_digest", "wrong_digest", "wrong_shape",
+        "wrong_rows", "wrong_dtype", "float32", "fortran_order", "object_array",
+        "huge_header"])
+    def test_damaged_cache_falls_back_to_the_parse(self, table, monkeypatch, damage):
+        path, ds = table
+        digest = hashlib.sha256(path.read_bytes()).digest()
+        damaged = _cache_bytes(damage, digest, ds)
+        assert damaged != _npy(np.frombuffer(digest, dtype=np.uint8), ds.cells, ds.X, ds.y)
+        cache_path(path).write_bytes(damaged)
+        parses = count_parses(monkeypatch)
+        assert _same_table(load_dataset(path), ds) and len(parses) == 1
+        # the parse replaced the damaged cache
+        assert _same_table(load_dataset(path), ds) and len(parses) == 1
+
+    @staticmethod
+    def _built(tmp_path, name: str) -> list[str]:
+        """The --config and --out-dir arguments of a 30-cell table built in
+        tmp_path / name."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"cell_km": 100, "seed": 7}), encoding="utf-8")
+        args = ["--config", str(cfg), "--out-dir", str(tmp_path / name)]
+        assert cli_main(["build-dataset", *args]) == 0
+        return args
+
+    def test_malformed_table_exits_3_beside_a_valid_cache(self, tmp_path, capsys):
+        args = self._built(tmp_path, "out")
+        assert cli_main(["test-univariate", *args]) == 0
+        path = tmp_path / "out" / "dataset.csv"
+        assert cache_path(path).exists()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split(",")
+        fields[10] = "abc"
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["test-univariate", *args]) == 3
+        err = capsys.readouterr().err
+        assert "dataset.csv line 3: LAI8 'abc' is not a number" in err, err
+
+    def test_failing_cache_write_changes_no_output(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(30, "Read-only file system")
+
+        stages = (["test-univariate"], ["learn-tree"], ["eval-hypotheses", "--which", "tree"],
+                  ["riskmap"])
+        outputs = {}
+        for name in ("writable", "failing"):
+            args = self._built(tmp_path, name)
+            if name == "failing":
+                monkeypatch.setattr(features.os, "replace", refuse)
+            for stage in stages:
+                assert cli_main([*stage, *args]) == 0, stage
+            outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                             if p.name != "manifest.json"}  # it names the out-dir
+        assert "dataset.csv.cache" in outputs["writable"]
+        del outputs["writable"]["dataset.csv.cache"]
+        assert outputs["failing"] == outputs["writable"]  # no cache, no temporary file
+
+    def test_cache_holds_the_digest_then_the_parse(self, table):
+        path, ds = table
+        load_dataset(path)
+        digest = hashlib.sha256(path.read_bytes()).digest()
+        assert cache_path(path).read_bytes() == _npy(np.frombuffer(digest, dtype=np.uint8),
+                                                     ds.cells, ds.X, ds.y)
 
 
 class TestEventCounts:

@@ -1,9 +1,15 @@
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import square_grid
+from oracles import render_geojson_document
 from pcrisk import riskmap
 from pcrisk.errors import ValidationError
 from pcrisk.grid import cell_of
@@ -23,6 +29,28 @@ def _surface(values, grid=None):
     if grid is None:
         grid = square_grid(*values.shape)
     return RiskSurface(grid=grid, values=values)
+
+
+@st.composite
+def _surfaces(draw):
+    """Grids of 1 to 4 x 1 to 5 cells at float or integer cell sizes and
+    latitudes, under a random mask, a one-cell mask or none; risks tied,
+    signed zeros, 1.0 and any float in [0, 1]; model ids of any text."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    g = square_grid(n_rows, n_cols, draw(st.sampled_from((100.0, 75.0, 25.0, 12.3))),
+                    lat0=draw(st.sampled_from((0.0, -33.7, 51.25))))
+    whole = st.just(np.ones((n_rows, n_cols), dtype=bool))
+    one_cell = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)).map(
+        lambda rc: np.arange(n_rows * n_cols).reshape(n_rows, n_cols) == rc[0] * n_cols + rc[1])
+    mask = draw(st.one_of(whole, one_cell, arrays(bool, (n_rows, n_cols))))
+    cell_km = draw(st.sampled_from((g.cell_km, int(g.cell_km))))
+    g = dataclasses.replace(g, mask=mask, cell_km=cell_km)
+    risk = st.one_of(st.sampled_from((0.0, -0.0, 1.0, 0.5, 1 / 3)),
+                     st.floats(0.0, 1.0))
+    values = draw(arrays(np.float64, (n_rows, n_cols), elements=risk))
+    model_id = draw(st.one_of(st.sampled_from(("", "DecisionTree", 'a"b\\c\u00e9')),
+                              st.text()))
+    return RiskSurface(grid=g, values=values, model_id=model_id)
 
 
 class TestColors:
@@ -97,6 +125,18 @@ class TestGeojson:
     def test_out_of_range_value_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             render_geojson(_surface([[1.7]]), tmp_path / "r.geojson")
+
+    @settings(max_examples=150, deadline=None)
+    @given(surface=_surfaces())
+    @example(surface=RiskSurface(
+        dataclasses.replace(square_grid(2, 3), cell_km=100),
+        np.array([[0.0, -0.0, 1.0], [0.5, 0.5, 1 / 3]]), 'a"b\\c \u00e9\u2603%s'))
+    def test_bytes_match_the_document_encoding(self, surface):
+        with tempfile.TemporaryDirectory() as d:
+            ours, oracle = Path(d) / "ours.geojson", Path(d) / "oracle.geojson"
+            render_geojson(surface, ours)
+            render_geojson_document(surface, oracle)
+            assert ours.read_bytes() == oracle.read_bytes()
 
 
 class TestPgm:
