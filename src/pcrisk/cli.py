@@ -243,8 +243,8 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
     out_ds = cfg.out_dir / "dataset.csv"
     out_grid = cfg.out_dir / "grid.json"
     out_edges = cfg.out_dir / "bin_edges.json"
-    features.write_dataset_csv(ds, out_ds)
-    features.cache_path(out_ds).unlink(missing_ok=True)
+    digest = features.write_dataset_csv(ds, out_ds)
+    features.cache_written_table(out_ds, digest, ds)
     gridmod.save_grid(g, out_grid)
     features.write_bin_edges_json(edges, out_edges)
     _write_manifest(cfg, "build-dataset", [out_ds, out_grid, out_edges])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import logging
 import os
 import sys
@@ -226,7 +227,9 @@ def assemble_dataset(grid: Grid, series: list[VariableSeries],
     window.validate()
     if edges is None:
         edges = fit_bin_edges(series)
-    cells = np.argwhere(grid.mask)
+    # C-ordered, as the parse returns cells (argwhere's are Fortran-ordered),
+    # so that build-dataset can cache the table's own arrays
+    cells = np.ascontiguousarray(np.argwhere(grid.mask))
     row_of = np.full(grid.mask.shape, -1, dtype=np.int64)
     row_of[grid.mask] = np.arange(len(cells))
     X = np.zeros((len(cells), N_FEATURES))
@@ -264,19 +267,29 @@ def to_matrix(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 _CSV_HEADER = ("row", "col", "label") + FEATURE_NAMES
 _ROW_DTYPE = np.dtype([("head", np.int64, 3), ("hist", np.float64, _N_HIST),
                        ("counts", np.int64, N_FEATURES - _N_HIST)])
+_WRITE_ROWS = 1024
 
 
-def write_dataset_csv(ds: Dataset, path) -> None:
-    """The header line, then one line per row of ds."""
+def write_dataset_csv(ds: Dataset, path) -> bytes:
+    """The header line, then one line per row of ds; returns the sha256
+    digest of the bytes written. The bytes are encoded, hashed and written
+    _WRITE_ROWS lines at a time, so no copy of the whole file is built."""
     X = np.asarray(ds.X, dtype=np.float64)
     table = np.empty((len(ds), len(_CSV_HEADER)), dtype=object)
     table[:, :2] = ds.cells.astype(str)
     table[:, 2] = ds.y.astype(str)
     table[:, 3:3 + _N_HIST] = format_values(X[:, :_N_HIST], repr)
     table[:, 3 + _N_HIST:] = format_values(X[:, _N_HIST:], lambda v: str(int(v)))
-    with create(path) as fh:
-        fh.write(",".join(_CSV_HEADER) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in table.tolist())
+    header = ",".join(_CSV_HEADER) + "\n"
+    blocks = ("".join(",".join(row) + "\n" for row in table[i:i + _WRITE_ROWS].tolist())
+              for i in range(0, len(table), _WRITE_ROWS))
+    digest = hashlib.sha256()
+    with create(path, binary=True) as fh:
+        for text in itertools.chain([header], blocks):
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.digest()
 
 
 def _parse(lines: list[str], dtype) -> np.ndarray:
@@ -349,8 +362,9 @@ def read_dataset_csv(path, data: bytes | None = None) -> Dataset:
 
 # The parse cache: dataset.csv.cache beside a dataset.csv holds the parse of
 # that file as four .npy arrays, in order: the sha256 digest of the file's
-# bytes (32 uint8), then cells, X and y. The first reader of a dataset.csv
-# writes it; later readers of the same bytes load it.
+# bytes (32 uint8), then cells, X and y. build-dataset writes it with the
+# table; the first reader of a dataset.csv whose cache is missing or stale
+# writes it anew, and later readers of the same bytes load it.
 
 
 def cache_path(path) -> Path:
@@ -373,12 +387,19 @@ def _cached_parse(cache: Path, digest: bytes) -> Dataset | None:
         # missing, truncated, not .npy, an object array (which needs pickle),
         # or a damaged header claiming more rows than memory can hold
         return None
+    ds = Dataset(cells=cells, X=X, y=y)
+    return ds if _has_parse_layout(ds) else None
+
+
+def _has_parse_layout(ds: Dataset) -> bool:
+    """Whether ds's arrays have the dtypes, shapes and order of a parse:
+    C-ordered int64 cells of shape (n, 2), float64 X of shape (n, 120) and
+    int64 y of shape (n,)."""
+    cells, X, y = ds.cells, ds.X, ds.y
     n = len(y)
-    if ((cells.dtype, X.dtype, y.dtype) != (np.int64, np.float64, np.int64)
-            or (cells.shape, X.shape, y.shape) != ((n, 2), (n, N_FEATURES), (n,))
-            or not all(a.flags.c_contiguous for a in (cells, X, y))):
-        return None
-    return Dataset(cells=cells, X=X, y=y)
+    return ((cells.dtype, X.dtype, y.dtype) == (np.int64, np.float64, np.int64)
+            and (cells.shape, X.shape, y.shape) == ((n, 2), (n, N_FEATURES), (n,))
+            and all(a.flags.c_contiguous for a in (cells, X, y)))
 
 
 def _write_cache(cache: Path, digest: bytes, ds: Dataset) -> None:
@@ -396,6 +417,27 @@ def _write_cache(cache: Path, digest: bytes, ds: Dataset) -> None:
         log.warning("parse cache %s not written (%s)", cache, exc.strerror or exc)
         with contextlib.suppress(OSError):
             tmp.unlink()
+
+
+def cache_written_table(path, digest: bytes, ds: Dataset) -> None:
+    """Cache ds as the parse of the dataset.csv at path, which
+    write_dataset_csv(ds, path) has just written with this sha256 digest.
+
+    ds's own arrays are the cache only when read_dataset_csv would return
+    them bit for bit: they have the parse's layout, every histogram value
+    is finite, and every neighbor feature is an integer in the int64 range
+    other than -0.0 (written as 0). Otherwise any cache is removed, so the
+    next reader parses the text and raises what the parse raises.
+    """
+    cache = cache_path(path)
+    if _has_parse_layout(ds):
+        hist, counts = ds.X[:, :_N_HIST], ds.X[:, _N_HIST:]
+        integral = (counts == np.trunc(counts)) & (counts >= -2.0 ** 63) & (counts < 2.0 ** 63)
+        negative_zero = (counts == 0) & np.signbit(counts)
+        if np.isfinite(hist).all() and integral.all() and not negative_zero.any():
+            _write_cache(cache, digest, ds)
+            return
+    cache.unlink(missing_ok=True)
 
 
 def load_dataset(path) -> Dataset:

@@ -16,6 +16,9 @@ a fixed seed and all models serialize to JSON:
 Batch-gradient models use a halve-on-increase step, so their recorded
 training loss is non-increasing across epochs. A line-search trial costs one
 forward pass; backpropagation runs only for the trial that is accepted.
+MLP and DeepNN fits allocate their (rows, hidden units) activation, delta
+and back-propagation arrays once per fit, and the AdaBoost stump search its
+(features, rows) cumulative-weight arrays; every step writes into them.
 """
 
 from __future__ import annotations
@@ -322,29 +325,33 @@ class _StumpSearch:
     polarity +1 first. The per-feature sort order and the candidate
     thresholds do not depend on the weights, so they are computed once per
     fit; each search is then one cumsum per class over feature-major (d, n)
-    arrays.
+    arrays, written into two buffers allocated once per fit.
     """
 
     def __init__(self, X, y):
         Xt = X.T
         self.order = np.argsort(Xt, axis=1, kind="stable")  # (d, n)
         xs = np.take_along_axis(Xt, self.order, axis=1)
-        self.is_pos = y[self.order] == 1
-        self.is_neg = y[self.order] == 0
         self.pos = y == 1
+        self.neg = y == 0
         # one candidate per gap between consecutive distinct sorted values,
         # in (feature, threshold) order
         self.feature, self.index = np.nonzero(xs[:, :-1] < xs[:, 1:])
         self.threshold = midpoint(xs[self.feature, self.index], xs[self.feature, self.index + 1])
+        self.wp, self.wn = np.empty(self.order.shape), np.empty(self.order.shape)
 
     def best(self, w) -> tuple[int, float, int] | None:
         """(feature, threshold, polarity) of least weighted error under w, or None."""
         if self.feature.size == 0:
             return None
         pos_total = float(w[self.pos].sum())
-        wo = w[self.order]
-        wp = np.cumsum(np.where(self.is_pos, wo, 0.0), axis=1)  # positive mass left
-        wn = np.cumsum(np.where(self.is_neg, wo, 0.0), axis=1)  # negative mass left
+        wp, wn = self.wp, self.wn
+        for buf, in_class in ((wp, self.pos), (wn, self.neg)):  # mass left per class
+            # np.where(in_class, w, 0.0)[order] is np.where(in_class[order],
+            # w[order], 0.0); mode="clip" (the indices are in range) keeps
+            # take from buffering out, as the default mode="raise" does
+            np.take(np.where(in_class, w, 0.0), self.order, out=buf, mode="clip")
+            np.cumsum(buf, axis=1, out=buf)
         pos_left = wp[self.feature, self.index]
         neg_left = wn[self.feature, self.index]
         err_gt = pos_left + (wn[self.feature, -1] - neg_left)
@@ -403,19 +410,25 @@ class SvmModel:
         lam = hp["l2"]
         sw = _sample_weights(y, hp["class_weight"])
         rng = np.random.default_rng(self.seed)
-        ypm = np.where(y == 1, 1.0, -1.0)
+        # Python floats and prebuilt row views: numpy scalars and a view per
+        # X[i] would cost more than the arithmetic of a step
+        ypm = np.where(y == 1, 1.0, -1.0).tolist()
+        sw = sw.tolist()
+        rows = list(X)
         w = np.zeros(X.shape[1])
         b = 0.0
         t = 0
         for _ in range(hp["epochs"]):
-            for i in rng.permutation(len(y)):
+            for i in rng.permutation(len(y)).tolist():
                 t += 1
                 eta = 1.0 / (lam * t)
-                margin = ypm[i] * (X[i] @ w + b)
+                xi, yi = rows[i], ypm[i]
+                margin = yi * (float(xi @ w) + b)
                 w *= (1.0 - eta * lam)
                 if margin < 1.0:
-                    w += eta * sw[i] * ypm[i] * X[i]
-                    b += eta * sw[i] * ypm[i]
+                    c = eta * sw[i] * yi
+                    w += c * xi
+                    b += c
         if not np.isfinite(w).all() or not math.isfinite(b):
             raise NonConvergenceError("SVM weights diverged", last_loss=None)
         self.w, self.b = w, b
@@ -504,7 +517,7 @@ class MlpModel:
         params = init_mlp_params(sizes, rng)
         flat, shapes = _flatten_params(params)
         flat, self.loss_history = _batch_gd(
-            lambda p: mlp_forward(p, shapes, X, y, hp["l2"], sw),
+            mlp_forward_fn(shapes, X, y, hp["l2"], sw),
             flat, lr=hp["lr"], epochs=hp["epochs"], tol=hp["tol"])
         self.layers = _unflatten_params(flat, shapes)
         return self
@@ -617,39 +630,64 @@ def mlp_forward(flat, shapes, X, y, l2: float, sample_weight=None):
     """Loss of the tanh MLP with logistic output, and backward(): the
     flattened gradient from the activations this pass cached. backward
     skips the gradient with respect to X, which no parameter needs."""
+    return mlp_forward_fn(shapes, X, y, l2, sample_weight)(flat)
+
+
+def mlp_forward_fn(shapes, X, y, l2: float, sample_weight=None):
+    """mlp_forward over one fit's X and y, as a function of flat alone.
+
+    The (n, hidden units) activation, delta and back-propagation arrays of
+    each hidden layer are allocated once, here; every forward pass and
+    backward() writes into them. A forward pass
+    overwrites the activations of the one before it: only the latest
+    pass's backward() may run, and an earlier one raises RuntimeError.
+    """
     n = len(y)
     sw = np.ones(n) if sample_weight is None else sample_weight
-    layers = _unflatten_params(flat, shapes)
-    acts = [X]
-    h = X
-    for W, b in layers[:-1]:
-        h = h @ W
-        h += b
-        np.tanh(h, out=h)
-        acts.append(h)
-    Wo, bo = layers[-1]
-    z = (h @ Wo + bo).ravel()
-    loss = float(np.mean(sw * (np.logaddexp(0.0, z) - y * z)))
-    loss += 0.5 * l2 * sum(float((W * W).sum()) for W, _ in layers)
+    hidden = [ws[1] for ws, _ in shapes[:-1]]
+    acts = [np.empty((n, h)) for h in hidden]
+    deltas = [np.empty((n, h)) for h in hidden]
+    backs = [np.empty((n, h)) for h in hidden]
+    generation = 0
 
-    def backward():
-        grads = [None] * len(layers)
-        delta = (sw * (_sigmoid(z) - y) / n)[:, None]  # (n, 1)
-        grads[-1] = (acts[-1].T @ delta + l2 * Wo, delta.sum(axis=0))
-        back = delta @ Wo.T
-        for li in range(len(layers) - 2, -1, -1):
-            W = layers[li][0]
-            d = acts[li + 1] ** 2
-            np.subtract(1.0, d, out=d)
-            d *= back
-            gW = acts[li].T @ d
-            gW += l2 * W
-            grads[li] = (gW, d.sum(axis=0))
-            if li:
-                back = d @ W.T
-        return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+    def forward(flat):
+        nonlocal generation
+        generation += 1
+        own = generation
+        layers = _unflatten_params(flat, shapes)
+        h = X
+        for (W, b), a in zip(layers[:-1], acts):
+            h = np.matmul(h, W, out=a)
+            h += b
+            np.tanh(h, out=h)
+        Wo, bo = layers[-1]
+        z = (h @ Wo + bo).ravel()
+        loss = float(np.mean(sw * (np.logaddexp(0.0, z) - y * z)))
+        loss += 0.5 * l2 * sum(float((W * W).sum()) for W, _ in layers)
 
-    return loss, backward
+        def backward():
+            if generation != own:
+                raise RuntimeError("backward() of an MLP forward pass whose activations "
+                                   "a later pass has overwritten")
+            inputs = [X, *acts]  # the input of each layer
+            grads = [None] * len(layers)
+            d = (sw * (_sigmoid(z) - y) / n)[:, None]  # (n, 1)
+            grads[-1] = (inputs[-1].T @ d + l2 * Wo, d.sum(axis=0))
+            W = Wo
+            for li in range(len(layers) - 2, -1, -1):
+                back = np.matmul(d, W.T, out=backs[li])
+                W = layers[li][0]
+                d = np.square(inputs[li + 1], out=deltas[li])
+                np.subtract(1.0, d, out=d)
+                d *= back
+                gW = inputs[li].T @ d
+                gW += l2 * W
+                grads[li] = (gW, d.sum(axis=0))
+            return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+
+        return loss, backward
+
+    return forward
 
 
 def mlp_loss_grad(flat, shapes, X, y, l2: float, sample_weight=None):

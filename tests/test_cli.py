@@ -7,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -502,21 +503,42 @@ class TestPipelineCommands:
         assert not (out / "tree.json").exists()
 
     def test_analysis_stages_parse_the_table_once(self, built, monkeypatch):
+        # build-dataset cached the parse, so no analysis stage parses
         cfg, out = built
         parses = count_parses(monkeypatch)
         for stage in _ANALYSIS_STAGES:
             assert _run(*stage, "--config", cfg, "--out-dir", str(out)) == 0, stage
-        assert parses == [out / "dataset.csv"]
+        assert parses == []
+
+    def test_benchmark_stage_lists_parse_nothing(self, tmp_path, monkeypatch):
+        root = Path(__file__).resolve().parent.parent
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        monkeypatch.chdir(root)  # the workloads name the demo config from here
+        import workloads
+
+        parses = count_parses(monkeypatch)
+        for name, workload in workloads.WORKLOADS.items():
+            work = tmp_path / name
+            work.mkdir()
+            cfg, _ = workloads.prepare(workload, 7, work, tiny=True)
+            args = ["--config", str(cfg), "--out-dir", str(work / "out")]
+            for stage in workload.stages:
+                if stage != workloads.SUITE:
+                    assert _run(*stage, *args) == 0, (name, stage)
+        assert parses == []
 
     def test_rebuilt_table_is_parsed_again(self, built, tmp_path, monkeypatch):
+        # a rebuild leaves the cache of the new table, so nothing is parsed
         cfg, out = built
         parses = count_parses(monkeypatch)
         assert _run("test-univariate", "--config", cfg, "--out-dir", str(out)) == 0
         assert (out / "dataset.csv.cache").exists()
         assert _run("build-dataset", "--seed", "8", "--config", cfg, "--out-dir", str(out)) == 0
-        assert not (out / "dataset.csv.cache").exists()
+        with (out / "dataset.csv.cache").open("rb") as fh:
+            key = np.lib.format.read_array(fh)
+        assert key.tobytes() == hashlib.sha256((out / "dataset.csv").read_bytes()).digest()
         assert _run("test-univariate", "--config", cfg, "--out-dir", str(out)) == 0
-        assert len(parses) == 2
+        assert parses == []
         fresh = tmp_path / "fresh"
         for command in ("build-dataset", "test-univariate"):
             assert _run(command, "--seed", "8", "--config", cfg, "--out-dir", str(fresh)) == 0

@@ -25,6 +25,7 @@ from pcrisk.cli import main as cli_main
 from pcrisk.errors import InvalidInputError, MissingVariableError
 from pcrisk.ingest import VARIABLES, ConflictEvent, VariableSeries, Window, parse_series
 from pcrisk.features import (
+    FEATURE_INDEX,
     FEATURE_NAMES,
     HIST_FEATURE_NAMES,
     N_FEATURES,
@@ -32,6 +33,7 @@ from pcrisk.features import (
     Dataset,
     assemble_dataset,
     cache_path,
+    cache_written_table,
     count_events_per_cell,
     fit_bin_edges,
     histogram_features,
@@ -341,11 +343,20 @@ _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585
 _INT64 = (-2 ** 63, 2 ** 63 - 1, 0, 1, -1)
 
 
+#: values a table can hold that the text does not give back: histogram
+#: values the parse rejects, and neighbor features that are not int64 integers
+#: or are -0.0, which is written as 0
+_INEXACT_HIST = (math.nan, math.inf, -math.inf)
+_INEXACT_COUNTS = (2.5, -0.0, 2.0 ** 63, -2.0 ** 63 - 2048, 1e300)
+
+
 @st.composite
-def _datasets(draw):
+def _datasets(draw, inexact: bool = False):
     """Tables of 0 to 5 rows: edge-case and random finite histogram values,
     int64 extremes in row, col and label, and neighbor features that are
-    integers in the int64 range."""
+    integers in the int64 range. If inexact, a table may also hold a value
+    of _INEXACT_HIST, a value of _INEXACT_COUNTS, or an array in another
+    order or dtype than the parse's."""
     n = draw(st.integers(0, 5))
     hist = st.one_of(st.sampled_from(_EDGE_FLOATS),
                      st.floats(allow_nan=False, allow_infinity=False))
@@ -355,8 +366,22 @@ def _datasets(draw):
     n_hist = len(HIST_FEATURE_NAMES)
     X = np.hstack([draw(arrays(np.float64, (n, n_hist), elements=hist)),
                    draw(arrays(np.float64, (n, N_FEATURES - n_hist), elements=counts))])
-    return Dataset(cells=draw(arrays(np.int64, (n, 2), elements=ints)), X=X,
-                   y=draw(arrays(np.int64, (n,), elements=ints)))
+    ds = Dataset(cells=draw(arrays(np.int64, (n, 2), elements=ints)), X=X,
+                 y=draw(arrays(np.int64, (n,), elements=ints)))
+    if not inexact:
+        return ds
+    for values, columns in ((_INEXACT_HIST, (0, n_hist - 1)),
+                            (_INEXACT_COUNTS, (n_hist, N_FEATURES - 1))):
+        if n and draw(st.booleans()):
+            X[draw(st.integers(0, n - 1)), draw(st.integers(*columns))] = draw(
+                st.sampled_from(values))
+    layout = draw(st.sampled_from(("parse", "fortran_cells", "fortran_X", "int32_y")))
+    if layout == "parse":
+        return ds
+    if layout == "int32_y":
+        return dataclasses.replace(ds, y=ds.y.astype(np.int32))
+    field = layout.removeprefix("fortran_")
+    return dataclasses.replace(ds, **{field: np.asfortranarray(getattr(ds, field))})
 
 
 class TestDatasetCsv:
@@ -380,6 +405,45 @@ class TestDatasetCsv:
         assert back.X.dtype == np.float64 and back.X.shape == ds.X.shape
         assert np.array_equal(back.X.view(np.int64), ds.X.view(np.int64))
         assert np.array_equal(back.cells, ds.cells) and np.array_equal(back.y, ds.y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ds=st.one_of(_datasets(), _datasets(inexact=True)))
+    def test_written_table_is_cached_iff_the_parse_gives_it_back(self, ds):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "dataset.csv"
+            cache_path(path).write_bytes(b"the cache of an earlier table")
+            digest = write_dataset_csv(ds, path)
+            assert digest == hashlib.sha256(path.read_bytes()).digest()
+            cache_written_table(path, digest, ds)
+            try:
+                parse = read_dataset_csv(path)
+            except InvalidInputError:
+                parse = None
+            if parse is not None and _same_table(parse, ds):
+                # the cache the first reader would have written, byte for byte
+                assert cache_path(path).read_bytes() == _npy(
+                    np.frombuffer(digest, dtype=np.uint8), parse.cells, parse.X, parse.y)
+            else:
+                assert not cache_path(path).exists()
+
+    @pytest.mark.parametrize("name, value", [
+        ("LAI1", math.nan), ("NBRC1", 2.5), ("NBRC1", -0.0), ("NBRC1", 2.0 ** 63)])
+    def test_inexact_table_removes_the_cache(self, tmp_path, small_country, name, value):
+        exact = small_country[4]
+        X = exact.X.copy()
+        X[3, FEATURE_INDEX[name]] = value
+        ds = dataclasses.replace(exact, X=X)
+        path = tmp_path / "dataset.csv"
+        cache_written_table(path, write_dataset_csv(exact, path), exact)
+        assert cache_path(path).exists()
+        cache_written_table(path, write_dataset_csv(ds, path), ds)
+        assert not cache_path(path).exists()
+        if name == "LAI1" or value == 2.0 ** 63:
+            with pytest.raises(InvalidInputError, match="line 5"):
+                load_dataset(path)
+        else:
+            back = load_dataset(path)
+            assert _same_table(back, read_dataset_csv(path)) and not _same_table(back, ds)
 
     @pytest.mark.parametrize("config, cell_km", [
         ("demo", 100), ("demo", 75), ("demo", 50), ("demo", 25), ("c10", 100), ("c10", 75)])
@@ -410,9 +474,8 @@ class TestDatasetCsv:
         write_dataset_csv_per_field(ds, tmp_path / "oracle.csv")
         assert ((tmp_path / "again.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
                 == built.read_bytes())
-        # the first load parses and caches the parse, the second loads the cache
-        assert not cache_path(built).exists()
-        assert _same_table(load_dataset(built), ds)
+        # build-dataset cached the parse, so a load parses nothing
+        assert cache_path(built).exists()
         parses = count_parses(monkeypatch)
         assert _same_table(load_dataset(built), ds) and parses == []
 
@@ -531,9 +594,9 @@ class TestParseCache:
                   ["riskmap"])
         outputs = {}
         for name in ("writable", "failing"):
-            args = self._built(tmp_path, name)
             if name == "failing":
                 monkeypatch.setattr(features.os, "replace", refuse)
+            args = self._built(tmp_path, name)
             for stage in stages:
                 assert cli_main([*stage, *args]) == 0, stage
             outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()

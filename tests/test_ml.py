@@ -443,6 +443,34 @@ class TestReferenceEquivalence:
         got = model.w if kind == "LogisticRegression" else _flatten_params(model.layers)[0]
         assert got.tobytes() == x.tobytes()
 
+    def test_deepnn_fit_at_suite_scale_matches_every_trial(self):
+        # 1,600 x 120 rows, as a 50 km suite fits: the fit's reused buffers
+        # give the bits of a pass that allocates every array anew
+        X, y = _blobs(1600, seed=9, d=120)
+        ds = _rows(X, y)
+        spec = ClassifierSpec("DeepNN", {"epochs": 20}, seed=4)
+        hp = spec.resolved()
+        model = train(spec, ds)
+        sizes = [ds.X.shape[1], *hp["hidden"], 1]
+        x0, shapes = _flatten_params(init_mlp_params(sizes, np.random.default_rng(4)))
+        sw = _sample_weights(ds.y, None)
+        x, history = batch_gd_every_trial(
+            lambda p: mlp_loss_grad_full(p, shapes, ds.X, ds.y, hp["l2"], sw),
+            x0, hp["lr"], hp["epochs"], hp["tol"])
+        assert len(history) > 2 and model.loss_history == history
+        assert _flatten_params(model.layers)[0].tobytes() == x.tobytes()
+
+    def test_stale_backward_raises(self):
+        X, y = _blobs(30, seed=2, d=3)
+        flat, shapes = _flatten_params(init_mlp_params([3, 4, 5, 1], np.random.default_rng(0)))
+        forward = ml.mlp_forward_fn(shapes, X, y, 1e-4)
+        _, first = forward(flat)
+        _, latest = forward(0.5 * flat)
+        with pytest.raises(RuntimeError, match="overwritten"):
+            first()
+        want = mlp_loss_grad_full(0.5 * flat, shapes, X, y, 1e-4, np.ones(len(y)))[1]
+        assert latest().tobytes() == want.tobytes()
+
 
 class TestSuite:
     def test_eight_specs_eight_rows(self, small_country):
