@@ -86,6 +86,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError("a seed must be non-negative")
+    return seed
+
+
 def _text(value) -> str:
     if not isinstance(value, str):
         raise TypeError("not a string")
@@ -170,7 +177,7 @@ def resolve_config(args) -> RunConfig:
         cell_km=_convert(where, "cell_km", raw["cell_km"], float),
         granularities=_convert(where, "granularities", raw["granularities"],
                                lambda gs: tuple(float(g) for g in gs)),
-        window=window, seed=_convert(where, "seed", raw["seed"], _integer), source=src,
+        window=window, seed=_convert(where, "seed", raw["seed"], _seed), source=src,
         tree=sections["tree"], ml=sections["ml"], stats=sections["stats"],
         riskmap=sections["riskmap"], out_dir=out_dir, raw=raw)
 

@@ -396,6 +396,8 @@ def _has_parse_layout(ds: Dataset) -> bool:
     C-ordered int64 cells of shape (n, 2), float64 X of shape (n, 120) and
     int64 y of shape (n,)."""
     cells, X, y = ds.cells, ds.X, ds.y
+    if y.ndim != 1:
+        return False
     n = len(y)
     return ((cells.dtype, X.dtype, y.dtype) == (np.int64, np.float64, np.int64)
             and (cells.shape, X.shape, y.shape) == ((n, 2), (n, N_FEATURES), (n,))

@@ -68,8 +68,8 @@ class Grid:
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
             raise InvalidInputError("grid must have at least one row and one column")
-        if self.cell_km <= 0:
-            raise InvalidInputError("cell_km must be positive")
+        if not (math.isfinite(self.cell_km) and self.cell_km > 0):
+            raise InvalidInputError(f"cell_km must be positive and finite, got {self.cell_km}")
         mask = np.asarray(self.mask, dtype=bool)
         if mask.shape != (self.n_rows, self.n_cols):
             raise InvalidInputError("mask shape does not match grid shape")
@@ -132,8 +132,8 @@ def build_grid(bbox: BBox, cell_km: float, mask_polygon=None) -> Grid:
     or that holds no cell center raises InvalidInputError.
     """
     bbox.validate()
-    if cell_km <= 0:
-        raise InvalidInputError(f"cell_km must be positive, got {cell_km}")
+    if not (math.isfinite(cell_km) and cell_km > 0):
+        raise InvalidInputError(f"cell_km must be positive and finite, got {cell_km}")
     anchor_lat = bbox.center[0]
     span_ns_km = (bbox.lat_max - bbox.lat_min) * KM_PER_DEG
     span_ew_km = (bbox.lon_max - bbox.lon_min) * KM_PER_DEG * math.cos(math.radians(anchor_lat))
@@ -219,5 +219,5 @@ def load_grid(path) -> Grid:
     doc = read_json(path, "grid")
     try:
         return Grid.from_dict(doc)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, InvalidInputError) as exc:
         raise InvalidInputError(f"grid {path} is malformed ({type(exc).__name__}: {exc})") from None

@@ -18,7 +18,7 @@ import math
 import re
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -467,12 +467,20 @@ class PlantedEffect:
     def validate(self) -> None:
         if self.variable not in VARIABLES:
             raise InvalidInputError(f"unknown planted variable {self.variable!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "variable" and not math.isfinite(value):
+                raise InvalidInputError(f"planted {f.name} must be finite, got {value}")
         if not 0.0 <= self.base_rate < 1.0:
             raise InvalidInputError("base_rate must be in [0, 1)")
         if self.odds_ratio <= 0:
             raise InvalidInputError("odds_ratio must be positive")
         if not 0.0 <= self.risk_fraction <= 1.0:
             raise InvalidInputError("risk_fraction must be in [0, 1]")
+        if self.regime_sd < 0:
+            raise InvalidInputError("regime_sd must be non-negative")
+        if self.extra_events_rate < 0:
+            raise InvalidInputError("extra_events_rate must be non-negative")
 
     @property
     def risk_rate(self) -> float:

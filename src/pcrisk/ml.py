@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -626,15 +626,11 @@ def _mlp_logits(layers, X):
     return (h @ W + b).ravel()
 
 
-def mlp_forward(flat, shapes, X, y, l2: float, sample_weight=None):
-    """Loss of the tanh MLP with logistic output, and backward(): the
-    flattened gradient from the activations this pass cached. backward
-    skips the gradient with respect to X, which no parameter needs."""
-    return mlp_forward_fn(shapes, X, y, l2, sample_weight)(flat)
-
-
 def mlp_forward_fn(shapes, X, y, l2: float, sample_weight=None):
-    """mlp_forward over one fit's X and y, as a function of flat alone.
+    """forward(flat) over one fit's X and y: the loss of the tanh MLP with
+    logistic output, and backward(), the flattened gradient from the
+    activations this pass cached. backward skips the gradient with respect
+    to X, which no parameter needs.
 
     The (n, hidden units) activation, delta and back-propagation arrays of
     each hidden layer are allocated once, here; every forward pass and
@@ -692,7 +688,7 @@ def mlp_forward_fn(shapes, X, y, l2: float, sample_weight=None):
 
 def mlp_loss_grad(flat, shapes, X, y, l2: float, sample_weight=None):
     """Loss and flattened gradient of the tanh MLP with logistic output."""
-    loss, backward = mlp_forward(flat, shapes, X, y, l2, sample_weight)
+    loss, backward = mlp_forward_fn(shapes, X, y, l2, sample_weight)(flat)
     return loss, backward()
 
 
@@ -809,22 +805,32 @@ def run_suite(ds: Dataset, specs: list[ClassifierSpec],
               test_fraction: float = 0.2, seed: int = 0) -> EvalReport:
     """Train every spec on one stratified split and score the test side.
 
-    The specs are fitted from both ends of the list at once when two lanes
-    pay (see _suite_lanes and _run_from_both_ends); rows keep the order of
-    specs, and a failing fit raises what the lowest failing spec raised.
+    With two lanes (see _suite_lanes) the calling thread fits the specs
+    from the front and one worker thread from the back until they meet.
+    Rows keep the order of specs, and a failing fit raises what the lowest
+    failing spec raised.
     """
     for spec in specs:
         spec.resolved()  # reject a bad spec before the first fit
     train_ds, test_ds = split(ds, test_fraction, seed)
-    rows: list[EvalRow | None] = [None] * len(specs)
 
-    def score(i: int) -> None:
-        model = train(specs[i], train_ds)
+    def score(spec: ClassifierSpec) -> EvalRow:
+        model = train(spec, train_ds)
         m = metrics(predict_proba(model, test_ds), test_ds.y)
-        rows[i] = replace(m, classifier=specs[i].kind)
+        return replace(m, classifier=spec.kind)
 
-    _run_from_both_ends(score, len(specs), _suite_lanes())
-    return EvalReport(rows=tuple(rows))
+    if _suite_lanes() < 2:
+        return EvalReport(rows=tuple(map(score, specs)))
+    pool = ThreadPoolExecutor(1, thread_name_prefix="run_suite-back")
+    try:
+        # the worker takes the specs from the back; the caller runs each one
+        # the worker has not started, and otherwise waits for its row
+        back = [pool.submit(score, spec) for spec in reversed(specs)][::-1]
+        rows = tuple(score(spec) if fut.cancel() else fut.result()
+                     for spec, fut in zip(specs, back))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return EvalReport(rows=rows)
 
 
 #: the functions run_suite calls for each spec, as this module defines them
@@ -865,54 +871,6 @@ def _suite_lanes() -> int:
     if (train, predict_proba) != _SUITE_CALLS:
         return 1
     return 2 if _usable_cpus() >= 2 and _blas_single_threaded() else 1
-
-
-def _run_from_both_ends(task, n: int, lanes: int) -> None:
-    """task(0), ..., task(n - 1), each once, as a loop over them would.
-
-    The calling thread takes indices from the front; with two lanes one
-    worker thread takes them from the back until the two meet. Once task(f)
-    raises, neither takes an index above the lowest such f, so every index
-    below it still runs, and its exception is re-raised after the worker has
-    ended: the one a loop would have raised.
-    """
-    lock = threading.Lock()
-    front, back = 0, n  # the unclaimed indices are front .. back - 1
-    failed: dict[int, Exception] = {}
-
-    def claim(from_back: bool) -> int | None:
-        nonlocal front, back
-        with lock:
-            i = back - 1 if from_back else front
-            if front >= back or (failed and i > min(failed)):
-                return None
-            if from_back:
-                back -= 1
-            else:
-                front += 1
-            return i
-
-    def lane(from_back: bool) -> None:
-        while (i := claim(from_back)) is not None:
-            try:
-                task(i)
-            except Exception as exc:
-                with lock:
-                    failed[i] = exc
-
-    worker = None
-    if lanes >= 2:
-        worker = threading.Thread(target=lane, args=(True,), name="run_suite-back")
-        worker.start()
-    try:
-        lane(False)
-    finally:
-        if worker is not None:
-            with lock:
-                back = front  # an interrupted caller leaves the worker nothing new
-            worker.join()
-    if failed:
-        raise failed[min(failed)]
 
 
 def best_row(report: EvalReport) -> EvalRow:

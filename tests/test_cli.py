@@ -358,6 +358,36 @@ class TestConfigSections:
         assert trees[0] == trees[1] != trees[2]
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize("command, overrides, flags, key", [
+        ("build-dataset", {}, ["--seed", "-1"], "seed"),
+        ("build-dataset", {"seed": -1}, [], "seed"),
+        ("build-dataset", {"cell_km": float("nan")}, [], "cell_km"),
+        ("build-dataset", {"cell_km": float("inf")}, [], "cell_km"),
+        ("train-suite", {"granularities": [float("nan")]}, [], "cell_km"),
+        ("build-dataset", {"source": {"kind": "synthetic", "planted": {"regime_sd": -1}}}, [],
+         "regime_sd"),
+        ("build-dataset", {"source": {"kind": "synthetic",
+                                      "planted": {"extra_events_rate": -1}}}, [],
+         "extra_events_rate"),
+        ("build-dataset", {"source": {"kind": "synthetic",
+                                      "planted": {"odds_ratio": float("nan")}}}, [],
+         "odds_ratio"),
+        ("build-dataset", {"source": {"kind": "synthetic",
+                                      "planted": {"low_mean": float("nan")}}}, [], "low_mean"),
+    ], ids=["seed_flag_negative", "seed_negative", "cell_km_nan", "cell_km_infinity",
+            "granularity_nan", "regime_sd_negative", "extra_events_rate_negative",
+            "odds_ratio_nan", "low_mean_nan"])
+    def test_exits_3_writing_nothing(self, tmp_path, capsys, command, overrides, flags, key):
+        # json.loads reads NaN and Infinity, so a config file can hold them
+        out = tmp_path / "out"
+        assert _run(command, "--config", _cfg(tmp_path, **overrides), "--out-dir", str(out),
+                    *flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs about 1 s of import time in every command
     root = Path(__file__).resolve().parent.parent

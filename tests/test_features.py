@@ -561,6 +561,18 @@ class TestParseCache:
         # the parse replaced the damaged cache
         assert _same_table(load_dataset(path), ds) and len(parses) == 1
 
+    def test_zero_d_label_falls_back_to_the_parse(self, tmp_path, small_country, monkeypatch):
+        # a 0-d label record has no length: the cache is rejected, not read
+        path = tmp_path / "dataset.csv"
+        one = small_country[4].take(np.arange(1))
+        digest = write_dataset_csv(one, path)
+        cache_path(path).write_bytes(_npy(np.frombuffer(digest, dtype=np.uint8),
+                                          one.cells, one.X, np.array(0)))
+        parses = count_parses(monkeypatch)
+        assert _same_table(load_dataset(path), one) and len(parses) == 1
+        assert cache_path(path).read_bytes() == _npy(np.frombuffer(digest, dtype=np.uint8),
+                                                     one.cells, one.X, one.y)
+
     @staticmethod
     def _built(tmp_path, name: str) -> list[str]:
         """The --config and --out-dir arguments of a 30-cell table built in

@@ -262,7 +262,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("doc", [{"n_rows": 2}, [], dict(
         origin_lat=0.0, origin_lon=0.0, anchor_lat=1.0, cell_km=50.0, n_rows=2, n_cols=2,
-        mask=[1, 0, 1])], ids=["missing_key", "not_object", "short_mask"])
+        mask=[1, 0, 1]), dict(
+        origin_lat=0.0, origin_lon=0.0, anchor_lat=1.0, cell_km=float("nan"), n_rows=1,
+        n_cols=1, mask=[1])], ids=["missing_key", "not_object", "short_mask", "cell_km_nan"])
     def test_damaged_file_names_it(self, tmp_path, doc):
         p = tmp_path / "grid.json"
         p.write_text(json.dumps(doc), encoding="utf-8")

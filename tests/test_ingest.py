@@ -413,6 +413,19 @@ class TestSynthCountry:
         _, events = synth_country(5, g, 12, PlantedEffect(base_rate=0.0))
         assert events == []
 
+    @pytest.mark.parametrize("name, bad, edge", [
+        ("regime_sd", -1.0, 0.0), ("regime_sd", float("inf"), 1e300),
+        ("extra_events_rate", -1.0, 0.0), ("extra_events_rate", float("nan"), 0.0),
+        ("odds_ratio", float("nan"), 1e300), ("low_mean", float("nan"), -1e300),
+        ("high_mean", float("inf"), 1e300)])
+    def test_unusable_planted_value_rejected(self, name, bad, edge):
+        planted = PlantedEffect(**{name: bad})
+        with pytest.raises(InvalidInputError, match=name):
+            planted.validate()
+        with pytest.raises(InvalidInputError, match=name):
+            synth_country(5, square_grid(4, 4), 6, planted)
+        PlantedEffect(**{name: edge}).validate()  # the closest usable value passes
+
     def test_all_variables_emitted_and_valid(self):
         g = square_grid(4, 4)
         series, _ = synth_country(5, g, 6)

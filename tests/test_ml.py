@@ -652,24 +652,34 @@ class TestSuiteOnTwoThreads:
         assert deep_done.is_set()
         assert _report_bits(got) == want
 
-    def test_each_index_runs_once_under_stress(self):
-        # four callers at once, two lanes each, switching threads about every
-        # microsecond: every index still runs once, wherever the lanes meet
-        runs = [[] for _ in range(4)]
-        callers = [threading.Thread(target=ml._run_from_both_ends,
-                                    args=(runs[c].append, 300, 2))
-                   for c in range(4)]
+    def test_each_index_runs_once_under_stress(self, small_country, monkeypatch):
+        # 300 cheap specs, switching threads about every microsecond: every
+        # spec still fits once, wherever the lanes meet, and its row keeps
+        # its place
+        specs = [ClassifierSpec("RandomForest", {"n_estimators": 1, "max_depth": 3}, seed=i)
+                 for i in range(300)]
+        want = _report_bits(run_suite_sequential(small_country[4], specs, 0.25, seed=0))
+        fitted = []
+        fit = ml.ForestModel.fit
+
+        def recording_fit(self, X, y):
+            fitted.append((self.seed, threading.current_thread() is threading.main_thread()))
+            return fit(self, X, y)
+
+        monkeypatch.setattr(ml.ForestModel, "fit", recording_fit)
+        _use_lanes(monkeypatch, 2)
+        assert ml._suite_lanes() == 2
+        threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
+            got = run_suite(small_country[4], specs, 0.25, seed=0)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        assert [sorted(r) for r in runs] == [list(range(300))] * 4
+        assert threading.active_count() == threads
+        assert sorted(seed for seed, _ in fitted) == list(range(300))
+        assert {main for _, main in fitted} == {True, False}  # both lanes fitted
+        assert _report_bits(got) == want
 
     @pytest.mark.parametrize("cpus", [2, 1])
     @pytest.mark.parametrize("failing", [("RandomForest", "DeepNN"), ("DeepNN",),
