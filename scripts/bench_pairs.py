@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs of a parent checkout against this one.
+
+Runs ``perfbench/run.py --trace 0`` on one workload, in the parent checkout
+and in this one by turns, for a number of pairs: pair i runs the parent
+first when i is even and this checkout first when it is odd, so a drift of
+the host's speed weighs on both sides alike. It then writes
+``BENCH_<label>.json``, which holds:
+
+- per side and per end-to-end metric, the median, the quartiles, the run
+  count and every run's value;
+- per metric, the number of pairs in which this checkout did better;
+- the CPU count and the BLAS thread setting the runs saw;
+- both git shas;
+- each side's artifact sha256 lines, and whether every run of that side
+  printed the same ones.
+
+Usage, from anywhere:
+    python3 scripts/bench_pairs.py --parent ../parent --workload demo --pairs 10 \\
+        --label pr17 --seconds 30
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "this")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
+    """One perfbench run in checkout: its env, artifact lines and metrics."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"] + (["--tiny"] if tiny else [])
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+    if proc.returncode != 0 or not result.get("correct"):
+        raise SystemExit(f"error: benchmark run in {checkout} failed "
+                         f"(exit {proc.returncode}):\n{proc.stderr}")
+    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    return {"env": env,
+            "artifacts": [line for line in lines if line.startswith("artifact")],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "units": {name: m["unit"] for name, m in result["metrics"].items()}}
+
+
+def summary(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values), "runs": values}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, type=Path, help="the parent checkout")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--seconds", type=float, default=30.0, help="per run (perfbench --seconds)")
+    ap.add_argument("--tiny", action="store_true", help="perfbench --tiny")
+    ap.add_argument("--out", type=Path, default=None,
+                    help="output path (default: BENCH_<label>.json in this checkout)")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    checkouts = {"parent": args.parent.resolve(), "this": ROOT}
+
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for i in range(args.pairs):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            runs[side].append(run_once(checkouts[side], args.workload, args.seed,
+                                       args.seconds, args.tiny))
+            print(f"pair {i + 1}/{args.pairs} {side}: " + " ".join(
+                f"{k}={v:.4g}" for k, v in runs[side][-1]["metrics"].items()), flush=True)
+
+    units = runs["this"][0]["units"]
+    env = runs["this"][0]["env"]
+    doc = {
+        "label": args.label,
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "tiny": args.tiny,
+        "pairs": args.pairs,
+        "order": "alternating; the parent runs first in even pairs (0-based)",
+        "cpu_count": env.get("cpu_count"),
+        "cpus_usable": env.get("cpus_usable"),
+        "blas_threads": env.get("blas_threads"),
+        "git_sha": {side: runs[side][0]["env"].get("git_sha") for side in SIDES},
+        "artifacts": {side: runs[side][0]["artifacts"] for side in SIDES},
+        "artifacts_stable": {side: all(r["artifacts"] == runs[side][0]["artifacts"]
+                                       for r in runs[side]) for side in SIDES},
+        "metrics": {side: {name: {"unit": unit,
+                                  **summary([r["metrics"][name] for r in runs[side]])}
+                           for name, unit in units.items()} for side in SIDES},
+        # every end-to-end metric of perfbench is better when lower
+        "pairs_this_lower": {name: sum(t["metrics"][name] < p["metrics"][name]
+                                       for p, t in zip(runs["parent"], runs["this"]))
+                             for name in units},
+    }
+    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    for name in units:
+        p, t = doc["metrics"]["parent"][name], doc["metrics"]["this"][name]
+        print(f"{name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
+              f"this {t['median']:.4g} [{t['q1']:.4g}, {t['q3']:.4g}]  "
+              f"this lower in {doc['pairs_this_lower'][name]}/{args.pairs}")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,8 +13,11 @@ a fixed seed and all models serialize to JSON:
 * MLP / DeepNN      - tanh hidden layers, logistic-loss backprop (1 vs >=2
                       hidden layers)
 
-Batch-gradient models use a halve-on-increase step, so their recorded
-training loss is non-increasing across epochs. A line-search trial costs one
+LogisticRegression, LinearSVM, MLP and DeepNN z-score their inputs with the
+mean and std of the rows they train on; MLP and DeepNN stop at their best
+loss on held-out training rows. Batch-gradient models use a
+halve-on-increase step, so their recorded training loss is non-increasing
+across epochs. A line-search trial costs one
 forward pass; backpropagation runs only for the trial that is accepted.
 MLP and DeepNN fits allocate their (rows, hidden units) activation, delta
 and back-propagation arrays once per fit, and the AdaBoost stump search its
@@ -24,8 +27,6 @@ and back-propagation arrays once per fit, and the AdaBoost stump search its
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,10 +65,13 @@ _DEFAULT_HYPERPARAMS = {
     "LinearSVM": {"l2": 1e-3, "epochs": 30, "class_weight": None},
     "GaussianNB": {"var_smoothing": 1e-9},
     "MLP": {"hidden": (32,), "l2": 1e-4, "lr": 0.2, "epochs": 400, "tol": 1e-9,
-            "class_weight": None},
+            "class_weight": None, "patience": 20},
     "DeepNN": {"hidden": (64, 64), "l2": 1e-4, "lr": 0.2, "epochs": 400, "tol": 1e-9,
-               "class_weight": None},
+               "class_weight": None, "patience": 20},
 }
+
+#: the stratified share of an MLP's training rows it holds out to stop on
+VALIDATION_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,10 @@ class ClassifierSpec:
             hp[k] = v
         if hp.get("class_weight") not in (None, "balanced"):
             raise InvalidInputError(f"unknown class_weight {hp['class_weight']!r}")
+        patience = hp.get("patience")
+        if patience is not None and (type(patience) is not int or patience < 1):
+            raise InvalidInputError(f"patience must be null or a positive integer, "
+                                    f"not {patience!r}")
         return hp
 
 
@@ -118,14 +126,19 @@ class EvalReport:
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified random split preserving the class ratio within one row;
     each side keeps the dataset's row order."""
+    train_rows, test_rows = split_rows(ds.y, test_fraction, seed)
+    return ds.take(train_rows), ds.take(test_rows)
+
+
+def split_rows(labels, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) row indices of split, each ascending."""
     if not 0.0 < test_fraction < 1.0:
         raise InvalidInputError("test_fraction must be in (0, 1)")
-    labels = ds.y
     if labels.min(initial=1) == labels.max(initial=0):
         raise InsufficientDataError("split needs both classes present")
     rng = np.random.default_rng(seed)
-    test_idx: list[int] = []
-    train_idx: list[int] = []
+    test_idx: list[np.ndarray] = []
+    train_idx: list[np.ndarray] = []
     for cls in (0, 1):
         idx = np.nonzero(labels == cls)[0]
         n_test = int(round(test_fraction * len(idx)))
@@ -134,9 +147,9 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
                 f"class {cls} has {len(idx)} rows; cannot place it on both sides "
                 f"of a {test_fraction:.0%} split")
         perm = rng.permutation(len(idx))
-        test_idx.extend(idx[perm[:n_test]])
-        train_idx.extend(idx[perm[n_test:]])
-    return ds.take(sorted(train_idx)), ds.take(sorted(test_idx))
+        test_idx.append(idx[perm[:n_test]])
+        train_idx.append(idx[perm[n_test:]])
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
 
 
 def metrics(scores, labels) -> EvalRow:
@@ -367,7 +380,36 @@ class _StumpSearch:
         return (best[1], best[2], 1 if best[3] == 0 else -1)
 
 
-class LogisticModel:
+class _Standardising:
+    """A model that z-scores its inputs: fit keeps the per-feature mean and
+    std of the rows it trains on, and predict_proba applies the same map
+    (LeCun et al., Efficient BackProp, 1998, section 4.3). A feature that is
+    constant on those rows keeps scale 1."""
+
+    mean: np.ndarray
+    scale: np.ndarray
+
+    def _fit_standardise(self, X, out=None) -> np.ndarray:
+        self.mean = X.mean(axis=0)
+        self.scale = X.std(axis=0)
+        self.scale[np.ptp(X, axis=0) == 0.0] = 1.0
+        return self._standardise(X, out)
+
+    def _standardise(self, X, out=None) -> np.ndarray:
+        """(X - mean) / scale in one array: out, or a new one."""
+        Z = np.subtract(X, self.mean, out=out)
+        Z /= self.scale
+        return Z
+
+    def _scaler_state(self) -> dict:
+        return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
+
+    def _load_scaler(self, state) -> None:
+        self.mean = np.asarray(state["mean"], dtype=float)
+        self.scale = np.asarray(state["scale"], dtype=float)
+
+
+class LogisticModel(_Standardising):
     kind = "LogisticRegression"
 
     def __init__(self, hyperparams: dict, seed: int):
@@ -375,28 +417,35 @@ class LogisticModel:
         self.seed = seed
         self.w: np.ndarray | None = None  # last entry is the bias
         self.loss_history: list[float] = []
+        self.epochs = 0
+        self.stop: str | None = None  # see _batch_gd
 
     def fit(self, X, y):
         hp = self.hyperparams
+        Z = self._fit_standardise(X)
         sw = _sample_weights(y, hp["class_weight"])
         w0 = np.zeros(X.shape[1] + 1)
-        self.w, self.loss_history = _batch_gd(
-            lambda w: logistic_forward(w, X, y, hp["l2"], sw),
+        self.w, self.loss_history, self.stop, _ = _batch_gd(
+            lambda w: logistic_forward(w, Z, y, hp["l2"], sw),
             w0, lr=hp["lr"], epochs=hp["epochs"], tol=hp["tol"])
+        self.epochs = len(self.loss_history) - 1
         return self
 
     def predict_proba(self, X):
         _check_dim(X, len(self.w) - 1)
-        return _sigmoid(X @ self.w[:-1] + self.w[-1])
+        return _sigmoid(self._standardise(X) @ self.w[:-1] + self.w[-1])
 
     def state_dict(self):
-        return {"w": self.w.tolist()}
+        return {"w": self.w.tolist(), **self._scaler_state(),
+                "epochs": self.epochs, "stop": self.stop}
 
     def load_state(self, state):
         self.w = np.asarray(state["w"], dtype=float)
+        self._load_scaler(state)
+        self.epochs, self.stop = int(state["epochs"]), state["stop"]
 
 
-class SvmModel:
+class SvmModel(_Standardising):
     kind = "LinearSVM"
 
     def __init__(self, hyperparams: dict, seed: int):
@@ -414,7 +463,7 @@ class SvmModel:
         # X[i] would cost more than the arithmetic of a step
         ypm = np.where(y == 1, 1.0, -1.0).tolist()
         sw = sw.tolist()
-        rows = list(X)
+        rows = list(self._fit_standardise(X))
         w = np.zeros(X.shape[1])
         b = 0.0
         t = 0
@@ -437,14 +486,15 @@ class SvmModel:
     def predict_proba(self, X):
         """Logistic link over the margin."""
         _check_dim(X, len(self.w))
-        return _sigmoid(X @ self.w + self.b)
+        return _sigmoid(self._standardise(X) @ self.w + self.b)
 
     def state_dict(self):
-        return {"w": self.w.tolist(), "b": self.b}
+        return {"w": self.w.tolist(), "b": self.b, **self._scaler_state()}
 
     def load_state(self, state):
         self.w = np.asarray(state["w"], dtype=float)
         self.b = float(state["b"])
+        self._load_scaler(state)
 
 
 class NaiveBayesModel:
@@ -497,8 +547,15 @@ class NaiveBayesModel:
         self.log_prior = np.asarray(state["log_prior"], dtype=float)
 
 
-class MlpModel:
-    """One or more tanh hidden layers with a logistic output unit."""
+class MlpModel(_Standardising):
+    """One or more tanh hidden layers with a logistic output unit.
+
+    With patience set, fit holds out a stratified VALIDATION_FRACTION of its
+    rows, drawn by split_rows from the spec seed, and trains on the rest. It
+    stops once patience epochs pass without a new best held-out loss and
+    keeps the weights of the best epoch (Prechelt, "Early Stopping - But
+    When?", 1998). When a class is too small to sit on both sides, or with
+    patience null, it trains on every row up to the epoch cap."""
 
     kind = "MLP"
 
@@ -508,30 +565,55 @@ class MlpModel:
         self.seed = seed
         self.layers: list[tuple[np.ndarray, np.ndarray]] = []  # (W, b) pairs
         self.loss_history: list[float] = []
+        self.epochs = 0
+        self.best_epoch: int | None = None  # None: no held-out rows
+        self.stop: str | None = None  # see _batch_gd
+
+    def _held_out_rows(self, y) -> tuple[np.ndarray, np.ndarray | None]:
+        """(training rows, held-out rows or None)."""
+        if self.hyperparams["patience"] is not None:
+            try:
+                return split_rows(y, VALIDATION_FRACTION, self.seed)
+            except StratificationError:
+                pass
+        return np.arange(len(y)), None
 
     def fit(self, X, y):
         hp = self.hyperparams
-        sw = _sample_weights(y, hp["class_weight"])
         sizes = [X.shape[1], *hp["hidden"], 1]
-        rng = np.random.default_rng(self.seed)
-        params = init_mlp_params(sizes, rng)
-        flat, shapes = _flatten_params(params)
-        flat, self.loss_history = _batch_gd(
-            mlp_forward_fn(shapes, X, y, hp["l2"], sw),
-            flat, lr=hp["lr"], epochs=hp["epochs"], tol=hp["tol"])
+        flat, shapes = _flatten_params(init_mlp_params(sizes, np.random.default_rng(self.seed)))
+        rows, held_out = self._held_out_rows(y)
+        Xt, yt = X[rows], y[rows]
+        forward = mlp_forward_fn(shapes, self._fit_standardise(Xt, out=Xt), yt, hp["l2"],
+                                 _sample_weights(yt, hp["class_weight"]))
+        val_loss = None
+        if held_out is not None:
+            Xv, yv = X[held_out], y[held_out]
+            held_out_forward = mlp_forward_fn(shapes, self._standardise(Xv, out=Xv), yv, 0.0,
+                                              _sample_weights(yv, hp["class_weight"]))
+            val_loss = lambda flat: held_out_forward(flat)[0]  # noqa: E731
+        flat, self.loss_history, self.stop, self.best_epoch = _batch_gd(
+            forward, flat, lr=hp["lr"], epochs=hp["epochs"], tol=hp["tol"],
+            val_loss=val_loss, patience=hp["patience"])
+        self.epochs = len(self.loss_history) - 1
         self.layers = _unflatten_params(flat, shapes)
         return self
 
     def predict_proba(self, X):
         _check_dim(X, self.layers[0][0].shape[0])
-        return _sigmoid(_mlp_logits(self.layers, X))
+        return _sigmoid(_mlp_logits(self.layers, self._standardise(X)))
 
     def state_dict(self):
-        return {"layers": [[W.tolist(), b.tolist()] for W, b in self.layers]}
+        return {"layers": [[W.tolist(), b.tolist()] for W, b in self.layers],
+                **self._scaler_state(), "epochs": self.epochs,
+                "best_epoch": self.best_epoch, "stop": self.stop}
 
     def load_state(self, state):
         self.layers = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
                        for W, b in state["layers"]]
+        self._load_scaler(state)
+        self.epochs, self.stop = int(state["epochs"]), state["stop"]
+        self.best_epoch = None if state["best_epoch"] is None else int(state["best_epoch"])
 
 
 # ---------------------------------------------------------------------------
@@ -692,17 +774,30 @@ def mlp_loss_grad(flat, shapes, X, y, l2: float, sample_weight=None):
     return loss, backward()
 
 
-def _batch_gd(forward, x0, lr: float, epochs: int, tol: float):
+def _batch_gd(forward, x0, lr: float, epochs: int, tol: float, val_loss=None, patience=None):
     """Gradient descent with halve-on-increase steps: accepted loss never
     increases. forward(x) returns (loss, backward); only an accepted
     point's backward() runs, so a rejected line-search trial costs one
-    forward pass. Raises NonConvergenceError on a non-finite loss."""
+    forward pass. Raises NonConvergenceError on a non-finite loss.
+
+    With val_loss, a function of x, it scores every accepted point on the
+    held-out rows, stops once patience epochs pass without a new best, and
+    returns the best point instead of the last.
+
+    Returns (x, training loss per epoch with the initial loss first, stop,
+    best epoch or None without val_loss). stop says what ended the descent:
+    "tol" (an epoch improved the loss by less than tol), "step" (60 halvings
+    found no step that does not raise it), "patience", or "cap" (it ran all
+    epochs)."""
     x = x0
     loss, backward = forward(x)
     if not math.isfinite(loss):
         raise NonConvergenceError("initial loss is not finite", last_loss=loss)
     history = [loss]
-    for _ in range(epochs):
+    stop = "cap"
+    if val_loss is not None:
+        best_x, best_epoch, best_val = x, 0, val_loss(x)
+    for epoch in range(1, epochs + 1):
         grad = backward()
         step = lr
         for _ in range(60):
@@ -713,16 +808,27 @@ def _batch_gd(forward, x0, lr: float, epochs: int, tol: float):
             step *= 0.5
         else:
             history.append(loss)
+            stop = "step"
             break
         improved = loss - t_loss
         x, loss, backward = trial, t_loss, t_backward
         lr = min(step * 1.25, 10.0)
         history.append(loss)
+        if val_loss is not None:
+            v = val_loss(x)
+            if v < best_val:
+                best_x, best_epoch, best_val = x, epoch, v
+            elif epoch - best_epoch >= patience:
+                stop = "patience"
+                break
         if improved < tol:
+            stop = "tol"
             break
     if not math.isfinite(loss):
         raise NonConvergenceError("training diverged", last_loss=loss)
-    return x, history
+    if val_loss is None:
+        return x, history, stop, None
+    return best_x, history, stop, best_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -803,13 +909,8 @@ def _tupled(hp: dict) -> dict:
 
 def run_suite(ds: Dataset, specs: list[ClassifierSpec],
               test_fraction: float = 0.2, seed: int = 0) -> EvalReport:
-    """Train every spec on one stratified split and score the test side.
-
-    With two lanes (see _suite_lanes) the calling thread fits the specs
-    from the front and one worker thread from the back until they meet.
-    Rows keep the order of specs, and a failing fit raises what the lowest
-    failing spec raised.
-    """
+    """Train every spec, in order, on one stratified split and score the
+    test side; a failing fit raises at once."""
     for spec in specs:
         spec.resolved()  # reject a bad spec before the first fit
     train_ds, test_ds = split(ds, test_fraction, seed)
@@ -819,58 +920,7 @@ def run_suite(ds: Dataset, specs: list[ClassifierSpec],
         m = metrics(predict_proba(model, test_ds), test_ds.y)
         return replace(m, classifier=spec.kind)
 
-    if _suite_lanes() < 2:
-        return EvalReport(rows=tuple(map(score, specs)))
-    pool = ThreadPoolExecutor(1, thread_name_prefix="run_suite-back")
-    try:
-        # the worker takes the specs from the back; the caller runs each one
-        # the worker has not started, and otherwise waits for its row
-        back = [pool.submit(score, spec) for spec in reversed(specs)][::-1]
-        rows = tuple(score(spec) if fut.cancel() else fut.result()
-                     for spec, fut in zip(specs, back))
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return EvalReport(rows=rows)
-
-
-#: the functions run_suite calls for each spec, as this module defines them
-_SUITE_CALLS = (train, predict_proba)
-
-#: the variables BLAS libraries take their thread count from: OpenBLAS reads
-#: its own and then OMP_NUM_THREADS, MKL likewise
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _blas_single_threaded() -> bool:
-    """Whether the environment pins BLAS to one thread: the first of
-    _BLAS_THREAD_VARS that is set reads 1. Unset, OpenBLAS and MKL run a
-    thread per CPU."""
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value:
-            return value == "1"
-    return False
-
-
-def _suite_lanes() -> int:
-    """2 when fitting from both ends of the suite pays, else 1.
-
-    Two lanes need two usable CPUs and a BLAS pinned to one thread: a BLAS
-    thread per CPU competes with the second lane, and on two CPUs the demo
-    suite then ran slower in two lanes than in one. A train or predict_proba
-    replaced since import (a profiler's or tracer's wrapper, which may keep
-    one call stack for all threads) keeps the suite in one lane too.
-    """
-    if (train, predict_proba) != _SUITE_CALLS:
-        return 1
-    return 2 if _usable_cpus() >= 2 and _blas_single_threaded() else 1
+    return EvalReport(rows=tuple(map(score, specs)))
 
 
 def best_row(report: EvalReport) -> EvalRow:

