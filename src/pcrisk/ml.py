@@ -586,15 +586,14 @@ class MlpModel(_Standardising):
         Xt, yt = X[rows], y[rows]
         forward = mlp_forward_fn(shapes, self._fit_standardise(Xt, out=Xt), yt, hp["l2"],
                                  _sample_weights(yt, hp["class_weight"]))
-        val_loss = None
+        held_out_forward = None
         if held_out is not None:
             Xv, yv = X[held_out], y[held_out]
             held_out_forward = mlp_forward_fn(shapes, self._standardise(Xv, out=Xv), yv, 0.0,
                                               _sample_weights(yv, hp["class_weight"]))
-            val_loss = lambda flat: held_out_forward(flat)[0]  # noqa: E731
         flat, self.loss_history, self.stop, self.best_epoch = _batch_gd(
             forward, flat, lr=hp["lr"], epochs=hp["epochs"], tol=hp["tol"],
-            val_loss=val_loss, patience=hp["patience"])
+            held_out_forward=held_out_forward, patience=hp["patience"])
         self.epochs = len(self.loss_history) - 1
         self.layers = _unflatten_params(flat, shapes)
         return self
@@ -774,18 +773,19 @@ def mlp_loss_grad(flat, shapes, X, y, l2: float, sample_weight=None):
     return loss, backward()
 
 
-def _batch_gd(forward, x0, lr: float, epochs: int, tol: float, val_loss=None, patience=None):
+def _batch_gd(forward, x0, lr: float, epochs: int, tol: float, held_out_forward=None,
+              patience=None):
     """Gradient descent with halve-on-increase steps: accepted loss never
     increases. forward(x) returns (loss, backward); only an accepted
     point's backward() runs, so a rejected line-search trial costs one
     forward pass. Raises NonConvergenceError on a non-finite loss.
 
-    With val_loss, a function of x, it scores every accepted point on the
-    held-out rows, stops once patience epochs pass without a new best, and
-    returns the best point instead of the last.
+    With held_out_forward, the forward of the held-out rows, it scores every
+    accepted point's held-out loss, stops once patience epochs pass without
+    a new best, and returns the best point instead of the last.
 
     Returns (x, training loss per epoch with the initial loss first, stop,
-    best epoch or None without val_loss). stop says what ended the descent:
+    best epoch or None without held-out rows). stop says what ended the descent:
     "tol" (an epoch improved the loss by less than tol), "step" (60 halvings
     found no step that does not raise it), "patience", or "cap" (it ran all
     epochs)."""
@@ -795,8 +795,8 @@ def _batch_gd(forward, x0, lr: float, epochs: int, tol: float, val_loss=None, pa
         raise NonConvergenceError("initial loss is not finite", last_loss=loss)
     history = [loss]
     stop = "cap"
-    if val_loss is not None:
-        best_x, best_epoch, best_val = x, 0, val_loss(x)
+    if held_out_forward is not None:
+        best_x, best_epoch, best_val = x, 0, held_out_forward(x)[0]
     for epoch in range(1, epochs + 1):
         grad = backward()
         step = lr
@@ -814,8 +814,8 @@ def _batch_gd(forward, x0, lr: float, epochs: int, tol: float, val_loss=None, pa
         x, loss, backward = trial, t_loss, t_backward
         lr = min(step * 1.25, 10.0)
         history.append(loss)
-        if val_loss is not None:
-            v = val_loss(x)
+        if held_out_forward is not None:
+            v = held_out_forward(x)[0]
             if v < best_val:
                 best_x, best_epoch, best_val = x, epoch, v
             elif epoch - best_epoch >= patience:
@@ -826,7 +826,7 @@ def _batch_gd(forward, x0, lr: float, epochs: int, tol: float, val_loss=None, pa
             break
     if not math.isfinite(loss):
         raise NonConvergenceError("training diverged", last_loss=loss)
-    if val_loss is None:
+    if held_out_forward is None:
         return x, history, stop, None
     return best_x, history, stop, best_epoch
 
