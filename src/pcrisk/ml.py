@@ -555,7 +555,8 @@ class MlpModel(_Standardising):
     stops once patience epochs pass without a new best held-out loss and
     keeps the weights of the best epoch (Prechelt, "Early Stopping - But
     When?", 1998). When a class is too small to sit on both sides, or with
-    patience null, it trains on every row up to the epoch cap."""
+    patience null, it trains on every row, stopped only by tol, a failed
+    step or the epoch cap."""
 
     kind = "MLP"
 
