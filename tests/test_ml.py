@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -554,38 +556,6 @@ class TestSuite:
         report = run_suite(rows, default_suite(seed=1), 0.25, seed=1)
         assert best_row(report).f1 >= 0.9
 
-    def test_rows_keep_spec_order(self, small_country):
-        for specs in (default_suite(seed=0), default_suite(seed=0)[::-1]):
-            want = _report_bits(run_suite_sequential(small_country[4], specs, 0.25, seed=0))
-            got = run_suite(small_country[4], specs, 0.25, seed=0)
-            assert [r.classifier for r in got.rows] == [s.kind for s in specs]
-            assert _report_bits(got) == want
-
-    @pytest.mark.parametrize("failing", [("RandomForest", "DeepNN"), ("DeepNN",),
-                                         ("DecisionTree", "AdaBoost", "MLP")])
-    def test_failure_raises_what_the_loop_raises(self, small_country, monkeypatch, failing):
-        errors = {"DecisionTree": KeyError("front"), "RandomForest": ValueError("front"),
-                  "AdaBoost": RuntimeError("middle"), "MLP": ArithmeticError("back"),
-                  "DeepNN": NonConvergenceError("back", last_loss=None)}
-        started = []
-        for cls in {*ml._MODEL_CLASSES.values(), ml.MlpModel}:
-            def failing_fit(self, X, y, fit=cls.fit):
-                started.append(self.kind)
-                if self.kind in failing:
-                    raise errors[self.kind]
-                return fit(self, X, y)
-
-            monkeypatch.setattr(cls, "fit", failing_fit)
-        with pytest.raises(Exception) as want:
-            run_suite_sequential(small_country[4], default_suite(seed=0), 0.25, seed=0)
-        assert want.value is errors[failing[0]]
-        started.clear()
-        with pytest.raises(type(want.value)) as got:
-            run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
-        assert got.value is want.value
-        # nothing starts after the lowest failing spec
-        assert started == list(CLASSIFIER_KINDS[:CLASSIFIER_KINDS.index(failing[0]) + 1])
-
 
 def _report_bits(report):
     return [(r.classifier, *(None if v is None else float.hex(v)
@@ -610,6 +580,99 @@ def demo_100km():
 def demo_50km():
     """The bundled demo config's dataset at 50 km (2,000 cells)."""
     return _demo_table(50.0)
+
+
+def _use_cpus(monkeypatch, cpus: int) -> None:
+    """Patch the usable CPUs to cpus, with BLAS pinned to one thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def _record_fits(monkeypatch, started: list, fail=None) -> None:
+    """Wrap every model's fit to append (kind, on the main thread) as the fit
+    starts; a kind in fail raises fail[kind] instead of fitting."""
+    for cls in {*ml._MODEL_CLASSES.values(), ml.MlpModel}:
+        def recording_fit(self, X, y, fit=cls.fit):
+            started.append((self.kind, threading.current_thread() is threading.main_thread()))
+            if fail and self.kind in fail:
+                raise fail[self.kind]
+            return fit(self, X, y)
+
+        monkeypatch.setattr(cls, "fit", recording_fit)
+
+
+class TestSuiteOnTwoThreads:
+    """run_suite once fitted from both ends of the spec list on two threads
+    when two CPUs were usable. It is a plain loop now: with one CPU or two it
+    starts no thread, fits every spec on the calling thread in spec order, and
+    equals the one-by-one loop of oracles.run_suite_sequential."""
+
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    def test_matches_sequential_suite(self, demo_100km, monkeypatch, class_weight):
+        for seed in range(5):
+            specs = default_suite(seed, class_weight)
+            want = _report_bits(run_suite_sequential(demo_100km, specs, 0.2, seed))
+            for cpus in (2, 1):
+                _use_cpus(monkeypatch, cpus)
+                assert _report_bits(run_suite(demo_100km, specs, 0.2, seed)) == want, \
+                    (seed, cpus)
+
+    def test_rows_keep_spec_order(self, small_country, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        for specs in (default_suite(seed=0), default_suite(seed=0)[::-1]):
+            want = _report_bits(run_suite_sequential(small_country[4], specs, 0.25, seed=0))
+            started = []
+            _record_fits(monkeypatch, started)
+            got = run_suite(small_country[4], specs, 0.25, seed=0)
+            assert started == [(s.kind, True) for s in specs]
+            assert [r.classifier for r in got.rows] == [s.kind for s in specs]
+            assert _report_bits(got) == want
+
+    def test_each_index_runs_once_under_stress(self, small_country, monkeypatch):
+        # 300 cheap specs on two usable CPUs: every spec fits once, in order,
+        # on the calling thread, and its row keeps its place
+        specs = [ClassifierSpec("RandomForest", {"n_estimators": 1, "max_depth": 3}, seed=i)
+                 for i in range(300)]
+        want = _report_bits(run_suite_sequential(small_country[4], specs, 0.25, seed=0))
+        fitted = []
+        fit = ml.ForestModel.fit
+
+        def recording_fit(self, X, y):
+            fitted.append((self.seed, threading.current_thread() is threading.main_thread()))
+            return fit(self, X, y)
+
+        monkeypatch.setattr(ml.ForestModel, "fit", recording_fit)
+        _use_cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        got = run_suite(small_country[4], specs, 0.25, seed=0)
+        assert threading.active_count() == threads
+        assert fitted == [(seed, True) for seed in range(300)]
+        assert _report_bits(got) == want
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("failing", [("RandomForest", "DeepNN"), ("DeepNN",),
+                                         ("DecisionTree", "AdaBoost", "MLP")])
+    def test_failure_raises_what_the_loop_raises(self, small_country, monkeypatch,
+                                                 cpus, failing):
+        errors = {"DecisionTree": KeyError("front"), "RandomForest": ValueError("front"),
+                  "AdaBoost": RuntimeError("middle"), "MLP": ArithmeticError("back"),
+                  "DeepNN": NonConvergenceError("back", last_loss=None)}
+        fail = {kind: errors[kind] for kind in failing}
+        started = []
+        _record_fits(monkeypatch, started, fail)
+        with pytest.raises(Exception) as want:
+            run_suite_sequential(small_country[4], default_suite(seed=0), 0.25, seed=0)
+        assert want.value is errors[failing[0]]
+        started.clear()
+        _use_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        with pytest.raises(type(want.value)) as got:
+            run_suite(small_country[4], default_suite(seed=0), 0.25, seed=0)
+        assert got.value is want.value
+        assert threading.active_count() == threads
+        # nothing starts after the lowest failing spec, and all on this thread
+        first_failing = CLASSIFIER_KINDS.index(failing[0])
+        assert started == [(kind, True) for kind in CLASSIFIER_KINDS[:first_failing + 1]]
 
 
 STANDARDISED_KINDS = ("LogisticRegression", "LinearSVM", "MLP", "DeepNN")

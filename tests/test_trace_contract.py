@@ -85,3 +85,30 @@ def test_traced_train_suite(tmp_path):
                 if s.kind == "DeepNN")
     assert layers["ml.epochs.DeepNN"] == ml.train(spec, train_ds).epochs
 
+
+def test_traced_suite_fits_in_one_lane():
+    # the tracer keeps one open-span stack for all threads, so a traced suite
+    # must fit every spec on the calling thread, even with two usable CPUs and
+    # BLAS pinned to one thread
+    code = ("import os, threading\n"
+            "import layertrace\n"
+            "from pcrisk import cli, ml\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "layertrace.install(layertrace.Tracer('lanes'))\n"
+            "traced, seen = ml.train, []\n"
+            "def train(spec, ds):\n"
+            "    seen.append(threading.current_thread() is threading.main_thread())\n"
+            "    return traced(spec, ds)\n"
+            "ml.train = train\n"
+            "cfg = cli.resolve_config(cli._parser().parse_args(\n"
+            "    ['train-suite', '--config', 'configs/synthetic_demo.json']))\n"
+            "threads = threading.active_count()\n"
+            "ml.run_suite(cli._build(cfg, 200.0)[1], ml.default_suite(cfg.seed), 0.2, cfg.seed)\n"
+            "print(len(seen), all(seen), threading.active_count() - threads)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       str(ROOT / "perfbench")]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(len(CLASSIFIER_KINDS)), "True", "0"]
