@@ -32,11 +32,16 @@ def create(path, binary: bool = False):
     return path.open("w", newline="", encoding="utf-8")
 
 
+def encode_json(doc, indent: int | None = None) -> str:
+    """doc as JSON text with sorted keys, indented by `indent` spaces or on
+    one line when indent is None."""
+    return json.dumps(doc, sort_keys=True, indent=indent)
+
+
 def write_json(path, doc, indent: int | None = None) -> None:
-    """doc as JSON with sorted keys, indented by `indent` spaces or on one
-    line when indent is None."""
+    """encode_json(doc, indent) and a newline."""
     with create(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=indent) + "\n")
+        fh.write(encode_json(doc, indent) + "\n")
 
 
 def read_json(path, what: str):

@@ -3,8 +3,12 @@ eval-hypotheses, train-suite, riskmap.
 
 Every command reads a JSON run config (CLI flags override a few common
 fields), writes its artifacts plus a manifest.json capturing the resolved
-config and input digests, and is byte-identical when rerun with the same
-config and seed.
+config and the sha256 digests of the source's raw input files, and is
+byte-identical when rerun with the same config and seed. build-dataset
+hashes each raw input once and keeps that record with the parse of
+dataset.csv; the analysis stages, which read dataset.csv and not the raw
+files, record it from there. They hash the files only when the record is
+missing or names other files than the config does.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import dataclasses
 import datetime as dt
 import hashlib
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,6 +115,9 @@ _SECTIONS = {
     "stats": {"bonferroni_m": _optional(_integer)},
     "riskmap": {"model": _text},
 }
+#: the raw input files a files source may name, and what each holds
+_INPUT_FILES = {"events_csv": "events table", "series_csv": "series table",
+                "keyword_rules": "keyword rules"}
 #: converters of the keys of the source's sub-objects: the fields, all with a
 #: str or float default, of the records they become; no other key is allowed
 _SOURCE_RECORDS = {key: {f.name: _text if isinstance(f.default, str) else float
@@ -159,10 +167,10 @@ def resolve_config(args) -> RunConfig:
         for key in ("events_csv", "series_csv"):
             if key not in src:
                 raise InvalidInputError(f"file source needs {key!r}")
-            if not Path(src[key]).exists():
-                raise InvalidInputError(f"input path {src[key]} does not exist")
-        if "keyword_rules" in src and not Path(src["keyword_rules"]).exists():
-            raise InvalidInputError(f"input path {src['keyword_rules']} does not exist")
+        for key, what in _INPUT_FILES.items():
+            if key in src and not Path(src[key]).is_file():
+                fault = "is not a file" if Path(src[key]).exists() else "does not exist"
+                raise InvalidInputError(f"{what} {src[key]} {fault}")
     window_doc = raw["window"] if isinstance(raw["window"], dict) else {}
     start, end = (_convert(where, f"window.{k}", window_doc.get(k), dt.date.fromisoformat)
                   for k in ("start", "end"))
@@ -184,23 +192,42 @@ def resolve_config(args) -> RunConfig:
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    with path.open("rb") as fh:
-        while block := fh.read(1 << 20):
-            h.update(block)
+    try:
+        with path.open("rb") as fh:
+            while block := fh.read(1 << 20):
+                h.update(block)
+    except OSError as exc:
+        raise InvalidInputError(f"input path {path} cannot be read "
+                                f"({exc.strerror or exc})") from None
     return h.hexdigest()
 
 
-def _write_manifest(cfg: RunConfig, command: str, outputs: list[Path]) -> None:
-    inputs = {}
+def _input_digests(cfg: RunConfig, carried: dict | None = None) -> dict:
+    """The manifest's record of the raw inputs: the path and sha256 of each
+    file the source names, by key. carried is the record build-dataset kept
+    with the table (features.Dataset.inputs). When it names the same keys
+    and paths, its digests, those of the files the table was built from,
+    are recorded and no file is read; otherwise the files are hashed."""
+    paths = {}
     if cfg.source.get("kind") == "files":
-        for key in ("events_csv", "series_csv", "keyword_rules"):
-            if key in cfg.source:
-                p = Path(cfg.source[key])
-                inputs[key] = {"path": str(p), "sha256": _sha256(p)}
+        paths = {key: str(Path(cfg.source[key])) for key in _INPUT_FILES if key in cfg.source}
+    if carried is not None and carried.keys() == paths.keys() and all(
+            isinstance(entry := carried[key], dict) and entry.get("path") == path
+            and isinstance(entry.get("sha256"), str)
+            and re.fullmatch("[0-9a-f]{64}", entry["sha256"])
+            for key, path in paths.items()):
+        return {key: {"path": path, "sha256": carried[key]["sha256"]}
+                for key, path in paths.items()}
+    return {key: {"path": path, "sha256": _sha256(Path(path))} for key, path in paths.items()}
+
+
+def _write_manifest(cfg: RunConfig, command: str, outputs: list[Path],
+                    carried: dict | None = None) -> None:
+    """manifest.json for command's outputs; carried as in _input_digests."""
     doc = {
         "command": command,
         "config": cfg.raw,
-        "inputs": inputs,
+        "inputs": _input_digests(cfg, carried),
         "outputs": sorted(p.name for p in outputs),
     }
     write_json(cfg.out_dir / "manifest.json", doc, indent=2)
@@ -246,15 +273,16 @@ def _load_dataset(cfg: RunConfig) -> features.Dataset:
 
 def cmd_build_dataset(cfg: RunConfig) -> int:
     g, ds, edges = _build(cfg, cfg.cell_km)
+    inputs = _input_digests(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_ds = cfg.out_dir / "dataset.csv"
     out_grid = cfg.out_dir / "grid.json"
     out_edges = cfg.out_dir / "bin_edges.json"
     digest = features.write_dataset_csv(ds, out_ds)
-    features.cache_written_table(out_ds, digest, ds)
+    features.cache_written_table(out_ds, digest, ds, inputs)
     gridmod.save_grid(g, out_grid)
     features.write_bin_edges_json(edges, out_edges)
-    _write_manifest(cfg, "build-dataset", [out_ds, out_grid, out_edges])
+    _write_manifest(cfg, "build-dataset", [out_ds, out_grid, out_edges], inputs)
     n1 = int(ds.y.sum())
     print(f"dataset: {len(ds)} cells ({g.n_rows}x{g.n_cols} grid at "
           f"{cfg.cell_km:g} km), {n1} with conflicts, {len(ds) - n1} without")
@@ -269,7 +297,7 @@ def cmd_test_univariate(cfg: RunConfig) -> int:
     results = stats.run_univariate(ds, m=m)
     out = cfg.out_dir / "univariate.csv"
     stats.write_univariate_csv(results, out)
-    _write_manifest(cfg, "test-univariate", [out])
+    _write_manifest(cfg, "test-univariate", [out], ds.inputs)
     n_sig = sum(r.p_bonferroni < 0.05 for r in results)
     print(f"tested {len(results)} features; {n_sig} significant at 0.05 after Bonferroni")
     print(f"wrote {out}")
@@ -284,7 +312,7 @@ def cmd_learn_tree(cfg: RunConfig) -> int:
     hypotheses.save_tree(tree, out_json)
     with create(out_dot) as fh:
         fh.write(hypotheses.tree_to_dot(tree))
-    _write_manifest(cfg, "learn-tree", [out_json, out_dot])
+    _write_manifest(cfg, "learn-tree", [out_json, out_dot], ds.inputs)
     paths = hypotheses.extract_paths(tree, cfg.tree["min_support"], cfg.tree["min_purity"])
     print(f"tree trained on {len(ds)} rows; {len(paths)} candidate hypothesis paths")
     for p in (out_json, out_dot):
@@ -360,7 +388,7 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, golden: bool,
     out_json = cfg.out_dir / "hypotheses.json"
     hypotheses.write_hypothesis_csv(results, out_csv)
     write_json(out_json, doc, indent=2)
-    _write_manifest(cfg, "eval-hypotheses", [out_csv, out_json])
+    _write_manifest(cfg, "eval-hypotheses", [out_csv, out_json], ds.inputs)
     for p in (out_csv, out_json):
         print(f"wrote {p}")
     return 0
@@ -408,7 +436,7 @@ def cmd_riskmap(cfg: RunConfig) -> int:
     riskmap.render_pgm(surface, out_pgm)
     riskmap.render_csv(surface, out_csv)
     ml.save_model(model, spec, out_model)
-    _write_manifest(cfg, "riskmap", [out_geo, out_pgm, out_csv, out_model])
+    _write_manifest(cfg, "riskmap", [out_geo, out_pgm, out_csv, out_model], ds.inputs)
     print(f"risk surface from {spec.kind}: mean {scores.mean():.3f}, max {scores.max():.3f}")
     for p in (out_geo, out_pgm, out_csv, out_model):
         print(f"wrote {p}")

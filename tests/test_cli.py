@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import count_parses
-from pcrisk import errors
+from pcrisk import cli, errors, features
 from pcrisk.cli import main
 from pcrisk.ingest import VARIABLES
 
@@ -589,6 +590,183 @@ class TestPipelineCommands:
         assert (out / "risk.geojson").exists()
         assert (out / "risk.pgm").read_bytes().startswith(b"P5\n")
         assert (out / "risk.csv").exists() and (out / "model.json").exists()
+
+
+def _count_hashes(monkeypatch) -> list[str]:
+    """The names of the files cli._sha256 hashes from now on, appended as it
+    runs."""
+    hashed = []
+    sha256 = cli._sha256
+
+    def counted(path):
+        hashed.append(Path(path).name)
+        return sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", counted)
+    return hashed
+
+
+def _records(cache: Path) -> list[np.ndarray]:
+    """Every .npy record of a cache file, in order."""
+    records = []
+    with cache.open("rb") as fh:
+        while fh.peek(1):
+            records.append(np.lib.format.read_array(fh))
+    return records
+
+
+def _npy(*arrays) -> bytes:
+    buf = io.BytesIO()
+    for a in arrays:
+        np.lib.format.write_array(buf, a)
+    return buf.getvalue()
+
+
+def _json_record(doc) -> np.ndarray:
+    return np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8)
+
+
+class TestCarriedInputDigests:
+    """build-dataset hashes each raw input once and keeps the record in the
+    parse cache; the analysis stages record it from there."""
+
+    @pytest.fixture()
+    def files_run(self, tmp_path):
+        """(config, out-dir) of a files source with keyword rules, built."""
+        rules = tmp_path / "rules.json"
+        rules.write_text('{"include": ["herd"]}', encoding="utf-8")
+        cfg = _cfg(tmp_path, source=_files_source(tmp_path, keyword_rules=str(rules)))
+        out = tmp_path / "out"
+        assert _run("build-dataset", "--config", cfg, "--out-dir", str(out)) == 0
+        return cfg, out
+
+    @staticmethod
+    def _stage_manifests(cfg, out) -> dict[str, bytes]:
+        """The manifest.json bytes each analysis stage writes, run in order."""
+        manifests = {}
+        for stage in _ANALYSIS_STAGES:
+            assert _run(*stage, "--config", cfg, "--out-dir", str(out)) == 0, stage
+            manifests[stage[0]] = (out / "manifest.json").read_bytes()
+        return manifests
+
+    def test_each_input_hashed_once_per_run(self, files_run, tmp_path, monkeypatch):
+        cfg, out = files_run
+        hashed = _count_hashes(monkeypatch)
+        assert _run("build-dataset", "--config", cfg, "--out-dir", str(out)) == 0
+        assert sorted(hashed) == ["events.csv", "rules.json", "series.csv"]
+        build = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["inputs"]
+        assert build == {key: {"path": str(tmp_path / name),
+                               "sha256": hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}
+                         for key, name in (("events_csv", "events.csv"),
+                                           ("series_csv", "series.csv"),
+                                           ("keyword_rules", "rules.json"))}
+        for stage, manifest in self._stage_manifests(cfg, out).items():
+            assert json.loads(manifest)["inputs"] == build, stage
+        assert len(hashed) == 3  # the analysis stages hashed nothing
+
+    @pytest.mark.parametrize("case", [
+        "deleted_cache", "four_array_cache", "reader_cache", "truncated_record",
+        "not_npy_record", "non_json_record", "non_object_record", "int64_record",
+        "bad_digest_record", "missing_key_record"])
+    def test_cache_without_a_usable_record_hashes_the_inputs(self, files_run, monkeypatch, case):
+        cfg, out = files_run
+        carried = self._stage_manifests(cfg, out)
+        cache = out / "dataset.csv.cache"
+        key, cells, X, y, record = _records(cache)
+        inputs = json.loads(record.tobytes())
+        if case == "deleted_cache":
+            cache.unlink()
+        elif case == "reader_cache":
+            cache.unlink()
+            features.load_dataset(out / "dataset.csv")
+            assert len(_records(cache)) == 4
+        else:
+            fifth = {
+                "four_array_cache": b"",
+                "truncated_record": _npy(record)[:-5],
+                "not_npy_record": b"\x93NUMPY garbage",
+                "non_json_record": _npy(np.frombuffer(b"{not json", dtype=np.uint8)),
+                "non_object_record": _npy(_json_record([inputs])),
+                "int64_record": _npy(record.astype(np.int64)),
+                "bad_digest_record": _npy(_json_record(
+                    {k: {**v, "sha256": v["sha256"].upper()} for k, v in inputs.items()})),
+                "missing_key_record": _npy(_json_record(
+                    {k: v for k, v in inputs.items() if k != "keyword_rules"})),
+            }[case]
+            cache.write_bytes(_npy(key, cells, X, y) + fifth)
+        parses = count_parses(monkeypatch)
+        hashed = _count_hashes(monkeypatch)
+        assert self._stage_manifests(cfg, out) == carried
+        assert sorted(hashed) == sorted(["events.csv", "rules.json", "series.csv"] * 4)
+        # a table cached without a usable record still loads without a parse
+        assert len(parses) == (1 if case == "deleted_cache" else 0)
+
+    def test_rewritten_input_keeps_the_build_digest(self, files_run, tmp_path, monkeypatch):
+        cfg, out = files_run
+        build = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["inputs"]
+        series = tmp_path / "series.csv"
+        series.write_bytes(series.read_bytes() + b"0,0,LAI,2015-03-01,9.5\r\n")
+        hashed = _count_hashes(monkeypatch)
+        for stage, manifest in self._stage_manifests(cfg, out).items():
+            assert json.loads(manifest)["inputs"] == build, stage
+        assert hashed == []
+        assert build["series_csv"]["sha256"] != hashlib.sha256(series.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("change", ["moved_series", "added_rules", "synthetic"])
+    def test_other_configured_inputs_are_hashed(self, files_run, tmp_path, monkeypatch, change):
+        cfg, out = files_run
+        doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        source = doc["source"]
+        if change == "moved_series":
+            moved = tmp_path / "moved"
+            moved.mkdir()
+            source["series_csv"] = str(moved / "series.csv")
+            (moved / "series.csv").write_bytes((tmp_path / "series.csv").read_bytes() + b"\r\n")
+        elif change == "added_rules":
+            del source["keyword_rules"]
+        else:
+            doc["source"] = {"kind": "synthetic"}
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(doc), encoding="utf-8")
+        hashed = _count_hashes(monkeypatch)
+        assert _run("test-univariate", "--config", str(other), "--out-dir", str(out)) == 0
+        inputs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["inputs"]
+        expected = {key: {"path": doc["source"][key],
+                          "sha256": hashlib.sha256(Path(doc["source"][key]).read_bytes()).hexdigest()}
+                    for key in ("events_csv", "series_csv", "keyword_rules")
+                    if key in doc["source"]}
+        assert inputs == expected and len(hashed) == len(expected)
+
+    def test_rerun_gives_the_same_bytes_cache_included(self, files_run):
+        cfg, out = files_run
+        runs = []
+        for _ in range(2):
+            for stage in (["build-dataset"], *_ANALYSIS_STAGES):
+                assert _run(*stage, "--config", cfg, "--out-dir", str(out)) == 0, stage
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(_records(out / "dataset.csv.cache")) == 5 and runs[0] == runs[1]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("key, command", [
+        ("events_csv", "build-dataset"), ("series_csv", "build-dataset"),
+        ("keyword_rules", "build-dataset"), ("keyword_rules", "test-univariate")])
+    def test_directory_exits_3_naming_it(self, tmp_path, capsys, key, command):
+        out = tmp_path / "out"
+        assert _run("build-dataset", "--config", _cfg(tmp_path), "--out-dir", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        source = _files_source(tmp_path)
+        source[key] = _directory(tmp_path, "inputs_dir")
+        cfg = _cfg(tmp_path, source=source)
+        capsys.readouterr()
+        assert _run(command, "--config", cfg, "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "inputs_dir is not a file" in err, err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_unreadable_input_is_an_input_fault(self, tmp_path):
+        with pytest.raises(errors.InvalidInputError, match="rules_dir cannot be read"):
+            cli._sha256(Path(_directory(tmp_path, "rules_dir")))
 
 
 class TestTrainSuite:

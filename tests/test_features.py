@@ -624,6 +624,37 @@ class TestParseCache:
         assert cache_path(path).read_bytes() == _npy(np.frombuffer(digest, dtype=np.uint8),
                                                      ds.cells, ds.X, ds.y)
 
+    def test_written_table_carries_its_inputs_record(self, tmp_path, small_country,
+                                                     monkeypatch):
+        ds = small_country[4]
+        path = tmp_path / "dataset.csv"
+        record = {"series_csv": {"path": "séries.csv", "sha256": "0" * 64}}
+        digest = write_dataset_csv(ds, path)
+        cache_written_table(path, digest, ds, record)
+        assert cache_path(path).read_bytes() == _npy(
+            np.frombuffer(digest, dtype=np.uint8), ds.cells, ds.X, ds.y,
+            np.frombuffer(json.dumps(record, sort_keys=True).encode(), dtype=np.uint8))
+        parses = count_parses(monkeypatch)
+        back = load_dataset(path)
+        assert _same_table(back, ds) and back.inputs == record and parses == []
+        cache_written_table(path, digest, ds)  # no record: the parse's four arrays
+        back = load_dataset(path)
+        assert _same_table(back, ds) and back.inputs is None and parses == []
+
+    @pytest.mark.parametrize("record", [
+        b"", b"\x93NUMPY garbage", _npy(np.frombuffer(b"\xff{}", dtype=np.uint8)),
+        _npy(np.frombuffer(b"{", dtype=np.uint8)), _npy(np.frombuffer(b"[]", dtype=np.uint8)),
+        _npy(np.array([123, 125], dtype=np.int64))],
+        ids=["none", "not_npy", "not_utf8", "not_json", "not_object", "not_uint8"])
+    def test_unusable_record_loads_the_table_without_one(self, table, monkeypatch, record):
+        path, ds = table
+        digest = hashlib.sha256(path.read_bytes()).digest()
+        cache_path(path).write_bytes(
+            _npy(np.frombuffer(digest, dtype=np.uint8), ds.cells, ds.X, ds.y) + record)
+        parses = count_parses(monkeypatch)
+        back = load_dataset(path)
+        assert _same_table(back, ds) and back.inputs is None and parses == []
+
 
 class TestEventCounts:
     def test_window_filters_events(self):
