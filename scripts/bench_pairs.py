@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs of a parent checkout against this one.
 
-Runs ``perfbench/run.py --trace 0`` on one workload, in the parent checkout
-and in this one by turns, for a number of pairs: pair i runs the parent
-first when i is even and this checkout first when it is odd, so a drift of
-the host's speed weighs on both sides alike. It then writes
-``BENCH_<label>.json``, which holds:
+Runs ``perfbench/run.py --trace 0`` on each given workload in turn, in the
+parent checkout and in this one by turns, for a number of pairs: pair i
+runs the parent first when i is even and this checkout first when it is
+odd, so a drift of the host's speed weighs on both sides alike. It then
+writes one ``BENCH_<label>.json``. At its top it holds the run-wide
+settings: the seed, the seconds per run, the run order, and the CPU count
+and BLAS thread setting the runs saw. Under ``workloads`` it holds, per
+workload:
 
+- the pair count and both git shas;
+- each side's artifact sha256 lines, and whether every run of that side
+  printed the same ones;
 - per side and per end-to-end metric, the median, the quartiles, the run
   count and every run's value;
-- per metric, the number of pairs in which this checkout did better;
-- the CPU count and the BLAS thread setting the runs saw;
-- both git shas;
-- each side's artifact sha256 lines, and whether every run of that side
-  printed the same ones.
+- per metric, the number of pairs in which this checkout did better.
 
 Usage, from anywhere:
-    python3 scripts/bench_pairs.py --parent ../parent --workload demo --pairs 10 \\
-        --label pr17 --seconds 30
+    python3 scripts/bench_pairs.py --parent ../parent --workload demo \\
+        --workload synth-25km --pairs 10 --label pr19 --seconds 30
 """
 
 from __future__ import annotations
@@ -58,43 +60,12 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values), "runs": values}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, type=Path, help="the parent checkout")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=30.0, help="per run (perfbench --seconds)")
-    ap.add_argument("--tiny", action="store_true", help="perfbench --tiny")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="output path (default: BENCH_<label>.json in this checkout)")
-    args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
-    checkouts = {"parent": args.parent.resolve(), "this": ROOT}
-
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(args.pairs):
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            runs[side].append(run_once(checkouts[side], args.workload, args.seed,
-                                       args.seconds, args.tiny))
-            print(f"pair {i + 1}/{args.pairs} {side}: " + " ".join(
-                f"{k}={v:.4g}" for k, v in runs[side][-1]["metrics"].items()), flush=True)
-
+def workload_entry(runs: dict[str, list[dict]]) -> dict:
+    """One workload's record: shas, artifact lines, metric summaries and
+    the pairs this checkout won."""
     units = runs["this"][0]["units"]
-    env = runs["this"][0]["env"]
-    doc = {
-        "label": args.label,
-        "workload": args.workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "tiny": args.tiny,
-        "pairs": args.pairs,
-        "order": "alternating; the parent runs first in even pairs (0-based)",
-        "cpu_count": env.get("cpu_count"),
-        "cpus_usable": env.get("cpus_usable"),
-        "blas_threads": env.get("blas_threads"),
+    return {
+        "pairs": len(runs["this"]),
         "git_sha": {side: runs[side][0]["env"].get("git_sha") for side in SIDES},
         "artifacts": {side: runs[side][0]["artifacts"] for side in SIDES},
         "artifacts_stable": {side: all(r["artifacts"] == runs[side][0]["artifacts"]
@@ -107,13 +78,58 @@ def main(argv=None) -> int:
                                        for p, t in zip(runs["parent"], runs["this"]))
                              for name in units},
     }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, type=Path, help="the parent checkout")
+    ap.add_argument("--workload", required=True, action="append", dest="workloads",
+                    help="a perfbench workload; give it once per workload")
+    ap.add_argument("--pairs", type=int, required=True, help="per workload")
+    ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--seconds", type=float, default=30.0, help="per run (perfbench --seconds)")
+    ap.add_argument("--tiny", action="store_true", help="perfbench --tiny")
+    ap.add_argument("--out", type=Path, default=None,
+                    help="output path (default: BENCH_<label>.json in this checkout)")
+    args = ap.parse_args(argv)
+    if len(set(args.workloads)) < len(args.workloads):
+        ap.error("each --workload may be given once")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    checkouts = {"parent": args.parent.resolve(), "this": ROOT}
+
+    entries = {}
+    for workload in args.workloads:
+        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for i in range(args.pairs):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                runs[side].append(run_once(checkouts[side], workload, args.seed,
+                                           args.seconds, args.tiny))
+                print(f"{workload} pair {i + 1}/{args.pairs} {side}: " + " ".join(
+                    f"{k}={v:.4g}" for k, v in runs[side][-1]["metrics"].items()), flush=True)
+        entries[workload] = workload_entry(runs)
+        env = runs["this"][0]["env"]
+
+    doc = {
+        "label": args.label,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "tiny": args.tiny,
+        "order": "alternating; the parent runs first in even pairs (0-based)",
+        "cpu_count": env.get("cpu_count"),
+        "cpus_usable": env.get("cpus_usable"),
+        "blas_threads": env.get("blas_threads"),
+        "workloads": entries,
+    }
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    for name in units:
-        p, t = doc["metrics"]["parent"][name], doc["metrics"]["this"][name]
-        print(f"{name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
-              f"this {t['median']:.4g} [{t['q1']:.4g}, {t['q3']:.4g}]  "
-              f"this lower in {doc['pairs_this_lower'][name]}/{args.pairs}")
+    for workload, entry in entries.items():
+        for name, won in entry["pairs_this_lower"].items():
+            p, t = entry["metrics"]["parent"][name], entry["metrics"]["this"][name]
+            print(f"{workload} {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
+                  f"this {t['median']:.4g} [{t['q1']:.4g}, {t['q3']:.4g}]  "
+                  f"this lower in {won}/{args.pairs}")
     print(f"wrote {out}")
     return 0
 

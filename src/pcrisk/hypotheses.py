@@ -17,7 +17,9 @@ np.bincount instead of sorting them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,8 +111,16 @@ def midpoint(a, b):
     (a + b) / 2 where that is finite and below b, else a / 2 + b / 2 where
     that lies in [a, b), else a. The plain midpoint overflows for large a
     and b, and rounds up to b when they are adjacent doubles; either way a
-    split at it would send b's rows to the left with a's.
+    split at it would send b's rows to the left with a's. Two scalars take
+    the same steps on Python floats and give a Python float.
     """
+    if isinstance(a, float) and isinstance(b, float):
+        a, b = float(a), float(b)
+        mid = (a + b) / 2.0
+        if mid < b and math.isfinite(mid):
+            return mid
+        half = a / 2.0 + b / 2.0
+        return half if a <= half < b else a
     with np.errstate(over="ignore"):
         mid = (a + b) / 2.0
     half = a / 2.0 + b / 2.0
@@ -123,18 +133,34 @@ class ColumnCodes:
     """A feature matrix encoded once per fit for the split search.
 
     values[starts[j]:starts[j + 1]] are column j's distinct values,
-    ascending (-0.0 and 0.0 are one value), and ranks[i, j] is the index of
-    X[i, j] among them. A node's row and class-1 counts per distinct value
-    are then bincounts over its rows' ranks.
+    ascending (-0.0 and 0.0 are one value), and bins[i, j] is the index in
+    values of X[i, j]: starts[j] plus its rank in column j. A node's row
+    and class-1 counts per distinct value are then bincounts over its rows'
+    bins, and comparing a bin to another of its column compares the values.
+    sizes and ranks serve fits that sample columns, made once on first use.
     """
 
-    ranks: np.ndarray   # (n, d) int32
+    bins: np.ndarray    # (n, d) int32, or int64 when n * d >= 2**31
     values: np.ndarray  # (starts[-1],) float64
     starts: np.ndarray  # (d + 1,) int64
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """(d,) the number of distinct values of each column."""
+        return np.diff(self.starts).astype(self.bins.dtype)
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """(d, n): ranks[j, i] = bins[i, j] - starts[j], X[i, j]'s rank in
+        column j, feature-major so that a node gathers the columns it
+        scores with one index."""
+        ranks = self.bins.T.copy()
+        ranks -= self.starts[:-1, None].astype(ranks.dtype)
+        return ranks
+
 
 def encode_columns(X: np.ndarray) -> ColumnCodes:
-    """Rank every value of X among its column's distinct values.
+    """Give every value of X its bin among its column's distinct values.
 
     Raises InvalidInputError naming the first column that holds a
     non-finite value (a NaN has no place among the distinct values), or
@@ -147,78 +173,81 @@ def encode_columns(X: np.ndarray) -> ColumnCodes:
     if not finite.all():
         raise InvalidInputError(
             f"CART needs finite feature values: column {int(np.argmin(finite))} is not")
-    ranks = np.empty((n, d), dtype=np.int32)
+    bins = np.empty((n, d), dtype=np.int32 if n * d < 2 ** 31 else np.int64)
     distinct = []
+    starts = np.zeros(d + 1, dtype=np.int64)
     for j in range(d):
         column = X[:, j]
         ordered = np.sort(column)
         new = np.ones(n, dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
         distinct.append(ordered[new])
-        ranks[:, j] = np.searchsorted(distinct[-1], column)
-    starts = np.r_[0, np.cumsum([len(v) for v in distinct], dtype=np.int64)]
+        bins[:, j] = np.searchsorted(distinct[-1], column) + starts[j]
+        starts[j + 1] = starts[j] + len(distinct[-1])
     values = np.concatenate(distinct) if distinct else np.zeros(0)
-    return ColumnCodes(ranks=ranks, values=values, starts=starts)
+    return ColumnCodes(bins=bins, values=values, starts=starts)
 
 
-def _best_split(codes: ColumnCodes, y: np.ndarray, rows: np.ndarray, min_leaf: int,
-                feature_ids: np.ndarray) -> tuple[int, float, int] | None:
+def _best_split(codes: ColumnCodes, rows: np.ndarray, n1: int, min_leaf: int,
+                feature_ids: np.ndarray) -> tuple[int, float, np.ndarray, int, int] | None:
     """Split of the node holding rows minimizing weighted gini impurity, or
-    None; as (feature, threshold, rank), where a row goes left when its
-    rank in that feature's column is at most rank.
+    None; as (feature, threshold, go_left, n_left, n_left_class1), go_left
+    marking the rows whose value is at most threshold.
 
-    rows index codes and y, and may repeat (a bootstrap sample counts a
-    repeated row as often as it is drawn). feature_ids are the columns
-    scored, ascending. Each column's distinct values get consecutive bins;
-    two np.bincount calls over the node's bins give its row and class-1
-    counts per value, and cumulative sums of the nonzero bins give every
-    candidate's left-side counts. The work is O(len(rows) * k + B) for k
-    columns holding B distinct values in all; no node sorts.
+    rows index codes, hold the node's n1 class-1 rows first, and may repeat
+    (a bootstrap sample counts a repeated row as often as it is drawn).
+    feature_ids are the columns scored, ascending; a sample of the columns
+    is gathered from codes.ranks and shifted so that its values get
+    consecutive bins. Two np.bincount calls over the node's bins, the second
+    over its class-1 rows alone, and cumulative sums of the nonzero bins
+    give every candidate's left-side counts; a column holds every row once,
+    so running count c falls in scored column (c - 1) // len(rows). The
+    work is O(len(rows) * k + B) for k columns holding B distinct values in
+    all; no node sorts.
 
     Candidate thresholds are the midpoints between consecutive distinct
     values of each feature within the node, in (feature, threshold) order.
-    A candidate's score is the rational N/D with integers N = (nL^2 - aL^2
-    - bL^2)*nR + (nR^2 - aR^2 - bR^2)*nL and D = nL*nR, where N <= n^3/8
+    A candidate's score is the rational N/D with integers N = aL*bL*nR +
+    aR*bR*nL and D = nL*nR (half the gini numerator), where N <= n^3/16
     fits int64 for n < MAX_CART_ROWS. The least score is found exactly
     (_exact_argmin); ties go to the lowest feature index, then the lowest
     threshold.
     """
     n = len(rows)
-    sizes = codes.starts[feature_ids + 1] - codes.starts[feature_ids]
-    starts = np.cumsum(sizes) - sizes  # first bin of each scored column
-    n_bins = int(sizes.sum())
     if len(feature_ids) == len(codes.starts) - 1:
-        bins = codes.ranks[rows] + starts  # whole rows gather faster than columns by index
+        first, n_bins = codes.starts[:-1], len(codes.values)
+        gathered = codes.bins[rows]  # whole rows gather faster than columns by index
+        by_column, of_class1 = gathered.T, gathered[:n1]
     else:
-        bins = codes.ranks[np.ix_(rows, feature_ids)] + starts
-    yn = y[rows]
-    count = np.bincount(bins.ravel(), minlength=n_bins)
-    ones = np.bincount(bins[yn == 1].ravel(), minlength=n_bins)
-    present = np.flatnonzero(count)  # (feature, value) order
-    col = np.searchsorted(starts, present, side="right") - 1
-    n1 = int(yn.sum())
-    # running sums over all present bins; every earlier column adds n rows
-    # and n1 class-1 rows
-    nL = np.cumsum(count[present]) - col * n
-    aL = np.cumsum(ones[present]) - col * n1
-    usable = nL < n  # a column's last present value has nothing to its right
+        sizes = codes.sizes[feature_ids]
+        first = sizes.cumsum(dtype=sizes.dtype)
+        n_bins = int(first[-1])
+        first -= sizes
+        gathered = codes.ranks[feature_ids[:, None], rows]
+        gathered += first[:, None]
+        by_column, of_class1 = gathered, gathered[:, :n1]
+    count = np.bincount(gathered.ravel(), minlength=n_bins)
+    present = (count != 0).nonzero()[0]  # (feature, value) order
+    nL = count[present].cumsum()
+    col = (nL - 1) // n
+    nL -= col * n
+    aL = np.bincount(of_class1.ravel(), minlength=n_bins)[present].cumsum()
+    aL -= col * n1
+    usable = nL <= n - min_leaf  # a column's last present value has nothing to its right
     if min_leaf > 1:
-        usable &= (nL >= min_leaf) & (n - nL >= min_leaf)
-    cand = np.flatnonzero(usable)
+        usable &= nL >= min_leaf
+    cand = usable.nonzero()[0]
     if cand.size == 0:
         return None
     nL, aL = nL[cand], aL[cand]
-    bL = nL - aL
     nR = n - nL
     aR = n1 - aL
-    bR = nR - aR
-    num = (nL * nL - aL * aL - bL * bL) * nR + (nR * nR - aR * aR - bR * bR) * nL
-    k = int(cand[_exact_argmin(num, nL * nR)])
-    c = int(col[k])
-    feature = int(feature_ids[c])
-    lo, hi = present[k] - starts[c], present[k + 1] - starts[c]
-    base = codes.starts[feature]
-    return feature, float(midpoint(codes.values[base + lo], codes.values[base + hi])), int(lo)
+    i = _exact_argmin(aL * (nL - aL) * nR + aR * (nR - aR) * nL, nL * nR)
+    k, c = cand[i], int(col[cand[i]])
+    lo, feature = present[k], int(feature_ids[c])
+    base = codes.starts[feature] - first[c]
+    return (feature, midpoint(codes.values[base + lo], codes.values[base + present[k + 1]]),
+            by_column[c] <= lo, int(nL[i]), int(aL[i]))
 
 
 def _exact_argmin(num: np.ndarray, den: np.ndarray) -> int:
@@ -232,6 +261,8 @@ def _exact_argmin(num: np.ndarray, den: np.ndarray) -> int:
     distinct rationals that round to one double (1/3 and
     6004799503160661/2**54) are still told apart.
     """
+    if len(num) == 1:
+        return 0
     score = num / den
     near = np.nonzero(score <= score.min() * (1.0 + 2.0 ** -50))[0]
     best = int(near[0])
@@ -266,9 +297,12 @@ def grow_from_codes(codes: ColumnCodes, y: np.ndarray, rows: np.ndarray,
     repeated row counts once per occurrence, as if it were copied.
 
     Nodes are grown depth first, left before right, each from the indices
-    of its rows into the codes. A node costs two bincounts over its rows'
-    ranks in the columns it scores (see _best_split); the root of an
-    n-row fit on d columns holds an (n, d) int64 array of bins at most.
+    of its rows into the codes, class-1 rows first. A node costs one gather
+    of its rows' bins in the columns it scores and two bincounts over them
+    (see _best_split), and takes its children's counts from the winning
+    candidate. The root of an n-row fit on all d columns holds an (n, d)
+    int32 array of bins at most; a node that samples columns gathers them
+    from codes.ranks.
     """
     n, d = len(rows), len(codes.starts) - 1
     if n >= MAX_CART_ROWS:
@@ -278,27 +312,28 @@ def grow_from_codes(codes: ColumnCodes, y: np.ndarray, rows: np.ndarray,
     if min_leaf < 1:
         raise InvalidInputError("min_leaf must be >= 1")
     sample = max_features is not None and max_features < d
-    root = TreeNode(n_samples=n, n_class1=int(y[rows].sum()))
+    feature_ids = np.arange(d)
+    class1 = y[rows] == 1
+    rows = np.concatenate([rows[class1], rows[~class1]])  # children keep this order
+    root = TreeNode(n_samples=n, n_class1=int(class1.sum()))
     todo = [(root, rows, max_depth)]
     while todo:
         node, rows, depth_left = todo.pop()
-        if node.n_samples < 2 * min_leaf or node.n_class1 in (0, node.n_samples) \
-                or depth_left == 0:
+        n, n1 = node.n_samples, node.n_class1
+        if n < 2 * min_leaf or n1 in (0, n) or depth_left == 0:
             continue
         if sample:
-            feature_ids = np.sort(rng.choice(d, size=max_features, replace=False))
-        else:
-            feature_ids = np.arange(d)
-        split = _best_split(codes, y, rows, min_leaf, feature_ids)
+            feature_ids = rng.choice(d, size=max_features, replace=False)
+            feature_ids.sort()
+        split = _best_split(codes, rows, n1, min_leaf, feature_ids)
         if split is None:
             continue
-        node.feature, node.threshold, rank = split
-        go_left = codes.ranks[rows, node.feature] <= rank
-        left, right = rows[go_left], rows[~go_left]
-        node.left = TreeNode(n_samples=len(left), n_class1=int(y[left].sum()))
-        node.right = TreeNode(n_samples=len(right), n_class1=int(y[right].sum()))
+        node.feature, node.threshold, go_left, n_left, a_left = split
+        node.left = TreeNode(n_samples=n_left, n_class1=a_left)
+        node.right = TreeNode(n_samples=n - n_left, n_class1=n1 - a_left)
         child_depth = None if depth_left is None else depth_left - 1
-        todo += [(node.right, right, child_depth), (node.left, left, child_depth)]
+        todo += [(node.right, rows[~go_left], child_depth),
+                 (node.left, rows[go_left], child_depth)]
     return root
 
 

@@ -70,6 +70,10 @@ _DEFAULT_HYPERPARAMS = {
                "class_weight": None, "patience": 20},
 }
 
+#: hyperparameters that take a positive integer, and the other values each allows
+_COUNT_HYPERPARAMS = {"n_estimators": (), "n_rounds": (), "patience": (None,),
+                      "max_features": (None, "sqrt")}
+
 #: the stratified share of an MLP's training rows it holds out to stop on
 VALIDATION_FRACTION = 0.1
 
@@ -90,10 +94,12 @@ class ClassifierSpec:
             hp[k] = v
         if hp.get("class_weight") not in (None, "balanced"):
             raise InvalidInputError(f"unknown class_weight {hp['class_weight']!r}")
-        patience = hp.get("patience")
-        if patience is not None and (type(patience) is not int or patience < 1):
-            raise InvalidInputError(f"patience must be null or a positive integer, "
-                                    f"not {patience!r}")
+        for key, others in _COUNT_HYPERPARAMS.items():
+            v = hp.get(key)
+            if key in hp and v not in others and not (type(v) is int and v >= 1):
+                also = "".join(" or null" if o is None else f" or {o!r}" for o in others)
+                raise InvalidInputError(
+                    f"{self.kind} {key} must be a positive integer{also}, not {v!r}")
         return hp
 
 
@@ -230,15 +236,13 @@ class ForestModel:
 
     def _n_split_features(self, d: int) -> int | None:
         mf = self.hyperparams["max_features"]
-        if mf is None:
-            return None
-        if mf == "sqrt":
-            return max(1, int(math.sqrt(d)))
-        return int(mf)
+        return max(1, int(math.sqrt(d))) if mf == "sqrt" else mf
 
     def fit(self, X, y):
-        """X is encoded once; each tree grows from the indices of its
-        bootstrap rows into that encoding, so no tree copies X."""
+        """X is encoded once, with one feature-major copy of its bins when
+        splits sample features (ColumnCodes.columns); each tree grows from
+        the indices of its bootstrap rows into that encoding, so no tree
+        copies X."""
         self.n_features = X.shape[1]
         rng = np.random.default_rng(self.seed)
         k = self._n_split_features(X.shape[1])

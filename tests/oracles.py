@@ -22,7 +22,7 @@ import csv
 import datetime as dt
 import logging
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -255,6 +255,176 @@ def grow_tree_copying(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
         return node
 
     return grow(X, y, max_depth)
+
+
+# ---------------------------------------------------------------------------
+# CART grown from per-column ranks with per-node rank arithmetic
+#
+# hypotheses.grow_from_codes as it was before it kept global bin ids, a
+# feature-major copy for sampled columns and each node's class-1 rows first;
+# the library must grow the same trees with the same rng draws.
+
+
+def midpoint_where(a, b):
+    """A threshold t with a <= t < b between finite a < b (floats or arrays).
+
+    (a + b) / 2 where that is finite and below b, else a / 2 + b / 2 where
+    that lies in [a, b), else a. The plain midpoint overflows for large a
+    and b, and rounds up to b when they are adjacent doubles; either way a
+    split at it would send b's rows to the left with a's.
+    """
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2.0
+    half = a / 2.0 + b / 2.0
+    return np.where(np.isfinite(mid) & (mid < b), mid,
+                    np.where((a <= half) & (half < b), half, a))
+
+
+@dataclass(frozen=True)
+class RankCodes:
+    """A feature matrix encoded once per fit for the split search.
+
+    values[starts[j]:starts[j + 1]] are column j's distinct values,
+    ascending (-0.0 and 0.0 are one value), and ranks[i, j] is the index of
+    X[i, j] among them. A node's row and class-1 counts per distinct value
+    are then bincounts over its rows' ranks.
+    """
+
+    ranks: np.ndarray   # (n, d) int32
+    values: np.ndarray  # (starts[-1],) float64
+    starts: np.ndarray  # (d + 1,) int64
+
+
+def encode_ranks(X: np.ndarray) -> RankCodes:
+    """Rank every value of X among its column's distinct values.
+
+    Raises InvalidInputError naming the first column that holds a
+    non-finite value (a NaN has no place among the distinct values), or
+    when X has MAX_CART_ROWS rows or more.
+    """
+    n, d = X.shape
+    if n >= MAX_CART_ROWS:
+        raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {n}")
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        raise InvalidInputError(
+            f"CART needs finite feature values: column {int(np.argmin(finite))} is not")
+    ranks = np.empty((n, d), dtype=np.int32)
+    distinct = []
+    for j in range(d):
+        column = X[:, j]
+        ordered = np.sort(column)
+        new = np.ones(n, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        distinct.append(ordered[new])
+        ranks[:, j] = np.searchsorted(distinct[-1], column)
+    starts = np.r_[0, np.cumsum([len(v) for v in distinct], dtype=np.int64)]
+    values = np.concatenate(distinct) if distinct else np.zeros(0)
+    return RankCodes(ranks=ranks, values=values, starts=starts)
+
+
+def best_split_per_node(codes: RankCodes, y: np.ndarray, rows: np.ndarray, min_leaf: int,
+                        feature_ids: np.ndarray) -> tuple[int, float, int] | None:
+    """Split of the node holding rows minimizing weighted gini impurity, or
+    None; as (feature, threshold, rank), where a row goes left when its
+    rank in that feature's column is at most rank.
+
+    rows index codes and y, and may repeat (a bootstrap sample counts a
+    repeated row as often as it is drawn). feature_ids are the columns
+    scored, ascending. Each column's distinct values get consecutive bins;
+    two np.bincount calls over the node's bins give its row and class-1
+    counts per value, and cumulative sums of the nonzero bins give every
+    candidate's left-side counts. The work is O(len(rows) * k + B) for k
+    columns holding B distinct values in all; no node sorts.
+
+    Candidate thresholds are the midpoints between consecutive distinct
+    values of each feature within the node, in (feature, threshold) order.
+    A candidate's score is the rational N/D with integers N = (nL^2 - aL^2
+    - bL^2)*nR + (nR^2 - aR^2 - bR^2)*nL and D = nL*nR, where N <= n^3/8
+    fits int64 for n < MAX_CART_ROWS. The least score is found exactly
+    (_exact_argmin); ties go to the lowest feature index, then the lowest
+    threshold.
+    """
+    n = len(rows)
+    sizes = codes.starts[feature_ids + 1] - codes.starts[feature_ids]
+    starts = np.cumsum(sizes) - sizes  # first bin of each scored column
+    n_bins = int(sizes.sum())
+    if len(feature_ids) == len(codes.starts) - 1:
+        bins = codes.ranks[rows] + starts  # whole rows gather faster than columns by index
+    else:
+        bins = codes.ranks[np.ix_(rows, feature_ids)] + starts
+    yn = y[rows]
+    count = np.bincount(bins.ravel(), minlength=n_bins)
+    ones = np.bincount(bins[yn == 1].ravel(), minlength=n_bins)
+    present = np.flatnonzero(count)  # (feature, value) order
+    col = np.searchsorted(starts, present, side="right") - 1
+    n1 = int(yn.sum())
+    # running sums over all present bins; every earlier column adds n rows
+    # and n1 class-1 rows
+    nL = np.cumsum(count[present]) - col * n
+    aL = np.cumsum(ones[present]) - col * n1
+    usable = nL < n  # a column's last present value has nothing to its right
+    if min_leaf > 1:
+        usable &= (nL >= min_leaf) & (n - nL >= min_leaf)
+    cand = np.flatnonzero(usable)
+    if cand.size == 0:
+        return None
+    nL, aL = nL[cand], aL[cand]
+    bL = nL - aL
+    nR = n - nL
+    aR = n1 - aL
+    bR = nR - aR
+    num = (nL * nL - aL * aL - bL * bL) * nR + (nR * nR - aR * aR - bR * bR) * nL
+    k = int(cand[_exact_argmin(num, nL * nR)])
+    c = int(col[k])
+    feature = int(feature_ids[c])
+    lo, hi = present[k] - starts[c], present[k + 1] - starts[c]
+    base = codes.starts[feature]
+    return feature, float(midpoint_where(codes.values[base + lo], codes.values[base + hi])), int(lo)
+
+
+def grow_from_codes_per_node(codes: RankCodes, y: np.ndarray, rows: np.ndarray,
+                             max_depth: int | None = 4, min_leaf: int = 1,
+                             rng: np.random.Generator | None = None,
+                             max_features: int | None = None) -> TreeNode:
+    """grow_tree on the rows of an encoded matrix; rows may repeat, and a
+    repeated row counts once per occurrence, as if it were copied.
+
+    Nodes are grown depth first, left before right, each from the indices
+    of its rows into the codes. A node costs two bincounts over its rows'
+    ranks in the columns it scores (see best_split_per_node); the root of an
+    n-row fit on d columns holds an (n, d) int64 array of bins at most.
+    """
+    n, d = len(rows), len(codes.starts) - 1
+    if n >= MAX_CART_ROWS:
+        raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {n}")
+    if max_depth is not None and max_depth < 1:
+        raise InvalidInputError("max_depth must be >= 1 or None")
+    if min_leaf < 1:
+        raise InvalidInputError("min_leaf must be >= 1")
+    sample = max_features is not None and max_features < d
+    root = TreeNode(n_samples=n, n_class1=int(y[rows].sum()))
+    todo = [(root, rows, max_depth)]
+    while todo:
+        node, rows, depth_left = todo.pop()
+        if node.n_samples < 2 * min_leaf or node.n_class1 in (0, node.n_samples) \
+                or depth_left == 0:
+            continue
+        if sample:
+            feature_ids = np.sort(rng.choice(d, size=max_features, replace=False))
+        else:
+            feature_ids = np.arange(d)
+        split = best_split_per_node(codes, y, rows, min_leaf, feature_ids)
+        if split is None:
+            continue
+        node.feature, node.threshold, rank = split
+        go_left = codes.ranks[rows, node.feature] <= rank
+        left, right = rows[go_left], rows[~go_left]
+        node.left = TreeNode(n_samples=len(left), n_class1=int(y[left].sum()))
+        node.right = TreeNode(n_samples=len(right), n_class1=int(y[right].sum()))
+        child_depth = None if depth_left is None else depth_left - 1
+        todo += [(node.right, right, child_depth), (node.left, left, child_depth)]
+    return root
 
 
 # ---------------------------------------------------------------------------

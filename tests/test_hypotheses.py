@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -112,7 +113,8 @@ class TestTrainCart:
             y = np.r_[0, 1, (rng.random(n - 2) < 0.5).astype(int)]
             fids = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
             min_leaf = int(rng.integers(1, 3))
-            got = _best_split(encode_columns(X), y, np.arange(n), min_leaf, fids)
+            rows = np.argsort(y == 0, kind="stable")  # class-1 rows first
+            got = _best_split(encode_columns(X), rows, int(y.sum()), min_leaf, fids)
             want = exhaustive_cart(X[:, fids], y, max_depth=1, min_leaf=min_leaf)
             if "feature" not in want:
                 assert got is None, trial
@@ -154,6 +156,7 @@ class TestTrainCart:
 
 
 A = float(np.nextafter(1.0, 2.0))
+DBL_MAX = float(np.finfo(float).max)
 B = float(np.nextafter(A, 2.0))
 
 
@@ -182,6 +185,22 @@ class TestThresholds:
         mid = (a + b) / 2.0
         assert a <= mid < b
         assert float(midpoint(a, b)).hex() == mid.hex()
+
+    @pytest.mark.parametrize("a, b", [
+        (A, B),
+        (1e308, 1.5e308), (-1.5e308, -1e308),
+        (float(np.nextafter(DBL_MAX, 0.0)), DBL_MAX), (-DBL_MAX, float(np.nextafter(-DBL_MAX, 0.0))),
+        (-5e-324, 0.0), (-5e-324, -0.0), (-0.0, 5e-324), (-1.0, -0.0), (0.0, 1.0),
+        (0.1, 0.3),
+    ])
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_midpoint_on_scalars_is_the_array_one(self, a, b, scalar):
+        want = float(midpoint(np.array([a]), np.array([b]))[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow on np.float64 would warn
+            t = midpoint(scalar(a), scalar(b))
+        assert type(t) is float and t.hex() == want.hex()
+        assert a <= t < b
 
     def test_midpoint_on_arrays(self):
         a = np.array([0.1, A, 1e308, -5e-324])

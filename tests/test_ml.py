@@ -11,13 +11,15 @@ from scipy.stats import rankdata
 
 from oracles import (
     batch_gd_every_trial,
+    encode_ranks,
     exhaustive_stump,
+    grow_from_codes_per_node,
     grow_tree_copying,
     mlp_loss_grad_full,
     run_suite_sequential,
     scalar_best_stump,
 )
-from pcrisk.hypotheses import predict_leaf
+from pcrisk.hypotheses import encode_columns, grow_from_codes, predict_leaf
 from test_hypotheses import _same_nodes
 from pcrisk import cli, ml
 from pcrisk.errors import (
@@ -227,6 +229,19 @@ class TestModels:
         assert (f, pol) == (0, 1) and a <= thr < b
         assert list(_stump_predict(X, f, thr, pol)) == [0, 0, 1, 1]
 
+    @pytest.mark.parametrize("km", [100.0, 75.0, 50.0])
+    def test_demo_forests_match_per_node_grower(self, km):
+        # the demo's train-suite forests, tree for tree and draw for draw
+        train_ds, _ = split(_demo_table(km), 0.2, 7)
+        hp = ClassifierSpec("RandomForest").resolved()
+        _assert_same_forests(train_ds.X, train_ds.y, hp, 7)
+
+    def test_deep_min_leaf_2_forest_matches_per_node_grower(self, demo_100km):
+        train_ds, _ = split(demo_100km, 0.5, 3)
+        hp = ClassifierSpec("RandomForest", {"n_estimators": 10, "max_depth": None,
+                                             "min_leaf": 2}).resolved()
+        _assert_same_forests(train_ds.X, train_ds.y, hp, 3)
+
     def test_forest_rejects_non_finite_input(self):
         X, y = _blobs(40)
         X[7, 2] = np.inf
@@ -327,6 +342,28 @@ class TestModels:
         X, y = _blobs(40)
         with pytest.raises(InvalidInputError):
             train(ClassifierSpec(kind, hp, seed=0), _rows(X, y))
+
+    @pytest.mark.parametrize("kind, hp", [
+        ("RandomForest", {"n_estimators": 0}),    # averaged 0 trees into NaN scores
+        ("RandomForest", {"max_features": 0}),    # grew 30 single-leaf trees
+        ("RandomForest", {"max_features": -1}),   # a raw "negative dimensions" ValueError
+        ("RandomForest", {"max_features": 2.5}),  # was truncated to 2
+        ("RandomForest", {"max_features": True}),
+        ("AdaBoost", {"n_rounds": 0}),            # a NonConvergenceError on no stump
+    ], ids=["n_estimators_0", "max_features_0", "max_features_-1", "max_features_2.5",
+            "max_features_true", "n_rounds_0"])
+    def test_bad_ensemble_hyperparams_rejected(self, kind, hp):
+        (key, _), = hp.items()
+        with pytest.raises(InvalidInputError, match=f"{kind} {key} must be a positive integer"):
+            ClassifierSpec(kind, hp).resolved()
+        X, y = _blobs(40)
+        with pytest.raises(InvalidInputError, match=key):
+            train(ClassifierSpec(kind, hp, seed=0), _rows(X, y))
+
+    @pytest.mark.parametrize("max_features", [None, "sqrt", 1, 200])
+    def test_forest_max_features_accepted(self, max_features):
+        hp = ClassifierSpec("RandomForest", {"max_features": max_features}).resolved()
+        assert hp["max_features"] == max_features
 
     def test_unknown_kind_and_hyperparam(self):
         with pytest.raises(InvalidInputError):
@@ -561,6 +598,28 @@ def _report_bits(report):
     return [(r.classifier, *(None if v is None else float.hex(v)
                              for v in (r.precision, r.recall, r.f1, r.auc)))
             for r in report.rows]
+
+
+def _assert_same_forests(X, y, hp: dict, seed: int) -> None:
+    """ForestModel.fit, and its loop run with hypotheses.grow_from_codes and
+    with oracles.grow_from_codes_per_node, grow equal trees: structure,
+    child counts, features and threshold bits; both loops leave the rng in
+    the same state."""
+    k = ml.ForestModel(hp, seed)._n_split_features(X.shape[1])
+    states, forests = [], []
+    for encode, grow in ((encode_columns, grow_from_codes),
+                         (encode_ranks, grow_from_codes_per_node)):
+        rng = np.random.default_rng(seed)
+        codes = encode(X)
+        forests.append([grow(codes, y, rng.integers(0, len(y), size=len(y)), hp["max_depth"],
+                             hp["min_leaf"], rng=rng, max_features=k)
+                        for _ in range(hp["n_estimators"])])
+        states.append(rng.bit_generator.state)
+    forests.append(ml.ForestModel(hp, seed).fit(X, y).trees)
+    assert states[0] == states[1]
+    assert sum(not t.is_leaf for t in forests[1]) == hp["n_estimators"]
+    for i, (tree, per_node, model_tree) in enumerate(zip(*forests)):
+        assert _same_nodes(tree, per_node) and _same_nodes(model_tree, per_node), i
 
 
 def _demo_table(km: float) -> Dataset:

@@ -38,20 +38,23 @@ def test_recovery_experiment(tmp_path):
 def test_bench_pairs_of_this_checkout_against_itself(tmp_path):
     out = tmp_path / "BENCH_self.json"
     proc = _script(tmp_path, "bench_pairs.py", "--parent", str(ROOT), "--workload", "demo",
-                   "--pairs", "1", "--label", "self", "--tiny", "--seconds", "0",
-                   "--out", str(out))
+                   "--workload", "synth-25km", "--pairs", "1", "--label", "self", "--tiny",
+                   "--seconds", "0", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert (doc["label"], doc["workload"], doc["pairs"], doc["tiny"]) == ("self", "demo", 1, True)
+    assert (doc["label"], doc["tiny"]) == ("self", True)
+    assert list(doc["workloads"]) == ["demo", "synth-25km"]
     assert doc["cpu_count"] >= 1 and set(doc["blas_threads"]) == {
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
-    assert doc["git_sha"]["parent"] == doc["git_sha"]["this"]
-    # the same checkout writes the same artifacts
-    assert doc["artifacts"]["parent"] == doc["artifacts"]["this"]
-    assert any(line.startswith("artifacts sha256 ") for line in doc["artifacts"]["this"])
-    for side in ("parent", "this"):
-        pipeline = doc["metrics"][side]["pipeline_s"]
-        assert pipeline["n"] == 1 and pipeline["q1"] == pipeline["median"] == pipeline["q3"] > 0
-        assert set(doc["metrics"][side]) == {"setup_s", "pipeline_s", "build_s", "analysis_s",
-                                             "peak_rss_mb"}
-    assert set(doc["pairs_this_lower"]) == set(doc["metrics"]["this"])
+    for entry in doc["workloads"].values():
+        assert entry["pairs"] == 1
+        assert entry["git_sha"]["parent"] == entry["git_sha"]["this"]
+        # the same checkout writes the same artifacts
+        assert entry["artifacts"]["parent"] == entry["artifacts"]["this"]
+        assert any(line.startswith("artifacts sha256 ") for line in entry["artifacts"]["this"])
+        for side in ("parent", "this"):
+            pipeline = entry["metrics"][side]["pipeline_s"]
+            assert pipeline["n"] == 1 and pipeline["q1"] == pipeline["median"] == pipeline["q3"] > 0
+            assert set(entry["metrics"][side]) == {"setup_s", "pipeline_s", "build_s",
+                                                   "analysis_s", "peak_rss_mb"}
+        assert set(entry["pairs_this_lower"]) == set(entry["metrics"]["this"])
