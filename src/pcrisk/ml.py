@@ -72,7 +72,7 @@ _DEFAULT_HYPERPARAMS = {
 
 #: hyperparameters that take a positive integer, and the other values each allows
 _COUNT_HYPERPARAMS = {"n_estimators": (), "n_rounds": (), "patience": (None,),
-                      "max_features": (None, "sqrt")}
+                      "max_features": (None, "sqrt"), "max_depth": (None,), "min_leaf": ()}
 
 #: the stratified share of an MLP's training rows it holds out to stop on
 VALIDATION_FRACTION = 0.1
@@ -239,10 +239,10 @@ class ForestModel:
         return max(1, int(math.sqrt(d))) if mf == "sqrt" else mf
 
     def fit(self, X, y):
-        """X is encoded once, with one feature-major copy of its bins when
-        splits sample features (ColumnCodes.columns); each tree grows from
-        the indices of its bootstrap rows into that encoding, so no tree
-        copies X."""
+        """X is encoded once, and its ranks copied feature-major once when
+        splits sample features (ColumnCodes.ranks); each tree grows from the
+        indices of its bootstrap rows into that encoding, so no tree copies
+        X."""
         self.n_features = X.shape[1]
         rng = np.random.default_rng(self.seed)
         k = self._n_split_features(X.shape[1])

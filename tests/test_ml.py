@@ -350,8 +350,10 @@ class TestModels:
         ("RandomForest", {"max_features": 2.5}),  # was truncated to 2
         ("RandomForest", {"max_features": True}),
         ("AdaBoost", {"n_rounds": 0}),            # a NonConvergenceError on no stump
+        ("RandomForest", {"max_depth": 2.5}),     # never reached depth 0: grew full trees
+        ("DecisionTree", {"min_leaf": 1.5}),
     ], ids=["n_estimators_0", "max_features_0", "max_features_-1", "max_features_2.5",
-            "max_features_true", "n_rounds_0"])
+            "max_features_true", "n_rounds_0", "max_depth_2.5", "min_leaf_1.5"])
     def test_bad_ensemble_hyperparams_rejected(self, kind, hp):
         (key, _), = hp.items()
         with pytest.raises(InvalidInputError, match=f"{kind} {key} must be a positive integer"):
