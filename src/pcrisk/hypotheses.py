@@ -154,9 +154,7 @@ class ColumnCodes:
         """(d, n): ranks[j, i] = bins[i, j] - starts[j], X[i, j]'s rank in
         column j, feature-major so that a node gathers the columns it
         scores with one index."""
-        ranks = self.bins.T.copy()
-        ranks -= self.starts[:-1, None].astype(ranks.dtype)
-        return ranks
+        return np.subtract(self.bins.T, self.starts[:-1, None], dtype=self.bins.dtype, order="C")
 
 
 def encode_columns(X: np.ndarray) -> ColumnCodes:
@@ -278,9 +276,9 @@ def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
     """Greedy CART on a finite feature matrix and a label array in {0, 1}.
 
     max_depth is None or at least 1, and min_leaf at least 1. max_features,
-    when set, samples that many candidate feature indices per split (used by
-    random forests); the tie rule applies within the sample. A non-finite
-    value in X raises InvalidInputError naming its column.
+    None or at least 1, samples that many candidate feature indices per
+    split (used by random forests); the tie rule applies within the sample.
+    A non-finite value in X raises InvalidInputError naming its column.
 
     X is encoded once (encode_columns) and the tree grown from the codes
     (grow_from_codes), so no node sorts or copies X's rows.
@@ -311,6 +309,8 @@ def grow_from_codes(codes: ColumnCodes, y: np.ndarray, rows: np.ndarray,
         raise InvalidInputError("max_depth must be >= 1 or None")
     if min_leaf < 1:
         raise InvalidInputError("min_leaf must be >= 1")
+    if max_features is not None and max_features < 1:
+        raise InvalidInputError("max_features must be >= 1 or None")
     sample = max_features is not None and max_features < d
     feature_ids = np.arange(d)
     class1 = y[rows] == 1

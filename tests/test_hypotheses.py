@@ -101,6 +101,9 @@ class TestTrainCart:
                 grow_tree(X, y, max_depth, min_leaf)
             with pytest.raises(InvalidInputError):
                 train_cart(_rows_from_xy(X, y), max_depth, min_leaf)
+        # a sample of no features once grew a single leaf
+        with pytest.raises(InvalidInputError, match="max_features"):
+            grow_tree(X, y, rng=np.random.default_rng(0), max_features=0)
 
     def test_sampled_features_split_matches_oracle(self):
         # the split search on a random-forest-style feature sample picks
@@ -156,8 +159,8 @@ class TestTrainCart:
 
 
 A = float(np.nextafter(1.0, 2.0))
-DBL_MAX = float(np.finfo(float).max)
 B = float(np.nextafter(A, 2.0))
+DBL_MAX = float(np.finfo(float).max)
 
 
 class TestThresholds:
@@ -189,7 +192,8 @@ class TestThresholds:
     @pytest.mark.parametrize("a, b", [
         (A, B),
         (1e308, 1.5e308), (-1.5e308, -1e308),
-        (float(np.nextafter(DBL_MAX, 0.0)), DBL_MAX), (-DBL_MAX, float(np.nextafter(-DBL_MAX, 0.0))),
+        (float(np.nextafter(DBL_MAX, 0.0)), DBL_MAX),
+        (-DBL_MAX, float(np.nextafter(-DBL_MAX, 0.0))),
         (-5e-324, 0.0), (-5e-324, -0.0), (-0.0, 5e-324), (-1.0, -0.0), (0.0, 1.0),
         (0.1, 0.3),
     ])

@@ -354,7 +354,7 @@ class TestModels:
         ("DecisionTree", {"min_leaf": 1.5}),
     ], ids=["n_estimators_0", "max_features_0", "max_features_-1", "max_features_2.5",
             "max_features_true", "n_rounds_0", "max_depth_2.5", "min_leaf_1.5"])
-    def test_bad_ensemble_hyperparams_rejected(self, kind, hp):
+    def test_bad_integer_hyperparams_rejected(self, kind, hp):
         (key, _), = hp.items()
         with pytest.raises(InvalidInputError, match=f"{kind} {key} must be a positive integer"):
             ClassifierSpec(kind, hp).resolved()
