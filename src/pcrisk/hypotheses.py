@@ -11,8 +11,9 @@ complement set.
 Split quality is compared through exact integer arithmetic, so the chosen
 tree is identical to an exhaustive best-split search and reproducible
 across platforms. A fit ranks each column's values among its distinct
-values once; a node's split search then counts its rows per value with
-np.bincount instead of sorting them.
+values once. The trees of a forest then grow together, one depth at a
+time: the split search of a level's nodes counts their rows per value
+with np.bincount instead of sorting them.
 """
 
 from __future__ import annotations
@@ -137,24 +138,11 @@ class ColumnCodes:
     values of X[i, j]: starts[j] plus its rank in column j. A node's row
     and class-1 counts per distinct value are then bincounts over its rows'
     bins, and comparing a bin to another of its column compares the values.
-    sizes and ranks serve fits that sample columns, made once on first use.
     """
 
     bins: np.ndarray    # (n, d) int32, or int64 when n * d >= 2**31
     values: np.ndarray  # (starts[-1],) float64
     starts: np.ndarray  # (d + 1,) int64
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        """(d,) the number of distinct values of each column."""
-        return np.diff(self.starts).astype(self.bins.dtype)
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        """(d, n): ranks[j, i] = bins[i, j] - starts[j], X[i, j]'s rank in
-        column j, feature-major so that a node gathers the columns it
-        scores with one index."""
-        return np.subtract(self.bins.T, self.starts[:-1, None], dtype=self.bins.dtype, order="C")
 
 
 def encode_columns(X: np.ndarray) -> ColumnCodes:
@@ -186,66 +174,130 @@ def encode_columns(X: np.ndarray) -> ColumnCodes:
     return ColumnCodes(bins=bins, values=values, starts=starts)
 
 
-def _best_split(codes: ColumnCodes, rows: np.ndarray, n1: int, min_leaf: int,
-                feature_ids: np.ndarray) -> tuple[int, float, np.ndarray, int, int] | None:
-    """Split of the node holding rows minimizing weighted gini impurity, or
-    None; as (feature, threshold, go_left, n_left, n_left_class1), go_left
-    marking the rows whose value is at most threshold.
+def _check_count(name: str, value, none_ok: bool) -> None:
+    """Raise InvalidInputError unless value is an integer >= 1 (an int or a
+    numpy integer, not a bool), or None where none_ok."""
+    if value is None and none_ok:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        also = " or None" if none_ok else ""
+        raise InvalidInputError(f"{name} must be an integer >= 1{also}, not {value!r}")
 
-    rows index codes, hold the node's n1 class-1 rows first, and may repeat
-    (a bootstrap sample counts a repeated row as often as it is drawn).
-    feature_ids are the columns scored, ascending; a sample of the columns
-    is gathered from codes.ranks and shifted so that its values get
-    consecutive bins. Two np.bincount calls over the node's bins, the second
-    over its class-1 rows alone, and cumulative sums of the nonzero bins
-    give every candidate's left-side counts; a column holds every row once,
-    so running count c falls in scored column (c - 1) // len(rows). The
-    work is O(len(rows) * k + B) for k columns holding B distinct values in
-    all; no node sorts.
+
+def _best_splits(codes: ColumnCodes, class1: np.ndarray, rows: np.ndarray, n: np.ndarray,
+                 n1: np.ndarray, min_leaf: int,
+                 fids: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """The split of each of m nodes minimizing weighted gini impurity, as
+    arrays over the nodes that split, ascending: (node, feature, lo,
+    threshold, n_left, n_left_class1), a row going left when its bin in
+    feature is at most lo.
+
+    rows index codes and class1 (the rows whose label is 1), grouped by
+    node; a row may repeat (a bootstrap sample counts a repeated row as
+    often as it is drawn). n and n1 (int64) are the nodes' row and class-1
+    counts. fids[j] are the k columns node j scores, ascending, or fids is
+    None for all d columns.
+
+    Every (node, column) pair gets its own run of bins, one per distinct
+    value of the column, so one gather of the rows' bins and two
+    np.bincount calls, the second over the class-1 rows alone, count every
+    node's rows and class-1 rows per value. A running count over the
+    nonzero bins, less the rows of the pairs before, gives every
+    candidate's left-side counts. The work is O(len(rows) * k + B) for B
+    bins in all. Where B exceeds the len(rows) * k entries (nodes of few
+    rows on columns of many values), the entries are sorted instead, and
+    the running counts are the number of entries up to each value.
 
     Candidate thresholds are the midpoints between consecutive distinct
-    values of each feature within the node, in (feature, threshold) order.
-    A candidate's score is the rational N/D with integers N = aL*bL*nR +
-    aR*bR*nL and D = nL*nR (half the gini numerator), where N <= n^3/16
-    fits int64 for n < MAX_CART_ROWS. The least score is found exactly
-    (_exact_argmin); ties go to the lowest feature index, then the lowest
-    threshold.
+    values of each scored column within a node, in (feature, threshold)
+    order. A candidate's score is the rational N/D with integers N = aL*bL*nR
+    + aR*bR*nL and D = nL*nR (half the gini numerator), where N <= n^3/16
+    fits int64 for n < MAX_CART_ROWS. Each node's least score is found
+    exactly (_exact_argmins); ties go to the lowest feature index, then the
+    lowest threshold.
     """
-    n = len(rows)
-    if len(feature_ids) == len(codes.starts) - 1:
-        first, n_bins = codes.starts[:-1], len(codes.values)
-        gathered = codes.bins[rows]  # whole rows gather faster than columns by index
-        by_column, of_class1 = gathered.T, gathered[:n1]
+    m, d = len(n), codes.bins.shape[1]
+    node = np.repeat(np.arange(m), n)
+    if fids is None:
+        k, feature = d, np.tile(np.arange(d), m)
+        n_bins = m * len(codes.values)
+        dtype = codes.bins.dtype if n_bins < 2 ** 31 else np.int64
+        first = np.arange(0, n_bins, len(codes.values), dtype=dtype)
+        # whole rows gather faster than columns by index
+        keys = codes.bins[rows].astype(dtype, copy=False)
+        if m > 1:
+            keys += first[node][:, None]
+        shift = np.repeat(first, d)  # a pair's bins less the values' indices
     else:
-        sizes = codes.sizes[feature_ids]
-        first = sizes.cumsum(dtype=sizes.dtype)
-        n_bins = int(first[-1])
-        first -= sizes
-        gathered = codes.ranks[feature_ids[:, None], rows]
-        gathered += first[:, None]
-        by_column, of_class1 = gathered, gathered[:, :n1]
-    count = np.bincount(gathered.ravel(), minlength=n_bins)
-    present = (count != 0).nonzero()[0]  # (feature, value) order
-    nL = count[present].cumsum()
-    col = (nL - 1) // n
-    nL -= col * n
-    aL = np.bincount(of_class1.ravel(), minlength=n_bins)[present].cumsum()
-    aL -= col * n1
-    usable = nL <= n - min_leaf  # a column's last present value has nothing to its right
+        k, feature = fids.shape[1], fids.ravel()
+        sizes = np.diff(codes.starts)[feature]
+        n_bins = int(sizes.sum())
+        dtype = codes.bins.dtype if n_bins < 2 ** 31 else np.int64
+        shift = np.subtract(sizes.cumsum() - sizes, codes.starts[feature], dtype=dtype)
+        index = np.add(fids[node], (rows * d)[:, None], dtype=codes.bins.dtype)
+        keys = np.take(codes.bins, index).astype(dtype, copy=False)
+        keys += shift.reshape(m, k)[node]
+    of_class1 = keys[class1[rows]].ravel()
+    if n_bins <= keys.size:
+        count = np.bincount(keys.ravel(), minlength=n_bins)
+        present = count.nonzero()[0]  # (node, feature, value) order
+        nL = count[present].cumsum()
+        aL = np.bincount(of_class1, minlength=n_bins)[present].cumsum()
+    else:  # more bins than entries: sort the entries, and count the ones up to each
+        ordered = np.sort(keys.ravel())
+        present = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+        nL = np.searchsorted(ordered, present, side="right")
+        aL = np.searchsorted(np.sort(of_class1), present, side="right")
+    ends = np.repeat(n, k).cumsum()
+    pair = np.searchsorted(ends, nL)
+    j = pair // k
+    nL -= ends[pair] - n[j]
+    aL -= np.repeat(n1, k).cumsum()[pair] - n1[j]
+    usable = nL <= n[j] - min_leaf  # a pair's last present value has nothing to its right
     if min_leaf > 1:
         usable &= nL >= min_leaf
     cand = usable.nonzero()[0]
-    if cand.size == 0:
-        return None
-    nL, aL = nL[cand], aL[cand]
-    nR = n - nL
-    aR = n1 - aL
-    i = _exact_argmin(aL * (nL - aL) * nR + aR * (nR - aR) * nL, nL * nR)
-    k, c = cand[i], int(col[cand[i]])
-    lo, feature = present[k], int(feature_ids[c])
-    base = codes.starts[feature] - first[c]
-    return (feature, midpoint(codes.values[base + lo], codes.values[base + present[k + 1]]),
-            by_column[c] <= lo, int(nL[i]), int(aL[i]))
+    j, nL, aL = j[cand], nL[cand], aL[cand]
+    nR = n[j] - nL
+    aR = n1[j] - aL
+    win = _exact_argmins(aL * (nL - aL) * nR + aR * (nR - aR) * nL, nL * nR, j)
+    at = cand[win]
+    lo = present[at] - shift[pair[at]]
+    threshold = midpoint(codes.values[lo], codes.values[present[at + 1] - shift[pair[at]]])
+    return j[win], feature[pair[at]], lo, threshold, nL[win], aL[win]
+
+
+def _exact_argmins(num: np.ndarray, den: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """For each run of equal values in group (ascending), the index of its
+    first least num[i] / den[i], compared exactly as _exact_argmin does.
+
+    The float64 quotients shortlist each group's minima. Where a group
+    shortlists more than one candidate (on the demo, always exact ties),
+    the others are compared with its first by cross-multiplying in int64
+    when every product fits; a group where one of them is smaller exactly,
+    or where the products may not fit, goes through _exact_argmin.
+    """
+    if len(num) == 0:
+        return np.zeros(0, dtype=np.intp)
+    score = num / den
+    new = np.ones(len(group), dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=new[1:])
+    of = new.cumsum() - 1  # each candidate's run
+    low = np.minimum.reduceat(score, new.nonzero()[0]) * (1.0 + 2.0 ** -50)
+    near = (score <= low[of]).nonzero()[0]
+    of = of[near]
+    lead = np.ones(len(near), dtype=bool)
+    np.not_equal(of[1:], of[:-1], out=lead[1:])
+    best = near[lead]
+    if len(best) < len(near):
+        rest, doubt = near[~lead], of[~lead]
+        head = best[doubt]
+        if int(num[near].max()) * int(den[near].max()) < 2 ** 63:
+            doubt = doubt[num[rest] * den[head] < num[head] * den[rest]]
+        for g in np.unique(doubt).tolist():
+            members = near[of == g]
+            best[g] = members[_exact_argmin(num[members], den[members])]
+    return best
 
 
 def _exact_argmin(num: np.ndarray, den: np.ndarray) -> int:
@@ -275,10 +327,11 @@ def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
               max_features: int | None = None) -> TreeNode:
     """Greedy CART on a finite feature matrix and a label array in {0, 1}.
 
-    max_depth is None or at least 1, and min_leaf at least 1. max_features,
-    None or at least 1, samples that many candidate feature indices per
-    split (used by random forests); the tie rule applies within the sample.
-    A non-finite value in X raises InvalidInputError naming its column.
+    max_depth is None or an integer >= 1, min_leaf an integer >= 1, and
+    max_features None or an integer >= 1; it samples that many candidate
+    feature indices per split (used by random forests), and the tie rule
+    applies within the sample. A non-finite value in X raises
+    InvalidInputError naming its column.
 
     X is encoded once (encode_columns) and the tree grown from the codes
     (grow_from_codes), so no node sorts or copies X's rows.
@@ -292,49 +345,111 @@ def grow_from_codes(codes: ColumnCodes, y: np.ndarray, rows: np.ndarray,
                     rng: np.random.Generator | None = None,
                     max_features: int | None = None) -> TreeNode:
     """grow_tree on the rows of an encoded matrix; rows may repeat, and a
-    repeated row counts once per occurrence, as if it were copied.
+    repeated row counts once per occurrence, as if it were copied. This is
+    grow_forest with one root."""
+    return grow_forest(codes, y, [rows], max_depth, min_leaf, rng, max_features)[0]
 
-    Nodes are grown depth first, left before right, each from the indices
-    of its rows into the codes, class-1 rows first. A node costs one gather
-    of its rows' bins in the columns it scores and two bincounts over them
-    (see _best_split), and takes its children's counts from the winning
-    candidate. The root of an n-row fit on all d columns holds an (n, d)
-    int32 array of bins at most; a node that samples columns gathers them
-    from codes.ranks.
+
+def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
+                max_depth: int | None = 4, min_leaf: int = 1,
+                rng: np.random.Generator | None = None,
+                max_features: int | None = None) -> list[TreeNode]:
+    """One tree per array of rows in roots, as grow_from_codes grows it,
+    all grown together one depth at a time.
+
+    A level holds the nodes of every tree that attempt a split: those with
+    at least 2 * min_leaf rows of both classes, above max_depth, ordered by
+    tree, then left to right. When max_features samples columns, each such
+    node takes the next d doubles of rng.random, in that order, and scores
+    the max_features columns with the smallest (a stable argsort), in
+    ascending order (k columns in all, k = d without sampling).
+
+    The level's nodes are then split in batches of consecutive nodes
+    (_best_splits), each as many as fit two bounds from the fit's own
+    sizes, or one node where one alone does not: a batch gathers no more
+    (row, column) entries than the n x d codes hold, as the unsampled root
+    does, and holds no more distinct (node, column, value) triples than a
+    root scoring k columns can, n x k, by gathering no more entries or
+    counting no more bins than that. The rows of each node that splits go
+    to its children with one comparison and a stable regrouping.
     """
-    n, d = len(rows), len(codes.starts) - 1
-    if n >= MAX_CART_ROWS:
-        raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {n}")
-    if max_depth is not None and max_depth < 1:
-        raise InvalidInputError("max_depth must be >= 1 or None")
-    if min_leaf < 1:
-        raise InvalidInputError("min_leaf must be >= 1")
-    if max_features is not None and max_features < 1:
-        raise InvalidInputError("max_features must be >= 1 or None")
-    sample = max_features is not None and max_features < d
-    feature_ids = np.arange(d)
-    class1 = y[rows] == 1
-    rows = np.concatenate([rows[class1], rows[~class1]])  # children keep this order
-    root = TreeNode(n_samples=n, n_class1=int(class1.sum()))
-    todo = [(root, rows, max_depth)]
-    while todo:
-        node, rows, depth_left = todo.pop()
-        n, n1 = node.n_samples, node.n_class1
-        if n < 2 * min_leaf or n1 in (0, n) or depth_left == 0:
-            continue
-        if sample:
-            feature_ids = rng.choice(d, size=max_features, replace=False)
-            feature_ids.sort()
-        split = _best_split(codes, rows, n1, min_leaf, feature_ids)
-        if split is None:
-            continue
-        node.feature, node.threshold, go_left, n_left, a_left = split
-        node.left = TreeNode(n_samples=n_left, n_class1=a_left)
-        node.right = TreeNode(n_samples=n - n_left, n_class1=n1 - a_left)
-        child_depth = None if depth_left is None else depth_left - 1
-        todo += [(node.right, rows[~go_left], child_depth),
-                 (node.left, rows[go_left], child_depth)]
-    return root
+    _check_count("max_depth", max_depth, none_ok=True)
+    _check_count("min_leaf", min_leaf, none_ok=False)
+    _check_count("max_features", max_features, none_ok=True)
+    for rows in roots:
+        if len(rows) >= MAX_CART_ROWS:
+            raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {len(rows)}")
+    d = codes.bins.shape[1]
+    k = d if max_features is None else min(int(max_features), d)
+    budget, bin_budget = max(codes.bins.size, 1), max(codes.bins.shape[0] * k, 1)
+    sizes = np.diff(codes.starts)
+    class1 = np.asarray(y) == 1
+    trees = [TreeNode(n_samples=len(rows), n_class1=int(np.count_nonzero(class1[rows])))
+             for rows in roots]
+    n = np.array([t.n_samples for t in trees], dtype=np.int64)
+    n1 = np.array([t.n_class1 for t in trees], dtype=np.int64)
+    grows = ((n >= 2 * min_leaf) & (n1 > 0) & (n1 < n) & (d > 0)).tolist()
+    nodes = [t for t, ok in zip(trees, grows) if ok]
+    level = [rows for rows, ok in zip(roots, grows) if ok]
+    n, n1 = n[grows], n1[grows]
+    depth = 1  # of the level's children
+    while nodes:
+        m, rows = len(nodes), np.concatenate(level)
+        if k < d:
+            chunk = max(1, bin_budget // d)
+            fids = np.concatenate([
+                np.sort(np.argsort(rng.random((min(chunk, m - a), d)), axis=1,
+                                   kind="stable")[:, :k], axis=1)
+                for a in range(0, m, chunk)])
+            node_bins = sizes[fids].sum(axis=1)
+        else:
+            fids = None
+            node_bins = np.full(m, len(codes.values), dtype=np.int64)
+        entries_end, bins_end, rows_end = (n * k).cumsum(), node_bins.cumsum(), n.cumsum()
+        kids, kid_n, kid_n1, level = [], [], [], []
+        a = 0
+        while a < m:
+            # the longest run of nodes from a within both bounds, at least one
+            e_before, b_before = entries_end[a] - n[a] * k, bins_end[a] - node_bins[a]
+            b = max(a + 1, min(
+                np.searchsorted(entries_end, e_before + budget, side="right"),
+                max(np.searchsorted(entries_end, e_before + bin_budget, side="right"),
+                    np.searchsorted(bins_end, b_before + bin_budget, side="right"))))
+            nb, nb1 = n[a:b], n1[a:b]
+            batch = rows[rows_end[a] - nb[0]:rows_end[b - 1]]
+            split, feature, lo, threshold, n_left, n_left1 = _best_splits(
+                codes, class1, batch, nb, nb1, min_leaf, None if fids is None else fids[a:b])
+            # batch node j's children are 2j (left) and 2j + 1 (right)
+            born = np.stack([2 * split, 2 * split + 1], axis=1).ravel()
+            child_n = np.zeros(2 * (b - a), dtype=np.int64)
+            child_n1 = np.zeros_like(child_n)
+            child_n[born] = np.stack([n_left, nb[split] - n_left], axis=1).ravel()
+            child_n1[born] = np.stack([n_left1, nb1[split] - n_left1], axis=1).ravel()
+            grows = (child_n >= 2 * min_leaf) & (child_n1 > 0) & (child_n1 < child_n)
+            grows &= depth != max_depth
+            route_f = np.zeros(b - a, dtype=np.intp)
+            route_lo = np.zeros(b - a, dtype=codes.bins.dtype)
+            route_f[split], route_lo[split] = feature, lo
+            node = np.repeat(np.arange(b - a), nb)
+            child = 2 * node + (codes.bins[batch, route_f[node]] > route_lo[node])
+            moved = grows[child]
+            level.append(batch[moved][np.argsort(child[moved], kind="stable")])
+            born_kids = []
+            for j, f, t, nl, al in zip((split + a).tolist(), feature.tolist(), threshold.tolist(),
+                                       n_left.tolist(), n_left1.tolist()):
+                parent = nodes[j]
+                parent.feature, parent.threshold = f, t
+                parent.left = TreeNode(n_samples=nl, n_class1=al)
+                parent.right = TreeNode(n_samples=parent.n_samples - nl,
+                                        n_class1=parent.n_class1 - al)
+                born_kids += [parent.left, parent.right]
+            kids += [kid for kid, ok in zip(born_kids, grows[born].tolist()) if ok]
+            kid_n.append(child_n[grows])
+            kid_n1.append(child_n1[grows])
+            a = b
+        nodes, n, n1 = kids, np.concatenate(kid_n), np.concatenate(kid_n1)
+        depth += 1
+    return trees
 
 
 def train_cart(ds: Dataset, max_depth: int | None = 4, min_leaf: int = 1) -> TreeNode:

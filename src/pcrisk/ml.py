@@ -42,7 +42,7 @@ from .features import Dataset, to_matrix
 from .hypotheses import (
     TreeNode,
     encode_columns,
-    grow_from_codes,
+    grow_forest,
     grow_tree,
     leaf_purity,
     midpoint,
@@ -239,23 +239,18 @@ class ForestModel:
         return max(1, int(math.sqrt(d))) if mf == "sqrt" else mf
 
     def fit(self, X, y):
-        """X is encoded once, and its ranks copied feature-major once when
-        splits sample features (ColumnCodes.ranks); each tree grows from the
-        indices of its bootstrap rows into that encoding, so no tree copies
-        X."""
+        """X is encoded once for every tree. The trees' bootstrap rows are
+        drawn first, in tree order, and the trees then grow together, one
+        depth at a time (grow_forest), as indices into that encoding, so no
+        tree copies X."""
         self.n_features = X.shape[1]
         rng = np.random.default_rng(self.seed)
-        k = self._n_split_features(X.shape[1])
-        codes = encode_columns(X)
-        self.trees = []
-        for _ in range(self.hyperparams["n_estimators"]):
-            if self.hyperparams["bootstrap"]:
-                rows = rng.integers(0, len(y), size=len(y))
-            else:
-                rows = np.arange(len(y))
-            self.trees.append(grow_from_codes(
-                codes, y, rows, self.hyperparams["max_depth"], self.hyperparams["min_leaf"],
-                rng=rng, max_features=k))
+        n = len(y)
+        roots = [rng.integers(0, n, size=n) if self.hyperparams["bootstrap"] else np.arange(n)
+                 for _ in range(self.hyperparams["n_estimators"])]
+        self.trees = grow_forest(encode_columns(X), y, roots, self.hyperparams["max_depth"],
+                                 self.hyperparams["min_leaf"], rng,
+                                 self._n_split_features(X.shape[1]))
         return self
 
     def predict_proba(self, X):

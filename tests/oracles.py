@@ -22,6 +22,7 @@ import csv
 import datetime as dt
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -219,50 +220,64 @@ def _best_split(X, y, min_leaf, feature_ids):
 def grow_tree_copying(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
                       min_leaf: int = 1, rng: np.random.Generator | None = None,
                       max_features: int | None = None) -> TreeNode:
-    """Greedy CART on a label array in {0, 1}.
+    """Greedy CART on a label array in {0, 1}: grow_trees_copying of one
+    sample."""
+    return grow_trees_copying([(X, y)], max_depth, min_leaf, rng, max_features)[0]
 
-    max_depth is None or at least 1, and min_leaf at least 1. max_features,
-    when set, samples that many candidate feature indices per split (used by
-    random forests); the tie rule applies within the sample.
+
+def grow_trees_copying(samples: list, max_depth: int | None = 4, min_leaf: int = 1,
+                       rng: np.random.Generator | None = None,
+                       max_features: int | None = None) -> list[TreeNode]:
+    """Greedy CART on each (X, y) of samples, y a label array in {0, 1}.
+
+    max_depth is None or at least 1, and min_leaf at least 1. The trees grow
+    breadth first from one queue that starts with their roots, in order,
+    and copies each node's rows into its children. max_features, when set,
+    samples that many candidate feature indices per split (used by random
+    forests): a node that attempts a split draws rng.random(d) and scores
+    the max_features indices with the smallest keys (a stable argsort),
+    ascending; the tie rule applies within the sample.
     """
-    n, d = X.shape
-    if n >= MAX_CART_ROWS:
-        raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {n}")
     if max_depth is not None and max_depth < 1:
         raise InvalidInputError("max_depth must be >= 1 or None")
     if min_leaf < 1:
         raise InvalidInputError("min_leaf must be >= 1")
-
-    def grow(X, y, depth_left) -> TreeNode:
-        n = len(y)
-        node = TreeNode(n_samples=n, n_class1=int(y.sum()))
+    trees, queue = [], deque()
+    for X, y in samples:
+        if len(y) >= MAX_CART_ROWS:
+            raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {len(y)}")
+        trees.append(TreeNode(n_samples=len(y), n_class1=int(y.sum())))
+        queue.append((trees[-1], X, y, max_depth))
+    while queue:
+        node, X, y, depth_left = queue.popleft()
+        n, d = X.shape
         if n < 2 * min_leaf or node.n_class1 in (0, n) or depth_left == 0:
-            return node
+            continue
         if max_features is not None and max_features < d:
-            feature_ids = np.sort(rng.choice(d, size=max_features, replace=False))
+            feature_ids = np.sort(np.argsort(rng.random(d), kind="stable")[:max_features])
         else:
             feature_ids = np.arange(d)
         split = _best_split(X, y, min_leaf, feature_ids)
         if split is None:
-            return node
-        f, thr = split
-        go_left = X[:, f] <= thr
+            continue
+        node.feature, node.threshold = split
+        go_left = X[:, node.feature] <= node.threshold
         child_depth = None if depth_left is None else depth_left - 1
-        node.feature = f
-        node.threshold = thr
-        node.left = grow(X[go_left], y[go_left], child_depth)
-        node.right = grow(X[~go_left], y[~go_left], child_depth)
-        return node
-
-    return grow(X, y, max_depth)
+        for side, rows in (("left", go_left), ("right", ~go_left)):
+            child = TreeNode(n_samples=int(rows.sum()), n_class1=int(y[rows].sum()))
+            setattr(node, side, child)
+            queue.append((child, X[rows], y[rows], child_depth))
+    return trees
 
 
 # ---------------------------------------------------------------------------
 # CART grown from per-column ranks with per-node rank arithmetic
 #
 # hypotheses.grow_from_codes as it was before it kept global bin ids, a
-# feature-major copy for sampled columns and each node's class-1 rows first;
-# the library must grow the same trees with the same rng draws.
+# feature-major copy for sampled columns and each node's class-1 rows first,
+# with its depth-first loop turned into a breadth-first queue over every
+# tree's root; the library, which grows all trees one level at a time, must
+# grow the same trees with the same rng draws.
 
 
 def midpoint_where(a, b):
@@ -383,35 +398,40 @@ def best_split_per_node(codes: RankCodes, y: np.ndarray, rows: np.ndarray, min_l
     return feature, float(midpoint_where(codes.values[base + lo], codes.values[base + hi])), int(lo)
 
 
-def grow_from_codes_per_node(codes: RankCodes, y: np.ndarray, rows: np.ndarray,
-                             max_depth: int | None = 4, min_leaf: int = 1,
-                             rng: np.random.Generator | None = None,
-                             max_features: int | None = None) -> TreeNode:
-    """grow_tree on the rows of an encoded matrix; rows may repeat, and a
-    repeated row counts once per occurrence, as if it were copied.
+def grow_forest_per_node(codes: RankCodes, y: np.ndarray, roots: list,
+                         max_depth: int | None = 4, min_leaf: int = 1,
+                         rng: np.random.Generator | None = None,
+                         max_features: int | None = None) -> list[TreeNode]:
+    """One tree per array of rows in roots, grown on the rows of an encoded
+    matrix; rows may repeat, and a repeated row counts once per occurrence,
+    as if it were copied.
 
-    Nodes are grown depth first, left before right, each from the indices
-    of its rows into the codes. A node costs two bincounts over its rows'
-    ranks in the columns it scores (see best_split_per_node); the root of an
-    n-row fit on d columns holds an (n, d) int64 array of bins at most.
+    Nodes are grown breadth first, one at a time, from one queue that
+    starts with the roots in order, each from the indices of its rows into
+    the codes. A node costs two bincounts over its rows' ranks in the
+    columns it scores (see best_split_per_node); a node that samples
+    columns draws rng.random(d) and scores the max_features columns with
+    the smallest keys (a stable argsort), ascending.
     """
-    n, d = len(rows), len(codes.starts) - 1
-    if n >= MAX_CART_ROWS:
-        raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {n}")
+    d = len(codes.starts) - 1
     if max_depth is not None and max_depth < 1:
         raise InvalidInputError("max_depth must be >= 1 or None")
     if min_leaf < 1:
         raise InvalidInputError("min_leaf must be >= 1")
     sample = max_features is not None and max_features < d
-    root = TreeNode(n_samples=n, n_class1=int(y[rows].sum()))
-    todo = [(root, rows, max_depth)]
-    while todo:
-        node, rows, depth_left = todo.pop()
+    trees, queue = [], deque()
+    for rows in roots:
+        if len(rows) >= MAX_CART_ROWS:
+            raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {len(rows)}")
+        trees.append(TreeNode(n_samples=len(rows), n_class1=int(y[rows].sum())))
+        queue.append((trees[-1], rows, max_depth))
+    while queue:
+        node, rows, depth_left = queue.popleft()
         if node.n_samples < 2 * min_leaf or node.n_class1 in (0, node.n_samples) \
                 or depth_left == 0:
             continue
         if sample:
-            feature_ids = np.sort(rng.choice(d, size=max_features, replace=False))
+            feature_ids = np.sort(np.argsort(rng.random(d), kind="stable")[:max_features])
         else:
             feature_ids = np.arange(d)
         split = best_split_per_node(codes, y, rows, min_leaf, feature_ids)
@@ -423,8 +443,8 @@ def grow_from_codes_per_node(codes: RankCodes, y: np.ndarray, rows: np.ndarray,
         node.left = TreeNode(n_samples=len(left), n_class1=int(y[left].sum()))
         node.right = TreeNode(n_samples=len(right), n_class1=int(y[right].sum()))
         child_depth = None if depth_left is None else depth_left - 1
-        todo += [(node.right, right, child_depth), (node.left, left, child_depth)]
-    return root
+        queue += [(node.left, left, child_depth), (node.right, right, child_depth)]
+    return trees
 
 
 # ---------------------------------------------------------------------------

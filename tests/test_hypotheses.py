@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import exhaustive_cart, grow_tree_copying, same_tree
+from oracles import exhaustive_cart, grow_tree_copying, grow_trees_copying, same_tree
 from pcrisk.errors import DegeneratePartitionError, InvalidInputError
 from pcrisk.features import FEATURE_NAMES, Dataset, to_matrix
 from pcrisk import hypotheses
@@ -24,9 +24,10 @@ from pcrisk.hypotheses import (
     save_tree,
     train_cart,
     tree_to_dot,
-    _best_split,
+    _best_splits,
     _exact_argmin,
     encode_columns,
+    grow_forest,
     grow_from_codes,
     midpoint,
 )
@@ -96,14 +97,22 @@ class TestTrainCart:
     def test_bad_params(self):
         X = np.arange(8.0)[:, None]
         y = (X[:, 0] > 3).astype(int)
-        for max_depth, min_leaf in [(0, 1), (-1, 1), (4, 0)]:
+        # a fractional max_depth once counted 2.5, 1.5, 0.5, -0.5, ... and
+        # grew to full depth
+        for max_depth, min_leaf in [(0, 1), (-1, 1), (4, 0), (2.5, 1), (np.float64(3.0), 1),
+                                    (True, 1), ("4", 1), (4, 1.5), (4, True), (4, np.bool_(1))]:
             with pytest.raises(InvalidInputError):
                 grow_tree(X, y, max_depth, min_leaf)
             with pytest.raises(InvalidInputError):
                 train_cart(_rows_from_xy(X, y), max_depth, min_leaf)
         # a sample of no features once grew a single leaf
-        with pytest.raises(InvalidInputError, match="max_features"):
-            grow_tree(X, y, rng=np.random.default_rng(0), max_features=0)
+        for max_features in (0, 2.5, True):
+            with pytest.raises(InvalidInputError, match="max_features"):
+                grow_tree(X, y, rng=np.random.default_rng(0), max_features=max_features)
+        # numpy integers are integers
+        tree = grow_tree(X, y, np.int64(2), np.int32(1), rng=np.random.default_rng(0),
+                         max_features=np.int64(1))
+        assert (tree.feature, tree.threshold) == (0, 3.5)
 
     def test_sampled_features_split_matches_oracle(self):
         # the split search on a random-forest-style feature sample picks
@@ -116,13 +125,14 @@ class TestTrainCart:
             y = np.r_[0, 1, (rng.random(n - 2) < 0.5).astype(int)]
             fids = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
             min_leaf = int(rng.integers(1, 3))
-            rows = np.argsort(y == 0, kind="stable")  # class-1 rows first
-            got = _best_split(encode_columns(X), rows, int(y.sum()), min_leaf, fids)
+            got = _best_splits(encode_columns(X), y == 1, np.arange(n), np.array([n]),
+                               np.array([int(y.sum())]), min_leaf, fids[None])
             want = exhaustive_cart(X[:, fids], y, max_depth=1, min_leaf=min_leaf)
             if "feature" not in want:
-                assert got is None, trial
+                assert len(got[0]) == 0, trial
             else:
-                assert got[:2] == (int(fids[want["feature"]]), want["threshold"]), trial
+                assert (got[1][0], got[3][0]) == (int(fids[want["feature"]]),
+                                                  want["threshold"]), trial
 
     def test_exact_argmin_separates_float_ties(self):
         # 1/3 rounds to 6004799503160661 / 2**54, which is smaller exactly
@@ -140,6 +150,23 @@ class TestTrainCart:
         assert _exact_argmin(num, den) == 1
         # an exact tie keeps the first index, i.e. the lower feature/threshold
         assert _exact_argmin(np.array([5, 2, 1]), np.array([6, 6, 3])) == 1
+
+    def test_exact_argmins_per_run(self):
+        # per run of a node's candidates, the first exact minimum: a float
+        # tie broken in int64, an exact tie, products beyond int64, and a
+        # run of one candidate
+        big = 2 ** 51
+        num = np.array([big + 1, big, 2, 1, 3, 13305283907666136, 37637270992633564, 7],
+                       dtype=np.int64)
+        den = np.array([3, 3, 6, 3, 9, 327, 925, 2], dtype=np.int64)
+        group = np.array([0, 0, 1, 1, 1, 2, 2, 5])
+        assert num[0] / den[0] <= num[1] / den[1] * (1.0 + 2.0 ** -50)
+        got = hypotheses._exact_argmins(num, den, group)
+        assert got.tolist() == [1, 2, 6, 7]
+        for g, i in zip((0, 1, 2, 5), got):
+            run = np.flatnonzero(group == g)
+            assert run[_exact_argmin(num[run], den[run])] == i
+        assert len(hypotheses._exact_argmins(num[:0], den[:0], group[:0])) == 0
 
     def test_row_limit(self, monkeypatch):
         monkeypatch.setattr(hypotheses, "MAX_CART_ROWS", 8)
@@ -281,6 +308,44 @@ class TestRowIndexCart:
             oracle = grow_tree_copying(X[rows], y[rows], 12, 1, rng=rng_oracle, max_features=5)
             assert _same_nodes(tree, oracle)
             assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    def test_continuous_forest_levels_span_batches(self, monkeypatch):
+        # 1,600 distinct values per column: a level's bins exceed what one
+        # batch may count, so its nodes split in several batches, and each
+        # tree still equals the copying CART on its bootstrap rows
+        calls = []
+        best_splits = hypotheses._best_splits
+
+        def recording(codes, class1, rows, n, *args):
+            calls.append(len(n))
+            return best_splits(codes, class1, rows, n, *args)
+
+        monkeypatch.setattr(hypotheses, "_best_splits", recording)
+        rng = np.random.default_rng(11)
+        X = rng.random((1600, 120))
+        y = ((X[:, 0] + X[:, 7] + 0.3 * rng.random(1600)) > 1.1).astype(int)
+        rng, rng_oracle = np.random.default_rng(4), np.random.default_rng(4)
+        roots = [rng.integers(0, 1600, size=1600) for _ in range(4)]
+        idx = [rng_oracle.integers(0, 1600, size=1600) for _ in range(4)]
+        trees = grow_forest(encode_columns(X), y, roots, 12, 1, rng=rng, max_features=10)
+        oracle = grow_trees_copying([(X[i], y[i]) for i in idx], 12, 1, rng=rng_oracle,
+                                    max_features=10)
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+        for tree, want in zip(trees, oracle, strict=True):
+            assert _same_nodes(tree, want)
+        # 12 levels at most, so at least one of them took several batches
+        assert len(calls) > 12 and max(calls) > 1
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 3, None])
+    def test_unsampled_forest_trees_equal_exhaustive_cart(self, max_depth):
+        rng = np.random.default_rng(21)
+        X = np.round(rng.random((24, 3)), 1)
+        y = (X[:, 0] + 0.5 * rng.random(24) > 0.8).astype(int)
+        roots = [np.arange(24)] + [rng.integers(0, 24, size=24) for _ in range(5)]
+        for min_leaf in (1, 2):
+            trees = grow_forest(encode_columns(X), y, roots, max_depth, min_leaf)
+            for rows, tree in zip(roots, trees, strict=True):
+                assert same_tree(tree, exhaustive_cart(X[rows], y[rows], max_depth, min_leaf))
 
     def test_no_reference_to_x_outlives_grow_tree(self):
         rng = np.random.default_rng(3)

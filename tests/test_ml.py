@@ -13,13 +13,13 @@ from oracles import (
     batch_gd_every_trial,
     encode_ranks,
     exhaustive_stump,
-    grow_from_codes_per_node,
-    grow_tree_copying,
+    grow_forest_per_node,
+    grow_trees_copying,
     mlp_loss_grad_full,
     run_suite_sequential,
     scalar_best_stump,
 )
-from pcrisk.hypotheses import encode_columns, grow_from_codes, predict_leaf
+from pcrisk.hypotheses import encode_columns, grow_forest, predict_leaf
 from test_hypotheses import _same_nodes
 from pcrisk import cli, ml
 from pcrisk.errors import (
@@ -194,18 +194,23 @@ class TestModels:
 
     def test_forest_trees_grow_from_bootstrap_indices(self):
         # one encoding of X serves every tree; each tree must equal the CART
-        # grown on a copy of its bootstrap rows, with the same rng draws
+        # grown on a copy of its bootstrap rows, with the same rng draws:
+        # every bootstrap first, then the level-order feature draws
         rng = np.random.default_rng(8)
         X = np.round(rng.random((300, 30)), 2)
         y = (X[:, 3] + X[:, 17] + 0.5 * rng.random(300) > 1.2).astype(int)
         hp = ClassifierSpec("RandomForest", {"n_estimators": 6}).resolved()
         model = ml.ForestModel(hp, 5).fit(X, y)
-        rng = np.random.default_rng(5)
-        for tree in model.trees:
-            idx = rng.integers(0, 300, size=300)
-            oracle = grow_tree_copying(X[idx], y[idx], hp["max_depth"], hp["min_leaf"],
-                                       rng=rng, max_features=5)
-            assert _same_nodes(tree, oracle)
+        rng, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+        roots = [rng.integers(0, 300, size=300) for _ in range(6)]
+        idx = [rng_oracle.integers(0, 300, size=300) for _ in range(6)]
+        trees = grow_forest(encode_columns(X), y, roots, hp["max_depth"], hp["min_leaf"],
+                            rng=rng, max_features=5)
+        oracle = grow_trees_copying([(X[i], y[i]) for i in idx], hp["max_depth"],
+                                    hp["min_leaf"], rng=rng_oracle, max_features=5)
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+        for tree, model_tree, want in zip(trees, model.trees, oracle, strict=True):
+            assert _same_nodes(tree, want) and _same_nodes(model_tree, want)
 
     @pytest.mark.parametrize("kind", ["DecisionTree", "RandomForest"])
     def test_tree_scores_equal_per_row_walks(self, kind):
@@ -603,24 +608,22 @@ def _report_bits(report):
 
 
 def _assert_same_forests(X, y, hp: dict, seed: int) -> None:
-    """ForestModel.fit, and its loop run with hypotheses.grow_from_codes and
-    with oracles.grow_from_codes_per_node, grow equal trees: structure,
-    child counts, features and threshold bits; both loops leave the rng in
-    the same state."""
+    """ForestModel.fit, hypotheses.grow_forest and oracles.grow_forest_per_node
+    on the same bootstrap rows grow equal trees: structure, child counts,
+    features and threshold bits; both growers leave the rng in the same
+    state."""
     k = ml.ForestModel(hp, seed)._n_split_features(X.shape[1])
     states, forests = [], []
-    for encode, grow in ((encode_columns, grow_from_codes),
-                         (encode_ranks, grow_from_codes_per_node)):
+    for encode, grow in ((encode_columns, grow_forest), (encode_ranks, grow_forest_per_node)):
         rng = np.random.default_rng(seed)
-        codes = encode(X)
-        forests.append([grow(codes, y, rng.integers(0, len(y), size=len(y)), hp["max_depth"],
-                             hp["min_leaf"], rng=rng, max_features=k)
-                        for _ in range(hp["n_estimators"])])
+        roots = [rng.integers(0, len(y), size=len(y)) for _ in range(hp["n_estimators"])]
+        forests.append(grow(encode(X), y, roots, hp["max_depth"], hp["min_leaf"], rng=rng,
+                            max_features=k))
         states.append(rng.bit_generator.state)
     forests.append(ml.ForestModel(hp, seed).fit(X, y).trees)
     assert states[0] == states[1]
     assert sum(not t.is_leaf for t in forests[1]) == hp["n_estimators"]
-    for i, (tree, per_node, model_tree) in enumerate(zip(*forests)):
+    for i, (tree, per_node, model_tree) in enumerate(zip(*forests, strict=True)):
         assert _same_nodes(tree, per_node) and _same_nodes(model_tree, per_node), i
 
 
