@@ -219,24 +219,23 @@ def _best_splits(codes: ColumnCodes, class1: np.ndarray, rows: np.ndarray, n: np
     m, d = len(n), codes.bins.shape[1]
     node = np.repeat(np.arange(m), n)
     if fids is None:
-        k, feature = d, np.tile(np.arange(d), m)
-        n_bins = m * len(codes.values)
+        k, n_bins = d, m * len(codes.values)
         dtype = codes.bins.dtype if n_bins < 2 ** 31 else np.int64
-        first = np.arange(0, n_bins, len(codes.values), dtype=dtype)
         # whole rows gather faster than columns by index
         keys = codes.bins[rows].astype(dtype, copy=False)
         if m > 1:
-            keys += first[node][:, None]
-        shift = np.repeat(first, d)  # a pair's bins less the values' indices
+            keys += (node * len(codes.values)).astype(dtype)[:, None]
     else:
-        k, feature = fids.shape[1], fids.ravel()
-        sizes = np.diff(codes.starts)[feature]
-        n_bins = int(sizes.sum())
+        k = fids.shape[1]
+        sizes = np.diff(codes.starts)[fids]
+        first = sizes.cumsum().reshape(m, k) - sizes  # each pair's first bin
+        n_bins = int(first[-1, -1] + sizes[-1, -1])
         dtype = codes.bins.dtype if n_bins < 2 ** 31 else np.int64
-        shift = np.subtract(sizes.cumsum() - sizes, codes.starts[feature], dtype=dtype)
+        shift = np.subtract(first, codes.starts[fids], dtype=dtype)  # bins less values' indices
+        node_first = first[:, 0]
         index = np.add(fids[node], (rows * d)[:, None], dtype=codes.bins.dtype)
         keys = np.take(codes.bins, index).astype(dtype, copy=False)
-        keys += shift.reshape(m, k)[node]
+        keys += shift[node]
     of_class1 = keys[class1[rows]].ravel()
     if n_bins <= keys.size:
         count = np.bincount(keys.ravel(), minlength=n_bins)
@@ -248,28 +247,41 @@ def _best_splits(codes: ColumnCodes, class1: np.ndarray, rows: np.ndarray, n: np
         present = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
         nL = np.searchsorted(ordered, present, side="right")
         aL = np.searchsorted(np.sort(of_class1), present, side="right")
-    ends = np.repeat(n, k).cumsum()
-    pair = np.searchsorted(ends, nL)
-    j = pair // k
-    nL -= ends[pair] - n[j]
-    aL -= np.repeat(n1, k).cumsum()[pair] - n1[j]
-    usable = nL <= n[j] - min_leaf  # a pair's last present value has nothing to its right
+    if fids is None:
+        j = present // len(codes.values)
+    else:
+        j = np.searchsorted(node_first, present, side="right") - 1
+    # each node's k columns hold its rows k times over: the running counts
+    # less the nodes before give the column, and less its columns before,
+    # the left side
+    nj, n1j = n[j], n1[j]
+    nL -= k * (n.cumsum() - n)[j]
+    col = (nL - 1) // nj
+    nL -= col * nj
+    aL -= k * (n1.cumsum() - n1)[j] + col * n1j
+    usable = nL <= nj - min_leaf  # a column's last present value has nothing to its right
     if min_leaf > 1:
         usable &= nL >= min_leaf
     cand = usable.nonzero()[0]
-    j, nL, aL = j[cand], nL[cand], aL[cand]
-    nR = n[j] - nL
-    aR = n1[j] - aL
+    j, nL, aL, nj, n1j = j[cand], nL[cand], aL[cand], nj[cand], n1j[cand]
+    nR = nj - nL
+    aR = n1j - aL
     win = _exact_argmins(aL * (nL - aL) * nR + aR * (nR - aR) * nL, nL * nR, j)
-    at = cand[win]
-    lo = present[at] - shift[pair[at]]
-    threshold = midpoint(codes.values[lo], codes.values[present[at + 1] - shift[pair[at]]])
-    return j[win], feature[pair[at]], lo, threshold, nL[win], aL[win]
+    at, j = cand[win], j[win]
+    c = col[at]
+    if fids is None:
+        feature, base = c, j * len(codes.values)
+    else:
+        feature, base = fids[j, c], shift[j, c]
+    lo = present[at] - base
+    threshold = midpoint(codes.values[lo], codes.values[present[at + 1] - base])
+    return j, feature, lo, threshold, nL[win], aL[win]
 
 
 def _exact_argmins(num: np.ndarray, den: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """For each run of equal values in group (ascending), the index of its
-    first least num[i] / den[i], compared exactly as _exact_argmin does.
+    """For each run of equal values in group (ascending non-negative ints,
+    the nodes of a batch), the index of its first least num[i] / den[i],
+    compared exactly as _exact_argmin does.
 
     The float64 quotients shortlist each group's minima. Where a group
     shortlists more than one candidate (on the demo, always exact ties),
@@ -282,14 +294,15 @@ def _exact_argmins(num: np.ndarray, den: np.ndarray, group: np.ndarray) -> np.nd
     score = num / den
     new = np.ones(len(group), dtype=bool)
     np.not_equal(group[1:], group[:-1], out=new[1:])
-    of = new.cumsum() - 1  # each candidate's run
-    low = np.minimum.reduceat(score, new.nonzero()[0]) * (1.0 + 2.0 ** -50)
-    near = (score <= low[of]).nonzero()[0]
-    of = of[near]
+    starts = new.nonzero()[0]
+    low = np.zeros(group[-1] + 1)
+    low[group[starts]] = np.minimum.reduceat(score, starts) * (1.0 + 2.0 ** -50)
+    near = (score <= low[group]).nonzero()[0]
     lead = np.ones(len(near), dtype=bool)
-    np.not_equal(of[1:], of[:-1], out=lead[1:])
+    np.not_equal(group[near[1:]], group[near[:-1]], out=lead[1:])
     best = near[lead]
     if len(best) < len(near):
+        of = lead.cumsum() - 1  # each shortlisted candidate's run
         rest, doubt = near[~lead], of[~lead]
         head = best[doubt]
         if int(num[near].max()) * int(den[near].max()) < 2 ** 63:
@@ -420,11 +433,11 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
             split, feature, lo, threshold, n_left, n_left1 = _best_splits(
                 codes, class1, batch, nb, nb1, min_leaf, None if fids is None else fids[a:b])
             # batch node j's children are 2j (left) and 2j + 1 (right)
-            born = np.stack([2 * split, 2 * split + 1], axis=1).ravel()
-            child_n = np.zeros(2 * (b - a), dtype=np.int64)
+            child_n = np.zeros((b - a, 2), dtype=np.int64)
             child_n1 = np.zeros_like(child_n)
-            child_n[born] = np.stack([n_left, nb[split] - n_left], axis=1).ravel()
-            child_n1[born] = np.stack([n_left1, nb1[split] - n_left1], axis=1).ravel()
+            child_n[split, 0], child_n[split, 1] = n_left, nb[split] - n_left
+            child_n1[split, 0], child_n1[split, 1] = n_left1, nb1[split] - n_left1
+            child_n, child_n1 = child_n.ravel(), child_n1.ravel()
             grows = (child_n >= 2 * min_leaf) & (child_n1 > 0) & (child_n1 < child_n)
             grows &= depth != max_depth
             route_f = np.zeros(b - a, dtype=np.intp)
@@ -443,7 +456,8 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
                 parent.right = TreeNode(n_samples=parent.n_samples - nl,
                                         n_class1=parent.n_class1 - al)
                 born_kids += [parent.left, parent.right]
-            kids += [kid for kid, ok in zip(born_kids, grows[born].tolist()) if ok]
+            kids += [kid for kid, ok in zip(born_kids, grows.reshape(-1, 2)[split].ravel().tolist())
+                     if ok]
             kid_n.append(child_n[grows])
             kid_n1.append(child_n1[grows])
             a = b
