@@ -151,20 +151,21 @@ class TestTrainCart:
         # an exact tie keeps the first index, i.e. the lower feature/threshold
         assert _exact_argmin(np.array([5, 2, 1]), np.array([6, 6, 3])) == 1
 
-    def test_exact_argmins_per_run(self):
-        # per run of a node's candidates, the first exact minimum: a float
-        # tie broken in int64, an exact tie, products beyond int64, and a
-        # run of one candidate
-        big = 2 ** 51
-        num = np.array([big + 1, big, 2, 1, 3, 13305283907666136, 37637270992633564, 7],
-                       dtype=np.int64)
-        den = np.array([3, 3, 6, 3, 9, 327, 925, 2], dtype=np.int64)
-        group = np.array([0, 0, 1, 1, 1, 2, 2, 5])
+    @pytest.mark.parametrize("num, den, group, want", [
+        # a float tie broken in int64, an exact tie and a run of one candidate
+        ([2 ** 51 + 1, 2 ** 51, 2, 1, 3, 7], [3, 3, 6, 3, 9, 2], [0, 0, 1, 1, 1, 5], [1, 2, 5]),
+        # products beyond int64, compared in Python ints, and an exact tie
+        ([13305283907666136, 37637270992633564, 5, 2, 1], [327, 925, 6, 6, 3],
+         [0, 0, 1, 1, 1], [1, 3]),
+    ])
+    def test_exact_argmins_per_run(self, num, den, group, want):
+        # per run of a node's candidates, its first exact minimum
+        num, den, group = (np.array(v, dtype=np.int64) for v in (num, den, group))
         assert num[0] / den[0] <= num[1] / den[1] * (1.0 + 2.0 ** -50)
         got = hypotheses._exact_argmins(num, den, group)
-        assert got.tolist() == [1, 2, 6, 7]
-        for g, i in zip((0, 1, 2, 5), got):
-            run = np.flatnonzero(group == g)
+        assert got.tolist() == want
+        for i in want:
+            run = np.flatnonzero(group == group[i])
             assert run[_exact_argmin(num[run], den[run])] == i
         assert len(hypotheses._exact_argmins(num[:0], den[:0], group[:0])) == 0
 
