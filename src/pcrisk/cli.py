@@ -242,7 +242,7 @@ def _build(cfg: RunConfig, cell_km: float):
     g = gridmod.build_grid(cfg.bbox, cell_km, cfg.mask_polygon)
     src = cfg.source
     if src.get("kind", "synthetic") == "synthetic":
-        months = src.get("months") or cfg.window.months
+        months = cfg.window.months if src.get("months") is None else src["months"]
         planted = ingest.PlantedEffect(**(src.get("planted") or {}))
         series, events = ingest.synth_country(
             cfg.seed, g, months, planted, start=cfg.window.start, country=cfg.country)
@@ -469,7 +469,8 @@ def _parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--golden", action="store_true",
                         help="check built-ins against their frozen statistics")
     p_eval.add_argument("--hypothesis", default=None,
-                        help="evaluate a single built-in hypothesis by name")
+                        help="evaluate a single built-in hypothesis by name "
+                             "(with --which builtin)")
     common(sub.add_parser("train-suite", help="run the 8-classifier benchmark"))
     common(sub.add_parser("riskmap", help="render per-cell risk surfaces"))
     return ap
@@ -481,8 +482,12 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         if args.command == "eval-hypotheses":
             only = args.hypothesis
-            if only is not None and only not in hypotheses.builtin_hypotheses():
-                _parser().error(f"unknown hypothesis name {only!r}")
+            if only is not None:
+                if args.which != "builtin" or args.golden:
+                    _parser().error("--hypothesis names a built-in: it needs --which builtin "
+                                    "and no --golden")
+                if only not in hypotheses.builtin_hypotheses():
+                    _parser().error(f"unknown hypothesis name {only!r}")
             return cmd_eval_hypotheses(cfg, args.which, args.golden, only)
         handler = {
             "build-dataset": cmd_build_dataset,

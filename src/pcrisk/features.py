@@ -58,18 +58,9 @@ class BinEdges:
     hi: float
     n_bins: int = N_BINS
 
-    @property
-    def degenerate(self) -> bool:
-        return self.hi <= self.lo
-
-    def edges(self) -> list[float]:
-        """lo + k * (hi - lo) / n_bins for k = 0..n_bins, each rounded once
-        to the nearest float, so they stay finite for every finite range."""
-        lo, span = Fraction(self.lo), Fraction(self.hi) - Fraction(self.lo)
-        return [float(lo + k * span / self.n_bins) for k in range(self.n_bins + 1)]
-
-    def bin_of(self, value: float) -> tuple[int, bool]:
-        """0-based bin index and whether the value had to be clamped.
+    def bins(self, values: np.ndarray) -> tuple[np.ndarray, int]:
+        """Every value's 0-based bin, over a float64 array, and the number
+        of values clamped.
 
         A value with lo <= value < hi goes to bin
         floor(n_bins * (value - lo) / (hi - lo)), taken in exact arithmetic
@@ -77,37 +68,16 @@ class BinEdges:
         the last bin. This holds for every finite lo < hi, including spans
         whose width underflows or overflows in float64. Values below lo or
         above hi are clamped into the first or last bin. Degenerate edges
-        (constant variable) send all mass to bin 0.
+        (constant variable) send all mass to bin 0. A NaN raises ValueError.
         """
         lo, hi, n = self.lo, self.hi, self.n_bins
         if hi <= lo:  # degenerate
-            return 0, False
-        if value < lo:
-            return 0, True
-        if value >= hi:
-            return n - 1, value > hi
-        span = hi - lo
-        q = (value - lo) * n / span
+            return np.zeros(len(values), dtype=np.int64), 0
+        inside = ~((values < lo) | (values >= hi))  # NaN takes the rational path, which raises
         # Unless hi - lo or the product overflowed, q is within a relative
         # 4.01 * 2**-53 of the exact quotient (subnormal differences and
         # products are exact), so its floor is exact unless an integer lies
         # within that error; those few values are binned in rationals.
-        if span <= _MAX_FLOAT and q < n:
-            i = int(q)
-            slack = q * 2.0 ** -50
-            if (i == 0 or q - i > slack) and i + 1 - q > slack:
-                return i, False
-        lo_q = Fraction(lo)
-        return n * (Fraction(value) - lo_q) // (Fraction(hi) - lo_q), False
-
-    def bins(self, values: np.ndarray) -> tuple[np.ndarray, int]:
-        """bin_of over a float64 array: every value's bin and the number of
-        values clamped. bin_of's float quotient and slack test run
-        elementwise; only the values they leave open take its rational path."""
-        lo, hi, n = self.lo, self.hi, self.n_bins
-        if hi <= lo:  # degenerate
-            return np.zeros(len(values), dtype=np.int64), 0
-        inside = ~((values < lo) | (values >= hi))  # NaN goes to bin_of, which raises
         with np.errstate(over="ignore", invalid="ignore"):
             q = (values - lo) * n / (hi - lo)
             i = np.floor(q)
@@ -115,8 +85,10 @@ class BinEdges:
             fast = inside & (hi - lo <= _MAX_FLOAT) & (q < n) & (
                 ((i == 0) | (q - i > slack)) & (i + 1 - q > slack))
         out = np.where(fast, i, np.where(values < hi, 0, n - 1)).astype(np.int64)
+        lo_q = Fraction(lo)
+        span_q = Fraction(hi) - lo_q
         for k in np.flatnonzero(inside & ~fast):
-            out[k] = self.bin_of(float(values[k]))[0]
+            out[k] = n * (Fraction(float(values[k])) - lo_q) // span_q
         return out, int(np.count_nonzero((values < lo) | (values > hi)))
 
 

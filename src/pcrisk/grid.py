@@ -84,10 +84,6 @@ class Grid:
     def deg_per_cell_lon(self) -> float:
         return self.cell_km / (KM_PER_DEG * math.cos(math.radians(self.anchor_lat)))
 
-    @property
-    def n_cells(self) -> int:
-        return self.n_rows * self.n_cols
-
     def cell_bounds(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(lat_south, lon_west, lat_north, lon_east) arrays of (..., 2) cells."""
         row, col = np.moveaxis(np.asarray(cells), -1, 0)

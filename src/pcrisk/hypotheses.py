@@ -18,7 +18,6 @@ with np.bincount instead of sorting them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,22 +104,14 @@ class HypothesisPredicate:
 MAX_CART_ROWS = 2 ** 22
 
 
-def midpoint(a, b):
-    """A threshold t with a <= t < b between finite a < b (floats or arrays).
+def midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A threshold t with a <= t < b between finite arrays a < b, elementwise.
 
     (a + b) / 2 where that is finite and below b, else a / 2 + b / 2 where
     that lies in [a, b), else a. The plain midpoint overflows for large a
     and b, and rounds up to b when they are adjacent doubles; either way a
-    split at it would send b's rows to the left with a's. Two scalars take
-    the same steps on Python floats and give a Python float.
+    split at it would send b's rows to the left with a's.
     """
-    if isinstance(a, float) and isinstance(b, float):
-        a, b = float(a), float(b)
-        mid = (a + b) / 2.0
-        if mid < b and math.isfinite(mid):
-            return mid
-        half = a / 2.0 + b / 2.0
-        return half if a <= half < b else a
     with np.errstate(over="ignore"):
         mid = (a + b) / 2.0
     half = a / 2.0 + b / 2.0
@@ -335,39 +326,29 @@ def _exact_argmin(num: np.ndarray, den: np.ndarray) -> int:
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
-              min_leaf: int = 1, rng: np.random.Generator | None = None,
-              max_features: int | None = None) -> TreeNode:
+              min_leaf: int = 1) -> TreeNode:
     """Greedy CART on a finite feature matrix and a label array in {0, 1}.
 
-    max_depth is None or an integer >= 1, min_leaf an integer >= 1, and
-    max_features None or an integer >= 1; it samples that many candidate
-    feature indices per split (used by random forests), and the tie rule
-    applies within the sample. A non-finite value in X raises
-    InvalidInputError naming its column.
+    max_depth is None or an integer >= 1 and min_leaf an integer >= 1. A
+    non-finite value in X raises InvalidInputError naming its column.
 
     X is encoded once (encode_columns) and the tree grown from the codes
-    (grow_from_codes), so no node sorts or copies X's rows.
+    (grow_forest with one root), so no node sorts or copies X's rows.
     """
-    return grow_from_codes(encode_columns(X), y, np.arange(len(y)), max_depth, min_leaf,
-                           rng, max_features)
-
-
-def grow_from_codes(codes: ColumnCodes, y: np.ndarray, rows: np.ndarray,
-                    max_depth: int | None = 4, min_leaf: int = 1,
-                    rng: np.random.Generator | None = None,
-                    max_features: int | None = None) -> TreeNode:
-    """grow_tree on the rows of an encoded matrix; rows may repeat, and a
-    repeated row counts once per occurrence, as if it were copied. This is
-    grow_forest with one root."""
-    return grow_forest(codes, y, [rows], max_depth, min_leaf, rng, max_features)[0]
+    return grow_forest(encode_columns(X), y, [np.arange(len(y))], max_depth, min_leaf)[0]
 
 
 def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
                 max_depth: int | None = 4, min_leaf: int = 1,
                 rng: np.random.Generator | None = None,
                 max_features: int | None = None) -> list[TreeNode]:
-    """One tree per array of rows in roots, as grow_from_codes grows it,
-    all grown together one depth at a time.
+    """One greedy CART per array of rows in roots, all grown together one
+    depth at a time. Rows may repeat, and a repeated row counts once per
+    occurrence, as if it were copied.
+
+    max_features, None or an integer >= 1, is the number of candidate
+    columns sampled per split (random forests); sampling draws from rng,
+    which must then be given, and the tie rule applies within the sample.
 
     A level holds the nodes of every tree that attempt a split: those with
     at least 2 * min_leaf rows of both classes, above max_depth, ordered by
@@ -393,6 +374,9 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
             raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {len(rows)}")
     d = codes.bins.shape[1]
     k = d if max_features is None else min(int(max_features), d)
+    if k < d and rng is None:
+        raise InvalidInputError(
+            f"max_features {max_features} samples from {d} columns and needs an rng, not None")
     budget, bin_budget = max(codes.bins.size, 1), max(codes.bins.shape[0] * k, 1)
     sizes = np.diff(codes.starts)
     class1 = np.asarray(y) == 1
@@ -473,16 +457,11 @@ def train_cart(ds: Dataset, max_depth: int | None = 4, min_leaf: int = 1) -> Tre
     return grow_tree(X, y, max_depth, min_leaf)
 
 
-def predict_leaf(node: TreeNode, vector: np.ndarray) -> TreeNode:
-    while not node.is_leaf:
-        node = node.left if vector[node.feature] <= node.threshold else node.right
-    return node
-
-
 def leaf_purity(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    """predict_leaf(node, x).purity for every row x of X, found by routing
-    arrays of row indices down the tree: one comparison per internal node
-    that rows reach, not one walk per row."""
+    """The purity of the leaf each row x of X reaches (left where
+    x[feature] <= threshold), found by routing arrays of row indices down
+    the tree: one comparison per internal node that rows reach, not one
+    walk per row."""
     out = np.empty(len(X))
     todo = [(node, np.arange(len(X)))]
     while todo:

@@ -490,11 +490,6 @@ class PlantedEffect:
         odds = self.odds_ratio * self.base_rate / (1.0 - self.base_rate)
         return odds / (1.0 + odds)
 
-    @property
-    def regime_cutpoint(self) -> float:
-        """Cell-mean threshold separating the two regimes."""
-        return 0.5 * (self.low_mean + self.high_mean)
-
 
 def synth_country(seed: int, grid: Grid, months: int,
                   planted: PlantedEffect = PlantedEffect(),

@@ -7,7 +7,8 @@ a fixed seed and all models serialize to JSON:
 * DecisionTree      - the CART from the hypotheses module
 * RandomForest      - bagged CARTs with per-split feature subsampling
 * AdaBoost          - SAMME over depth-1 stumps picked by weighted error
-* LogisticRegression- L2 negative log-likelihood, batch gradient descent
+* LogisticRegression- L2 negative log-likelihood, batch gradient descent:
+                      the MLP's descent with no hidden layer
 * LinearSVM         - hinge + L2 via Pegasos-style stochastic subgradient
 * GaussianNB        - per-class per-feature Gaussians with a variance floor
 * MLP / DeepNN      - tanh hidden layers, logistic-loss backprop (1 vs >=2
@@ -118,11 +119,6 @@ class EvalRow:
     recall: float
     f1: float
     auc: float | None  # None when the labels are single-class
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    rows: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +420,9 @@ class LogisticModel(_Standardising):
         Z = self._fit_standardise(X)
         sw = _sample_weights(y, hp["class_weight"])
         w0 = np.zeros(X.shape[1] + 1)
+        # the MLP's descent with no hidden layer: one (d, 1) layer, then its bias
         self.w, self.loss_history, self.stop, _ = _batch_gd(
-            lambda w: logistic_forward(w, Z, y, hp["l2"], sw),
+            mlp_forward_fn([((X.shape[1], 1), (1,))], Z, y, hp["l2"], sw),
             w0, lr=hp["lr"], epochs=hp["epochs"], tol=hp["tol"])
         self.epochs = len(self.loss_history) - 1
         return self
@@ -643,33 +640,10 @@ def _sample_weights(y, class_weight) -> np.ndarray:
     return w
 
 
-def logistic_forward(w, X, y, l2: float, sample_weight=None):
-    """Mean weighted cross-entropy + (l2/2)||w||^2 (bias unregularized).
-
-    w's last entry is the bias. Returns (loss, backward), where backward()
-    returns the gradient from the logits this pass computed.
-    """
-    n = len(y)
-    sw = np.ones(n) if sample_weight is None else sample_weight
-    z = X @ w[:-1] + w[-1]
-    # log(1 + e^z) - y z, computed stably
-    loss = float(np.mean(sw * (np.logaddexp(0.0, z) - y * z)))
-    loss += 0.5 * l2 * float(w[:-1] @ w[:-1])
-
-    def backward():
-        resid = sw * (_sigmoid(z) - y) / n
-        grad = np.empty_like(w)
-        grad[:-1] = X.T @ resid + l2 * w[:-1]
-        grad[-1] = resid.sum()
-        return grad
-
-    return loss, backward
-
-
 def logistic_loss_grad(w, X, y, l2: float, sample_weight=None):
-    """(loss, grad) of logistic_forward."""
-    loss, backward = logistic_forward(w, X, y, l2, sample_weight)
-    return loss, backward()
+    """Mean weighted cross-entropy + (l2/2)||w||^2 (bias unregularized) and
+    its gradient: the MLP's with no hidden layer, w's last entry the bias."""
+    return mlp_loss_grad(w, [((X.shape[1], 1), (1,))], X, y, l2, sample_weight)
 
 
 def init_mlp_params(sizes: list[int], rng: np.random.Generator):
@@ -908,7 +882,7 @@ def _tupled(hp: dict) -> dict:
 
 
 def run_suite(ds: Dataset, specs: list[ClassifierSpec],
-              test_fraction: float = 0.2, seed: int = 0) -> EvalReport:
+              test_fraction: float = 0.2, seed: int = 0) -> tuple[EvalRow, ...]:
     """Train every spec, in order, on one stratified split and score the
     test side; a failing fit raises at once."""
     for spec in specs:
@@ -920,18 +894,18 @@ def run_suite(ds: Dataset, specs: list[ClassifierSpec],
         m = metrics(predict_proba(model, test_ds), test_ds.y)
         return replace(m, classifier=spec.kind)
 
-    return EvalReport(rows=tuple(map(score, specs)))
+    return tuple(map(score, specs))
 
 
-def best_row(report: EvalReport) -> EvalRow:
+def best_row(rows: tuple[EvalRow, ...]) -> EvalRow:
     """Highest F1; ties broken by AUC."""
-    return max(report.rows,
+    return max(rows,
                key=lambda r: (r.f1, r.auc if r.auc is not None else -1.0))
 
 
-def write_suite_csv(report: EvalReport, path) -> None:
+def write_suite_csv(rows: tuple[EvalRow, ...], path) -> None:
     write_table(path, ["Classifier", "Precision", "Recall", "F1-Score", "AUC"],
-                ([r.classifier, r.precision, r.recall, r.f1, r.auc] for r in report.rows))
+                ([r.classifier, r.precision, r.recall, r.f1, r.auc] for r in rows))
 
 
 def write_best_summary_csv(country: str, best: list[tuple[float, EvalRow]], path) -> None:

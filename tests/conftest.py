@@ -53,14 +53,16 @@ def write_series_csv(series: list[VariableSeries], path,
 
 def planted_risk_cells(series: list[VariableSeries], planted: PlantedEffect) -> set[tuple]:
     """Recover the risk stratum from data: cells whose planted-variable mean
-    falls below the regime cutpoint, as (row, col) tuples."""
+    falls below the regime cutpoint, midway between the two regime means, as
+    (row, col) tuples."""
+    cutpoint = 0.5 * (planted.low_mean + planted.high_mean)
     out = set()
     for s in series:
         if s.variable == planted.variable:
             cells, which = np.unique(s.cells, axis=0, return_inverse=True)
             which = which.ravel()
             out.update((r, c) for k, (r, c) in enumerate(cells.tolist())
-                       if float(s.samples[which == k].mean()) < planted.regime_cutpoint)
+                       if float(s.samples[which == k].mean()) < cutpoint)
     return out
 
 

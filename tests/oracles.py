@@ -42,7 +42,7 @@ from pcrisk.features import FEATURE_NAMES, HIST_FEATURE_NAMES
 from pcrisk.grid import Grid, cell_of
 from pcrisk.hypotheses import MAX_CART_ROWS, TreeNode, _exact_argmin
 from pcrisk.ingest import VARIABLES, VariableSeries, _open_csv
-from pcrisk.ml import EvalReport, metrics, predict_proba, split, train
+from pcrisk.ml import metrics, predict_proba, split, train
 from pcrisk.riskmap import risk_color
 
 TIE = Fraction(1, 10**7)  # relative tie tolerance mirrored by the library
@@ -217,6 +217,14 @@ def _best_split(X, y, min_leaf, feature_ids):
     return best_split_sorted(X.T[feature_ids], y, min_leaf, feature_ids)
 
 
+def predict_leaf(node: TreeNode, vector: np.ndarray) -> TreeNode:
+    """The leaf one row reaches, walking from the root: left where
+    vector[feature] <= threshold (a NaN goes right)."""
+    while not node.is_leaf:
+        node = node.left if vector[node.feature] <= node.threshold else node.right
+    return node
+
+
 def grow_tree_copying(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
                       min_leaf: int = 1, rng: np.random.Generator | None = None,
                       max_features: int | None = None) -> TreeNode:
@@ -273,7 +281,7 @@ def grow_trees_copying(samples: list, max_depth: int | None = 4, min_leaf: int =
 # ---------------------------------------------------------------------------
 # CART grown from per-column ranks with per-node rank arithmetic
 #
-# hypotheses.grow_from_codes as it was before it kept global bin ids, a
+# the library's one-tree grower as it was before it kept global bin ids, a
 # feature-major copy for sampled columns and each node's class-1 rows first,
 # with its depth-first loop turned into a breadth-first queue over every
 # tree's root; the library, which grows all trees one level at a time, must
@@ -748,7 +756,7 @@ def run_suite_sequential(ds, specs, test_fraction: float = 0.2, seed: int = 0):
         model = train(spec, train_ds)
         m = metrics(predict_proba(model, test_ds), test_ds.y)
         out.append(replace(m, classifier=spec.kind))
-    return EvalReport(rows=tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from oracles import (
     exhaustive_cart,
     fisher_p_enumerate,
     lattice_neighbors,
+    predict_leaf,
     same_tree,
     welch_p_quad,
 )
@@ -145,7 +146,7 @@ def test_c07_cart_exhaustive_oracle():
     with criterion(7, "CART equals exhaustive best-split search on 25 random "
                       "datasets; extracted predicates reproduce leaf counts"):
         from pcrisk.features import to_matrix
-        from pcrisk.hypotheses import extract_paths, grow_tree, predict_leaf
+        from pcrisk.hypotheses import extract_paths, grow_tree
 
         rng = np.random.default_rng(99)
         for trial in range(25):

@@ -376,9 +376,12 @@ class TestBadNumbers:
          "odds_ratio"),
         ("build-dataset", {"source": {"kind": "synthetic",
                                       "planted": {"low_mean": float("nan")}}}, [], "low_mean"),
+        # 0 once fell back to the window's month count and exited 0
+        ("build-dataset", {"source": {"kind": "synthetic", "months": 0}}, [], "months"),
+        ("build-dataset", {"source": {"kind": "synthetic", "months": -1}}, [], "months"),
     ], ids=["seed_flag_negative", "seed_negative", "cell_km_nan", "cell_km_infinity",
             "granularity_nan", "regime_sd_negative", "extra_events_rate_negative",
-            "odds_ratio_nan", "low_mean_nan"])
+            "odds_ratio_nan", "low_mean_nan", "months_zero", "months_negative"])
     def test_exits_3_writing_nothing(self, tmp_path, capsys, command, overrides, flags, key):
         # json.loads reads NaN and Infinity, so a config file can hold them
         out = tmp_path / "out"
@@ -488,6 +491,22 @@ class TestPipelineCommands:
             _run("eval-hypotheses", "--which", "builtin", "--hypothesis", "Hyp99",
                  "--config", cfg, "--out-dir", str(tmp_path / "x"))
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--which", "tree"], ["--golden"],
+                                       ["--which", "builtin", "--golden"]],
+                             ids=["default", "tree", "golden", "builtin_golden"])
+    def test_hypothesis_outside_builtin_mode_usage_error(self, built, capsys, flags):
+        # a built-in name was once ignored here: the tree paths (or the golden
+        # check) were scored and the run exited 0
+        cfg, out = built
+        assert _run("learn-tree", "--config", cfg, "--out-dir", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(SystemExit) as exc:
+            _run("eval-hypotheses", *flags, "--hypothesis", "Hyp3",
+                 "--config", cfg, "--out-dir", str(out))
+        assert exc.value.code == 2
+        assert "--hypothesis" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("fault", ["short_row", "non_numeric", "non_integer",
                                        "out_of_range", "blank_line", "comment_line",

@@ -59,19 +59,25 @@ def _hist(values, edges):
 
 class TestBinEdges:
     def test_span_0_100(self):
+        # the edges are 0, 10, ..., 100: each opens its bin, the value below
+        # it is in the bin before, and 100 closes the last
         e = fit_bin_edges([_series([0.0, 37.0, 100.0])], variables=("LAI",))["LAI"]
-        assert e.edges() == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
+        edges = np.arange(0.0, 101.0, 10.0)
+        assert e.bins(edges)[0].tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9]
+        assert e.bins(np.nextafter(edges[1:-1], -np.inf))[0].tolist() == list(range(9))
 
     def test_constant_variable_degenerate(self):
         e = fit_bin_edges([_series([7.0, 7.0])], variables=("LAI",))["LAI"]
-        assert e.degenerate
+        assert e.lo == e.hi == 7.0
+        assert e.bins(np.array([6.0, 7.0, 8.0]))[0].tolist() == [0, 0, 0]
         h = _hist([7.0, 7.0], e)
         assert h[0] == 1.0 and h[1:].sum() == 0.0
 
     def test_negative_span(self):
         e = fit_bin_edges([_series([-5.0, 15.0])], variables=("LAI",))["LAI"]
-        assert e.edges()[1] == -3.0
-        assert e.edges()[0] == -5.0 and e.edges()[-1] == 15.0
+        # the second edge is -3.0, the first -5.0 and the last 15.0
+        got, n_clamped = e.bins(np.array([np.nextafter(-3.0, -np.inf), -3.0, -5.0, 15.0]))
+        assert got.tolist() == [0, 1, 0, 9] and n_clamped == 0
 
     def test_min_max_across_cells(self):
         e = fit_bin_edges([_series([1.0, 2.0]), _series([9.0], cell=(0, 1))],
@@ -91,13 +97,21 @@ class TestBinEdges:
         (-1.5e308, 1.5e308, [-1e308, 0.0, 1e308], [1, 5, 8]),
     ])
     def test_bin_of_extreme_spans(self, lo, hi, values, bins):
-        e = BinEdges("LAI", lo, hi)
-        assert [e.bin_of(v) for v in values] == [(b, False) for b in bins]
+        got, n_clamped = BinEdges("LAI", lo, hi).bins(np.array(values))
+        assert got.tolist() == bins and n_clamped == 0
 
     def test_edges_of_overflowing_span(self):
-        edges = BinEdges("LAI", -1.5e308, 1.5e308).edges()
-        assert all(math.isfinite(x) for x in edges)
-        assert (edges[0], edges[5], edges[10]) == (-1.5e308, 0.0, 1.5e308)
+        # hi - lo overflows, but every edge rounds to a finite float, and
+        # those floats and their neighbours go to their exact bins
+        lo, hi = -1.5e308, 1.5e308
+        edges = [float(Fraction(lo) + k * (Fraction(hi) - Fraction(lo)) / 10) for k in range(11)]
+        assert (edges[0], edges[5], edges[10]) == (lo, 0.0, hi)
+        values = np.concatenate([edges, np.nextafter(edges[1:], -np.inf),
+                                 np.nextafter(edges[:-1], np.inf)])
+        got, n_clamped = BinEdges("LAI", lo, hi).bins(values)
+        assert n_clamped == 0
+        assert got.tolist() == [histogram_bin(v, lo, hi, 10) for v in values.tolist()]
+        assert got[[0, 5, 10]].tolist() == [0, 5, 9]
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.floats(allow_nan=False, allow_infinity=False),
@@ -112,7 +126,8 @@ class TestBinEdges:
             value = math.nextafter(value, math.copysign(math.inf, ulps))
         assume(lo <= value <= hi)
         e = BinEdges("LAI", lo, hi, n_bins)
-        assert e.bin_of(value) == (histogram_bin(value, lo, hi, n_bins), False)
+        got, n_clamped = e.bins(np.array([value]))
+        assert (got.tolist(), n_clamped) == ([histogram_bin(value, lo, hi, n_bins)], 0)
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 12))
@@ -137,11 +152,9 @@ class TestBinEdges:
         e = BinEdges("LAI", lo, hi, n_bins)
         got, n_clamped = e.bins(np.array(values))
         assert got.dtype == np.int64
-        assert list(zip(got.tolist(), (v < lo or v > hi for v in values))) == \
-            [e.bin_of(v) for v in values]
         assert n_clamped == sum(v < lo or v > hi for v in values)
-        inside = [(k, v) for k, v in zip(got.tolist(), values) if lo <= v <= hi]
-        assert [k for k, _ in inside] == [histogram_bin(v, lo, hi, n_bins) for _, v in inside]
+        assert got.tolist() == [0 if v < lo else n_bins - 1 if v > hi
+                                else histogram_bin(v, lo, hi, n_bins) for v in values]
 
 
 class TestHistogramFeatures:

@@ -58,7 +58,7 @@ class TestBuildGrid:
     def test_mask_polygon_limits_cells(self):
         g = build_grid(BBox(0.0, 0.0, 3.0, 3.0), 100.0,
                        mask_polygon=[(0.0, 0.0), (0.0, 3.0), (3.0, 3.0)])
-        assert 0 < int(g.mask.sum()) < g.n_cells
+        assert 0 < int(g.mask.sum()) < g.mask.size
 
     @pytest.mark.parametrize("polygon", [
         [[0, 1, 2]], [(0.0, 0.0), (1.0, 1.0)], [], "abc", 5, [[0, "x"], [1, 1], [2, 0]],
@@ -106,7 +106,7 @@ class TestCellOf:
     def test_every_cell_hit_by_its_center(self):
         g = square_grid(5, 7)
         cells = np.argwhere(g.mask)
-        assert len(cells) == g.n_cells
+        assert len(cells) == g.mask.size
         lat_s, lon_w, lat_n, lon_e = g.cell_bounds(cells)
         assert (cell_of(g, 0.5 * (lat_s + lat_n), 0.5 * (lon_w + lon_e)) == cells).all()
 

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import exhaustive_cart, grow_tree_copying, grow_trees_copying, same_tree
+from oracles import (
+    exhaustive_cart,
+    grow_tree_copying,
+    grow_trees_copying,
+    predict_leaf,
+    same_tree,
+)
 from pcrisk.errors import DegeneratePartitionError, InvalidInputError
 from pcrisk.features import FEATURE_NAMES, Dataset, to_matrix
 from pcrisk import hypotheses
@@ -20,7 +26,6 @@ from pcrisk.hypotheses import (
     golden_dataset,
     grow_tree,
     load_tree,
-    predict_leaf,
     save_tree,
     train_cart,
     tree_to_dot,
@@ -28,7 +33,6 @@ from pcrisk.hypotheses import (
     _exact_argmin,
     encode_columns,
     grow_forest,
-    grow_from_codes,
     midpoint,
 )
 
@@ -40,6 +44,13 @@ def _rows_from_xy(X, y):
     Xf[:, :X.shape[1]] = X
     cells = np.column_stack([np.zeros(n, dtype=int), np.arange(n)])
     return Dataset(cells=cells, X=Xf, y=np.asarray(y, dtype=int))
+
+
+def _grow_one(X, y, max_depth=4, min_leaf=1, rng=None, max_features=None):
+    """grow_tree with max_features columns sampled per split: grow_forest
+    of one root holding every row."""
+    return grow_forest(encode_columns(X), y, [np.arange(len(y))], max_depth, min_leaf, rng,
+                       max_features)[0]
 
 
 class TestTrainCart:
@@ -108,11 +119,17 @@ class TestTrainCart:
         # a sample of no features once grew a single leaf
         for max_features in (0, 2.5, True):
             with pytest.raises(InvalidInputError, match="max_features"):
-                grow_tree(X, y, rng=np.random.default_rng(0), max_features=max_features)
+                _grow_one(X, y, rng=np.random.default_rng(0), max_features=max_features)
         # numpy integers are integers
-        tree = grow_tree(X, y, np.int64(2), np.int32(1), rng=np.random.default_rng(0),
+        tree = _grow_one(X, y, np.int64(2), np.int32(1), rng=np.random.default_rng(0),
                          max_features=np.int64(1))
         assert (tree.feature, tree.threshold) == (0, 3.5)
+        # sampling columns without a generator once raised AttributeError;
+        # taking every column needs none
+        X2 = np.column_stack([X, -X])
+        with pytest.raises(InvalidInputError, match="rng"):
+            _grow_one(X2, y, max_features=1)
+        assert _same_nodes(_grow_one(X2, y, max_features=2), grow_tree(X2, y))
 
     def test_sampled_features_split_matches_oracle(self):
         # the split search on a random-forest-style feature sample picks
@@ -215,7 +232,7 @@ class TestThresholds:
     def test_midpoint_is_the_plain_one_where_that_is_right(self, a, b):
         mid = (a + b) / 2.0
         assert a <= mid < b
-        assert float(midpoint(a, b)).hex() == mid.hex()
+        assert float(midpoint(np.array([a]), np.array([b]))[0]).hex() == mid.hex()
 
     @pytest.mark.parametrize("a, b", [
         (A, B),
@@ -230,8 +247,8 @@ class TestThresholds:
         want = float(midpoint(np.array([a]), np.array([b]))[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow on np.float64 would warn
-            t = midpoint(scalar(a), scalar(b))
-        assert type(t) is float and t.hex() == want.hex()
+            t = float(midpoint(scalar(a), scalar(b)))
+        assert t.hex() == want.hex()
         assert a <= t < b
 
     def test_midpoint_on_arrays(self):
@@ -288,11 +305,11 @@ class TestRowIndexCart:
         X, y, params, rows, seed = problem
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         if rows is None:
-            tree = grow_tree(X, y, rng=rng, **params)
+            tree = _grow_one(X, y, rng=rng, **params)
             oracle = grow_tree_copying(X, y, rng=rng_oracle, **params)
         else:
             rows = np.array(rows, dtype=np.int64)
-            tree = grow_from_codes(encode_columns(X), y, rows, rng=rng, **params)
+            tree = grow_forest(encode_columns(X), y, [rows], rng=rng, **params)[0]
             oracle = grow_tree_copying(X[rows], y[rows], rng=rng_oracle, **params)
         assert _same_nodes(tree, oracle)
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
@@ -305,7 +322,7 @@ class TestRowIndexCart:
         for seed in range(3):
             rows = np.random.default_rng(seed).integers(0, 300, size=300)
             rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-            tree = grow_tree(X[rows], y[rows], 12, 1, rng=rng, max_features=5)
+            tree = _grow_one(X[rows], y[rows], 12, 1, rng=rng, max_features=5)
             oracle = grow_tree_copying(X[rows], y[rows], 12, 1, rng=rng_oracle, max_features=5)
             assert _same_nodes(tree, oracle)
             assert rng.bit_generator.state == rng_oracle.bit_generator.state
@@ -355,7 +372,7 @@ class TestRowIndexCart:
         alive = weakref.ref(X)
         gc.disable()  # a reference cycle holding X would keep it alive
         try:
-            tree = grow_tree(X, y, None, 1, rng=rng, max_features=3)
+            tree = _grow_one(X, y, None, 1, rng=rng, max_features=3)
             del X
             assert alive() is None
         finally:

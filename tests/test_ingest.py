@@ -433,7 +433,7 @@ class TestSynthCountry:
         cells = np.repeat(np.argwhere(g.mask), 6, axis=0)
         for s in series:
             assert np.array_equal(s.cells, cells)
-            assert s.samples.shape == (g.n_cells * 6,)
+            assert s.samples.shape == (g.mask.size * 6,)
             assert np.isfinite(s.samples).all()
 
     def test_planted_or_recovered_on_500_cells(self):
@@ -451,7 +451,7 @@ class TestSynthCountry:
         a = len(risk & hot_cells)
         b = len(risk - hot_cells)
         c = len(hot_cells - risk)
-        d = g.n_cells - a - b - c
+        d = g.mask.size - a - b - c
         got = odds_ratio(ContingencyTable(a, b, c, d))
         assert 10.0 <= got <= 40.0
 

@@ -1,0 +1,73 @@
+"""Layout checks over the package source.
+
+Dead code: every module-level function or class, and every method, in
+src/pcrisk must be referenced somewhere in src/pcrisk outside its own
+definition, by name or as an attribute. A name kept for callers outside
+the package goes on ALLOWED_UNREFERENCED with its reason.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pcrisk"
+
+#: definitions that no code in src/pcrisk references, and why they stay
+ALLOWED_UNREFERENCED = {
+    "logistic_loss_grad": "perfbench/layertrace.py wraps it by name to count gradient calls",
+    "mlp_loss_grad": "perfbench/layertrace.py wraps it by name to count gradient calls",
+    "load_model": "the public reader of the model.json that riskmap writes",
+}
+
+
+def _references(node: ast.AST) -> Counter:
+    """Every bare name and every attribute that node's code mentions,
+    counted, keyed ("name", id) and ("attr", attr)."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out["name", sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out["attr", sub.attr] += 1
+    return out
+
+
+def _definitions(tree: ast.Module):
+    """(name, node, is_method) of every module-level function or class and
+    every method, except dunder methods, which Python calls by protocol."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item.name, item, True
+
+
+def unreferenced(package: Path = PACKAGE) -> list[str]:
+    """module:name of every definition referenced only from within itself.
+    A method counts only attribute references (obj.name); a module-level
+    name counts bare names and attributes (module.name) alike."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    dead = []
+    for module, tree in trees.items():
+        for name, node, is_method in _definitions(tree):
+            kinds = ("attr",) if is_method else ("name", "attr")
+            own = _references(node)
+            if all(total[kind, name] == own[kind, name] for kind in kinds):
+                dead.append(f"{module}:{name}")
+    return dead
+
+
+def test_every_definition_is_referenced():
+    dead = [d for d in unreferenced() if d.split(":")[1] not in ALLOWED_UNREFERENCED]
+    assert dead == [], f"defined in src/pcrisk but never referenced there: {dead}"
+
+
+def test_allowed_names_are_defined():
+    defined = {name for path in PACKAGE.glob("*.py")
+               for name, _, _ in _definitions(ast.parse(path.read_text(encoding="utf-8")))}
+    assert set(ALLOWED_UNREFERENCED) <= defined

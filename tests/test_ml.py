@@ -16,10 +16,11 @@ from oracles import (
     grow_forest_per_node,
     grow_trees_copying,
     mlp_loss_grad_full,
+    predict_leaf,
     run_suite_sequential,
     scalar_best_stump,
 )
-from pcrisk.hypotheses import encode_columns, grow_forest, predict_leaf
+from pcrisk.hypotheses import encode_columns, grow_forest
 from test_hypotheses import _same_nodes
 from pcrisk import cli, ml
 from pcrisk.errors import (
@@ -485,18 +486,16 @@ class TestReferenceEquivalence:
         sw = _sample_weights(ds.y, class_weight)
         calls = []
         if kind == "LogisticRegression":
+            # the MLP with no hidden layer: the d weights, then the bias
             x0 = np.zeros(ds.X.shape[1] + 1)
-
-            def loss_grad(w):
-                calls.append(1)
-                return logistic_loss_grad(w, Z, ds.y, hp["l2"], sw)
+            shapes = [((ds.X.shape[1], 1), (1,))]
         else:
             sizes = [ds.X.shape[1], *hp["hidden"], 1]
             x0, shapes = _flatten_params(init_mlp_params(sizes, np.random.default_rng(3)))
 
-            def loss_grad(p):
-                calls.append(1)
-                return mlp_loss_grad_full(p, shapes, Z, ds.y, hp["l2"], sw)
+        def loss_grad(p):
+            calls.append(1)
+            return mlp_loss_grad_full(p, shapes, Z, ds.y, hp["l2"], sw)
         x, history = batch_gd_every_trial(loss_grad, x0, hp["lr"], hp["epochs"], hp["tol"])
         assert len(calls) > len(history)  # some line-search trials were rejected
         assert model.loss_history == history
@@ -537,8 +536,8 @@ class TestSuite:
     def test_eight_specs_eight_rows(self, small_country):
         _, _, _, _, rows = small_country
         report = run_suite(rows, default_suite(seed=0), 0.25, seed=0)
-        assert len(report.rows) == 8
-        assert [r.classifier for r in report.rows] == list(CLASSIFIER_KINDS)
+        assert len(report) == 8
+        assert [r.classifier for r in report] == list(CLASSIFIER_KINDS)
 
     def test_same_seed_identical_report(self, small_country):
         _, _, _, _, rows = small_country
@@ -568,11 +567,11 @@ class TestSuite:
             ClassifierSpec("MLP", {"class_weight": True}).resolved()
 
     def test_best_row_max_f1_ties_by_auc(self):
-        from pcrisk.ml import EvalReport, EvalRow
+        from pcrisk.ml import EvalRow
 
         rows = (EvalRow("A", 1, 1, 0.8, 0.7), EvalRow("B", 1, 1, 0.9, 0.6),
                 EvalRow("C", 1, 1, 0.9, 0.95))
-        assert best_row(EvalReport(rows=rows)).classifier == "C"
+        assert best_row(rows).classifier == "C"
 
     def test_csv_shape(self, small_country, tmp_path):
         _, _, _, _, rows = small_country
@@ -604,7 +603,7 @@ class TestSuite:
 def _report_bits(report):
     return [(r.classifier, *(None if v is None else float.hex(v)
                              for v in (r.precision, r.recall, r.f1, r.auc)))
-            for r in report.rows]
+            for r in report]
 
 
 def _assert_same_forests(X, y, hp: dict, seed: int) -> None:
@@ -689,7 +688,7 @@ class TestSuiteOnTwoThreads:
             _record_fits(monkeypatch, started)
             got = run_suite(small_country[4], specs, 0.25, seed=0)
             assert started == [(s.kind, True) for s in specs]
-            assert [r.classifier for r in got.rows] == [s.kind for s in specs]
+            assert [r.classifier for r in got] == [s.kind for s in specs]
             assert _report_bits(got) == want
 
     def test_each_index_runs_once_under_stress(self, small_country, monkeypatch):
