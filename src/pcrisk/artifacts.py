@@ -44,15 +44,22 @@ def write_json(path, doc, indent: int | None = None) -> None:
         fh.write(encode_json(doc, indent) + "\n")
 
 
-def read_json(path, what: str):
-    """The JSON document in path. A file that cannot be read or is not
-    UTF-8 JSON raises InvalidInputError naming `what` and the path."""
+def read_json(path, what: str, parse=None):
+    """The JSON document in path, or parse(document). A file that cannot be
+    read or is not UTF-8 JSON, or whose document parse fails on with a
+    KeyError, ValueError, TypeError or InvalidInputError, raises
+    InvalidInputError naming `what` and the path."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:  # a directory, say
         raise InvalidInputError(f"{what} {path} cannot be read ({exc.strerror or exc})") from None
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise InvalidInputError(f"{what} {path} is not valid JSON: {exc}") from None
+    try:
+        return doc if parse is None else parse(doc)
+    except (KeyError, ValueError, TypeError, InvalidInputError) as exc:
+        raise InvalidInputError(
+            f"{what} {path} is malformed ({type(exc).__name__}: {exc})") from None
 
 
 def write_table(path, header, rows) -> None:

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import features, grid as gridmod, hypotheses, ingest, ml, riskmap, stats
 from .artifacts import create, read_json, write_json
-from .errors import DegeneratePartitionError, InvalidInputError, PCRiskError, UndefinedTestError
+from .errors import (DegeneratePartitionError, InvalidInputError, PCRiskError, SchemaError,
+                     UndefinedTestError)
 
 _DEFAULTS = {
     "country": "Synthia",
@@ -73,11 +74,11 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def _convert(where: str, key: str, value, convert):
-    """convert(value), with a bad value reported as an input fault naming
-    where the config came from and the key."""
+    """convert(value), with a bad value, or a record that refuses it, reported
+    as an input fault naming where the config came from and the key."""
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, InvalidInputError) as exc:
         raise InvalidInputError(f"{where}: bad {key} {value!r} ({exc})") from None
 
 
@@ -85,17 +86,28 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
-def _integer(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("not an integer")
-    return int(value)
+def _count(least: int):
+    """The converter of integers >= least. A bool is refused, though int()
+    takes it as 0 or 1."""
+    def convert(value) -> int:
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError("not an integer")
+        if int(value) < least:
+            raise ValueError(f"must be >= {least}")
+        return int(value)
+    return convert
 
 
-def _seed(value) -> int:
-    seed = _integer(value)
-    if seed < 0:
-        raise ValueError("a seed must be non-negative")
-    return seed
+def _fraction(closed: bool):
+    """The converter of numbers in [0, 1] if closed, else in (0, 1)."""
+    def convert(value) -> float:
+        if isinstance(value, bool):
+            raise TypeError("not a number")
+        x = float(value)
+        if not (0.0 <= x <= 1.0 if closed else 0.0 < x < 1.0):
+            raise ValueError("must lie in [0, 1]" if closed else "must lie in (0, 1)")
+        return x
+    return convert
 
 
 def _text(value) -> str:
@@ -107,21 +119,22 @@ def _text(value) -> str:
 #: converters of the values in each config section; a key not listed here
 #: passes through as it is, except in the source's sub-objects
 _SECTIONS = {
-    "source": {"kind": _text, "months": _optional(_integer), "events_csv": _text,
+    "source": {"kind": _text, "months": _optional(_count(1)), "events_csv": _text,
                "series_csv": _text, "keyword_rules": _text},
-    "tree": {"max_depth": _optional(_integer), "min_leaf": _integer, "min_support": _integer,
-             "min_purity": float},
-    "ml": {"test_fraction": float},
-    "stats": {"bonferroni_m": _optional(_integer)},
+    "tree": {"max_depth": _optional(_count(1)), "min_leaf": _count(1),
+             "min_support": _count(0), "min_purity": _fraction(closed=True)},
+    "ml": {"test_fraction": _fraction(closed=False)},
+    "stats": {"bonferroni_m": _optional(_count(1))},
     "riskmap": {"model": _text},
 }
 #: the raw input files a files source may name, and what each holds
 _INPUT_FILES = {"events_csv": "events table", "series_csv": "series table",
                 "keyword_rules": "keyword rules"}
-#: converters of the keys of the source's sub-objects: the fields, all with a
-#: str or float default, of the records they become; no other key is allowed
-_SOURCE_RECORDS = {key: {f.name: _text if isinstance(f.default, str) else float
-                         for f in dataclasses.fields(record)}
+#: the records the source's sub-objects become, and the converters of their
+#: keys: the records' fields, all with a str or float default; no other key
+#: is allowed
+_SOURCE_RECORDS = {key: (record, {f.name: _text if isinstance(f.default, str) else float
+                                  for f in dataclasses.fields(record)})
                    for key, record in (("planted", ingest.PlantedEffect),
                                        ("event_schema", ingest.EventSchema))}
 
@@ -160,9 +173,10 @@ def resolve_config(args) -> RunConfig:
         raise InvalidInputError("a seed is required: set it in the config or pass --seed")
     sections = {key: _section(where, key, raw[key], conv) for key, conv in _SECTIONS.items()}
     src = sections["source"]
-    for key, converters in _SOURCE_RECORDS.items():
-        if src.get(key) is not None:
-            src[key] = _section(where, f"source.{key}", src[key], converters, strict=True)
+    for key, (record, converters) in _SOURCE_RECORDS.items():
+        doc = {} if src.get(key) is None else src[key]
+        doc = _section(where, f"source.{key}", doc, converters, strict=True)
+        src[key] = _convert(where, f"source.{key}", doc, lambda fields: record(**fields))
     if src.get("kind") == "files":
         for key in ("events_csv", "series_csv"):
             if key not in src:
@@ -174,8 +188,7 @@ def resolve_config(args) -> RunConfig:
     window_doc = raw["window"] if isinstance(raw["window"], dict) else {}
     start, end = (_convert(where, f"window.{k}", window_doc.get(k), dt.date.fromisoformat)
                   for k in ("start", "end"))
-    window = ingest.Window(start=start, end=end)
-    window.validate()
+    window = _convert(where, "window", raw["window"], lambda _: ingest.Window(start, end))
     bbox = _convert(where, "bbox", raw["bbox"],
                     lambda b: gridmod.BBox(*[float(v) for v in b]))
     out_dir = Path(args.out_dir)
@@ -185,7 +198,7 @@ def resolve_config(args) -> RunConfig:
         cell_km=_convert(where, "cell_km", raw["cell_km"], float),
         granularities=_convert(where, "granularities", raw["granularities"],
                                lambda gs: tuple(float(g) for g in gs)),
-        window=window, seed=_convert(where, "seed", raw["seed"], _seed), source=src,
+        window=window, seed=_convert(where, "seed", raw["seed"], _count(0)), source=src,
         tree=sections["tree"], ml=sections["ml"], stats=sections["stats"],
         riskmap=sections["riskmap"], out_dir=out_dir, raw=raw)
 
@@ -243,16 +256,17 @@ def _build(cfg: RunConfig, cell_km: float):
     src = cfg.source
     if src.get("kind", "synthetic") == "synthetic":
         months = cfg.window.months if src.get("months") is None else src["months"]
-        planted = ingest.PlantedEffect(**(src.get("planted") or {}))
         series, events = ingest.synth_country(
-            cfg.seed, g, months, planted, start=cfg.window.start, country=cfg.country)
+            cfg.seed, g, months, src["planted"], start=cfg.window.start, country=cfg.country)
     elif src["kind"] == "files":
-        schema = ingest.EventSchema(**(src.get("event_schema") or {}))
-        events = ingest.parse_events(src["events_csv"], schema)
+        events = ingest.parse_events(src["events_csv"], src["event_schema"])
         rules = (ingest.load_keyword_rules(src["keyword_rules"])
                  if "keyword_rules" in src else ingest.default_keyword_rules())
         events = ingest.filter_pastoral(events, cfg.window, rules)
-        series = ingest.parse_series(src["series_csv"], g)
+        try:
+            series = ingest.parse_series(src["series_csv"], g, cell_km=cfg.cell_km)
+        except SchemaError as exc:
+            raise SchemaError(f"source.series_csv: {exc}") from None
     else:
         raise InvalidInputError(f"unknown source kind {src.get('kind')!r}")
     edges = features.fit_bin_edges(series)
@@ -260,11 +274,16 @@ def _build(cfg: RunConfig, cell_km: float):
     return g, ds, edges
 
 
-def _load_dataset(cfg: RunConfig) -> features.Dataset:
-    path = cfg.out_dir / "dataset.csv"
+def _stage_output(cfg: RunConfig, name: str, stage: str) -> Path:
+    """The path of the artifact name that command stage writes, which must exist."""
+    path = cfg.out_dir / name
     if not path.exists():
-        raise InvalidInputError(f"{path} not found; run build-dataset first")
-    return features.load_dataset(path)
+        raise InvalidInputError(f"{path} not found; run {stage} first")
+    return path
+
+
+def _load_dataset(cfg: RunConfig) -> features.Dataset:
+    return features.load_dataset(_stage_output(cfg, "dataset.csv", "build-dataset"))
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +378,7 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, golden: bool,
         named = [(name, bh.predicate) for name, bh in hypotheses.builtin_hypotheses().items()
                  if only is None or name == only]
     else:
-        tree_path = cfg.out_dir / "tree.json"
-        if not tree_path.exists():
-            raise InvalidInputError(f"{tree_path} not found; run learn-tree first")
-        tree = hypotheses.load_tree(tree_path)
+        tree = hypotheses.load_tree(_stage_output(cfg, "tree.json", "learn-tree"))
         preds = hypotheses.extract_paths(tree, cfg.tree["min_support"], cfg.tree["min_purity"])
         named = [(f"Path{i + 1}", p) for i, p in enumerate(preds)]
     results = []
@@ -420,10 +436,7 @@ def cmd_train_suite(cfg: RunConfig) -> int:
 
 def cmd_riskmap(cfg: RunConfig) -> int:
     ds = _load_dataset(cfg)
-    grid_path = cfg.out_dir / "grid.json"
-    if not grid_path.exists():
-        raise InvalidInputError(f"{grid_path} not found; run build-dataset first")
-    g = gridmod.load_grid(grid_path)
+    g = gridmod.load_grid(_stage_output(cfg, "grid.json", "build-dataset"))
     spec = ml.ClassifierSpec(kind=cfg.riskmap["model"], seed=cfg.seed)
     model = ml.train(spec, ds)
     scores = ml.predict_proba(model, ds)

@@ -151,7 +151,6 @@ def count_events_per_cell(grid: Grid, events: list[ConflictEvent],
                           window: Window) -> np.ndarray:
     """Events per cell within the window; events outside the grid or the
     country mask are logged and skipped."""
-    window.validate()
     kept = [ev for ev in events if window.contains(ev.date)]
     row, col = cell_of(grid, [ev.lat for ev in kept], [ev.lon for ev in kept]).T
     on_mask = (row >= 0) & grid.mask[row, col]  # mask[-1, -1] is a real cell: row >= 0 drops it
@@ -200,7 +199,6 @@ def assemble_dataset(grid: Grid, series: list[VariableSeries],
     A cell without samples of a variable gets all-zero bins for it, and
     samples of cells off the grid or the mask are not binned.
     """
-    window.validate()
     if edges is None:
         edges = fit_bin_edges(series)
     # C-ordered, as the parse returns cells (argwhere's are Fortran-ordered),

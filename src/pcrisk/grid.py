@@ -36,7 +36,7 @@ class BBox:
     lat_max: float
     lon_max: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         vals = (self.lat_min, self.lon_min, self.lat_max, self.lon_max)
         if not all(math.isfinite(v) for v in vals):
             raise InvalidInputError(f"bbox coordinates must be finite, got {self}")
@@ -127,7 +127,6 @@ def build_grid(bbox: BBox, cell_km: float, mask_polygon=None) -> Grid:
     center falls inside the polygon, and a polygon with a non-finite vertex
     or that holds no cell center raises InvalidInputError.
     """
-    bbox.validate()
     if not (math.isfinite(cell_km) and cell_km > 0):
         raise InvalidInputError(f"cell_km must be positive and finite, got {cell_km}")
     anchor_lat = bbox.center[0]
@@ -212,8 +211,4 @@ def save_grid(grid: Grid, path) -> None:
 
 def load_grid(path) -> Grid:
     """Inverse of save_grid; a damaged file raises InvalidInputError naming it."""
-    doc = read_json(path, "grid")
-    try:
-        return Grid.from_dict(doc)
-    except (KeyError, ValueError, TypeError, InvalidInputError) as exc:
-        raise InvalidInputError(f"grid {path} is malformed ({type(exc).__name__}: {exc})") from None
+    return read_json(path, "grid", Grid.from_dict)

@@ -270,14 +270,19 @@ def _best_splits(codes: ColumnCodes, class1: np.ndarray, rows: np.ndarray, n: np
 
 def _exact_argmins(num: np.ndarray, den: np.ndarray, group: np.ndarray) -> np.ndarray:
     """For each run of equal values in group (ascending non-negative ints,
-    the nodes of a batch), the index of its first least num[i] / den[i],
-    compared exactly as _exact_argmin does.
+    the nodes of a batch), the index of its first least num[i] / den[i]
+    (non-negative int64 arrays, den > 0), compared exactly.
 
-    The float64 quotients shortlist each group's minima. Where a group
-    shortlists more than one candidate (on the demo, always exact ties),
-    the others are compared with its first by cross-multiplying in int64
-    when every product fits; a group where one of them is smaller exactly,
-    or where the products may not fit, goes through _exact_argmin.
+    The float64 quotients only shortlist each group's minima: num and den
+    round by at most half an ulp each when converted, and the division once
+    more, so every exact minimum's quotient is below m * (1 + 2**-50), m the
+    group's least quotient. Where a group shortlists more than one candidate
+    (on the demo, always exact ties), the others are compared with its first
+    by cross-multiplying in int64 when every product fits. A group where one
+    of them is smaller exactly, or where the products may not fit, compares
+    its shortlist by cross-multiplying in Python ints, so distinct rationals
+    that round to one double (1/3 and 6004799503160661/2**54) are still told
+    apart.
     """
     if len(num) == 0:
         return np.zeros(0, dtype=np.intp)
@@ -298,30 +303,9 @@ def _exact_argmins(num: np.ndarray, den: np.ndarray, group: np.ndarray) -> np.nd
         if int(num[near].max()) * int(den[near].max()) < 2 ** 63:
             doubt = doubt[num[rest] * den[head] < num[head] * den[rest]]
         for g in np.unique(doubt).tolist():
-            members = near[of == g]
-            best[g] = members[_exact_argmin(num[members], den[members])]
-    return best
-
-
-def _exact_argmin(num: np.ndarray, den: np.ndarray) -> int:
-    """First index of the least num[i] / den[i] (non-negative int64 arrays,
-    den > 0), compared exactly.
-
-    The float64 quotients only shortlist: num and den round by at most half
-    an ulp each when converted, and the division once more, so every exact
-    minimum's quotient is below m * (1 + 2**-50), m the least quotient.
-    The shortlist is then compared by cross-multiplying in Python ints, so
-    distinct rationals that round to one double (1/3 and
-    6004799503160661/2**54) are still told apart.
-    """
-    if len(num) == 1:
-        return 0
-    score = num / den
-    near = np.nonzero(score <= score.min() * (1.0 + 2.0 ** -50))[0]
-    best = int(near[0])
-    for i in near[1:]:
-        if int(num[i]) * int(den[best]) < int(num[best]) * int(den[i]):
-            best = int(i)
+            for i in near[of == g].tolist():
+                if int(num[i]) * int(den[best[g]]) < int(num[best[g]]) * int(den[i]):
+                    best[g] = i
     return best
 
 
@@ -747,11 +731,7 @@ def save_tree(node: TreeNode, path) -> None:
 
 def load_tree(path) -> TreeNode:
     """Inverse of save_tree; a damaged file raises InvalidInputError naming it."""
-    doc = read_json(path, "tree")
-    try:
-        return tree_from_dict(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidInputError(f"tree {path} is malformed ({type(exc).__name__}: {exc})") from None
+    return read_json(path, "tree", tree_from_dict)
 
 
 def write_hypothesis_csv(results, path) -> None:

@@ -49,7 +49,7 @@ class Window:
     start: dt.date
     end: dt.date
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.start > self.end:
             raise InvalidInputError(f"inverted window: {self.start} > {self.end}")
 
@@ -182,10 +182,12 @@ class KeywordRules:
     Patterns are regular expressions; plain substrings work as-is.
     """
 
-    include: tuple = ()
+    include: tuple
     exclude: tuple = ()
 
     def __post_init__(self):
+        if not self.include:
+            raise InvalidInputError("keyword rules must contain at least one include pattern")
         object.__setattr__(self, "_inc", tuple(re.compile(p, re.IGNORECASE) for p in self.include))
         object.__setattr__(self, "_exc", tuple(re.compile(p, re.IGNORECASE) for p in self.exclude))
 
@@ -229,11 +231,8 @@ def load_keyword_rules(path) -> KeywordRules:
 def filter_pastoral(events, window: Window, rules: KeywordRules | None = None) -> list[ConflictEvent]:
     """The events inside the window whose notes match the include rules
     and none of the exclude rules."""
-    window.validate()
     if rules is None:
         rules = default_keyword_rules()
-    if not rules.include:
-        raise InvalidInputError("keyword rules must contain at least one include pattern")
     return [ev for ev in events if window.contains(ev.date) and rules.matches(ev.notes)]
 
 
@@ -256,7 +255,8 @@ _STAMP_LO, _STAMP_HI = (np.frombuffer(b, dtype=np.uint8) for b in (b"0000-00-00\
                                                                    b"9999-99-99\0"))
 
 
-def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
+def parse_series(path, grid: Grid | None = None,
+                 cell_km: float | None = None) -> list[VariableSeries]:
     """Parse a series CSV into one record per variable that has rows, in
     VARIABLES order, its samples sorted by cell and then timestamp.
 
@@ -267,6 +267,9 @@ def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
     the file and line; a timestamp repeated in one cell, or a non-finite
     value, raises an error naming the cell and the variable; a lat/lon
     point outside the grid's bbox, one naming the file and the point.
+    cell_km is the edge of the cells that a cell-indexed file's rows and
+    cols number; such a file read for a grid of other cells raises
+    SchemaError.
 
     Plain files are parsed in C (_parse_series_c); any other file goes
     through csv.reader row by row, with the same result.
@@ -274,6 +277,9 @@ def parse_series(path, grid: Grid | None = None) -> list[VariableSeries]:
     path = Path(path)
     by_cell_layout, keys, values, n_skipped = (_parse_series_c(path, grid)
                                                or _parse_series_rows(path, grid))
+    if by_cell_layout and None not in (grid, cell_km) and grid.cell_km != cell_km:
+        raise SchemaError(f"series file {path} has the cell-indexed layout, which numbers "
+                          f"{cell_km:g} km cells; it cannot be read at {grid.cell_km:g} km")
     if n_skipped:
         log.warning("skipped %d row(s) of unknown variables in %s", n_skipped, path.name)
     if not by_cell_layout:  # variable indices and day ordinals are exact in float64
@@ -464,7 +470,7 @@ class PlantedEffect:
     regime_sd: float = 3.0
     extra_events_rate: float = 1.5  # Poisson rate on top of the first event
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.variable not in VARIABLES:
             raise InvalidInputError(f"unknown planted variable {self.variable!r}")
         for f in fields(self):
@@ -505,7 +511,6 @@ def synth_country(seed: int, grid: Grid, months: int,
     """
     if months < 1:
         raise InvalidInputError("months must be >= 1")
-    planted.validate()
     rng = np.random.default_rng(seed)
     cells = np.argwhere(grid.mask)
     n = len(cells)

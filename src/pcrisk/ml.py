@@ -51,11 +51,6 @@ from .hypotheses import (
     tree_to_dict,
 )
 
-CLASSIFIER_KINDS = (
-    "DecisionTree", "RandomForest", "AdaBoost", "LogisticRegression",
-    "LinearSVM", "GaussianNB", "MLP", "DeepNN",
-)
-
 _DEFAULT_HYPERPARAMS = {
     "DecisionTree": {"max_depth": 4, "min_leaf": 1},
     "RandomForest": {"n_estimators": 30, "max_depth": 12, "min_leaf": 1,
@@ -67,9 +62,10 @@ _DEFAULT_HYPERPARAMS = {
     "GaussianNB": {"var_smoothing": 1e-9},
     "MLP": {"hidden": (32,), "l2": 1e-4, "lr": 0.2, "epochs": 400, "tol": 1e-9,
             "class_weight": None, "patience": 20},
-    "DeepNN": {"hidden": (64, 64), "l2": 1e-4, "lr": 0.2, "epochs": 400, "tol": 1e-9,
-               "class_weight": None, "patience": 20},
 }
+_DEFAULT_HYPERPARAMS["DeepNN"] = {**_DEFAULT_HYPERPARAMS["MLP"], "hidden": (64, 64)}
+
+CLASSIFIER_KINDS = tuple(_DEFAULT_HYPERPARAMS)
 
 #: hyperparameters that take a positive integer, and the other values each allows
 _COUNT_HYPERPARAMS = {"n_estimators": (), "n_rounds": (), "patience": (None,),
@@ -194,14 +190,21 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 # models
 
 
-class TreeModel:
-    kind = "DecisionTree"
+class _Model:
+    """A classifier of one kind with its resolved hyperparameters and seed.
+    fit sets the state that state_dict returns and load_state restores."""
+
+    kind: str
 
     def __init__(self, hyperparams: dict, seed: int):
         self.hyperparams = hyperparams
         self.seed = seed
-        self.root: TreeNode | None = None
-        self.n_features = 0
+
+
+class TreeModel(_Model):
+    kind = "DecisionTree"
+    root: TreeNode
+    n_features: int
 
     def fit(self, X, y):
         self.n_features = X.shape[1]
@@ -221,14 +224,10 @@ class TreeModel:
         self.n_features = state["n_features"]
 
 
-class ForestModel:
+class ForestModel(_Model):
     kind = "RandomForest"
-
-    def __init__(self, hyperparams: dict, seed: int):
-        self.hyperparams = hyperparams
-        self.seed = seed
-        self.trees: list[TreeNode] = []
-        self.n_features = 0
+    trees: list[TreeNode]
+    n_features: int
 
     def _n_split_features(self, d: int) -> int | None:
         mf = self.hyperparams["max_features"]
@@ -265,15 +264,11 @@ class ForestModel:
         self.n_features = state["n_features"]
 
 
-class AdaBoostModel:
+class AdaBoostModel(_Model):
     kind = "AdaBoost"
-
-    def __init__(self, hyperparams: dict, seed: int):
-        self.hyperparams = hyperparams
-        self.seed = seed
-        self.stumps: list[tuple[int, float, int]] = []
-        self.alphas: list[float] = []
-        self.n_features = 0
+    stumps: list[tuple[int, float, int]]
+    alphas: list[float]
+    n_features: int
 
     def fit(self, X, y):
         self.n_features = X.shape[1]
@@ -375,7 +370,7 @@ class _StumpSearch:
         return (best[1], best[2], 1 if best[3] == 0 else -1)
 
 
-class _Standardising:
+class _Standardising(_Model):
     """A model that z-scores its inputs: fit keeps the per-feature mean and
     std of the rows it trains on, and predict_proba applies the same map
     (LeCun et al., Efficient BackProp, 1998, section 4.3). A feature that is
@@ -406,14 +401,10 @@ class _Standardising:
 
 class LogisticModel(_Standardising):
     kind = "LogisticRegression"
-
-    def __init__(self, hyperparams: dict, seed: int):
-        self.hyperparams = hyperparams
-        self.seed = seed
-        self.w: np.ndarray | None = None  # last entry is the bias
-        self.loss_history: list[float] = []
-        self.epochs = 0
-        self.stop: str | None = None  # see _batch_gd
+    w: np.ndarray  # last entry is the bias
+    loss_history: list[float]
+    epochs: int
+    stop: str  # see _batch_gd
 
     def fit(self, X, y):
         hp = self.hyperparams
@@ -443,12 +434,8 @@ class LogisticModel(_Standardising):
 
 class SvmModel(_Standardising):
     kind = "LinearSVM"
-
-    def __init__(self, hyperparams: dict, seed: int):
-        self.hyperparams = hyperparams
-        self.seed = seed
-        self.w: np.ndarray | None = None
-        self.b = 0.0
+    w: np.ndarray
+    b: float
 
     def fit(self, X, y):
         hp = self.hyperparams
@@ -493,15 +480,11 @@ class SvmModel(_Standardising):
         self._load_scaler(state)
 
 
-class NaiveBayesModel:
+class NaiveBayesModel(_Model):
     kind = "GaussianNB"
-
-    def __init__(self, hyperparams: dict, seed: int):
-        self.hyperparams = hyperparams
-        self.seed = seed
-        self.theta = None   # (2, d) class means
-        self.var = None     # (2, d) class variances
-        self.log_prior = None
+    theta: np.ndarray  # (2, d) class means
+    var: np.ndarray  # (2, d) class variances
+    log_prior: np.ndarray
 
     def fit(self, X, y):
         d = X.shape[1]
@@ -555,16 +538,11 @@ class MlpModel(_Standardising):
     step or the epoch cap."""
 
     kind = "MLP"
-
-    def __init__(self, hyperparams: dict, seed: int, kind: str = "MLP"):
-        self.kind = kind
-        self.hyperparams = hyperparams
-        self.seed = seed
-        self.layers: list[tuple[np.ndarray, np.ndarray]] = []  # (W, b) pairs
-        self.loss_history: list[float] = []
-        self.epochs = 0
-        self.best_epoch: int | None = None  # None: no held-out rows
-        self.stop: str | None = None  # see _batch_gd
+    layers: list[tuple[np.ndarray, np.ndarray]]  # (W, b) pairs
+    loss_history: list[float]
+    epochs: int
+    best_epoch: int | None  # None: no held-out rows
+    stop: str  # see _batch_gd
 
     def _held_out_rows(self, y) -> tuple[np.ndarray, np.ndarray | None]:
         """(training rows, held-out rows or None)."""
@@ -610,6 +588,12 @@ class MlpModel(_Standardising):
         self._load_scaler(state)
         self.epochs, self.stop = int(state["epochs"]), state["stop"]
         self.best_epoch = None if state["best_epoch"] is None else int(state["best_epoch"])
+
+
+class DeepNnModel(MlpModel):
+    """The MLP kind whose default hyperparameters give it two hidden layers."""
+
+    kind = "DeepNN"
 
 
 # ---------------------------------------------------------------------------
@@ -809,20 +793,12 @@ def _batch_gd(forward, x0, lr: float, epochs: int, tol: float, held_out_forward=
 # training façade
 
 
-_MODEL_CLASSES = {
-    "DecisionTree": TreeModel,
-    "RandomForest": ForestModel,
-    "AdaBoost": AdaBoostModel,
-    "LogisticRegression": LogisticModel,
-    "LinearSVM": SvmModel,
-    "GaussianNB": NaiveBayesModel,
-}
+_MODEL_CLASSES = {cls.kind: cls for cls in (TreeModel, ForestModel, AdaBoostModel, LogisticModel,
+                                             SvmModel, NaiveBayesModel, MlpModel, DeepNnModel)}
 
 
-def _new_model(spec: ClassifierSpec):
+def _new_model(spec: ClassifierSpec) -> _Model:
     hp = spec.resolved()
-    if spec.kind in ("MLP", "DeepNN"):
-        return MlpModel(hp, spec.seed, kind=spec.kind)
     return _MODEL_CLASSES[spec.kind](hp, spec.seed)
 
 
@@ -845,7 +821,7 @@ def predict_proba(model, ds: Dataset) -> np.ndarray:
 
 
 def save_model(model, spec: ClassifierSpec, path) -> None:
-    doc = {"kind": spec.kind, "hyperparams": _jsonable(spec.resolved()),
+    doc = {"kind": spec.kind, "hyperparams": spec.resolved(),
            "seed": spec.seed, "state": model.state_dict()}
     write_json(path, doc)
 
@@ -853,21 +829,15 @@ def save_model(model, spec: ClassifierSpec, path) -> None:
 def load_model(path):
     """(model, spec) saved by save_model; a damaged file raises
     InvalidInputError naming it."""
-    doc = read_json(path, "model")
-    try:
+    def parse(doc):
         spec = ClassifierSpec(kind=doc["kind"],
                               hyperparams=_tupled(doc["hyperparams"]),
                               seed=doc["seed"])
         model = _new_model(spec)
         model.load_state(doc["state"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidInputError(
-            f"model {path} is malformed ({type(exc).__name__}: {exc})") from None
-    return model, spec
+        return model, spec
 
-
-def _jsonable(hp: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in hp.items()}
+    return read_json(path, "model", parse)
 
 
 def _tupled(hp: dict) -> dict:

@@ -23,15 +23,18 @@ class RiskSurface:
     """Per-cell conflict probabilities on a grid."""
 
     grid: Grid
-    values: np.ndarray  # (n_rows, n_cols) floats in [0, 1]
+    values: np.ndarray  # (n_rows, n_cols) floats in [0, 1] on the mask, read-only
     model_id: str = ""
 
-    def validate(self) -> None:
-        if self.values.shape != (self.grid.n_rows, self.grid.n_cols):
+    def __post_init__(self):
+        values = np.asarray(self.values)
+        if values.shape != (self.grid.n_rows, self.grid.n_cols):
             raise InvalidInputError("values shape must match the grid")
-        masked = self.values[self.grid.mask]
+        masked = values[self.grid.mask]
         if masked.size and (np.min(masked) < 0.0 or np.max(masked) > 1.0):
             raise ValidationError("risk values must lie in [0, 1]")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 def risk_color(risk: float) -> str:
@@ -72,7 +75,6 @@ def render_geojson(surface: RiskSurface, path) -> None:
     fixed template. A model scores many cells alike, so each distinct risk
     is also colored once.
     """
-    surface.validate()
     g = surface.grid
     cells = np.argwhere(g.mask)
     risks = surface.values[g.mask]
@@ -86,7 +88,6 @@ def render_geojson(surface: RiskSurface, path) -> None:
 def render_pgm(surface: RiskSurface, path) -> None:
     """Binary (P5) graymap, one pixel per cell, intensity round(255 * risk),
     northernmost grid row first; cells outside the mask render black."""
-    surface.validate()
     g = surface.grid
     shades = np.rint(255.0 * np.where(g.mask, surface.values, 0.0)).astype(np.uint8)
     with create(path, binary=True) as fh:
@@ -96,7 +97,6 @@ def render_pgm(surface: RiskSurface, path) -> None:
 
 def render_csv(surface: RiskSurface, path) -> None:
     """row,col,risk for every masked cell."""
-    surface.validate()
     g = surface.grid
     write_table(path, ["row", "col", "risk"],
                 ([row, col, risk] for (row, col), risk in

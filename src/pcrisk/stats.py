@@ -51,7 +51,7 @@ class ContingencyTable:
     c: int
     d: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if min(self.a, self.b, self.c, self.d) < 0:
             raise InvalidInputError(f"negative cell in contingency table {self}")
         if self.total == 0:
@@ -174,7 +174,6 @@ def fisher_exact(t: ContingencyTable) -> float:
     """Two-sided Fisher exact p: the sum of hypergeometric probabilities of
     all tables with the observed margins whose point probability does not
     exceed the observed one (relative tie tolerance 1e-7)."""
-    t.validate()
     r1, r2 = t.n_in, t.n_out
     c1, c2 = t.a + t.c, t.b + t.d
     if min(r1, r2, c1, c2) == 0:
@@ -200,14 +199,12 @@ def fisher_exact(t: ContingencyTable) -> float:
 def odds_ratio(t: ContingencyTable) -> float:
     """(a*d)/(b*c); tables with a zero cell get the Haldane-Anscombe +0.5
     applied to every cell."""
-    t.validate()
     a, b, c, d = _maybe_corrected_cells(t)
     return (a * d) / (b * c)
 
 
 def woolf_ci(t: ContingencyTable, alpha: float = 0.05) -> tuple[float, float]:
     """Logit-scale normal-approximation CI for the odds ratio."""
-    t.validate()
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
     a, b, c, d = _maybe_corrected_cells(t)

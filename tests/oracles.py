@@ -40,7 +40,7 @@ from pcrisk.errors import (
 )
 from pcrisk.features import FEATURE_NAMES, HIST_FEATURE_NAMES
 from pcrisk.grid import Grid, cell_of
-from pcrisk.hypotheses import MAX_CART_ROWS, TreeNode, _exact_argmin
+from pcrisk.hypotheses import MAX_CART_ROWS, TreeNode
 from pcrisk.ingest import VARIABLES, VariableSeries, _open_csv
 from pcrisk.ml import metrics, predict_proba, split, train
 from pcrisk.riskmap import risk_color
@@ -176,6 +176,11 @@ def same_tree(node, oracle) -> bool:
 # CART that copies each node's rows and sorts every scored column
 
 
+def exact_argmin(num: np.ndarray, den: np.ndarray) -> int:
+    """First index of the least num[i] / den[i], compared as exact fractions."""
+    return min(range(len(num)), key=lambda i: Fraction(int(num[i]), int(den[i])))
+
+
 def best_split_sorted(Xs: np.ndarray, y: np.ndarray, min_leaf: int,
                       feature_ids: np.ndarray) -> tuple[int, float] | None:
     """Split minimizing weighted gini impurity, or None.
@@ -186,7 +191,7 @@ def best_split_sorted(Xs: np.ndarray, y: np.ndarray, min_leaf: int,
     each feature. A candidate's score
     is the rational N/D with integers N = (nL^2 - aL^2 - bL^2)*nR +
     (nR^2 - aR^2 - bR^2)*nL and D = nL*nR, where N <= n^3/8 fits int64 for
-    n < MAX_CART_ROWS. The least score is found exactly (_exact_argmin);
+    n < MAX_CART_ROWS. The least score is found exactly (exact_argmin);
     ties go to the lowest feature index, then the lowest threshold.
     """
     n = len(y)
@@ -207,7 +212,7 @@ def best_split_sorted(Xs: np.ndarray, y: np.ndarray, min_leaf: int,
     aR = cum1[row, -1].astype(np.int64) - aL
     bR = nR - aR
     num = (nL * nL - aL * aL - bL * bL) * nR + (nR * nR - aR * aR - bR * bR) * nL
-    k = _exact_argmin(num, nL * nR)
+    k = exact_argmin(num, nL * nR)
     r, i = int(row[k]), int(pos[k])
     return int(feature_ids[r]), float((xs[r, i] + xs[r, i + 1]) / 2.0)
 
@@ -365,7 +370,7 @@ def best_split_per_node(codes: RankCodes, y: np.ndarray, rows: np.ndarray, min_l
     A candidate's score is the rational N/D with integers N = (nL^2 - aL^2
     - bL^2)*nR + (nR^2 - aR^2 - bR^2)*nL and D = nL*nR, where N <= n^3/8
     fits int64 for n < MAX_CART_ROWS. The least score is found exactly
-    (_exact_argmin); ties go to the lowest feature index, then the lowest
+    (exact_argmin); ties go to the lowest feature index, then the lowest
     threshold.
     """
     n = len(rows)
@@ -398,7 +403,7 @@ def best_split_per_node(codes: RankCodes, y: np.ndarray, rows: np.ndarray, min_l
     aR = n1 - aL
     bR = nR - aR
     num = (nL * nL - aL * aL - bL * bL) * nR + (nR * nR - aR * aR - bR * bR) * nL
-    k = int(cand[_exact_argmin(num, nL * nR)])
+    k = int(cand[exact_argmin(num, nL * nR)])
     c = int(col[k])
     feature = int(feature_ids[c])
     lo, hi = present[k] - starts[c], present[k + 1] - starts[c]
@@ -772,7 +777,6 @@ def render_geojson_document(surface, path) -> None:
     Rings are counterclockwise (lon, lat), per RFC 7946. A model scores
     many cells alike, so each distinct risk is colored once.
     """
-    surface.validate()
     g = surface.grid
     cells = np.argwhere(g.mask)
     bounds = (b.tolist() for b in g.cell_bounds(cells))

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import count_parses
 from pcrisk import cli, errors, features
 from pcrisk.cli import main
-from pcrisk.ingest import VARIABLES
+from pcrisk.grid import BBox, build_grid
+from pcrisk.ingest import VARIABLES, PlantedEffect, synth_country
 
 
 def _cfg(tmp_path, **overrides) -> str:
@@ -94,7 +95,25 @@ class TestBuildDataset:
         ({"bbox": [0.0, 10.0, 4.5]}, "bbox"),
         ("{\"seed\": 7,", "not valid JSON"),
         ({"cell_km": "abc"}, "cell_km"),
-    ], ids=["window_month_13", "bbox_three_numbers", "malformed_json", "cell_km_text"])
+        # int() and float() take a bool as 0 or 1
+        ({"tree": {"max_depth": True}}, "tree.max_depth"),
+        ({"source": {"kind": "synthetic", "months": True}}, "source.months"),
+        # out of range: once refused by a later stage without the file or the
+        # key, or not at all
+        ({"source": {"kind": "synthetic", "months": 0}}, "source.months"),
+        ({"tree": {"max_depth": 0}}, "tree.max_depth"),
+        ({"tree": {"min_leaf": 0}}, "tree.min_leaf"),
+        ({"stats": {"bonferroni_m": 0}}, "stats.bonferroni_m"),
+        ({"ml": {"test_fraction": 1.5}}, "ml.test_fraction"),
+        ({"bbox": [4.5, 10.0, 0.0, 14.5]}, "bbox"),
+        ({"window": {"start": "2016-06-30", "end": "2015-01-01"}}, "window"),
+        ({"source": {"kind": "synthetic", "planted": {"base_rate": 1.5}}}, "source.planted"),
+        ({"tree": {"min_purity": 1.5}}, "tree.min_purity"),
+        ({"tree": {"min_support": -3}}, "tree.min_support"),
+    ], ids=["window_month_13", "bbox_three_numbers", "malformed_json", "cell_km_text",
+            "max_depth_true", "months_true", "months_zero", "max_depth_zero", "min_leaf_zero",
+            "bonferroni_m_zero", "test_fraction_above_1", "bbox_degenerate", "window_inverted",
+            "planted_base_rate_above_1", "min_purity_above_1", "min_support_negative"])
     def test_config_fault_exits_3(self, tmp_path, capsys, fault, key):
         if isinstance(fault, str):
             cfg = tmp_path / "config.json"
@@ -485,6 +504,15 @@ class TestPipelineCommands:
         lines = (out / "hypotheses_golden.csv").read_text().splitlines()
         assert len(lines) == 9
 
+    def test_golden_mode_refuses_a_degenerate_bbox(self, tmp_path, capsys):
+        # --golden builds no grid, so it once ran on such a config and exited 0
+        cfg = _cfg(tmp_path, bbox=[0.0, 14.5, 4.5, 10.0])
+        out = tmp_path / "golden"
+        assert _run("eval-hypotheses", "--golden", "--config", cfg, "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "config.json" in err and "bbox" in err, err
+        assert not out.exists()
+
     def test_unknown_hypothesis_usage_error(self, tmp_path):
         cfg = _cfg(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -812,6 +840,40 @@ class TestTrainSuite:
         assert _run("train-suite", "--config", cfg, "--out-dir", str(out)) == 3
         assert "class_weight 'foo'" in capsys.readouterr().err
         assert not list(out.glob("suite_*.csv"))
+
+    def test_cell_indexed_series_only_at_cell_km(self, tmp_path, capsys):
+        # cell_row,cell_col number the cells of cell_km; at 75 km they were
+        # once read as the 75 km grid's cells, while the labels came from the
+        # events' coordinates. The centres of the 100 km cells inside the
+        # bbox, 100 km apart, fall in distinct cells at every granularity.
+        g = build_grid(BBox(0.0, 10.0, 4.5, 14.5), 100.0)
+        series, events = synth_country(7, g, 18, PlantedEffect(odds_ratio=40.0, base_rate=0.1))
+        lat_s, lon_w, lat_n, lon_e = g.cell_bounds(series[0].cells)
+        lat, lon = (lat_s + lat_n) / 2, (lon_w + lon_e) / 2
+        inside = ((lat < 4.5) & (lon < 14.5)).tolist()
+        stamps = [f"{2015 + m // 12}-{m % 12 + 1:02d}-01" for m in range(18)]
+        events_csv = _write_csv(tmp_path / "events.csv", _events_table()[:1] + [
+            [ev.date.isoformat(), repr(ev.lat), repr(ev.lon), ev.country, ev.notes]
+            for ev in events])
+        layouts = {"cells": (["cell_row", "cell_col"], series[0].cells.tolist()),
+                   "latlon": (["lat", "lon"], np.column_stack([lat, lon]).tolist())}
+        for layout, (head, where) in layouts.items():
+            rows = [[*head, "variable", "timestamp", "value"]]
+            for s in series:
+                rows += [[*at, s.variable, stamps[i % 18], repr(v)] for i, (at, v, keep)
+                         in enumerate(zip(where, s.samples.tolist(), inside)) if keep]
+            (tmp_path / layout).mkdir()
+            series_csv = _write_csv(tmp_path / layout / "series.csv", rows)
+            layouts[layout] = _cfg(tmp_path / layout, granularities=[100, 75, 50], source={
+                "kind": "files", "events_csv": str(events_csv), "series_csv": str(series_csv)})
+        capsys.readouterr()
+        out = tmp_path / "suite"
+        assert _run("train-suite", "--config", layouts["cells"], "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "source.series_csv" in err and "cell-indexed" in err and "75 km" in err, err
+        assert _run("train-suite", "--config", layouts["latlon"], "--out-dir", str(out)) == 0
+        assert [p.name for p in sorted(out.glob("suite_*.csv"))] == [
+            "suite_100km.csv", "suite_50km.csv", "suite_75km.csv"]
 
     def test_identical_rerun(self, tmp_path):
         cfg = _cfg(tmp_path, granularities=[100])

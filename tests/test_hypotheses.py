@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    exact_argmin,
     exhaustive_cart,
     grow_tree_copying,
     grow_trees_copying,
@@ -30,7 +31,6 @@ from pcrisk.hypotheses import (
     train_cart,
     tree_to_dot,
     _best_splits,
-    _exact_argmin,
     encode_columns,
     grow_forest,
     midpoint,
@@ -152,21 +152,25 @@ class TestTrainCart:
                                                   want["threshold"]), trial
 
     def test_exact_argmin_separates_float_ties(self):
+        def argmin(num, den):  # _exact_argmins over one group
+            return int(hypotheses._exact_argmins(np.asarray(num), np.asarray(den),
+                                                 np.zeros(len(num), dtype=np.int64))[0])
+
         # 1/3 rounds to 6004799503160661 / 2**54, which is smaller exactly
         num = np.array([1, 6004799503160661], dtype=np.int64)
         den = np.array([3, 2 ** 54], dtype=np.int64)
         assert num[0] / den[0] == num[1] / den[1]
-        assert _exact_argmin(num, den) == 1
-        assert _exact_argmin(num[::-1].copy(), den[::-1].copy()) == 0
+        assert argmin(num, den) == 1
+        assert argmin(num[::-1].copy(), den[::-1].copy()) == 0
         # beyond 2**53 the int64 -> float64 conversion rounds, and the float
         # quotients can even reverse the exact order
         num = np.array([13305283907666136, 37637270992633564], dtype=np.int64)
         den = np.array([327, 925], dtype=np.int64)
         assert num[0] / den[0] < num[1] / den[1]
         assert 37637270992633564 * 327 < 13305283907666136 * 925
-        assert _exact_argmin(num, den) == 1
+        assert argmin(num, den) == 1
         # an exact tie keeps the first index, i.e. the lower feature/threshold
-        assert _exact_argmin(np.array([5, 2, 1]), np.array([6, 6, 3])) == 1
+        assert argmin(np.array([5, 2, 1]), np.array([6, 6, 3])) == 1
 
     @pytest.mark.parametrize("num, den, group, want", [
         # a float tie broken in int64, an exact tie and a run of one candidate
@@ -183,7 +187,7 @@ class TestTrainCart:
         assert got.tolist() == want
         for i in want:
             run = np.flatnonzero(group == group[i])
-            assert run[_exact_argmin(num[run], den[run])] == i
+            assert run[exact_argmin(num[run], den[run])] == i
         assert len(hypotheses._exact_argmins(num[:0], den[:0], group[:0])) == 0
 
     def test_row_limit(self, monkeypatch):

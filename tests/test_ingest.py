@@ -139,6 +139,10 @@ class TestFilterPastoral:
         rules = KeywordRules(include=("cattle",), exclude=("cattle market",))
         assert filter_pastoral([_ev("cattle market price dispute")], WINDOW, rules) == []
 
+    def test_rules_without_include_rejected(self):
+        with pytest.raises(InvalidInputError, match="include"):
+            KeywordRules(include=(), exclude=("market",))
+
     def test_inverted_window_rejected(self):
         with pytest.raises(InvalidInputError):
             filter_pastoral([], Window(dt.date(2020, 1, 1), dt.date(2015, 1, 1)))
@@ -419,12 +423,11 @@ class TestSynthCountry:
         ("odds_ratio", float("nan"), 1e300), ("low_mean", float("nan"), -1e300),
         ("high_mean", float("inf"), 1e300)])
     def test_unusable_planted_value_rejected(self, name, bad, edge):
-        planted = PlantedEffect(**{name: bad})
         with pytest.raises(InvalidInputError, match=name):
-            planted.validate()
+            PlantedEffect(**{name: bad})
         with pytest.raises(InvalidInputError, match=name):
-            synth_country(5, square_grid(4, 4), 6, planted)
-        PlantedEffect(**{name: edge}).validate()  # the closest usable value passes
+            synth_country(5, square_grid(4, 4), 6, PlantedEffect(**{name: bad}))
+        PlantedEffect(**{name: edge})  # the closest usable value passes
 
     def test_all_variables_emitted_and_valid(self):
         g = square_grid(4, 4)

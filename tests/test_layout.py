@@ -71,3 +71,13 @@ def test_allowed_names_are_defined():
     defined = {name for path in PACKAGE.glob("*.py")
                for name, _, _ in _definitions(ast.parse(path.read_text(encoding="utf-8")))}
     assert set(ALLOWED_UNREFERENCED) <= defined
+
+
+def test_no_class_defines_validate():
+    # a record checks itself in __post_init__, so no caller can forget to
+    classes = [f"{path.stem}:{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(item, ast.FunctionDef) and item.name == "validate"
+                       for item in node.body)]
+    assert classes == [], f"classes in src/pcrisk with a validate method: {classes}"
