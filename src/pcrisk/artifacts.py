@@ -48,16 +48,17 @@ def read_json(path, what: str, parse=None):
     """The JSON document in path, or parse(document). A file that cannot be
     read or is not UTF-8 JSON, or whose document parse fails on with a
     KeyError, ValueError, TypeError or InvalidInputError, raises
-    InvalidInputError naming `what` and the path."""
+    InvalidInputError naming `what` and the path; so does a document nested
+    too deep for json or parse to recurse through (RecursionError)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:  # a directory, say
         raise InvalidInputError(f"{what} {path} cannot be read ({exc.strerror or exc})") from None
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise InvalidInputError(f"{what} {path} is not valid JSON: {exc}") from None
     try:
         return doc if parse is None else parse(doc)
-    except (KeyError, ValueError, TypeError, InvalidInputError) as exc:
+    except (KeyError, ValueError, TypeError, InvalidInputError, RecursionError) as exc:
         raise InvalidInputError(
             f"{what} {path} is malformed ({type(exc).__name__}: {exc})") from None
 

@@ -102,6 +102,11 @@ class HypothesisPredicate:
 
 #: row limit below which every split score's integer numerator fits int64
 MAX_CART_ROWS = 2 ** 22
+#: depth limit of a tree. A tree this deep saves, reloads and is walked
+#: recursively (tree_to_dict, json, tree_to_dot, extract_paths) under
+#: Python's default recursion limit of 1000; a 1,000-level chain does not,
+#: and the margin leaves room for the callers' frames
+MAX_TREE_DEPTH = 500
 
 
 def midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -348,7 +353,9 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
     does, and holds no more distinct (node, column, value) triples than a
     root scoring k columns can, n x k, by gathering no more entries or
     counting no more bins than that. The rows of each node that splits go
-    to its children with one comparison and a stable regrouping.
+    to its children with one comparison and a stable regrouping. A split
+    whose children would lie deeper than MAX_TREE_DEPTH raises
+    InvalidInputError.
     """
     _check_count("max_depth", max_depth, none_ok=True)
     _check_count("min_leaf", min_leaf, none_ok=False)
@@ -399,6 +406,9 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
             batch = rows[rows_end[a] - nb[0]:rows_end[b - 1]]
             split, feature, lo, threshold, n_left, n_left1 = _best_splits(
                 codes, class1, batch, nb, nb1, min_leaf, None if fids is None else fids[a:b])
+            if depth > MAX_TREE_DEPTH and split.size:
+                raise InvalidInputError(f"a tree would grow past depth {MAX_TREE_DEPTH}; "
+                                        f"set max_depth to at most {MAX_TREE_DEPTH}")
             # batch node j's children are 2j (left) and 2j + 1 (right)
             child_n = np.zeros((b - a, 2), dtype=np.int64)
             child_n1 = np.zeros_like(child_n)

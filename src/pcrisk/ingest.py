@@ -179,7 +179,9 @@ def parse_events(path, schema: EventSchema = EventSchema()) -> list[ConflictEven
 class KeywordRules:
     """Case-insensitive include/exclude patterns over the notes column.
 
-    Patterns are regular expressions; plain substrings work as-is.
+    Patterns are regular expressions; plain substrings work as-is. An empty
+    include, or a pattern that does not compile, raises InvalidInputError
+    naming the key.
     """
 
     include: tuple
@@ -187,14 +189,19 @@ class KeywordRules:
 
     def __post_init__(self):
         if not self.include:
-            raise InvalidInputError("keyword rules must contain at least one include pattern")
-        object.__setattr__(self, "_inc", tuple(re.compile(p, re.IGNORECASE) for p in self.include))
-        object.__setattr__(self, "_exc", tuple(re.compile(p, re.IGNORECASE) for p in self.exclude))
+            raise InvalidInputError("'include' must hold at least one pattern")
+        for key in ("include", "exclude"):
+            try:
+                compiled = tuple(re.compile(p, re.IGNORECASE) for p in getattr(self, key))
+            except re.error as exc:
+                raise InvalidInputError(
+                    f"{key!r} pattern {exc.pattern!r} does not compile ({exc})") from None
+            object.__setattr__(self, f"_{key}", compiled)
 
     def matches(self, notes: str) -> bool:
-        if not any(rx.search(notes) for rx in self._inc):
+        if not any(rx.search(notes) for rx in self._include):
             return False
-        return not any(rx.search(notes) for rx in self._exc)
+        return not any(rx.search(notes) for rx in self._exclude)
 
 
 def default_keyword_rules() -> KeywordRules:
@@ -204,9 +211,9 @@ def default_keyword_rules() -> KeywordRules:
 
 
 def load_keyword_rules(path) -> KeywordRules:
-    """Rules from a JSON object with a non-empty 'include' list and an
-    optional 'exclude' list of regular expressions; a fault in the file
-    raises SchemaError or InvalidInputError naming the file and the key."""
+    """Rules from a JSON object with an 'include' list and an optional
+    'exclude' list of regular expressions; a fault in the file raises
+    SchemaError or InvalidInputError naming the file and the key."""
     d = read_json(path, "keyword rules")
     if not isinstance(d, dict):
         raise SchemaError(f"keyword rules {path} must hold a JSON object")
@@ -215,17 +222,11 @@ def load_keyword_rules(path) -> KeywordRules:
         patterns = d.get(key, [])
         if not (isinstance(patterns, list) and all(isinstance(p, str) for p in patterns)):
             raise SchemaError(f"keyword rules {path}: {key!r} must be a list of strings")
-        for p in patterns:
-            try:
-                re.compile(p, re.IGNORECASE)
-            except re.error as exc:
-                raise InvalidInputError(
-                    f"keyword rules {path}: {key!r} pattern {p!r} does not compile ({exc})"
-                ) from None
         rules[key] = tuple(patterns)
-    if not rules["include"]:
-        raise SchemaError(f"keyword rules {path} must define a non-empty 'include' list")
-    return KeywordRules(**rules)
+    try:
+        return KeywordRules(**rules)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"keyword rules {path}: {exc}") from None
 
 
 def filter_pastoral(events, window: Window, rules: KeywordRules | None = None) -> list[ConflictEvent]:
@@ -264,12 +265,13 @@ def parse_series(path, grid: Grid | None = None,
     requires a grid to map coordinates through cell_of); both need a
     'variable' column. Rows of other variables are skipped and counted in
     a warning. A field that does not parse raises InvalidInputError naming
-    the file and line; a timestamp repeated in one cell, or a non-finite
-    value, raises an error naming the cell and the variable; a lat/lon
-    point outside the grid's bbox, one naming the file and the point.
-    cell_km is the edge of the cells that a cell-indexed file's rows and
-    cols number; such a file read for a grid of other cells raises
-    SchemaError.
+    the file and line; a timestamp repeated in one cell of a cell-indexed
+    file or at one point of a lat/lon file, or a non-finite value, raises
+    an error naming the cell or point and the variable; a lat/lon point
+    outside the grid's bbox, one naming the file and the point. Distinct
+    lat/lon points in one cell pool their samples. cell_km is the edge of
+    the cells that a cell-indexed file's rows and cols number; such a file
+    read for a grid of other cells raises SchemaError.
 
     Plain files are parsed in C (_parse_series_c); any other file goes
     through csv.reader row by row, with the same result.
@@ -282,22 +284,26 @@ def parse_series(path, grid: Grid | None = None,
                           f"{cell_km:g} km cells; it cannot be read at {grid.cell_km:g} km")
     if n_skipped:
         log.warning("skipped %d row(s) of unknown variables in %s", n_skipped, path.name)
-    if not by_cell_layout:  # variable indices and day ordinals are exact in float64
-        cells = cell_of(grid, keys[:, 1], keys[:, 2])
-        for lat, lon in keys[cells[:, 0] < 0, 1:3].tolist()[:1]:
-            raise OutOfBoundsError(f"{path}: point ({lat}, {lon}) outside grid bbox")
-        keys = np.hstack([keys[:, :1], cells, keys[:, 3:]]).astype(np.int64)
     values = np.array(values)
     if not _rows_sorted(keys):  # lexsort is stable, so sorted keys keep their order
         order = np.lexsort(keys.T[::-1])
         keys, values = keys[order], values[order]
+    place = "cell ({},{})" if by_cell_layout else "point ({}, {})"
     for bad, error, what in (((keys[1:] == keys[:-1]).all(axis=1), DuplicateTimestampError,
                               "timestamp repeated"),
                              (~np.isfinite(values), InvalidInputError, "non-finite value")):
         if bad.any():
-            vi, r, c, day = keys[bad.argmax()].tolist()
-            raise error(f"{path}: cell ({r},{c}) variable {VARIABLES[vi]} at "
-                        f"{dt.date.fromordinal(day)}: {what}")
+            vi, a, b, day = keys[bad.argmax()].tolist()
+            raise error(f"{path}: {place.format(a, b)} variable {VARIABLES[int(vi)]} at "
+                        f"{dt.date.fromordinal(int(day))}: {what}")
+    if not by_cell_layout:  # variable indices and day ordinals are exact in float64
+        cells = cell_of(grid, keys[:, 1], keys[:, 2])
+        for lat, lon in keys[cells[:, 0] < 0, 1:3].tolist()[:1]:
+            raise OutOfBoundsError(f"{path}: point ({lat}, {lon}) outside grid bbox")
+        # the points of one cell pool their samples, ordered by point within a timestamp
+        keys = np.hstack([keys[:, :1], cells, keys[:, 3:]]).astype(np.int64)
+        order = np.lexsort(keys.T[::-1])
+        keys, values = keys[order], values[order]
     bounds = np.searchsorted(keys[:, 0], np.arange(len(VARIABLES) + 1))
     return [VariableSeries(var, keys[a:b, 1:3], values[a:b])
             for var, a, b in zip(VARIABLES, bounds[:-1], bounds[1:]) if b > a]

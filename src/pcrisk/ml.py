@@ -2,7 +2,8 @@
 and conflict-class evaluation metrics.
 
 Models are trained from scratch on numpy so every run is deterministic for
-a fixed seed and all models serialize to JSON:
+a fixed seed. A model's model.json state is its annotated instance
+attributes, encoded by one codec (_Model.state_dict, _Model.load_state):
 
 * DecisionTree      - the CART from the hypotheses module
 * RandomForest      - bagged CARTs with per-split feature subsampling
@@ -28,7 +29,10 @@ and back-propagation arrays once per fit, and the AdaBoost stump search its
 from __future__ import annotations
 
 import math
+import types
+import typing
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -192,36 +196,74 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 
 class _Model:
     """A classifier of one kind with its resolved hyperparameters and seed.
-    fit sets the state that state_dict returns and load_state restores."""
+    Its state is its annotated instance attributes, which fit sets:
+    state_dict encodes them for model.json (_to_json) and load_state
+    decodes each by its annotation (_from_json)."""
 
-    kind: str
+    kind: ClassVar[str]
 
     def __init__(self, hyperparams: dict, seed: int):
         self.hyperparams = hyperparams
         self.seed = seed
 
+    @classmethod
+    def _state_hints(cls) -> dict:
+        """The annotation of each state attribute, by name."""
+        return {name: hint for name, hint in typing.get_type_hints(cls).items()
+                if typing.get_origin(hint) is not ClassVar}
+
+    def state_dict(self) -> dict:
+        return {name: _to_json(getattr(self, name)) for name in self._state_hints()}
+
+    def load_state(self, state: dict) -> None:
+        for name, hint in self._state_hints().items():
+            setattr(self, name, _from_json(hint, state[name]))
+
+
+def _to_json(value):
+    """A state value as JSON data: an array or a tuple becomes a list, and a
+    TreeNode goes through tree_to_dict."""
+    if isinstance(value, TreeNode):
+        return tree_to_dict(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _from_json(hint, value):
+    """The state value annotated hint that _to_json encoded as value: an
+    np.ndarray is a float array, list[T] and tuple[...] are decoded item by
+    item, T | None is None or a T, and any other T is T(value)."""
+    args = typing.get_args(hint)
+    if hint is np.ndarray:
+        return np.asarray(value, dtype=float)
+    if hint is TreeNode:
+        return tree_from_dict(value)
+    if typing.get_origin(hint) is list:
+        return [_from_json(args[0], v) for v in value]
+    if typing.get_origin(hint) is tuple:
+        return tuple(_from_json(h, v) for h, v in zip(args, value, strict=True))
+    if isinstance(hint, types.UnionType):  # T | None
+        return None if value is None else _from_json(args[0], value)
+    return hint(value)
+
 
 class TreeModel(_Model):
     kind = "DecisionTree"
-    root: TreeNode
+    tree: TreeNode
     n_features: int
 
     def fit(self, X, y):
         self.n_features = X.shape[1]
-        self.root = grow_tree(X, y, self.hyperparams["max_depth"],
+        self.tree = grow_tree(X, y, self.hyperparams["max_depth"],
                               self.hyperparams["min_leaf"])
         return self
 
     def predict_proba(self, X):
         _check_dim(X, self.n_features)
-        return leaf_purity(self.root, X)
-
-    def state_dict(self):
-        return {"tree": tree_to_dict(self.root), "n_features": self.n_features}
-
-    def load_state(self, state):
-        self.root = tree_from_dict(state["tree"])
-        self.n_features = state["n_features"]
+        return leaf_purity(self.tree, X)
 
 
 class ForestModel(_Model):
@@ -254,14 +296,6 @@ class ForestModel(_Model):
         for tree in self.trees:
             acc += leaf_purity(tree, X)
         return acc / len(self.trees)
-
-    def state_dict(self):
-        return {"trees": [tree_to_dict(t) for t in self.trees],
-                "n_features": self.n_features}
-
-    def load_state(self, state):
-        self.trees = [tree_from_dict(d) for d in state["trees"]]
-        self.n_features = state["n_features"]
 
 
 class AdaBoostModel(_Model):
@@ -303,15 +337,6 @@ class AdaBoostModel(_Model):
         for (f, thr, pol), alpha in zip(self.stumps, self.alphas):
             vote += alpha * _stump_predict(X, f, thr, pol)
         return vote / total
-
-    def state_dict(self):
-        return {"stumps": [[f, thr, pol] for f, thr, pol in self.stumps],
-                "alphas": list(self.alphas), "n_features": self.n_features}
-
-    def load_state(self, state):
-        self.stumps = [(int(f), float(t), int(p)) for f, t, p in state["stumps"]]
-        self.alphas = [float(a) for a in state["alphas"]]
-        self.n_features = state["n_features"]
 
 
 def _stump_predict(X, f: int, thr: float, pol: int) -> np.ndarray:
@@ -391,18 +416,10 @@ class _Standardising(_Model):
         Z /= self.scale
         return Z
 
-    def _scaler_state(self) -> dict:
-        return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
-
-    def _load_scaler(self, state) -> None:
-        self.mean = np.asarray(state["mean"], dtype=float)
-        self.scale = np.asarray(state["scale"], dtype=float)
-
 
 class LogisticModel(_Standardising):
     kind = "LogisticRegression"
     w: np.ndarray  # last entry is the bias
-    loss_history: list[float]
     epochs: int
     stop: str  # see _batch_gd
 
@@ -421,15 +438,6 @@ class LogisticModel(_Standardising):
     def predict_proba(self, X):
         _check_dim(X, len(self.w) - 1)
         return _sigmoid(self._standardise(X) @ self.w[:-1] + self.w[-1])
-
-    def state_dict(self):
-        return {"w": self.w.tolist(), **self._scaler_state(),
-                "epochs": self.epochs, "stop": self.stop}
-
-    def load_state(self, state):
-        self.w = np.asarray(state["w"], dtype=float)
-        self._load_scaler(state)
-        self.epochs, self.stop = int(state["epochs"]), state["stop"]
 
 
 class SvmModel(_Standardising):
@@ -471,14 +479,6 @@ class SvmModel(_Standardising):
         _check_dim(X, len(self.w))
         return _sigmoid(self._standardise(X) @ self.w + self.b)
 
-    def state_dict(self):
-        return {"w": self.w.tolist(), "b": self.b, **self._scaler_state()}
-
-    def load_state(self, state):
-        self.w = np.asarray(state["w"], dtype=float)
-        self.b = float(state["b"])
-        self._load_scaler(state)
-
 
 class NaiveBayesModel(_Model):
     kind = "GaussianNB"
@@ -516,15 +516,6 @@ class NaiveBayesModel(_Model):
         e = np.exp(jll - m)
         return e[:, 1] / e.sum(axis=1)
 
-    def state_dict(self):
-        return {"theta": self.theta.tolist(), "var": self.var.tolist(),
-                "log_prior": self.log_prior.tolist()}
-
-    def load_state(self, state):
-        self.theta = np.asarray(state["theta"], dtype=float)
-        self.var = np.asarray(state["var"], dtype=float)
-        self.log_prior = np.asarray(state["log_prior"], dtype=float)
-
 
 class MlpModel(_Standardising):
     """One or more tanh hidden layers with a logistic output unit.
@@ -539,7 +530,6 @@ class MlpModel(_Standardising):
 
     kind = "MLP"
     layers: list[tuple[np.ndarray, np.ndarray]]  # (W, b) pairs
-    loss_history: list[float]
     epochs: int
     best_epoch: int | None  # None: no held-out rows
     stop: str  # see _batch_gd
@@ -576,18 +566,6 @@ class MlpModel(_Standardising):
     def predict_proba(self, X):
         _check_dim(X, self.layers[0][0].shape[0])
         return _sigmoid(_mlp_logits(self.layers, self._standardise(X)))
-
-    def state_dict(self):
-        return {"layers": [[W.tolist(), b.tolist()] for W, b in self.layers],
-                **self._scaler_state(), "epochs": self.epochs,
-                "best_epoch": self.best_epoch, "stop": self.stop}
-
-    def load_state(self, state):
-        self.layers = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
-                       for W, b in state["layers"]]
-        self._load_scaler(state)
-        self.epochs, self.stop = int(state["epochs"]), state["stop"]
-        self.best_epoch = None if state["best_epoch"] is None else int(state["best_epoch"])
 
 
 class DeepNnModel(MlpModel):

@@ -679,9 +679,12 @@ def parse_series_per_row(path, grid: Grid | None = None) -> list[VariableSeries]
     requires a grid to map coordinates through cell_of); both need a
     'variable' column. Rows of other variables are skipped and counted in
     a warning. A field that does not parse raises InvalidInputError naming
-    the file and line; a timestamp repeated in one cell, or a non-finite
-    value, raises an error naming the cell and the variable; a lat/lon
-    point outside the grid's bbox, one naming the file and the point.
+    the file and line; a timestamp repeated in one cell of a cell-indexed
+    file or at one point of a lat/lon file, or a non-finite value, raises
+    an error naming the cell or point and the variable; a lat/lon point
+    outside the grid's bbox, one naming the file and the point. Distinct
+    lat/lon points in one cell pool their samples, ordered by point within
+    a timestamp.
     """
     path = Path(path)
     var_index = {var: vi for vi, var in enumerate(VARIABLES)}
@@ -728,20 +731,27 @@ def parse_series_per_row(path, grid: Grid | None = None) -> list[VariableSeries]
         keys = np.array(keys, dtype=np.int64 if by_cell_layout else np.float64).reshape(-1, 4)
     except OverflowError:
         raise InvalidInputError(f"{path}: cell index out of range") from None
-    if not by_cell_layout:  # variable indices and day ordinals are exact in float64
-        cells = cell_of(grid, keys[:, 1], keys[:, 2])
-        for lat, lon in keys[cells[:, 0] < 0, 1:3].tolist()[:1]:
-            raise OutOfBoundsError(f"{path}: point ({lat}, {lon}) outside grid bbox")
-        keys = np.hstack([keys[:, :1], cells, keys[:, 3:]]).astype(np.int64)
+    # the samples sorted by (variable, cell or point, timestamp); a repeat
+    # is a row whose key equals the one before it
     order = np.lexsort(keys.T[::-1])
     keys, values = keys[order], np.array(values)[order]
     for bad, error, what in (((keys[1:] == keys[:-1]).all(axis=1), DuplicateTimestampError,
                               "timestamp repeated"),
                              (~np.isfinite(values), InvalidInputError, "non-finite value")):
         if bad.any():
-            vi, r, c, day = keys[bad.argmax()].tolist()
-            raise error(f"{path}: cell ({r},{c}) variable {VARIABLES[vi]} at "
-                        f"{dt.date.fromordinal(day)}: {what}")
+            vi, a, b, day = keys[bad.argmax()].tolist()
+            place = f"cell ({a},{b})" if by_cell_layout else f"point ({a}, {b})"
+            raise error(f"{path}: {place} variable {VARIABLES[int(vi)]} at "
+                        f"{dt.date.fromordinal(int(day))}: {what}")
+    if not by_cell_layout:  # variable indices and day ordinals are exact in float64
+        cells = cell_of(grid, keys[:, 1], keys[:, 2])
+        for lat, lon in keys[cells[:, 0] < 0, 1:3].tolist()[:1]:
+            raise OutOfBoundsError(f"{path}: point ({lat}, {lon}) outside grid bbox")
+        # the points of one cell pool their samples; the stable sort keeps
+        # them in point order within a timestamp
+        keys = np.hstack([keys[:, :1], cells, keys[:, 3:]]).astype(np.int64)
+        order = np.lexsort(keys.T[::-1])
+        keys, values = keys[order], values[order]
     bounds = np.searchsorted(keys[:, 0], np.arange(len(VARIABLES) + 1))
     return [VariableSeries(var, keys[a:b, 1:3], values[a:b])
             for var, a, b in zip(VARIABLES, bounds[:-1], bounds[1:]) if b > a]

@@ -214,6 +214,9 @@ def _series_fault(fault: str) -> list[list[str]]:
         t.append(list(t[6]))
     elif fault == "missing_variable":
         t = [r for r in t if r[2] != "SSW"]
+    elif fault == "latlon_duplicate_timestamp":
+        t = _latlon(t)
+        t.append(list(t[6]))
     elif fault == "latlon_outside_bbox":
         t = _latlon(t)
         t[6][0] = "-3.0"
@@ -235,7 +238,8 @@ class TestFilesSource:
 
     @pytest.mark.parametrize("fault", [
         "non_numeric_value", "impossible_date", "non_integer_cell_row", "short_row",
-        "duplicate_timestamp", "missing_variable", "latlon_outside_bbox", "no_variable_column"])
+        "duplicate_timestamp", "latlon_duplicate_timestamp", "missing_variable",
+        "latlon_outside_bbox", "no_variable_column"])
     def test_series_fault_exits_3(self, tmp_path, capsys, fault):
         cfg = _files_cfg(tmp_path, _series_fault(fault))
         assert _run("build-dataset", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 3
@@ -298,8 +302,9 @@ class TestKeywordRulesFile:
         ('{"include": ["herd"], "exclude": "market"}', "'exclude'"),
         ('{"include": ["herd("]}', "'include'"),
         ('{"include": ["herd"], "exclude": ["[market"]}', "'exclude'"),
+        ('{"include": []}', "'include'"),
     ], ids=["bad_json", "not_object", "include_string", "include_non_string",
-            "exclude_string", "include_bad_regex", "exclude_bad_regex"])
+            "exclude_string", "include_bad_regex", "exclude_bad_regex", "include_empty"])
     def test_fault_exits_3_naming_file_and_key(self, tmp_path, capsys, text, key):
         rules = tmp_path / "rules.json"
         rules.write_text(text, encoding="utf-8")
@@ -462,6 +467,35 @@ class TestPipelineCommands:
         assert _run("eval-hypotheses", "--config", cfg, "--out-dir", str(out)) == 0
         doc = json.loads((out / "hypotheses.json").read_text())
         assert isinstance(doc, list)
+
+    def test_learn_tree_refuses_a_tree_past_the_depth_limit(self, built, capsys):
+        # one rising column with every third row class 1 grows a CART about
+        # 2,666 levels deep; saving it once crashed with a RecursionError
+        cfg, out = built
+        n = 4000
+        X = np.zeros((n, len(features.FEATURE_NAMES)))
+        X[:, features.FEATURE_NAMES.index("LAI1")] = np.arange(n) / n
+        cells = np.column_stack([np.arange(n) // 100, np.arange(n) % 100])
+        features.write_dataset_csv(
+            features.Dataset(cells, X, (np.arange(n) % 3 == 0).astype(np.int64)),
+            out / "dataset.csv")
+        cfg = _cfg(out.parent, tree={"max_depth": None})
+        capsys.readouterr()
+        assert _run("learn-tree", "--config", cfg, "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_depth" in err
+        assert not (out / "tree.json").exists()
+
+    def test_eval_refuses_a_tree_nested_too_deep(self, built, capsys):
+        cfg, out = built
+        leaf = '{"n_samples": 1, "n_class1": 0}'
+        node = ('{"n_samples": 2, "n_class1": 1, "feature": "LAI1", "threshold": 0.5, '
+                f'"left": {leaf}, "right": ')
+        (out / "tree.json").write_text(node * 3000 + leaf + "}" * 3000, encoding="utf-8")
+        capsys.readouterr()
+        assert _run("eval-hypotheses", "--config", cfg, "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tree.json" in err
 
     def test_eval_requires_tree(self, built):
         cfg, out = built

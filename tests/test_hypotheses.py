@@ -19,6 +19,7 @@ from pcrisk.errors import DegeneratePartitionError, InvalidInputError
 from pcrisk.features import FEATURE_NAMES, Dataset, to_matrix
 from pcrisk import hypotheses
 from pcrisk.hypotheses import (
+    MAX_TREE_DEPTH,
     Condition,
     HypothesisPredicate,
     builtin_hypotheses,
@@ -29,6 +30,7 @@ from pcrisk.hypotheses import (
     load_tree,
     save_tree,
     train_cart,
+    tree_to_dict,
     tree_to_dot,
     _best_splits,
     encode_columns,
@@ -528,3 +530,33 @@ class TestTreeExport:
         y = np.array([0, 1, 0, 1])
         dot = tree_to_dot(grow_tree(X, y, 1, 1))
         assert dot.startswith("digraph") and "LAI1" in dot
+
+
+def _depth(node) -> int:
+    """The number of edges on the tree's longest root-to-leaf path."""
+    depth, level = -1, [node]
+    while level:
+        depth += 1
+        level = [kid for n in level if not n.is_leaf for kid in (n.left, n.right)]
+    return depth
+
+
+def _staircase(n: int):
+    """One column rising over n rows, every third row class 1: each split
+    peels off a row or two, so a CART grows about 2n/3 levels deep."""
+    return (np.arange(n) / n)[:, None], (np.arange(n) % 3 == 0).astype(int)
+
+
+class TestTreeDepthLimit:
+    def test_a_tree_as_deep_as_the_limit_saves_reloads_and_walks(self, tmp_path):
+        tree = grow_tree(*_staircase(900), MAX_TREE_DEPTH, 1)
+        assert _depth(tree) == MAX_TREE_DEPTH
+        save_tree(tree, tmp_path / "tree.json")
+        back = load_tree(tmp_path / "tree.json")
+        assert tree_to_dict(back) == tree_to_dict(tree)
+        assert tree_to_dot(back).count("->") == 2 * MAX_TREE_DEPTH
+        assert len(extract_paths(back, 1, 0.0)) == MAX_TREE_DEPTH + 1
+
+    def test_growing_past_the_limit_is_refused(self):
+        with pytest.raises(InvalidInputError, match="max_depth"):
+            grow_tree(*_staircase(900), None, 1)

@@ -143,6 +143,10 @@ class TestFilterPastoral:
         with pytest.raises(InvalidInputError, match="include"):
             KeywordRules(include=(), exclude=("market",))
 
+    def test_rule_that_does_not_compile_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"'include' pattern 'herd\('"):
+            KeywordRules(include=("herd(",))
+
     def test_inverted_window_rejected(self):
         with pytest.raises(InvalidInputError):
             filter_pastoral([], Window(dt.date(2020, 1, 1), dt.date(2015, 1, 1)))
@@ -207,6 +211,23 @@ class TestParseSeries:
                      f"{lat},{lon},LAI,2015-01-01,1.25\n", encoding="utf-8")
         got = parse_series(p, grid=g)
         assert got[0].cells.tolist() == [[1, 2]]
+
+    @pytest.mark.parametrize("cell_km, cells", [(50, [[0, 0], [1, 1]]), (100, [[0, 0], [0, 0]])])
+    def test_latlon_points_of_one_cell_pool_their_samples(self, tmp_path, cell_km, cells):
+        # a gridded product has several points per coarse cell at one timestamp
+        p = tmp_path / "series.csv"
+        p.write_text("lat,lon,variable,timestamp,value\n0.5,10.5,LAI,2015-01-01,2.0\n"
+                     "0.1,10.1,LAI,2015-01-01,1.0\n", encoding="utf-8")
+        got = parse_series(p, grid=build_grid(BBox(0.0, 10.0, 4.5, 14.5), cell_km))
+        assert got[0].cells.tolist() == cells
+        assert got[0].samples.tolist() == [1.0, 2.0]
+
+    def test_latlon_point_repeated_raises(self, tmp_path):
+        p = tmp_path / "series.csv"
+        p.write_text("lat,lon,variable,timestamp,value\n0.1,10.1,LAI,2015-01-01,1.0\n"
+                     "0.1,10.1,LAI,2015-01-01,2.0\n", encoding="utf-8")
+        with pytest.raises(DuplicateTimestampError, match=r"point \(0.1, 10.1\) variable LAI"):
+            parse_series(p, grid=build_grid(BBox(0.0, 10.0, 4.5, 14.5), 100))
 
     def test_latlon_layout_without_grid_raises(self, tmp_path):
         p = tmp_path / "series.csv"

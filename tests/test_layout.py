@@ -81,3 +81,14 @@ def test_no_class_defines_validate():
                and any(isinstance(item, ast.FunctionDef) and item.name == "validate"
                        for item in node.body)]
     assert classes == [], f"classes in src/pcrisk with a validate method: {classes}"
+
+
+def test_only_the_base_model_serialises():
+    # a model's model.json state is its annotations, encoded by one codec
+    classes = [f"{path.stem}:{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef) and node.name != "_Model"
+               and any(isinstance(item, ast.FunctionDef)
+                       and item.name in ("state_dict", "load_state")
+                       for item in node.body)]
+    assert classes == [], f"classes in src/pcrisk besides _Model that serialise: {classes}"

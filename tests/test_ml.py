@@ -218,7 +218,7 @@ class TestModels:
         X, y = _blobs(200, seed=6, d=6)
         X = np.round(X, 2)  # rows on the thresholds' either side and ties
         model = train(ClassifierSpec(kind, {"max_depth": 5}, seed=2), _rows(X, y))
-        trees = [model.root] if kind == "DecisionTree" else model.trees
+        trees = [model.tree] if kind == "DecisionTree" else model.trees
         probe = np.vstack([_rows(X, y).X, np.random.default_rng(1).random((50, 120))])
         probe[-1, :] = np.nan  # a NaN fails every comparison and goes right
         walked = sum(np.array([predict_leaf(t, x).purity for x in probe]) for t in trees)
@@ -831,6 +831,8 @@ class TestStandardisedGradientModels:
 
 class TestSerialization:
     def test_all_models_roundtrip(self, small_country, tmp_path):
+        # bit for bit: same scores, same state, and a loaded model re-saves
+        # to the bytes it was loaded from
         _, _, _, _, rows = small_country
         for kind in CLASSIFIER_KINDS:
             spec = ClassifierSpec(kind, seed=2)
@@ -839,7 +841,20 @@ class TestSerialization:
             save_model(model, spec, p)
             back, spec2 = load_model(p)
             assert spec2.kind == kind
-            assert np.allclose(predict_proba(back, rows), predict_proba(model, rows))
+            assert predict_proba(back, rows).tobytes() == predict_proba(model, rows).tobytes()
+            assert back.state_dict() == model.state_dict()
+            save_model(back, spec2, tmp_path / f"{kind}.again.json")
+            assert (tmp_path / f"{kind}.again.json").read_bytes() == p.read_bytes()
+
+    def test_state_is_the_annotated_attributes(self, small_country):
+        rows = small_country[4]
+        for kind in CLASSIFIER_KINDS:
+            model = train(ClassifierSpec(kind, seed=2), rows)
+            annotated = {name for cls in type(model).__mro__
+                         for name, hint in vars(cls).get("__annotations__", {}).items()
+                         if "ClassVar" not in str(hint)}
+            assert set(model.state_dict()) == annotated, kind
+            assert annotated <= set(vars(model)), kind
 
     @pytest.mark.parametrize("kind", STANDARDISED_KINDS)
     def test_standardised_models_roundtrip_bit_for_bit(self, small_country, tmp_path, kind):
