@@ -32,7 +32,6 @@ import math
 import types
 import typing
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 import numpy as np
 
@@ -200,7 +199,7 @@ class _Model:
     state_dict encodes them for model.json (_to_json) and load_state
     decodes each by its annotation (_from_json)."""
 
-    kind: ClassVar[str]
+    kind: typing.ClassVar[str]
 
     def __init__(self, hyperparams: dict, seed: int):
         self.hyperparams = hyperparams
@@ -210,7 +209,7 @@ class _Model:
     def _state_hints(cls) -> dict:
         """The annotation of each state attribute, by name."""
         return {name: hint for name, hint in typing.get_type_hints(cls).items()
-                if typing.get_origin(hint) is not ClassVar}
+                if typing.get_origin(hint) is not typing.ClassVar}
 
     def state_dict(self) -> dict:
         return {name: _to_json(getattr(self, name)) for name in self._state_hints()}
@@ -235,7 +234,8 @@ def _to_json(value):
 def _from_json(hint, value):
     """The state value annotated hint that _to_json encoded as value: an
     np.ndarray is a float array, list[T] and tuple[...] are decoded item by
-    item, T | None is None or a T, and any other T is T(value)."""
+    item, T | None is None or a T, and any other T is T(value), which must
+    equal value (so 2.5 is not an int, nor 5 a str)."""
     args = typing.get_args(hint)
     if hint is np.ndarray:
         return np.asarray(value, dtype=float)
@@ -247,6 +247,8 @@ def _from_json(hint, value):
         return tuple(_from_json(h, v) for h, v in zip(args, value, strict=True))
     if isinstance(hint, types.UnionType):  # T | None
         return None if value is None else _from_json(args[0], value)
+    if hint(value) != value:
+        raise ValueError(f"{value!r} is not a {hint.__name__}")
     return hint(value)
 
 

@@ -875,9 +875,12 @@ class TestSerialization:
                                       '{"kind": "GaussianNB", "hyperparams": {}, "seed": 0, '
                                       '"state": {"theta": "x"}}', '{"kind": ',
                                       '{"kind": "Perceptron", "hyperparams": {}, "seed": 0, '
-                                      '"state": {}}'],
+                                      '"state": {}}',
+                                      '{"kind": "DecisionTree", "hyperparams": {}, "seed": 0, '
+                                      '"state": {"tree": {"n_samples": 1, "n_class1": 0}, '
+                                      '"n_features": 120.5}}'],
                              ids=["missing_key", "not_object", "bad_state", "truncated",
-                                  "unknown_kind"])
+                                  "unknown_kind", "fractional_count"])
     def test_damaged_file_names_it(self, tmp_path, text):
         p = tmp_path / "model.json"
         p.write_text(text, encoding="utf-8")
