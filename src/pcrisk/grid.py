@@ -28,6 +28,10 @@ KM_PER_DEG = math.pi * 6371.0 / 180.0
 # slack (in cells) absorbing float round-off at cell boundaries
 _EDGE_EPS = 1e-9
 
+#: cell limit of a grid, so that every table built on one stays below the
+#: CART's row limit (hypotheses.MAX_CART_ROWS)
+MAX_CELLS = 2 ** 22
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -42,6 +46,8 @@ class BBox:
             raise InvalidInputError(f"bbox coordinates must be finite, got {self}")
         if self.lat_min >= self.lat_max or self.lon_min >= self.lon_max:
             raise InvalidInputError(f"degenerate bbox: {self}")
+        if self.lat_min < -90.0 or self.lat_max > 90.0:
+            raise InvalidInputError(f"bbox latitudes must lie in [-90, 90], got {self}")
 
     @property
     def center(self) -> tuple[float, float]:
@@ -122,10 +128,11 @@ class Grid:
 def build_grid(bbox: BBox, cell_km: float, mask_polygon=None) -> Grid:
     """Cover a bbox with square cells of edge cell_km.
 
-    Partial edge cells are kept. Without mask_polygon every cell counts;
-    with one (a list of (lat, lon) vertices) a cell is masked in iff its
-    center falls inside the polygon, and a polygon with a non-finite vertex
-    or that holds no cell center raises InvalidInputError.
+    Partial edge cells are kept, and a grid of MAX_CELLS cells or more
+    raises InvalidInputError before it is allocated. Without mask_polygon
+    every cell counts; with one (a list of (lat, lon) vertices) a cell is
+    masked in iff its center falls inside the polygon, and a polygon with a
+    non-finite vertex or that holds no cell center raises InvalidInputError.
     """
     if not (math.isfinite(cell_km) and cell_km > 0):
         raise InvalidInputError(f"cell_km must be positive and finite, got {cell_km}")
@@ -134,6 +141,9 @@ def build_grid(bbox: BBox, cell_km: float, mask_polygon=None) -> Grid:
     span_ew_km = (bbox.lon_max - bbox.lon_min) * KM_PER_DEG * math.cos(math.radians(anchor_lat))
     n_rows = max(1, math.ceil(span_ns_km / cell_km - _EDGE_EPS))
     n_cols = max(1, math.ceil(span_ew_km / cell_km - _EDGE_EPS))
+    if n_rows * n_cols >= MAX_CELLS:
+        raise InvalidInputError(f"cell_km {cell_km:g} makes a grid of {n_rows} x {n_cols} = "
+                                f"{n_rows * n_cols} cells; a grid takes fewer than {MAX_CELLS}")
     grid = Grid(
         origin_lat=bbox.lat_min,
         origin_lon=bbox.lon_min,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import read_json, write_json, write_table
-from .errors import DegeneratePartitionError, InvalidInputError
+from .errors import DegeneratePartitionError, InsufficientDataError, InvalidInputError
 from .features import (
     FEATURE_INDEX,
     FEATURE_NAMES,
@@ -33,6 +33,7 @@ from .features import (
     Dataset,
     to_matrix,
 )
+from .grid import MAX_CELLS
 from .ingest import VARIABLES
 from .stats import ContingencyTable, ExactTestResult, exact_test
 
@@ -100,8 +101,9 @@ class HypothesisPredicate:
 # ---------------------------------------------------------------------------
 # CART training
 
-#: row limit below which every split score's integer numerator fits int64
-MAX_CART_ROWS = 2 ** 22
+#: row limit below which every split score's integer numerator fits int64;
+#: no grid holds as many cells
+MAX_CART_ROWS = MAX_CELLS
 #: depth limit of a tree. A tree this deep saves, reloads and is walked
 #: recursively (tree_to_dict, json, tree_to_dot, extract_paths) under
 #: Python's default recursion limit of 1000; a 1,000-level chain does not,
@@ -180,8 +182,7 @@ def _check_count(name: str, value, none_ok: bool) -> None:
 
 
 def _best_splits(codes: ColumnCodes, class1: np.ndarray, rows: np.ndarray, n: np.ndarray,
-                 n1: np.ndarray, min_leaf: int,
-                 fids: np.ndarray | None) -> tuple[np.ndarray, ...]:
+                 n1: np.ndarray, min_leaf: int, fids: np.ndarray) -> tuple[np.ndarray, ...]:
     """The split of each of m nodes minimizing weighted gini impurity, as
     arrays over the nodes that split, ascending: (node, feature, lo,
     threshold, n_left, n_left_class1), a row going left when its bin in
@@ -190,8 +191,9 @@ def _best_splits(codes: ColumnCodes, class1: np.ndarray, rows: np.ndarray, n: np
     rows index codes and class1 (the rows whose label is 1), grouped by
     node; a row may repeat (a bootstrap sample counts a repeated row as
     often as it is drawn). n and n1 (int64) are the nodes' row and class-1
-    counts. fids[j] are the k columns node j scores, ascending, or fids is
-    None for all d columns.
+    counts. fids[j] are the k columns node j scores, ascending; a node that
+    samples no columns scores a sample of all d, 0..d-1, and then the rows'
+    bins are gathered whole rows at a time, which is faster than by index.
 
     Every (node, column) pair gets its own run of bins, one per distinct
     value of the column, so one gather of the rows' bins and two
@@ -211,26 +213,19 @@ def _best_splits(codes: ColumnCodes, class1: np.ndarray, rows: np.ndarray, n: np
     exactly (_exact_argmins); ties go to the lowest feature index, then the
     lowest threshold.
     """
-    m, d = len(n), codes.bins.shape[1]
+    (m, k), d = fids.shape, codes.bins.shape[1]
     node = np.repeat(np.arange(m), n)
-    if fids is None:
-        k, n_bins = d, m * len(codes.values)
-        dtype = codes.bins.dtype if n_bins < 2 ** 31 else np.int64
-        # whole rows gather faster than columns by index
+    sizes = np.diff(codes.starts)[fids]
+    first = sizes.cumsum().reshape(m, k) - sizes  # each pair's first bin
+    n_bins = int(first[-1, -1] + sizes[-1, -1])
+    dtype = codes.bins.dtype if n_bins < 2 ** 31 else np.int64
+    shift = np.subtract(first, codes.starts[fids], dtype=dtype)  # bins less values' indices
+    if k == d:
         keys = codes.bins[rows].astype(dtype, copy=False)
-        if m > 1:
-            keys += (node * len(codes.values)).astype(dtype)[:, None]
     else:
-        k = fids.shape[1]
-        sizes = np.diff(codes.starts)[fids]
-        first = sizes.cumsum().reshape(m, k) - sizes  # each pair's first bin
-        n_bins = int(first[-1, -1] + sizes[-1, -1])
-        dtype = codes.bins.dtype if n_bins < 2 ** 31 else np.int64
-        shift = np.subtract(first, codes.starts[fids], dtype=dtype)  # bins less values' indices
-        node_first = first[:, 0]
         index = np.add(fids[node], (rows * d)[:, None], dtype=codes.bins.dtype)
         keys = np.take(codes.bins, index).astype(dtype, copy=False)
-        keys += shift[node]
+    keys += shift[node]
     of_class1 = keys[class1[rows]].ravel()
     if n_bins <= keys.size:
         count = np.bincount(keys.ravel(), minlength=n_bins)
@@ -242,10 +237,7 @@ def _best_splits(codes: ColumnCodes, class1: np.ndarray, rows: np.ndarray, n: np
         present = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
         nL = np.searchsorted(ordered, present, side="right")
         aL = np.searchsorted(np.sort(of_class1), present, side="right")
-    if fids is None:
-        j = present // len(codes.values)
-    else:
-        j = np.searchsorted(node_first, present, side="right") - 1
+    j = np.searchsorted(first[:, 0], present, side="right") - 1
     # each node's k columns hold its rows k times over: the running counts
     # less the nodes before give the column, and less its columns before,
     # the left side
@@ -264,13 +256,9 @@ def _best_splits(codes: ColumnCodes, class1: np.ndarray, rows: np.ndarray, n: np
     win = _exact_argmins(aL * (nL - aL) * nR + aR * (nR - aR) * nL, nL * nR, j)
     at, j = cand[win], j[win]
     c = col[at]
-    if fids is None:
-        feature, base = c, j * len(codes.values)
-    else:
-        feature, base = fids[j, c], shift[j, c]
-    lo = present[at] - base
-    threshold = midpoint(codes.values[lo], codes.values[present[at + 1] - base])
-    return j, feature, lo, threshold, nL[win], aL[win]
+    lo = present[at] - shift[j, c]
+    threshold = midpoint(codes.values[lo], codes.values[present[at + 1] - shift[j, c]])
+    return j, fids[j, c], lo, threshold, nL[win], aL[win]
 
 
 def _exact_argmins(num: np.ndarray, den: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -388,10 +376,9 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
                 np.sort(np.argsort(rng.random((min(chunk, m - a), d)), axis=1,
                                    kind="stable")[:, :k], axis=1)
                 for a in range(0, m, chunk)])
-            node_bins = sizes[fids].sum(axis=1)
         else:
-            fids = None
-            node_bins = np.full(m, len(codes.values), dtype=np.int64)
+            fids = np.broadcast_to(np.arange(d), (m, d))
+        node_bins = sizes[fids].sum(axis=1)
         entries_end, bins_end, rows_end = (n * k).cumsum(), node_bins.cumsum(), n.cumsum()
         kids, kid_n, kid_n1, level = [], [], [], []
         a = 0
@@ -405,7 +392,7 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
             nb, nb1 = n[a:b], n1[a:b]
             batch = rows[rows_end[a] - nb[0]:rows_end[b - 1]]
             split, feature, lo, threshold, n_left, n_left1 = _best_splits(
-                codes, class1, batch, nb, nb1, min_leaf, None if fids is None else fids[a:b])
+                codes, class1, batch, nb, nb1, min_leaf, fids[a:b])
             if depth > MAX_TREE_DEPTH and split.size:
                 raise InvalidInputError(f"a tree would grow past depth {MAX_TREE_DEPTH}; "
                                         f"set max_depth to at most {MAX_TREE_DEPTH}")
@@ -447,7 +434,7 @@ def train_cart(ds: Dataset, max_depth: int | None = 4, min_leaf: int = 1) -> Tre
     """CART over a dataset; single-class data yields a single leaf."""
     X, y = to_matrix(ds)
     if len(y) == 0:
-        raise InvalidInputError("cannot train on an empty dataset")
+        raise InsufficientDataError("cannot train on an empty dataset")
     return grow_tree(X, y, max_depth, min_leaf)
 
 

@@ -106,13 +106,15 @@ class TestBuildDataset:
         ({"stats": {"bonferroni_m": 0}}, "stats.bonferroni_m"),
         ({"ml": {"test_fraction": 1.5}}, "ml.test_fraction"),
         ({"bbox": [4.5, 10.0, 0.0, 14.5]}, "bbox"),
+        ({"bbox": [0.0, 10.0, 200.0, 14.5]}, "bbox"),
         ({"window": {"start": "2016-06-30", "end": "2015-01-01"}}, "window"),
         ({"source": {"kind": "synthetic", "planted": {"base_rate": 1.5}}}, "source.planted"),
         ({"tree": {"min_purity": 1.5}}, "tree.min_purity"),
         ({"tree": {"min_support": -3}}, "tree.min_support"),
     ], ids=["window_month_13", "bbox_three_numbers", "malformed_json", "cell_km_text",
             "max_depth_true", "months_true", "months_zero", "max_depth_zero", "min_leaf_zero",
-            "bonferroni_m_zero", "test_fraction_above_1", "bbox_degenerate", "window_inverted",
+            "bonferroni_m_zero", "test_fraction_above_1", "bbox_degenerate",
+            "bbox_latitude_past_pole", "window_inverted",
             "planted_base_rate_above_1", "min_purity_above_1", "min_support_negative"])
     def test_config_fault_exits_3(self, tmp_path, capsys, fault, key):
         if isinstance(fault, str):
@@ -123,6 +125,15 @@ class TestBuildDataset:
         assert _run("build-dataset", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 3
         err = capsys.readouterr().err
         assert "config.json" in err and key in err
+
+    @pytest.mark.parametrize("command", ["build-dataset", "train-suite"])
+    def test_grid_too_fine_exits_3(self, tmp_path, capsys, command):
+        # np.ones once raised "array is too big" for the grid's mask (exit 1)
+        cfg = _cfg(tmp_path, cell_km=1e-9, granularities=[1e-9])
+        assert _run(command, "--config", cfg, "--out-dir", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cell_km 1e-09 makes a grid of"), err
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
     def test_mask_polygon_without_cells_exits_3(self, tmp_path, capsys):
         # a triangle beside the bbox used to fail later, naming a variable
@@ -599,6 +610,16 @@ class TestPipelineCommands:
         assert _run("test-univariate", "--config", cfg, "--out-dir", str(out)) == 3
         err = capsys.readouterr().err
         assert "dataset.csv line 3" in err, err
+
+    def test_empty_table_exits_4_in_every_analysis_stage(self, built, capsys):
+        # learn-tree once exited 3 here, as for a fault in the input
+        cfg, out = built
+        path = out / "dataset.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        for command in ("test-univariate", "learn-tree", "riskmap"):
+            assert _run(command, "--config", cfg, "--out-dir", str(out)) == 4, command
+            capsys.readouterr()
+        assert not (out / "tree.json").exists()
 
     def test_non_finite_dataset_field_exits_3(self, built, capsys):
         cfg, out = built

@@ -14,6 +14,7 @@ from oracles import (
     scalar_cell_of,
 )
 from conftest import square_grid
+from pcrisk import grid, hypotheses
 from pcrisk.errors import InvalidInputError, OutOfBoundsError
 from pcrisk.features import NEIGHBOR_RADII, neighbor_counts
 from pcrisk.grid import (
@@ -51,9 +52,32 @@ class TestBuildGrid:
         with pytest.raises(InvalidInputError):
             build_grid(BBox(2.0, 0.0, 1.0, 3.0), 100.0)
 
+    def test_latitude_past_a_pole_rejected(self):
+        # lat_max 90.5 once built a 12 x 1 grid running past the pole, and
+        # 200 anchored the grid where a cell's width in longitude is negative
+        for bbox in ((0.0, 10.0, 90.5, 14.5), (-90.5, 10.0, 0.0, 14.5), (0.0, 10.0, 200.0, 14.5)):
+            with pytest.raises(InvalidInputError, match=r"latitudes must lie in \[-90, 90\]"):
+                BBox(*bbox)
+        assert build_grid(BBox(-90.0, 0.0, 90.0, 1.0), 1000.0).n_rows == 21
+
     def test_nonpositive_cell_rejected(self):
         with pytest.raises(InvalidInputError):
             build_grid(BBox(0.0, 0.0, 3.0, 3.0), 0.0)
+
+    def test_grid_of_too_many_cells_rejected_before_allocation(self, monkeypatch):
+        # 1 km on the demo country's bbox once built a 5 MB mask, for a
+        # table too long for the CART; 1e-9 km raised from np.ones
+        with pytest.raises(InvalidInputError,
+                           match=r"cell_km 1 makes a grid of 1991 x 2483 = 4943653 cells"):
+            build_grid(BBox(0.0, 10.0, 17.9, 32.6), 1.0)
+        with pytest.raises(InvalidInputError, match="cell_km 1e-09"):
+            build_grid(BBox(0.0, 10.0, 17.9, 32.6), 1e-9)
+        assert grid.MAX_CELLS == hypotheses.MAX_CART_ROWS
+        monkeypatch.setattr(grid, "MAX_CELLS", 17)
+        assert build_grid(BBox(0.0, 0.0, 3.0, 3.0), 100.0).mask.size == 16
+        monkeypatch.setattr(grid, "MAX_CELLS", 16)
+        with pytest.raises(InvalidInputError, match="4 x 4 = 16 cells; a grid takes fewer than 16"):
+            build_grid(BBox(0.0, 0.0, 3.0, 3.0), 100.0)
 
     def test_mask_polygon_limits_cells(self):
         g = build_grid(BBox(0.0, 0.0, 3.0, 3.0), 100.0,

@@ -15,7 +15,7 @@ from oracles import (
     predict_leaf,
     same_tree,
 )
-from pcrisk.errors import DegeneratePartitionError, InvalidInputError
+from pcrisk.errors import DegeneratePartitionError, InsufficientDataError, InvalidInputError
 from pcrisk.features import FEATURE_NAMES, Dataset, to_matrix
 from pcrisk import hypotheses
 from pcrisk.hypotheses import (
@@ -197,6 +197,11 @@ class TestTrainCart:
         X = np.arange(8.0)[:, None]
         with pytest.raises(InvalidInputError, match="fewer than 8 rows"):
             grow_tree(X, (X[:, 0] > 3).astype(int))
+
+    def test_empty_dataset_is_insufficient_data(self):
+        # as in ml.train, so learn-tree exits 4 like riskmap
+        with pytest.raises(InsufficientDataError, match="empty dataset"):
+            train_cart(_rows_from_xy(np.zeros((0, 3)), []))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_input_rejected_naming_column(self, bad):
