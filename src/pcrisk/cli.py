@@ -287,10 +287,20 @@ def _load_dataset(cfg: RunConfig) -> features.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns what it wrote, which main records and lists
 
 
-def cmd_build_dataset(cfg: RunConfig) -> int:
+@dataclass(frozen=True)
+class Written:
+    """A command's artifacts, the record of the raw inputs they were built from
+    (carried, as in _input_digests), and the exit code once main records them."""
+
+    outputs: list[Path]
+    carried: dict | None = None
+    exit_code: int = 0
+
+
+def cmd_build_dataset(cfg: RunConfig) -> Written:
     g, ds, edges = _build(cfg, cfg.cell_km)
     inputs = _input_digests(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -301,29 +311,24 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
     features.cache_written_table(out_ds, digest, ds, inputs)
     gridmod.save_grid(g, out_grid)
     features.write_bin_edges_json(edges, out_edges)
-    _write_manifest(cfg, "build-dataset", [out_ds, out_grid, out_edges], inputs)
     n1 = int(ds.y.sum())
     print(f"dataset: {len(ds)} cells ({g.n_rows}x{g.n_cols} grid at "
           f"{cfg.cell_km:g} km), {n1} with conflicts, {len(ds) - n1} without")
-    for p in (out_ds, out_grid, out_edges):
-        print(f"wrote {p}")
-    return 0
+    return Written([out_ds, out_grid, out_edges], inputs)
 
 
-def cmd_test_univariate(cfg: RunConfig) -> int:
+def cmd_test_univariate(cfg: RunConfig) -> Written:
     ds = _load_dataset(cfg)
     m = cfg.stats.get("bonferroni_m")
     results = stats.run_univariate(ds, m=m)
     out = cfg.out_dir / "univariate.csv"
     stats.write_univariate_csv(results, out)
-    _write_manifest(cfg, "test-univariate", [out], ds.inputs)
     n_sig = sum(r.p_bonferroni < 0.05 for r in results)
     print(f"tested {len(results)} features; {n_sig} significant at 0.05 after Bonferroni")
-    print(f"wrote {out}")
-    return 0
+    return Written([out], ds.inputs)
 
 
-def cmd_learn_tree(cfg: RunConfig) -> int:
+def cmd_learn_tree(cfg: RunConfig) -> Written:
     ds = _load_dataset(cfg)
     tree = hypotheses.train_cart(ds, cfg.tree["max_depth"], cfg.tree["min_leaf"])
     out_json = cfg.out_dir / "tree.json"
@@ -331,17 +336,15 @@ def cmd_learn_tree(cfg: RunConfig) -> int:
     hypotheses.save_tree(tree, out_json)
     with create(out_dot) as fh:
         fh.write(hypotheses.tree_to_dot(tree))
-    _write_manifest(cfg, "learn-tree", [out_json, out_dot], ds.inputs)
     paths = hypotheses.extract_paths(tree, cfg.tree["min_support"], cfg.tree["min_purity"])
     print(f"tree trained on {len(ds)} rows; {len(paths)} candidate hypothesis paths")
-    for p in (out_json, out_dot):
-        print(f"wrote {p}")
-    return 0
+    return Written([out_json, out_dot], ds.inputs)
 
 
-def _golden_check() -> tuple[list, int]:
+def cmd_golden(cfg: RunConfig) -> Written:
     """Evaluate the built-in hypotheses on datasets reconstructed from their
-    frozen contingency tables; the report rows and the mismatch count."""
+    frozen contingency tables; exit code 5 if a statistic misses its
+    frozen value."""
     results = []
     n_bad = 0
     for name, bh in hypotheses.builtin_hypotheses().items():
@@ -356,23 +359,15 @@ def _golden_check() -> tuple[list, int]:
         print(f"{name} ({bh.country}): OR {res.odds_ratio:.2f} vs {bh.odds_ratio:.2f}, "
               f"p {res.p:.3g} vs {bh.p:.3g} -> {status}")
         results.append((bh.country, name, table, res))
-    return results, n_bad
-
-
-def cmd_eval_hypotheses(cfg: RunConfig, which: str, golden: bool,
-                        only: str | None) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if golden:
-        results, n_bad = _golden_check()
-        out = cfg.out_dir / "hypotheses_golden.csv"
-        hypotheses.write_hypothesis_csv(results, out)
-        _write_manifest(cfg, "eval-hypotheses", [out])
-        print(f"wrote {out}")
-        if n_bad:
-            print(f"{n_bad} golden hypothesis mismatch(es)", file=sys.stderr)
-            return 5
-        return 0
+    out = cfg.out_dir / "hypotheses_golden.csv"
+    hypotheses.write_hypothesis_csv(results, out)
+    if n_bad:
+        print(f"{n_bad} golden hypothesis mismatch(es)", file=sys.stderr)
+    return Written([out], exit_code=5 if n_bad else 0)
 
+
+def cmd_eval_hypotheses(cfg: RunConfig, which: str, only: str | None) -> Written:
     ds = _load_dataset(cfg)
     if which == "builtin":
         named = [(name, bh.predicate) for name, bh in hypotheses.builtin_hypotheses().items()
@@ -404,13 +399,10 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, golden: bool,
     out_json = cfg.out_dir / "hypotheses.json"
     hypotheses.write_hypothesis_csv(results, out_csv)
     write_json(out_json, doc, indent=2)
-    _write_manifest(cfg, "eval-hypotheses", [out_csv, out_json], ds.inputs)
-    for p in (out_csv, out_json):
-        print(f"wrote {p}")
-    return 0
+    return Written([out_csv, out_json], ds.inputs)
 
 
-def cmd_train_suite(cfg: RunConfig) -> int:
+def cmd_train_suite(cfg: RunConfig) -> Written:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     best_lines = []
@@ -425,16 +417,13 @@ def cmd_train_suite(cfg: RunConfig) -> int:
         best_lines.append((km, best))
         print(f"{km:g} km: best {best.classifier} F1={best.f1:.2f} "
               f"AUC={'NA' if best.auc is None else f'{best.auc:.2f}'}")
-        print(f"wrote {out}")
     out_best = cfg.out_dir / "best_summary.csv"
     ml.write_best_summary_csv(cfg.country, best_lines, out_best)
     outputs.append(out_best)
-    _write_manifest(cfg, "train-suite", outputs)
-    print(f"wrote {out_best}")
-    return 0
+    return Written(outputs)
 
 
-def cmd_riskmap(cfg: RunConfig) -> int:
+def cmd_riskmap(cfg: RunConfig) -> Written:
     ds = _load_dataset(cfg)
     g = gridmod.load_grid(_stage_output(cfg, "grid.json", "build-dataset"))
     spec = ml.ClassifierSpec(kind=cfg.riskmap["model"], seed=cfg.seed)
@@ -449,11 +438,8 @@ def cmd_riskmap(cfg: RunConfig) -> int:
     riskmap.render_pgm(surface, out_pgm)
     riskmap.render_csv(surface, out_csv)
     ml.save_model(model, spec, out_model)
-    _write_manifest(cfg, "riskmap", [out_geo, out_pgm, out_csv, out_model], ds.inputs)
     print(f"risk surface from {spec.kind}: mean {scores.mean():.3f}, max {scores.max():.3f}")
-    for p in (out_geo, out_pgm, out_csv, out_model):
-        print(f"wrote {p}")
-    return 0
+    return Written([out_geo, out_pgm, out_csv, out_model], ds.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +487,20 @@ def main(argv=None) -> int:
                                     "and no --golden")
                 if only not in hypotheses.builtin_hypotheses():
                     _parser().error(f"unknown hypothesis name {only!r}")
-            return cmd_eval_hypotheses(cfg, args.which, args.golden, only)
-        handler = {
-            "build-dataset": cmd_build_dataset,
-            "test-univariate": cmd_test_univariate,
-            "learn-tree": cmd_learn_tree,
-            "train-suite": cmd_train_suite,
-            "riskmap": cmd_riskmap,
-        }[args.command]
-        return handler(cfg)
+            written = (cmd_golden(cfg) if args.golden
+                       else cmd_eval_hypotheses(cfg, args.which, only))
+        else:
+            written = {
+                "build-dataset": cmd_build_dataset,
+                "test-univariate": cmd_test_univariate,
+                "learn-tree": cmd_learn_tree,
+                "train-suite": cmd_train_suite,
+                "riskmap": cmd_riskmap,
+            }[args.command](cfg)
+        _write_manifest(cfg, args.command, written.outputs, written.carried)
+        for p in written.outputs:
+            print(f"wrote {p}")
+        return written.exit_code
     except PCRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +30,7 @@ import numpy as np
 from .artifacts import create, encode_json, format_values, write_json
 from .errors import InvalidInputError, MissingVariableError
 from .grid import Grid, cell_of, neighbor_offsets
-from .ingest import VARIABLES, ConflictEvent, VariableSeries, Window
+from .ingest import VARIABLES, ConflictEvent, VariableSeries, Window, decode_utf8, loadtxt_csv
 
 log = logging.getLogger(__name__)
 
@@ -266,20 +265,10 @@ def write_dataset_csv(ds: Dataset, path) -> bytes:
     return digest.digest()
 
 
-def _parse(lines: list[str], dtype) -> np.ndarray:
-    """The lines as a 1-d array of dtype, parsed in C; floats round as
-    float() rounds them. Blank lines are skipped, without the warning
-    loadtxt gives when every line is blank."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                          quotechar=None, ndmin=1)
-
-
 def _parses(text: str, dtype) -> bool:
     """Whether text is one line holding dtype's fields."""
     try:
-        return len(_parse([text], dtype)) == 1
+        return len(loadtxt_csv([text], dtype)) == 1
     except ValueError:
         return False
 
@@ -310,17 +299,13 @@ def read_dataset_csv(path, data: bytes | None = None) -> Dataset:
     data, if given, is the file's bytes, already read."""
     if data is None:
         data = Path(path).read_bytes()
-    try:
-        header, *lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise InvalidInputError(f"{path} line {lineno}: not UTF-8 ({exc.reason})") from None
+    header, *lines = decode_utf8(path, data).split("\n")
     if header.removesuffix("\r").split(",") != list(_CSV_HEADER):
         raise InvalidInputError(f"unexpected dataset header in {path}")
     if lines[-1:] == [""]:
         lines.pop()  # the newline that ends the last line
     try:
-        rows = _parse(lines, _ROW_DTYPE)
+        rows = loadtxt_csv(lines, _ROW_DTYPE)
     except ValueError:
         rows = None
     if rows is None or len(rows) != len(lines):  # a blank line was skipped

@@ -139,8 +139,11 @@ def build_grid(bbox: BBox, cell_km: float, mask_polygon=None) -> Grid:
     anchor_lat = bbox.center[0]
     span_ns_km = (bbox.lat_max - bbox.lat_min) * KM_PER_DEG
     span_ew_km = (bbox.lon_max - bbox.lon_min) * KM_PER_DEG * math.cos(math.radians(anchor_lat))
-    n_rows = max(1, math.ceil(span_ns_km / cell_km - _EDGE_EPS))
-    n_cols = max(1, math.ceil(span_ew_km / cell_km - _EDGE_EPS))
+    quotients = (span_ns_km / cell_km, span_ew_km / cell_km)  # inf for a subnormal cell_km
+    if max(quotients) > MAX_CELLS:
+        raise InvalidInputError(f"cell_km {cell_km:g} makes a grid of at least {MAX_CELLS} "
+                                f"cells; a grid takes fewer than {MAX_CELLS}")
+    n_rows, n_cols = (max(1, math.ceil(q - _EDGE_EPS)) for q in quotients)
     if n_rows * n_cols >= MAX_CELLS:
         raise InvalidInputError(f"cell_km {cell_km:g} makes a grid of {n_rows} x {n_cols} = "
                                 f"{n_rows * n_cols} cells; a grid takes fewer than {MAX_CELLS}")

@@ -222,10 +222,11 @@ def _best_splits(codes: ColumnCodes, class1: np.ndarray, rows: np.ndarray, n: np
     shift = np.subtract(first, codes.starts[fids], dtype=dtype)  # bins less values' indices
     if k == d:
         keys = codes.bins[rows].astype(dtype, copy=False)
+        keys += shift[node, :1]  # a node's columns then share one shift
     else:
         index = np.add(fids[node], (rows * d)[:, None], dtype=codes.bins.dtype)
         keys = np.take(codes.bins, index).astype(dtype, copy=False)
-    keys += shift[node]
+        keys += shift[node]
     of_class1 = keys[class1[rows]].ravel()
     if n_bins <= keys.size:
         count = np.bincount(keys.ravel(), minlength=n_bins)
@@ -614,57 +615,36 @@ def _interval_value(lo: float | None, hi: float | None, integral: bool) -> float
 
 
 def _template_vector(pred: HypothesisPredicate, satisfy: bool) -> np.ndarray:
-    bounds: dict[str, list] = {}
-    order = []
-    for c in pred.conditions:
-        if c.feature not in bounds:
-            bounds[c.feature] = [None, None]  # (lo from '>', hi from '<=')
-            order.append(c.feature)
-        if c.op == ">":
-            lo = bounds[c.feature][0]
-            bounds[c.feature][0] = c.threshold if lo is None else max(lo, c.threshold)
-        else:
-            hi = bounds[c.feature][1]
-            bounds[c.feature][1] = c.threshold if hi is None else min(hi, c.threshold)
-
-    values: dict[str, float] = {}
-    for k, feat in enumerate(order):
-        lo, hi = bounds[feat]
+    bounds: dict[str, list] = {}  # feature: [lo from '>', hi from '<='], in first-use order
+    for c in _merge_conditions(pred.conditions):
+        bounds.setdefault(c.feature, [None, None])[0 if c.op == ">" else 1] = c.threshold
+    nh = len(HIST_FEATURE_NAMES)
+    x = np.zeros(N_FEATURES)
+    hist = x[:nh].reshape(len(VARIABLES), N_BINS)  # a view: variable x bin
+    used_mass = np.zeros(len(VARIABLES))
+    taken = np.zeros(hist.shape, dtype=bool)
+    nbr_count = np.zeros(5, dtype=int)
+    for k, (feat, (lo, hi)) in enumerate(bounds.items()):
         integral = feat.startswith("NBRC") or feat.startswith("NBRP")
         if satisfy or k > 0:
-            values[feat] = _interval_value(lo, hi, integral)
+            v = _interval_value(lo, hi, integral)
+        elif lo is not None:  # violate exactly the first condition
+            v = 0.0
         else:
-            # violate exactly the first condition
-            if lo is not None:
-                values[feat] = 0.0
-            else:
-                values[feat] = float(np.ceil(hi) + 1.0) if integral else hi + 0.5 * (1.0 - hi)
-
-    x = np.zeros(N_FEATURES)
-    used_mass: dict[str, float] = {}
-    cond_bins: dict[str, set] = {}
-    for feat, v in values.items():
-        if feat in FEATURE_INDEX and not feat.startswith("NBR"):
-            x[FEATURE_INDEX[feat]] = v
-            var = feat.rstrip("0123456789")
-            used_mass[var] = used_mass.get(var, 0.0) + v
-            bin_no = int(feat[len(var):]) - 1
-            cond_bins.setdefault(var, set()).add(bin_no)
-    # make each touched variable's histogram sum to 1
-    for vi, var in enumerate(VARIABLES):
-        rest = 1.0 - used_mass.get(var, 0.0)
-        taken = cond_bins.get(var, set())
-        spare = next(b for b in range(N_BINS) if b not in taken)
-        x[vi * N_BINS + spare] = rest
-
-    nbr_count = np.zeros(5, dtype=int)
-    for j in range(1, 6):
-        feat = f"NBRC{j}"
-        if feat in values:
-            nbr_count[j - 1] = int(values[feat])
+            v = float(np.ceil(hi) + 1.0) if integral else hi + 0.5 * (1.0 - hi)
+        i = FEATURE_INDEX[feat]
+        if i < nh:
+            var, b = divmod(i, N_BINS)
+            hist[var, b] = v
+            used_mass[var] += v
+            taken[var, b] = True
+        elif feat.startswith("NBRC"):
+            nbr_count[i - nh - 5] = int(v)
+    # make each variable's histogram sum to 1 in its first bin no condition set
+    for var in range(len(VARIABLES)):
+        hist[var, np.flatnonzero(~taken[var])[0]] = 1.0 - used_mass[var]
     # counts are non-decreasing over nested neighborhoods
     nbr_count = np.maximum.accumulate(nbr_count)
-    nh = len(HIST_FEATURE_NAMES)
     x[nh:nh + 5] = nbr_count > 0
     x[nh + 5:] = nbr_count
     return x

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
+import io
 import logging
 import math
 import re
@@ -96,25 +96,42 @@ class VariableSeries:
 # reading CSV files
 
 
+def decode_utf8(path, data: bytes) -> str:
+    """data, the bytes of the file path, as text; bytes that are not UTF-8
+    raise InvalidInputError naming their line. A newline never splits a
+    UTF-8 sequence, so the line where the decoder stops holds them."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InvalidInputError(f"{path} line {lineno}: not UTF-8 ({exc.reason})") from None
+
+
+def loadtxt_csv(source, dtype, **kwargs) -> np.ndarray:
+    """np.loadtxt of comma-separated fields with no quote or comment
+    character, as a 1-d array of dtype parsed in C; floats round as float()
+    rounds them. Blank lines are skipped, without the warning loadtxt gives
+    when every line is blank. kwargs go to np.loadtxt."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None,
+                          quotechar=None, ndmin=1, **kwargs)
+
+
 def _read_fault(path: Path, exc: Exception) -> InvalidInputError:
     """The input fault behind exc, a csv.Error or UnicodeDecodeError met
-    while reading path, naming the first line that is not UTF-8, else the
-    line where the record that a strict csv reader could not read begins.
-    Files are decoded in blocks, so exc itself does not know the line."""
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as bad:
-                return InvalidInputError(f"{path} line {lineno}: not UTF-8 ({bad.reason})")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, strict=True)
-        start = 1
-        try:
-            for _ in reader:
-                start = reader.line_num + 1
-        except csv.Error as bad:
-            return InvalidInputError(f"{path} line {start}: {bad}")
+    while reading path: for bytes that are not UTF-8, decode_utf8 raises it
+    naming their line; else it names the line where the record that a
+    strict csv reader could not read begins. Files are decoded in blocks,
+    so exc itself does not know the line."""
+    text = decode_utf8(path, path.read_bytes())
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    start = 1
+    try:
+        for _ in reader:
+            start = reader.line_num + 1
+    except csv.Error as bad:
+        return InvalidInputError(f"{path} line {start}: {bad}")
     return InvalidInputError(f"{path}: {exc}")
 
 
@@ -205,9 +222,7 @@ class KeywordRules:
 
 
 def default_keyword_rules() -> KeywordRules:
-    text = resources.files("pcrisk.data").joinpath("default_keyword_rules.json").read_text("utf-8")
-    d = json.loads(text)
-    return KeywordRules(include=tuple(d["include"]), exclude=tuple(d.get("exclude", ())))
+    return load_keyword_rules(resources.files("pcrisk.data") / "default_keyword_rules.json")
 
 
 def load_keyword_rules(path) -> KeywordRules:
@@ -380,10 +395,7 @@ def _parse_series_c(path: Path, grid: Grid | None) -> tuple | None:
         dtype = np.dtype([("a", coord), ("b", coord), ("var", f"S{_VAR_WIDTH}"),
                           ("ts", "S11"), ("value", np.float64)])
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a file without rows
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                  quotechar=None, usecols=usecols, ndmin=1)
+            rows = loadtxt_csv(fh, dtype, usecols=usecols)
         except ValueError:
             return None
     # the file groups rows by variable, so look up the head of each run

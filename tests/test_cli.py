@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import count_parses
-from pcrisk import cli, errors, features
+from pcrisk import cli, errors, features, hypotheses
 from pcrisk.cli import main
 from pcrisk.grid import BBox, build_grid
 from pcrisk.ingest import VARIABLES, PlantedEffect, synth_country
@@ -128,12 +130,14 @@ class TestBuildDataset:
 
     @pytest.mark.parametrize("command", ["build-dataset", "train-suite"])
     def test_grid_too_fine_exits_3(self, tmp_path, capsys, command):
-        # np.ones once raised "array is too big" for the grid's mask (exit 1)
-        cfg = _cfg(tmp_path, cell_km=1e-9, granularities=[1e-9])
-        assert _run(command, "--config", cfg, "--out-dir", str(tmp_path / "o")) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: cell_km 1e-09 makes a grid of"), err
-        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+        # np.ones once raised "array is too big" for the grid's mask (exit 1),
+        # and math.ceil an OverflowError on a subnormal cell_km's quotients
+        for cell_km in (1e-9, 1e-320):
+            cfg = _cfg(tmp_path, cell_km=cell_km, granularities=[cell_km])
+            assert _run(command, "--config", cfg, "--out-dir", str(tmp_path / "o")) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cell_km {cell_km:g} makes a grid of"), err
+            assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
     def test_mask_polygon_without_cells_exits_3(self, tmp_path, capsys):
         # a triangle beside the bbox used to fail later, naming a variable
@@ -549,6 +553,23 @@ class TestPipelineCommands:
         lines = (out / "hypotheses_golden.csv").read_text().splitlines()
         assert len(lines) == 9
 
+    def test_golden_mismatch_exits_5_after_recording_its_report(self, tmp_path, capsys,
+                                                                monkeypatch):
+        first, *rest = hypotheses._BUILTINS
+        wrong = dataclasses.replace(first, p=first.p * 10)
+        monkeypatch.setattr(hypotheses, "_BUILTINS", (wrong, *rest))
+        out = tmp_path / "golden"
+        assert _run("eval-hypotheses", "--golden", "--config", _cfg(tmp_path),
+                    "--out-dir", str(out)) == 5
+        assert len((out / "hypotheses_golden.csv").read_text().splitlines()) == 9
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "eval-hypotheses"
+        assert manifest["outputs"] == ["hypotheses_golden.csv"]
+        captured = capsys.readouterr()
+        assert captured.err == "1 golden hypothesis mismatch(es)\n"
+        assert f"{first.name} ({first.country})" in captured.out and "-> MISMATCH" in captured.out
+        assert captured.out.endswith(f"wrote {out / 'hypotheses_golden.csv'}\n")
+
     def test_golden_mode_refuses_a_degenerate_bbox(self, tmp_path, capsys):
         # --golden builds no grid, so it once ran on such a config and exited 0
         cfg = _cfg(tmp_path, bbox=[0.0, 14.5, 4.5, 10.0])
@@ -685,6 +706,31 @@ class TestPipelineCommands:
                 assert _run(*stage, "--config", cfg, "--out-dir", str(out)) == 0, stage
             runs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert "dataset.csv.cache" in runs[0] and runs[0] == runs[1]
+
+    @pytest.mark.parametrize("stage", [["build-dataset"], *_ANALYSIS_STAGES,
+                                       ["eval-hypotheses", "--which", "builtin"],
+                                       ["eval-hypotheses", "--golden"], ["train-suite"]],
+                             ids=lambda stage: "_".join(a.lstrip("-") for a in stage))
+    def test_manifest_lists_what_the_command_created(self, tmp_path, stage):
+        # main records a command's outputs once the command has written them
+        cfg = _cfg(tmp_path, granularities=[100])
+        handoff = tmp_path / "handoff"
+        for command in ("build-dataset", "learn-tree"):
+            assert _run(command, "--config", cfg, "--out-dir", str(handoff)) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        names = [] if stage == ["build-dataset"] else ["dataset.csv", "grid.json"]
+        if "tree" in stage:  # the tree paths are read from learn-tree's tree.json
+            names.append("tree.json")
+        for name in names:
+            shutil.copy(handoff / name, out / name)
+        before = {p.name for p in out.iterdir()}
+        assert _run(*stage, "--config", cfg, "--out-dir", str(out)) == 0
+        created = {p.name for p in out.iterdir()} - before - {"manifest.json",
+                                                               "dataset.csv.cache"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == stage[0]
+        assert created and manifest["outputs"] == sorted(created)
 
     def test_riskmap_outputs(self, built):
         cfg, out = built

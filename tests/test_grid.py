@@ -79,6 +79,16 @@ class TestBuildGrid:
         with pytest.raises(InvalidInputError, match="4 x 4 = 16 cells; a grid takes fewer than 16"):
             build_grid(BBox(0.0, 0.0, 3.0, 3.0), 100.0)
 
+    @pytest.mark.parametrize("cell_km", [1e-300, 1e-320, 5e-324])
+    def test_subnormal_cell_rejected_naming_cell_km(self, cell_km):
+        # the quotients of the bbox's spans by a subnormal cell_km are inf,
+        # on which math.ceil raised OverflowError; at 1e-300 the message
+        # held two 300-digit factors
+        with pytest.raises(InvalidInputError,
+                           match=rf"^cell_km {cell_km:g} makes a grid of at least 4194304 "
+                                 r"cells; a grid takes fewer than 4194304$"):
+            build_grid(BBox(0.0, 10.0, 17.9, 32.6), cell_km)
+
     def test_mask_polygon_limits_cells(self):
         g = build_grid(BBox(0.0, 0.0, 3.0, 3.0), 100.0,
                        mask_polygon=[(0.0, 0.0), (0.0, 3.0), (3.0, 3.0)])

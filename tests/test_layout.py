@@ -92,3 +92,13 @@ def test_only_the_base_model_serialises():
                        and item.name in ("state_dict", "load_state")
                        for item in node.body)]
     assert classes == [], f"classes in src/pcrisk besides _Model that serialise: {classes}"
+
+
+def test_only_main_writes_the_manifest():
+    # every command returns what it wrote, and main alone records it
+    users = [f"{path.stem}:{getattr(node, 'name', '<module>')}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.parse(path.read_text(encoding="utf-8")).body
+             if getattr(node, "name", None) != "_write_manifest"
+             and any(_references(node)[kind, "_write_manifest"] for kind in ("name", "attr"))]
+    assert users == ["cli:main"], f"code in src/pcrisk besides cli.main that writes manifests: {users}"
