@@ -29,48 +29,8 @@ from .artifacts import create, read_json, write_json
 from .errors import (DegeneratePartitionError, InvalidInputError, PCRiskError, SchemaError,
                      UndefinedTestError)
 
-_DEFAULTS = {
-    "country": "Synthia",
-    "bbox": [0.0, 10.0, 4.5, 14.5],  # lat_min, lon_min, lat_max, lon_max
-    "mask_polygon": None,
-    "cell_km": 100.0,
-    "granularities": [100.0, 75.0, 50.0],
-    "window": {"start": "2015-01-01", "end": "2022-09-30"},
-    "source": {"kind": "synthetic", "months": None, "planted": {}},
-    "seed": None,
-    "tree": {"max_depth": 4, "min_leaf": 1, "min_support": 5, "min_purity": 0.6},
-    "ml": {"test_fraction": 0.2, "class_weight": None},
-    "stats": {"bonferroni_m": None},
-    "riskmap": {"model": "DecisionTree"},
-}
-
-
-@dataclass
-class RunConfig:
-    country: str
-    bbox: gridmod.BBox
-    mask_polygon: list | None
-    cell_km: float
-    granularities: tuple
-    window: ingest.Window
-    seed: int
-    source: dict
-    tree: dict
-    ml: dict
-    stats: dict
-    riskmap: dict
-    out_dir: Path
-    raw: dict  # resolved JSON-serializable view, recorded in manifests
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
+#: the default of a key that only the config file may give
+_UNSET = object()
 
 
 def _convert(where: str, key: str, value, convert):
@@ -98,64 +58,114 @@ def _count(least: int):
     return convert
 
 
-def _fraction(closed: bool):
-    """The converter of numbers in [0, 1] if closed, else in (0, 1)."""
+def _number(test=lambda x: True, rule: str = ""):
+    """The converter of numbers that pass test, which rule names. A bool is
+    refused, though float() takes it as 0 or 1."""
     def convert(value) -> float:
         if isinstance(value, bool):
             raise TypeError("not a number")
         x = float(value)
-        if not (0.0 <= x <= 1.0 if closed else 0.0 < x < 1.0):
-            raise ValueError("must lie in [0, 1]" if closed else "must lie in (0, 1)")
+        if not test(x):
+            raise ValueError(rule)
         return x
     return convert
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("not a string")
-    return value
+def _granularities(value) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise TypeError("not a non-empty list")
+    return tuple(_cell_km(km) for km in value)
 
 
-#: converters of the values in each config section; a key not listed here
-#: passes through as it is, except in the source's sub-objects
-_SECTIONS = {
-    "source": {"kind": _text, "months": _optional(_count(1)), "events_csv": _text,
-               "series_csv": _text, "keyword_rules": _text},
-    "tree": {"max_depth": _optional(_count(1)), "min_leaf": _count(1),
-             "min_support": _count(0), "min_purity": _fraction(closed=True)},
-    "ml": {"test_fraction": _fraction(closed=False)},
-    "stats": {"bonferroni_m": _optional(_count(1))},
-    "riskmap": {"model": _text},
-}
+def _text(*allowed):
+    """The converter of strings, which must be among allowed if it names any."""
+    def convert(value) -> str:
+        if not isinstance(value, str):
+            raise TypeError("not a string")
+        if allowed and value not in allowed:
+            raise ValueError(f"must be one of {', '.join(map(repr, allowed))}")
+        return value
+    return convert
+
+
+@dataclass(frozen=True)
+class _Object:
+    """The rule of a config object: the (default, rule) of each key it may hold, a rule
+    being a converter or an _Object, and what the converted values make; null stands for {}."""
+
+    keys: dict
+    make: object = dict
+
+
+def _record(record) -> _Object:
+    """The rule of an object that becomes record: its keys are the record's
+    fields, whose str or float defaults stand for the keys left out."""
+    return _Object({f.name: (_UNSET, _text() if isinstance(f.default, str) else _number())
+                    for f in dataclasses.fields(record)}, record)
+
+
 #: the raw input files a files source may name, and what each holds
 _INPUT_FILES = {"events_csv": "events table", "series_csv": "series table",
                 "keyword_rules": "keyword rules"}
-#: the records the source's sub-objects become, and the converters of their
-#: keys: the records' fields, all with a str or float default; no other key
-#: is allowed
-_SOURCE_RECORDS = {key: (record, {f.name: _text if isinstance(f.default, str) else float
-                                  for f in dataclasses.fields(record)})
-                   for key, record in (("planted", ingest.PlantedEffect),
-                                       ("event_schema", ingest.EventSchema))}
+_cell_km = _number(lambda km: 0.0 < km < np.inf, "a cell_km must be positive and finite")
+#: every config key, its default and its rule; README.md's config table
+#: lists the same keys
+_CONFIG = _Object({
+    "country": ("Synthia", _text()),
+    "bbox": ([0.0, 10.0, 4.5, 14.5],  # lat_min, lon_min, lat_max, lon_max
+             lambda bbox: gridmod.BBox(*map(_number(), bbox))),
+    # [lat, lon] vertices, which grid.build_grid checks against each grid
+    "mask_polygon": (None, _optional(lambda polygon: [list(map(_number(), v)) for v in polygon])),
+    "cell_km": (100.0, _cell_km),
+    "granularities": ([100.0, 75.0, 50.0], _granularities),
+    "window": ({}, _Object({"start": ("2015-01-01", dt.date.fromisoformat),
+                            "end": ("2022-09-30", dt.date.fromisoformat)}, ingest.Window)),
+    "source": ({}, _Object({
+        "kind": ("synthetic", _text("synthetic", "files")),
+        "months": (None, _optional(_count(1))),
+        "planted": ({}, _record(ingest.PlantedEffect)),
+        "event_schema": (_UNSET, _record(ingest.EventSchema)),
+        **{key: (_UNSET, _text()) for key in _INPUT_FILES}})),
+    "seed": (None, _count(0)),
+    "tree": ({}, _Object({
+        "max_depth": (4, _optional(_count(1))), "min_leaf": (1, _count(1)),
+        "min_support": (5, _count(0)),
+        "min_purity": (0.6, _number(lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]"))})),
+    "ml": ({}, _Object({
+        "test_fraction": (0.2, _number(lambda x: 0.0 < x < 1.0, "must lie in (0, 1)")),
+        "class_weight": (None, _optional(_text("balanced")))})),
+    "stats": ({}, _Object({"bonferroni_m": (None, _optional(_count(1)))})),
+    "riskmap": ({}, _Object({"model": ("DecisionTree", _text(*ml.CLASSIFIER_KINDS))})),
+})
+#: a run's config: each top-level key's value, out_dir, and raw, the view of a manifest
+RunConfig = dataclasses.make_dataclass("RunConfig", [*_CONFIG.keys, "out_dir", "raw"])
 
 
-def _section(where: str, key: str, doc, converters: dict, strict: bool = False) -> dict:
-    """A copy of the config object doc found at key, its values converted;
-    strict rejects keys that converters does not name."""
+def _resolve(where: str, path: str, rule: _Object, doc) -> tuple:
+    """(value, view) of the config object doc found at path, a key prefix: value is what
+    rule makes of doc's values, converted, the defaults standing for the keys doc leaves
+    out, and view is doc with those defaults. A key that rule does not name is refused."""
+    if doc is None or doc is _UNSET:
+        return _resolve(where, path, rule, {})[0], doc
     if not isinstance(doc, dict):
-        raise InvalidInputError(f"{where}: {key} must be a JSON object, got {doc!r}")
-    out = dict(doc)
-    for name, value in doc.items():
-        if name in converters:
-            out[name] = _convert(where, f"{key}.{name}", value, converters[name])
-        elif strict:
-            raise InvalidInputError(f"{where}: unknown key {key}.{name}")
-    return out
+        raise InvalidInputError(f"{where}: {path[:-1]} must be a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in rule.keys:
+            raise InvalidInputError(f"{where}: unknown key {path}{key}")
+    values, view = {}, {}
+    for key, (default, convert) in rule.keys.items():
+        value = doc.get(key, default)
+        if isinstance(convert, _Object):
+            values[key], value = _resolve(where, f"{path}{key}.", convert, value)
+        elif value is not _UNSET:
+            values[key] = _convert(where, path + key, value, convert)
+        if value is not _UNSET:
+            view[key] = value
+    return _convert(where, path[:-1], view, lambda _: rule.make(**values)), view
 
 
 def resolve_config(args) -> RunConfig:
-    raw = dict(_DEFAULTS)
-    where = "built-in config"
+    doc, where = {}, "built-in config"
     if args.config:
         cfg_path = Path(args.config)
         where = f"config file {cfg_path}"
@@ -164,20 +174,14 @@ def resolve_config(args) -> RunConfig:
         doc = read_json(cfg_path, "config file")
         if not isinstance(doc, dict):
             raise InvalidInputError(f"{where} must hold a JSON object")
-        raw = _merge(raw, doc)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "cell_km", None) is not None:
-        raw["cell_km"] = float(args.cell_km)
-    if raw["seed"] is None:
+    for key in ("seed", "cell_km"):  # the flags that override the config file
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
+    if doc.get("seed") is None:
         raise InvalidInputError("a seed is required: set it in the config or pass --seed")
-    sections = {key: _section(where, key, raw[key], conv) for key, conv in _SECTIONS.items()}
-    src = sections["source"]
-    for key, (record, converters) in _SOURCE_RECORDS.items():
-        doc = {} if src.get(key) is None else src[key]
-        doc = _section(where, f"source.{key}", doc, converters, strict=True)
-        src[key] = _convert(where, f"source.{key}", doc, lambda fields: record(**fields))
-    if src.get("kind") == "files":
+    values, raw = _resolve(where, "", _CONFIG, doc)
+    src = values["source"]
+    if src["kind"] == "files":
         for key in ("events_csv", "series_csv"):
             if key not in src:
                 raise InvalidInputError(f"file source needs {key!r}")
@@ -185,22 +189,9 @@ def resolve_config(args) -> RunConfig:
             if key in src and not Path(src[key]).is_file():
                 fault = "is not a file" if Path(src[key]).exists() else "does not exist"
                 raise InvalidInputError(f"{what} {src[key]} {fault}")
-    window_doc = raw["window"] if isinstance(raw["window"], dict) else {}
-    start, end = (_convert(where, f"window.{k}", window_doc.get(k), dt.date.fromisoformat)
-                  for k in ("start", "end"))
-    window = _convert(where, "window", raw["window"], lambda _: ingest.Window(start, end))
-    bbox = _convert(where, "bbox", raw["bbox"],
-                    lambda b: gridmod.BBox(*[float(v) for v in b]))
     out_dir = Path(args.out_dir)
     raw["out_dir"] = str(out_dir)
-    return RunConfig(
-        country=raw["country"], bbox=bbox, mask_polygon=raw["mask_polygon"],
-        cell_km=_convert(where, "cell_km", raw["cell_km"], float),
-        granularities=_convert(where, "granularities", raw["granularities"],
-                               lambda gs: tuple(float(g) for g in gs)),
-        window=window, seed=_convert(where, "seed", raw["seed"], _count(0)), source=src,
-        tree=sections["tree"], ml=sections["ml"], stats=sections["stats"],
-        riskmap=sections["riskmap"], out_dir=out_dir, raw=raw)
+    return RunConfig(**values, out_dir=out_dir, raw=raw)
 
 
 def _sha256(path: Path) -> str:
@@ -222,7 +213,7 @@ def _input_digests(cfg: RunConfig, carried: dict | None = None) -> dict:
     and paths, its digests, those of the files the table was built from,
     are recorded and no file is read; otherwise the files are hashed."""
     paths = {}
-    if cfg.source.get("kind") == "files":
+    if cfg.source["kind"] == "files":
         paths = {key: str(Path(cfg.source[key])) for key in _INPUT_FILES if key in cfg.source}
     if carried is not None and carried.keys() == paths.keys() and all(
             isinstance(entry := carried[key], dict) and entry.get("path") == path
@@ -234,14 +225,13 @@ def _input_digests(cfg: RunConfig, carried: dict | None = None) -> dict:
     return {key: {"path": path, "sha256": _sha256(Path(path))} for key, path in paths.items()}
 
 
-def _write_manifest(cfg: RunConfig, command: str, outputs: list[Path],
-                    carried: dict | None = None) -> None:
-    """manifest.json for command's outputs; carried as in _input_digests."""
+def _write_manifest(cfg: RunConfig, command: str, written: Written) -> None:
+    """manifest.json for what command wrote."""
     doc = {
         "command": command,
         "config": cfg.raw,
-        "inputs": _input_digests(cfg, carried),
-        "outputs": sorted(p.name for p in outputs),
+        "inputs": _input_digests(cfg, written.carried),
+        "outputs": sorted(p.name for p in written.outputs),
     }
     write_json(cfg.out_dir / "manifest.json", doc, indent=2)
 
@@ -254,11 +244,15 @@ def _build(cfg: RunConfig, cell_km: float):
     """(grid, dataset, edges) for one granularity from the configured source."""
     g = gridmod.build_grid(cfg.bbox, cell_km, cfg.mask_polygon)
     src = cfg.source
-    if src.get("kind", "synthetic") == "synthetic":
-        months = cfg.window.months if src.get("months") is None else src["months"]
+    if src["kind"] == "synthetic":
+        months = cfg.window.months if src["months"] is None else src["months"]
+        n = int(g.mask.sum())  # checked before the samples are allocated
+        if n * months > gridmod.MAX_CELL_MONTHS:
+            raise InvalidInputError(f"source.months: {months} months of {n} cells exceed "
+                                    f"{gridmod.MAX_CELL_MONTHS} cell-months")
         series, events = ingest.synth_country(
             cfg.seed, g, months, src["planted"], start=cfg.window.start, country=cfg.country)
-    elif src["kind"] == "files":
+    else:
         events = ingest.parse_events(src["events_csv"], src["event_schema"])
         rules = (ingest.load_keyword_rules(src["keyword_rules"])
                  if "keyword_rules" in src else ingest.default_keyword_rules())
@@ -267,8 +261,6 @@ def _build(cfg: RunConfig, cell_km: float):
             series = ingest.parse_series(src["series_csv"], g, cell_km=cfg.cell_km)
         except SchemaError as exc:
             raise SchemaError(f"source.series_csv: {exc}") from None
-    else:
-        raise InvalidInputError(f"unknown source kind {src.get('kind')!r}")
     edges = features.fit_bin_edges(series)
     ds = features.assemble_dataset(g, series, events, cfg.window, edges)
     return g, ds, edges
@@ -287,17 +279,19 @@ def _load_dataset(cfg: RunConfig) -> features.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns what it wrote, which main records and lists
+# commands: each returns what it wrote and its report, for main to record and print
 
 
 @dataclass(frozen=True)
 class Written:
-    """A command's artifacts, the record of the raw inputs they were built from
-    (carried, as in _input_digests), and the exit code once main records them."""
+    """A command's artifacts and exit code, its report lines for stdout and alerts for stderr,
+    and the record of the raw inputs the artifacts come from (carried, as in _input_digests)."""
 
     outputs: list[Path]
+    report: list[str]
     carried: dict | None = None
     exit_code: int = 0
+    alerts: tuple = ()
 
 
 def cmd_build_dataset(cfg: RunConfig) -> Written:
@@ -312,20 +306,19 @@ def cmd_build_dataset(cfg: RunConfig) -> Written:
     gridmod.save_grid(g, out_grid)
     features.write_bin_edges_json(edges, out_edges)
     n1 = int(ds.y.sum())
-    print(f"dataset: {len(ds)} cells ({g.n_rows}x{g.n_cols} grid at "
-          f"{cfg.cell_km:g} km), {n1} with conflicts, {len(ds) - n1} without")
-    return Written([out_ds, out_grid, out_edges], inputs)
+    report = [f"dataset: {len(ds)} cells ({g.n_rows}x{g.n_cols} grid at "
+              f"{cfg.cell_km:g} km), {n1} with conflicts, {len(ds) - n1} without"]
+    return Written([out_ds, out_grid, out_edges], report, inputs)
 
 
 def cmd_test_univariate(cfg: RunConfig) -> Written:
     ds = _load_dataset(cfg)
-    m = cfg.stats.get("bonferroni_m")
-    results = stats.run_univariate(ds, m=m)
+    results = stats.run_univariate(ds, m=cfg.stats["bonferroni_m"])
     out = cfg.out_dir / "univariate.csv"
     stats.write_univariate_csv(results, out)
     n_sig = sum(r.p_bonferroni < 0.05 for r in results)
-    print(f"tested {len(results)} features; {n_sig} significant at 0.05 after Bonferroni")
-    return Written([out], ds.inputs)
+    report = [f"tested {len(results)} features; {n_sig} significant at 0.05 after Bonferroni"]
+    return Written([out], report, ds.inputs)
 
 
 def cmd_learn_tree(cfg: RunConfig) -> Written:
@@ -337,15 +330,15 @@ def cmd_learn_tree(cfg: RunConfig) -> Written:
     with create(out_dot) as fh:
         fh.write(hypotheses.tree_to_dot(tree))
     paths = hypotheses.extract_paths(tree, cfg.tree["min_support"], cfg.tree["min_purity"])
-    print(f"tree trained on {len(ds)} rows; {len(paths)} candidate hypothesis paths")
-    return Written([out_json, out_dot], ds.inputs)
+    report = [f"tree trained on {len(ds)} rows; {len(paths)} candidate hypothesis paths"]
+    return Written([out_json, out_dot], report, ds.inputs)
 
 
 def cmd_golden(cfg: RunConfig) -> Written:
     """Evaluate the built-in hypotheses on datasets reconstructed from their
     frozen contingency tables; exit code 5 if a statistic misses its
     frozen value."""
-    results = []
+    results, report = [], []
     n_bad = 0
     for name, bh in hypotheses.builtin_hypotheses().items():
         table, res = hypotheses.evaluate_hypothesis(bh.predicate, hypotheses.golden_dataset(bh))
@@ -356,15 +349,14 @@ def cmd_golden(cfg: RunConfig) -> Written:
               and abs(np.log(res.p / bh.p)) <= np.log(2.0))
         n_bad += not ok
         status = "ok" if ok else "MISMATCH"
-        print(f"{name} ({bh.country}): OR {res.odds_ratio:.2f} vs {bh.odds_ratio:.2f}, "
-              f"p {res.p:.3g} vs {bh.p:.3g} -> {status}")
+        report.append(f"{name} ({bh.country}): OR {res.odds_ratio:.2f} vs {bh.odds_ratio:.2f}, "
+                      f"p {res.p:.3g} vs {bh.p:.3g} -> {status}")
         results.append((bh.country, name, table, res))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.out_dir / "hypotheses_golden.csv"
     hypotheses.write_hypothesis_csv(results, out)
-    if n_bad:
-        print(f"{n_bad} golden hypothesis mismatch(es)", file=sys.stderr)
-    return Written([out], exit_code=5 if n_bad else 0)
+    return Written([out], report, exit_code=5 if n_bad else 0,
+                   alerts=[f"{n_bad} golden hypothesis mismatch(es)"] if n_bad else [])
 
 
 def cmd_eval_hypotheses(cfg: RunConfig, which: str, only: str | None) -> Written:
@@ -376,13 +368,12 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, only: str | None) -> Written
         tree = hypotheses.load_tree(_stage_output(cfg, "tree.json", "learn-tree"))
         preds = hypotheses.extract_paths(tree, cfg.tree["min_support"], cfg.tree["min_purity"])
         named = [(f"Path{i + 1}", p) for i, p in enumerate(preds)]
-    results = []
-    doc = []
+    results, doc, report = [], [], []
     for name, pred in named:
         try:
             table, res = hypotheses.evaluate_hypothesis(pred, ds)
         except (DegeneratePartitionError, UndefinedTestError) as exc:
-            print(f"{name}: skipped ({exc})")
+            report.append(f"{name}: skipped ({exc})")
             continue
         results.append((cfg.country, name, table, res))
         doc.append({
@@ -394,39 +385,37 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, only: str | None) -> Written
             "ci": [res.ci_low, res.ci_high],
             "p": res.p,
         })
-        print(f"{name}: [{pred.describe()}] OR={res.odds_ratio:.3g} p={res.p:.3g}")
+        report.append(f"{name}: [{pred.describe()}] OR={res.odds_ratio:.3g} p={res.p:.3g}")
     out_csv = cfg.out_dir / "hypotheses.csv"
     out_json = cfg.out_dir / "hypotheses.json"
     hypotheses.write_hypothesis_csv(results, out_csv)
     write_json(out_json, doc, indent=2)
-    return Written([out_csv, out_json], ds.inputs)
+    return Written([out_csv, out_json], report, ds.inputs)
 
 
 def cmd_train_suite(cfg: RunConfig) -> Written:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    best_lines = []
-    specs = ml.default_suite(cfg.seed, cfg.ml.get("class_weight"))
+    """Every granularity's suite, written once all have fitted."""
+    specs = ml.default_suite(cfg.seed, cfg.ml["class_weight"])
+    suites = []
     for km in cfg.granularities:
         _, ds, _ = _build(cfg, km)
-        report = ml.run_suite(ds, specs, cfg.ml["test_fraction"], cfg.seed)
-        out = cfg.out_dir / f"suite_{km:g}km.csv"
-        ml.write_suite_csv(report, out)
-        outputs.append(out)
-        best = ml.best_row(report)
-        best_lines.append((km, best))
-        print(f"{km:g} km: best {best.classifier} F1={best.f1:.2f} "
-              f"AUC={'NA' if best.auc is None else f'{best.auc:.2f}'}")
-    out_best = cfg.out_dir / "best_summary.csv"
-    ml.write_best_summary_csv(cfg.country, best_lines, out_best)
-    outputs.append(out_best)
-    return Written(outputs)
+        suites.append(ml.run_suite(ds, specs, cfg.ml["test_fraction"], cfg.seed))
+    best_lines = [(km, ml.best_row(rows)) for km, rows in zip(cfg.granularities, suites)]
+    report = [f"{km:g} km: best {best.classifier} F1={best.f1:.2f} "
+              f"AUC={'NA' if best.auc is None else f'{best.auc:.2f}'}" for km, best in best_lines]
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [cfg.out_dir / f"suite_{km:g}km.csv" for km in cfg.granularities]
+    for rows, out in zip(suites, outputs):
+        ml.write_suite_csv(rows, out)
+    outputs.append(cfg.out_dir / "best_summary.csv")
+    ml.write_best_summary_csv(cfg.country, best_lines, outputs[-1])
+    return Written(outputs, report)
 
 
 def cmd_riskmap(cfg: RunConfig) -> Written:
     ds = _load_dataset(cfg)
     g = gridmod.load_grid(_stage_output(cfg, "grid.json", "build-dataset"))
-    spec = ml.ClassifierSpec(kind=cfg.riskmap["model"], seed=cfg.seed)
+    [spec] = ml.default_suite(cfg.seed, cfg.ml["class_weight"], [cfg.riskmap["model"]])
     model = ml.train(spec, ds)
     scores = ml.predict_proba(model, ds)
     surface = riskmap.surface_from_rows(g, ds.cells, scores, model_id=spec.kind)
@@ -438,8 +427,8 @@ def cmd_riskmap(cfg: RunConfig) -> Written:
     riskmap.render_pgm(surface, out_pgm)
     riskmap.render_csv(surface, out_csv)
     ml.save_model(model, spec, out_model)
-    print(f"risk surface from {spec.kind}: mean {scores.mean():.3f}, max {scores.max():.3f}")
-    return Written([out_geo, out_pgm, out_csv, out_model], ds.inputs)
+    report = [f"risk surface from {spec.kind}: mean {scores.mean():.3f}, max {scores.max():.3f}"]
+    return Written([out_geo, out_pgm, out_csv, out_model], report, ds.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +486,17 @@ def main(argv=None) -> int:
                 "train-suite": cmd_train_suite,
                 "riskmap": cmd_riskmap,
             }[args.command](cfg)
-        _write_manifest(cfg, args.command, written.outputs, written.carried)
-        for p in written.outputs:
-            print(f"wrote {p}")
+        _write_manifest(cfg, args.command, written)
+        try:
+            sys.stdout.writelines(f"{line}\n" for line in written.report)
+            sys.stderr.writelines(f"{line}\n" for line in written.alerts)
+            sys.stdout.writelines(f"wrote {p}\n" for p in written.outputs)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left early, as `| head` does
+            try:
+                sys.stdout.close()  # drops the lines left, which the exit would flush again
+            except BrokenPipeError:
+                pass
         return written.exit_code
     except PCRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,8 @@ _EDGE_EPS = 1e-9
 #: cell limit of a grid, so that every table built on one stays below the
 #: CART's row limit (hypotheses.MAX_CART_ROWS)
 MAX_CELLS = 2 ** 22
+#: cells x months limit of a synthetic country, whose samples take about 0.1 KB each
+MAX_CELL_MONTHS = 2 ** 22
 
 
 @dataclass(frozen=True)

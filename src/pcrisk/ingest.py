@@ -491,10 +491,10 @@ class PlantedEffect:
     def __post_init__(self):
         if self.variable not in VARIABLES:
             raise InvalidInputError(f"unknown planted variable {self.variable!r}")
-        for f in fields(self):
+        for f in fields(self):  # bounded, so that every sample drawn stays finite
             value = getattr(self, f.name)
-            if f.name != "variable" and not math.isfinite(value):
-                raise InvalidInputError(f"planted {f.name} must be finite, got {value}")
+            if f.name != "variable" and not abs(value) <= 1e300:
+                raise InvalidInputError(f"planted {f.name} {value} lies outside [-1e300, 1e300]")
         if not 0.0 <= self.base_rate < 1.0:
             raise InvalidInputError("base_rate must be in [0, 1)")
         if self.odds_ratio <= 0:
@@ -503,8 +503,8 @@ class PlantedEffect:
             raise InvalidInputError("risk_fraction must be in [0, 1]")
         if self.regime_sd < 0:
             raise InvalidInputError("regime_sd must be non-negative")
-        if self.extra_events_rate < 0:
-            raise InvalidInputError("extra_events_rate must be non-negative")
+        if not 0.0 <= self.extra_events_rate <= 100.0:  # one Python object per event
+            raise InvalidInputError("extra_events_rate must be in [0, 100]")
 
     @property
     def risk_rate(self) -> float:

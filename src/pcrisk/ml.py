@@ -103,12 +103,13 @@ class ClassifierSpec:
         return hp
 
 
-def default_suite(seed: int = 0, class_weight=None) -> list[ClassifierSpec]:
-    """One spec per kind with default hyperparameters, except class_weight
-    on every kind that has it; shared seed."""
+def default_suite(seed: int = 0, class_weight=None,
+                  kinds=CLASSIFIER_KINDS) -> list[ClassifierSpec]:
+    """One spec per kind of kinds with default hyperparameters, except
+    class_weight on every kind that has it; shared seed."""
     return [ClassifierSpec(k, {"class_weight": class_weight}
                            if "class_weight" in _DEFAULT_HYPERPARAMS[k] else {}, seed)
-            for k in CLASSIFIER_KINDS]
+            for k in kinds]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import count_parses
-from pcrisk import cli, errors, features, hypotheses
+from pcrisk import cli, errors, features, hypotheses, ml
 from pcrisk.cli import main
 from pcrisk.grid import BBox, build_grid
 from pcrisk.ingest import VARIABLES, PlantedEffect, synth_country
@@ -983,3 +983,62 @@ class TestTrainSuite:
         first = (out / "suite_100km.csv").read_bytes()
         _run("train-suite", "--config", cfg, "--out-dir", str(out))
         assert (out / "suite_100km.csv").read_bytes() == first
+
+    def test_failing_granularity_leaves_the_out_dir_as_it_was(self, tmp_path, capsys):
+        # a strip 0.25 degrees tall holds a row of 50 km cell centers and no
+        # 100 km one; suite_50km.csv was once written before 100 km failed
+        out = tmp_path / "out"
+        assert _run("build-dataset", "--config", _cfg(tmp_path), "--out-dir", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        strip = [[0.1, 10.0], [0.1, 14.5], [0.35, 14.5], [0.35, 10.0]]
+        cfg = _cfg(tmp_path, granularities=[50, 100], mask_polygon=strip)
+        capsys.readouterr()
+        assert _run("train-suite", "--config", cfg, "--out-dir", str(out)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: mask_polygon selects no cell center of the 6 x 5")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+class TestRiskmapClassWeight:
+    def test_balanced_weight_is_recorded(self, tmp_path):
+        # riskmap once ignored ml.class_weight
+        out = tmp_path / "out"
+        for weight in ("balanced", None):
+            cfg = _cfg(tmp_path, ml={"class_weight": weight},
+                       riskmap={"model": "LogisticRegression"})
+            for command in ("build-dataset", "riskmap"):
+                assert _run(command, "--config", cfg, "--out-dir", str(out)) == 0
+            model = json.loads((out / "model.json").read_text(encoding="utf-8"))
+            assert model["hyperparams"]["class_weight"] == weight
+
+    def test_null_weight_saves_the_unweighted_model(self, tmp_path):
+        out = tmp_path / "out"
+        assert _run("build-dataset", "--config", _cfg(tmp_path), "--out-dir", str(out)) == 0
+        ds = features.load_dataset(out / "dataset.csv")
+        for kind in ml.CLASSIFIER_KINDS:
+            cfg = _cfg(tmp_path, ml={"class_weight": None}, riskmap={"model": kind})
+            assert _run("riskmap", "--config", cfg, "--out-dir", str(out)) == 0, kind
+            spec = ml.ClassifierSpec(kind, seed=7)
+            ml.save_model(ml.train(spec, ds), spec, tmp_path / "model.json")
+            assert ((out / "model.json").read_bytes()
+                    == (tmp_path / "model.json").read_bytes()), kind
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_quietly_after_the_manifest(tmp_path, unbuffered):
+    # `| head -0`: a report print once raised BrokenPipeError before the
+    # manifest was written (exit 1), or the final flush failed (exit 120)
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(root / "src"), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    read, write = os.pipe()
+    os.close(read)  # no reader: every write to stdout fails with EPIPE
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcrisk.cli", "build-dataset", "--config", _cfg(tmp_path),
+         "--out-dir", str(out)], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+        "bin_edges.json", "dataset.csv", "grid.json"]
