@@ -6,13 +6,13 @@ parent checkout and in this one by turns, for a number of pairs: pair i
 runs the parent first when i is even and this checkout first when it is
 odd, so a drift of the host's speed weighs on both sides alike. It then
 writes one ``BENCH_<label>.json``. At its top it holds the run-wide
-settings: the seed, the seconds per run, the run order, and the CPU count
-and BLAS thread setting the runs saw. Under ``workloads`` it holds, per
-workload:
+settings: the seed, the seconds per run, the run order, the CPU count and
+BLAS thread setting the runs saw, and each side's line count of
+``src/pcrisk/*.py``. Under ``workloads`` it holds, per workload:
 
 - the pair count and both git shas;
-- each side's artifact sha256 lines, and whether every run of that side
-  printed the same ones;
+- each side's artifact sha256 lines, whether every run of that side
+  printed the same ones, and whether both sides' first runs did;
 - per side and per end-to-end metric, the median, the quartiles, the run
   count and every run's value;
 - per metric, the number of pairs in which this checkout did better.
@@ -52,6 +52,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, tiny: boo
             "units": {name: m["unit"] for name, m in result["metrics"].items()}}
 
 
+def src_lines(checkout: Path) -> int:
+    """The line count of checkout's src/pcrisk/*.py, as wc -l gives it."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "pcrisk").glob("*.py"))
+
+
 def summary(values: list[float]) -> dict:
     if len(values) > 1:
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -70,6 +75,7 @@ def workload_entry(runs: dict[str, list[dict]]) -> dict:
         "artifacts": {side: runs[side][0]["artifacts"] for side in SIDES},
         "artifacts_stable": {side: all(r["artifacts"] == runs[side][0]["artifacts"]
                                        for r in runs[side]) for side in SIDES},
+        "artifacts_equal": runs["parent"][0]["artifacts"] == runs["this"][0]["artifacts"],
         "metrics": {side: {name: {"unit": unit,
                                   **summary([r["metrics"][name] for r in runs[side]])}
                            for name, unit in units.items()} for side in SIDES},
@@ -120,6 +126,7 @@ def main(argv=None) -> int:
         "cpu_count": env.get("cpu_count"),
         "cpus_usable": env.get("cpus_usable"),
         "blas_threads": env.get("blas_threads"),
+        "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
         "workloads": entries,
     }
     out = args.out or ROOT / f"BENCH_{args.label}.json"

@@ -4,11 +4,12 @@ eval-hypotheses, train-suite, riskmap.
 Every command reads a JSON run config (CLI flags override a few common
 fields), writes its artifacts plus a manifest.json capturing the resolved
 config and the sha256 digests of the source's raw input files, and is
-byte-identical when rerun with the same config and seed. build-dataset
-hashes each raw input once and keeps that record with the parse of
-dataset.csv; the analysis stages, which read dataset.csv and not the raw
-files, record it from there. They hash the files only when the record is
-missing or names other files than the config does.
+byte-identical when rerun with the same config and seed at the same BLAS
+thread count (riskmap's DeepNN model.json at 50 km differs between 1 and 2
+threads). build-dataset hashes each raw input once and keeps that record
+with the parse of dataset.csv; the analysis stages, which read dataset.csv
+and not the raw files, record it from there. They hash the files only when
+the record is missing or names other files than the config does.
 """
 
 from __future__ import annotations
@@ -74,7 +75,10 @@ def _number(test=lambda x: True, rule: str = ""):
 def _granularities(value) -> tuple:
     if not isinstance(value, list) or not value:
         raise TypeError("not a non-empty list")
-    return tuple(_cell_km(km) for km in value)
+    kms = tuple(_cell_km(km) for km in value)
+    if len({f"{km:g}" for km in kms}) < len(kms):
+        raise ValueError("two cell sizes would share one suite_<km>km.csv")
+    return kms
 
 
 def _text(*allowed):

@@ -171,14 +171,16 @@ def encode_columns(X: np.ndarray) -> ColumnCodes:
     return ColumnCodes(bins=bins, values=values, starts=starts)
 
 
-def _check_count(name: str, value, none_ok: bool) -> None:
-    """Raise InvalidInputError unless value is an integer >= 1 (an int or a
-    numpy integer, not a bool), or None where none_ok."""
-    if value is None and none_ok:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        also = " or None" if none_ok else ""
-        raise InvalidInputError(f"{name} must be an integer >= 1{also}, not {value!r}")
+def check_count(name: str, value, *others):
+    """value as an int if it is an integer >= 1 (an int or a numpy integer,
+    not a bool), or value itself if it is one of others (None or strings);
+    otherwise InvalidInputError naming name."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    if value is None and None in others or isinstance(value, str) and value in others:
+        return value
+    also = "".join(" or None" if o is None else f" or {o!r}" for o in others)
+    raise InvalidInputError(f"{name} must be a positive integer{also}, not {value!r}")
 
 
 def _best_splits(codes: ColumnCodes, class1: np.ndarray, rows: np.ndarray, n: np.ndarray,
@@ -346,9 +348,9 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
     whose children would lie deeper than MAX_TREE_DEPTH raises
     InvalidInputError.
     """
-    _check_count("max_depth", max_depth, none_ok=True)
-    _check_count("min_leaf", min_leaf, none_ok=False)
-    _check_count("max_features", max_features, none_ok=True)
+    check_count("max_depth", max_depth, None)
+    check_count("min_leaf", min_leaf)
+    check_count("max_features", max_features, None)
     for rows in roots:
         if len(rows) >= MAX_CART_ROWS:
             raise InvalidInputError(f"CART takes fewer than {MAX_CART_ROWS} rows, got {len(rows)}")

@@ -45,6 +45,7 @@ from .errors import (
 from .features import Dataset, to_matrix
 from .hypotheses import (
     TreeNode,
+    check_count,
     encode_columns,
     grow_forest,
     grow_tree,
@@ -54,62 +55,12 @@ from .hypotheses import (
     tree_to_dict,
 )
 
-_DEFAULT_HYPERPARAMS = {
-    "DecisionTree": {"max_depth": 4, "min_leaf": 1},
-    "RandomForest": {"n_estimators": 30, "max_depth": 12, "min_leaf": 1,
-                     "max_features": "sqrt", "bootstrap": True},
-    "AdaBoost": {"n_rounds": 50},
-    "LogisticRegression": {"l2": 1e-3, "lr": 0.5, "epochs": 400, "tol": 1e-9,
-                           "class_weight": None},
-    "LinearSVM": {"l2": 1e-3, "epochs": 30, "class_weight": None},
-    "GaussianNB": {"var_smoothing": 1e-9},
-    "MLP": {"hidden": (32,), "l2": 1e-4, "lr": 0.2, "epochs": 400, "tol": 1e-9,
-            "class_weight": None, "patience": 20},
-}
-_DEFAULT_HYPERPARAMS["DeepNN"] = {**_DEFAULT_HYPERPARAMS["MLP"], "hidden": (64, 64)}
-
-CLASSIFIER_KINDS = tuple(_DEFAULT_HYPERPARAMS)
-
 #: hyperparameters that take a positive integer, and the other values each allows
-_COUNT_HYPERPARAMS = {"n_estimators": (), "n_rounds": (), "patience": (None,),
+_COUNT_HYPERPARAMS = {"n_estimators": (), "n_rounds": (), "epochs": (), "patience": (None,),
                       "max_features": (None, "sqrt"), "max_depth": (None,), "min_leaf": ()}
 
 #: the stratified share of an MLP's training rows it holds out to stop on
 VALIDATION_FRACTION = 0.1
-
-
-@dataclass(frozen=True)
-class ClassifierSpec:
-    kind: str
-    hyperparams: dict = field(default_factory=dict)
-    seed: int = 0
-
-    def resolved(self) -> dict:
-        if self.kind not in CLASSIFIER_KINDS:
-            raise InvalidInputError(f"unknown classifier kind {self.kind!r}")
-        hp = dict(_DEFAULT_HYPERPARAMS[self.kind])
-        for k, v in self.hyperparams.items():
-            if k not in hp:
-                raise InvalidInputError(f"{self.kind} has no hyperparameter {k!r}")
-            hp[k] = v
-        if hp.get("class_weight") not in (None, "balanced"):
-            raise InvalidInputError(f"unknown class_weight {hp['class_weight']!r}")
-        for key, others in _COUNT_HYPERPARAMS.items():
-            v = hp.get(key)
-            if key in hp and v not in others and not (type(v) is int and v >= 1):
-                also = "".join(" or null" if o is None else f" or {o!r}" for o in others)
-                raise InvalidInputError(
-                    f"{self.kind} {key} must be a positive integer{also}, not {v!r}")
-        return hp
-
-
-def default_suite(seed: int = 0, class_weight=None,
-                  kinds=CLASSIFIER_KINDS) -> list[ClassifierSpec]:
-    """One spec per kind of kinds with default hyperparameters, except
-    class_weight on every kind that has it; shared seed."""
-    return [ClassifierSpec(k, {"class_weight": class_weight}
-                           if "class_weight" in _DEFAULT_HYPERPARAMS[k] else {}, seed)
-            for k in kinds]
 
 
 @dataclass(frozen=True)
@@ -195,12 +146,14 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 
 
 class _Model:
-    """A classifier of one kind with its resolved hyperparameters and seed.
+    """A classifier of one kind with its resolved hyperparameters and seed;
+    defaults holds each hyperparameter the kind takes, with its default.
     Its state is its annotated instance attributes, which fit sets:
     state_dict encodes them for model.json (_to_json) and load_state
     decodes each by its annotation (_from_json)."""
 
     kind: typing.ClassVar[str]
+    defaults: typing.ClassVar[dict]
 
     def __init__(self, hyperparams: dict, seed: int):
         self.hyperparams = hyperparams
@@ -255,6 +208,7 @@ def _from_json(hint, value):
 
 class TreeModel(_Model):
     kind = "DecisionTree"
+    defaults = {"max_depth": 4, "min_leaf": 1}
     tree: TreeNode
     n_features: int
 
@@ -271,6 +225,8 @@ class TreeModel(_Model):
 
 class ForestModel(_Model):
     kind = "RandomForest"
+    defaults = {"n_estimators": 30, "max_depth": 12, "min_leaf": 1, "max_features": "sqrt",
+                "bootstrap": True}
     trees: list[TreeNode]
     n_features: int
 
@@ -303,6 +259,7 @@ class ForestModel(_Model):
 
 class AdaBoostModel(_Model):
     kind = "AdaBoost"
+    defaults = {"n_rounds": 50}
     stumps: list[tuple[int, float, int]]
     alphas: list[float]
     n_features: int
@@ -422,6 +379,7 @@ class _Standardising(_Model):
 
 class LogisticModel(_Standardising):
     kind = "LogisticRegression"
+    defaults = {"l2": 1e-3, "lr": 0.5, "epochs": 400, "tol": 1e-9, "class_weight": None}
     w: np.ndarray  # last entry is the bias
     epochs: int
     stop: str  # see _batch_gd
@@ -445,6 +403,7 @@ class LogisticModel(_Standardising):
 
 class SvmModel(_Standardising):
     kind = "LinearSVM"
+    defaults = {"l2": 1e-3, "epochs": 30, "class_weight": None}
     w: np.ndarray
     b: float
 
@@ -485,6 +444,7 @@ class SvmModel(_Standardising):
 
 class NaiveBayesModel(_Model):
     kind = "GaussianNB"
+    defaults = {"var_smoothing": 1e-9}
     theta: np.ndarray  # (2, d) class means
     var: np.ndarray  # (2, d) class variances
     log_prior: np.ndarray
@@ -532,6 +492,8 @@ class MlpModel(_Standardising):
     step or the epoch cap."""
 
     kind = "MLP"
+    defaults = {"hidden": (32,), "l2": 1e-4, "lr": 0.2, "epochs": 400, "tol": 1e-9,
+                "class_weight": None, "patience": 20}
     layers: list[tuple[np.ndarray, np.ndarray]]  # (W, b) pairs
     epochs: int
     best_epoch: int | None  # None: no held-out rows
@@ -575,6 +537,7 @@ class DeepNnModel(MlpModel):
     """The MLP kind whose default hyperparameters give it two hidden layers."""
 
     kind = "DeepNN"
+    defaults = {**MlpModel.defaults, "hidden": (64, 64)}
 
 
 # ---------------------------------------------------------------------------
@@ -638,10 +601,14 @@ def _unflatten_params(flat, shapes):
     return params
 
 
-def _mlp_logits(layers, X):
+def _mlp_logits(layers, X, acts=None):
+    """The logits of the tanh MLP with (W, b) pairs layers at the rows of X;
+    hidden layer i writes its activation into acts[i], or a new array."""
     h = X
-    for W, b in layers[:-1]:
-        h = np.tanh(h @ W + b)
+    for i, (W, b) in enumerate(layers[:-1]):
+        h = np.matmul(h, W, out=None if acts is None else acts[i])
+        h += b
+        np.tanh(h, out=h)
     W, b = layers[-1]
     return (h @ W + b).ravel()
 
@@ -654,9 +621,9 @@ def mlp_forward_fn(shapes, X, y, l2: float, sample_weight=None):
 
     The (n, hidden units) activation, delta and back-propagation arrays of
     each hidden layer are allocated once, here; every forward pass and
-    backward() writes into them. A forward pass
-    overwrites the activations of the one before it: only the latest
-    pass's backward() may run, and an earlier one raises RuntimeError.
+    backward() writes into them. A forward pass overwrites the activations
+    of the one before it: only the latest pass's backward() may run, and an
+    earlier one raises RuntimeError.
     """
     n = len(y)
     sw = np.ones(n) if sample_weight is None else sample_weight
@@ -671,13 +638,7 @@ def mlp_forward_fn(shapes, X, y, l2: float, sample_weight=None):
         generation += 1
         own = generation
         layers = _unflatten_params(flat, shapes)
-        h = X
-        for (W, b), a in zip(layers[:-1], acts):
-            h = np.matmul(h, W, out=a)
-            h += b
-            np.tanh(h, out=h)
-        Wo, bo = layers[-1]
-        z = (h @ Wo + bo).ravel()
+        z = _mlp_logits(layers, X, acts)
         loss = float(np.mean(sw * (np.logaddexp(0.0, z) - y * z)))
         loss += 0.5 * l2 * sum(float((W * W).sum()) for W, _ in layers)
 
@@ -688,8 +649,8 @@ def mlp_forward_fn(shapes, X, y, l2: float, sample_weight=None):
             inputs = [X, *acts]  # the input of each layer
             grads = [None] * len(layers)
             d = (sw * (_sigmoid(z) - y) / n)[:, None]  # (n, 1)
-            grads[-1] = (inputs[-1].T @ d + l2 * Wo, d.sum(axis=0))
-            W = Wo
+            W = layers[-1][0]
+            grads[-1] = (inputs[-1].T @ d + l2 * W, d.sum(axis=0))
             for li in range(len(layers) - 2, -1, -1):
                 back = np.matmul(d, W.T, out=backs[li])
                 W = layers[li][0]
@@ -777,10 +738,49 @@ def _batch_gd(forward, x0, lr: float, epochs: int, tol: float, held_out_forward=
 _MODEL_CLASSES = {cls.kind: cls for cls in (TreeModel, ForestModel, AdaBoostModel, LogisticModel,
                                              SvmModel, NaiveBayesModel, MlpModel, DeepNnModel)}
 
+CLASSIFIER_KINDS = tuple(_MODEL_CLASSES)
 
-def _new_model(spec: ClassifierSpec) -> _Model:
-    hp = spec.resolved()
-    return _MODEL_CLASSES[spec.kind](hp, spec.seed)
+
+@dataclass(frozen=True)
+class ClassifierSpec:
+    """A classifier kind, its hyperparameters and its seed, resolved and
+    checked when made: hyperparams becomes the kind's defaults with the
+    given values over them, each count an int and hidden a tuple."""
+
+    kind: str
+    hyperparams: dict = field(default_factory=dict)
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in _MODEL_CLASSES:
+            raise InvalidInputError(f"unknown classifier kind {self.kind!r}")
+        hp = dict(_MODEL_CLASSES[self.kind].defaults)
+        for k, v in self.hyperparams.items():
+            if k not in hp:
+                raise InvalidInputError(f"{self.kind} has no hyperparameter {k!r}")
+            hp[k] = v
+        if hp.get("class_weight") not in (None, "balanced"):
+            raise InvalidInputError(f"{self.kind} class_weight must be None or 'balanced', "
+                                    f"not {hp['class_weight']!r}")
+        for key, others in _COUNT_HYPERPARAMS.items():
+            if key in hp:
+                hp[key] = check_count(f"{self.kind} {key}", hp[key], *others)
+        if "hidden" in hp:
+            if not isinstance(hp["hidden"], (list, tuple)):
+                raise InvalidInputError(f"{self.kind} hidden must be a list, not {hp['hidden']!r}")
+            hp["hidden"] = tuple(check_count(f"{self.kind} hidden width", w) for w in hp["hidden"])
+        if not isinstance(hp.get("bootstrap", True), bool):
+            raise InvalidInputError(f"{self.kind} bootstrap {hp['bootstrap']!r} is not a bool")
+        object.__setattr__(self, "hyperparams", hp)
+
+
+def default_suite(seed: int = 0, class_weight=None,
+                  kinds=CLASSIFIER_KINDS) -> list[ClassifierSpec]:
+    """One spec per kind of kinds with default hyperparameters, except
+    class_weight on every kind that has it; shared seed."""
+    return [ClassifierSpec(k, {"class_weight": class_weight}
+                           if "class_weight" in _MODEL_CLASSES[k].defaults else {}, seed)
+            for k in kinds]
 
 
 def train(spec: ClassifierSpec, ds: Dataset):
@@ -792,7 +792,7 @@ def train(spec: ClassifierSpec, ds: Dataset):
         raise InvalidInputError("non-finite feature values")
     if y.min(initial=1) == y.max(initial=0):
         raise InsufficientDataError("training needs both classes present")
-    return _new_model(spec).fit(X, y)
+    return _MODEL_CLASSES[spec.kind](spec.hyperparams, spec.seed).fit(X, y)
 
 
 def predict_proba(model, ds: Dataset) -> np.ndarray:
@@ -802,7 +802,7 @@ def predict_proba(model, ds: Dataset) -> np.ndarray:
 
 
 def save_model(model, spec: ClassifierSpec, path) -> None:
-    doc = {"kind": spec.kind, "hyperparams": spec.resolved(),
+    doc = {"kind": spec.kind, "hyperparams": spec.hyperparams,
            "seed": spec.seed, "state": model.state_dict()}
     write_json(path, doc)
 
@@ -811,21 +811,12 @@ def load_model(path):
     """(model, spec) saved by save_model; a damaged file raises
     InvalidInputError naming it."""
     def parse(doc):
-        spec = ClassifierSpec(kind=doc["kind"],
-                              hyperparams=_tupled(doc["hyperparams"]),
-                              seed=doc["seed"])
-        model = _new_model(spec)
+        spec = ClassifierSpec(doc["kind"], doc["hyperparams"], doc["seed"])
+        model = _MODEL_CLASSES[spec.kind](spec.hyperparams, spec.seed)
         model.load_state(doc["state"])
         return model, spec
 
     return read_json(path, "model", parse)
-
-
-def _tupled(hp: dict) -> dict:
-    out = dict(hp)
-    if "hidden" in out:
-        out["hidden"] = tuple(out["hidden"])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +827,6 @@ def run_suite(ds: Dataset, specs: list[ClassifierSpec],
               test_fraction: float = 0.2, seed: int = 0) -> tuple[EvalRow, ...]:
     """Train every spec, in order, on one stratified split and score the
     test side; a failing fit raises at once."""
-    for spec in specs:
-        spec.resolved()  # reject a bad spec before the first fit
     train_ds, test_ds = split(ds, test_fraction, seed)
 
     def score(spec: ClassifierSpec) -> EvalRow:

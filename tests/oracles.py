@@ -763,8 +763,6 @@ def parse_series_per_row(path, grid: Grid | None = None) -> list[VariableSeries]
 
 def run_suite_sequential(ds, specs, test_fraction: float = 0.2, seed: int = 0):
     """Train every spec on one stratified split and score the test side."""
-    for spec in specs:
-        spec.resolved()  # reject a bad spec before the first fit
     train_ds, test_ds = split(ds, test_fraction, seed)
     out = []
     for spec in specs:

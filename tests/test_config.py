@@ -147,6 +147,9 @@ class TestFaultsFromTheTable:
     ("train-suite", ("granularities",), [], "granularities"),
     # suite_100km.csv written, then exit 3
     ("train-suite", ("granularities",), [100, 0], "granularities"),
+    # two suites fitted, suite_100km.csv written twice and listed twice
+    ("train-suite", ("granularities",), [100, 100], "granularities"),
+    ("train-suite", ("granularities",), [100, 100.0000001], "granularities"),
     # checked only by the stage that uses them, or not at all, and recorded
     # in the manifest of every other stage
     ("build-dataset", ("ml", "class_weight"), "foo", "ml.class_weight"),
@@ -157,6 +160,7 @@ class TestFaultsFromTheTable:
     ("build-dataset", ("tree", "bogus"), 1, "unknown key tree.bogus"),
 ], ids=["cell_km_true", "granularity_true", "bbox_false", "odds_ratio_true",
         "polygon_vertex_true", "granularities_empty", "granularity_zero_after_valid",
+        "granularities_repeated", "granularities_named_alike",
         "class_weight_foo", "riskmap_model_nope", "source_kind_nope", "country_number",
         "unknown_top_level_key", "unknown_tree_key"])
 def test_table_fault_exits_3(prebuilt, tmp_path, command, path, value, key):

@@ -186,7 +186,7 @@ class TestModels:
         y = ((X[:, 0] + X[:, 7] + 0.3 * rng.random(1600)) > 1.1).astype(int)
         tracemalloc.start()
         try:
-            model = ml.ForestModel(ClassifierSpec("RandomForest").resolved(), 0).fit(X, y)
+            model = ml.ForestModel(ClassifierSpec("RandomForest").hyperparams, 0).fit(X, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -200,7 +200,7 @@ class TestModels:
         rng = np.random.default_rng(8)
         X = np.round(rng.random((300, 30)), 2)
         y = (X[:, 3] + X[:, 17] + 0.5 * rng.random(300) > 1.2).astype(int)
-        hp = ClassifierSpec("RandomForest", {"n_estimators": 6}).resolved()
+        hp = ClassifierSpec("RandomForest", {"n_estimators": 6}).hyperparams
         model = ml.ForestModel(hp, 5).fit(X, y)
         rng, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
         roots = [rng.integers(0, 300, size=300) for _ in range(6)]
@@ -239,20 +239,20 @@ class TestModels:
     def test_demo_forests_match_per_node_grower(self, km):
         # the demo's train-suite forests, tree for tree and draw for draw
         train_ds, _ = split(_demo_table(km), 0.2, 7)
-        hp = ClassifierSpec("RandomForest").resolved()
+        hp = ClassifierSpec("RandomForest").hyperparams
         _assert_same_forests(train_ds.X, train_ds.y, hp, 7)
 
     def test_deep_min_leaf_2_forest_matches_per_node_grower(self, demo_100km):
         train_ds, _ = split(demo_100km, 0.5, 3)
         hp = ClassifierSpec("RandomForest", {"n_estimators": 10, "max_depth": None,
-                                             "min_leaf": 2}).resolved()
+                                             "min_leaf": 2}).hyperparams
         _assert_same_forests(train_ds.X, train_ds.y, hp, 3)
 
     def test_forest_rejects_non_finite_input(self):
         X, y = _blobs(40)
         X[7, 2] = np.inf
         with pytest.raises(InvalidInputError, match="column 2 is not"):
-            ml.ForestModel(ClassifierSpec("RandomForest").resolved(), 0).fit(X, y)
+            ml.ForestModel(ClassifierSpec("RandomForest").hyperparams, 0).fit(X, y)
 
     def test_logreg_separable_training_accuracy(self):
         X, y = _blobs(60, gap=8.0)
@@ -363,21 +363,53 @@ class TestModels:
     def test_bad_integer_hyperparams_rejected(self, kind, hp):
         (key, _), = hp.items()
         with pytest.raises(InvalidInputError, match=f"{kind} {key} must be a positive integer"):
-            ClassifierSpec(kind, hp).resolved()
+            ClassifierSpec(kind, hp).hyperparams
         X, y = _blobs(40)
         with pytest.raises(InvalidInputError, match=key):
             train(ClassifierSpec(kind, hp, seed=0), _rows(X, y))
 
     @pytest.mark.parametrize("max_features", [None, "sqrt", 1, 200])
     def test_forest_max_features_accepted(self, max_features):
-        hp = ClassifierSpec("RandomForest", {"max_features": max_features}).resolved()
+        hp = ClassifierSpec("RandomForest", {"max_features": max_features}).hyperparams
         assert hp["max_features"] == max_features
 
     def test_unknown_kind_and_hyperparam(self):
         with pytest.raises(InvalidInputError):
-            ClassifierSpec("SVC").resolved()
+            ClassifierSpec("SVC").hyperparams
         with pytest.raises(InvalidInputError):
-            ClassifierSpec("MLP", {"layers": 3}).resolved()
+            ClassifierSpec("MLP", {"layers": 3}).hyperparams
+
+    @pytest.mark.parametrize("kind, hp, key", [
+        ("SVC", {}, "SVC"),
+        ("MLP", {"layers": 3}, "layers"),
+        ("RandomForest", {"n_estimators": 0}, "n_estimators"),
+        ("MLP", {"class_weight": "foo"}, "class_weight"),
+        ("MLP", {"epochs": 2.5}, "epochs"),        # a TypeError from range
+        ("LinearSVM", {"epochs": 0}, "epochs"),    # fitted all-zero weights
+        ("MLP", {"hidden": (0,)}, "hidden"),       # a ZeroDivisionError
+        ("MLP", {"hidden": 32}, "hidden"),         # a TypeError
+        ("DeepNN", {"hidden": (32.5,)}, "hidden"),  # a TypeError
+        ("RandomForest", {"bootstrap": "no"}, "bootstrap"),  # read as true
+    ], ids=["unknown_kind", "unknown_key", "n_estimators_0", "class_weight_foo", "epochs_2.5",
+            "svm_epochs_0", "hidden_width_0", "hidden_int", "hidden_width_float",
+            "bootstrap_string"])
+    def test_bad_spec_rejected_when_made(self, kind, hp, key):
+        with pytest.raises(InvalidInputError) as info:
+            ClassifierSpec(kind, hp)
+        assert kind in str(info.value) and key in str(info.value)
+
+    def test_empty_hidden_is_a_spec(self):
+        assert ClassifierSpec("MLP", {"hidden": []}).hyperparams["hidden"] == ()
+
+    def test_numpy_count_stored_as_int_and_saved(self, tmp_path):
+        spec = ClassifierSpec("RandomForest", {"n_estimators": np.int64(6)}, seed=1)
+        assert type(spec.hyperparams["n_estimators"]) is int
+        X, y = _blobs(40, seed=2)
+        save_model(train(spec, _rows(X, y)), spec, tmp_path / "model.json")
+        back, spec2 = load_model(tmp_path / "model.json")
+        assert spec2 == ClassifierSpec("RandomForest", {"n_estimators": 6}, seed=1)
+        save_model(back, spec2, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
 
     def test_single_class_training_rejected(self):
         X = np.random.default_rng(0).random((10, 2))
@@ -464,7 +496,7 @@ class TestReferenceEquivalence:
                 return got
 
             monkeypatch.setattr(_StumpSearch, "best", checked_best)
-            model = ml.AdaBoostModel(ClassifierSpec("AdaBoost", {"n_rounds": 25}).resolved(), 0)
+            model = ml.AdaBoostModel(ClassifierSpec("AdaBoost", {"n_rounds": 25}).hyperparams, 0)
             model.fit(X, y)
             assert rounds and rounds[:len(model.stumps)] == model.stumps
 
@@ -480,7 +512,7 @@ class TestReferenceEquivalence:
             ds = _rows(*_blobs(60, seed=5, d=6))
             hp["patience"] = None  # the oracle runs a fixed epoch count
         spec = ClassifierSpec(kind, hp, seed=3)
-        hp = spec.resolved()
+        hp = spec.hyperparams
         model = train(spec, ds)
         Z = _standardised(ds.X)  # as fit hands it to the descent
         sw = _sample_weights(ds.y, class_weight)
@@ -508,7 +540,7 @@ class TestReferenceEquivalence:
         X, y = _blobs(1600, seed=9, d=120)
         ds = _rows(X, y)
         spec = ClassifierSpec("DeepNN", {"epochs": 20, "patience": None}, seed=4)
-        hp = spec.resolved()
+        hp = spec.hyperparams
         model = train(spec, ds)
         sizes = [ds.X.shape[1], *hp["hidden"], 1]
         x0, shapes = _flatten_params(init_mlp_params(sizes, np.random.default_rng(4)))
@@ -552,8 +584,8 @@ class TestSuite:
         weighted = {"LogisticRegression", "LinearSVM", "MLP", "DeepNN"}
         for s in specs:
             assert s.seed == 4
-            hp = s.resolved()
-            assert hp == {**ClassifierSpec(s.kind).resolved(),
+            hp = s.hyperparams
+            assert hp == {**ClassifierSpec(s.kind).hyperparams,
                           **({"class_weight": class_weight} if s.kind in weighted else {})}
 
     def test_bad_class_weight_rejected_before_any_fit(self, small_country, monkeypatch):
@@ -564,7 +596,7 @@ class TestSuite:
         with pytest.raises(InvalidInputError, match="class_weight"):
             run_suite(small_country[4], default_suite(seed=0, class_weight="foo"), 0.25)
         with pytest.raises(InvalidInputError, match="class_weight"):
-            ClassifierSpec("MLP", {"class_weight": True}).resolved()
+            ClassifierSpec("MLP", {"class_weight": True}).hyperparams
 
     def test_best_row_max_f1_ties_by_auc(self):
         from pcrisk.ml import EvalRow
@@ -819,7 +851,7 @@ class TestStandardisedGradientModels:
     @pytest.mark.parametrize("patience", [0, -3, 2.5, True, "20"])
     def test_bad_patience_rejected(self, patience):
         with pytest.raises(InvalidInputError, match="patience"):
-            ClassifierSpec("DeepNN", {"patience": patience}).resolved()
+            ClassifierSpec("DeepNN", {"patience": patience}).hyperparams
 
     def test_logistic_stop_reason(self, small_country):
         ds = small_country[4]

@@ -46,11 +46,13 @@ def test_bench_pairs_of_this_checkout_against_itself(tmp_path):
     assert list(doc["workloads"]) == ["demo", "synth-25km"]
     assert doc["cpu_count"] >= 1 and set(doc["blas_threads"]) == {
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert doc["src_lines"]["parent"] == doc["src_lines"]["this"] > 0
     for entry in doc["workloads"].values():
         assert entry["pairs"] == 1
         assert entry["git_sha"]["parent"] == entry["git_sha"]["this"]
         # the same checkout writes the same artifacts
         assert entry["artifacts"]["parent"] == entry["artifacts"]["this"]
+        assert entry["artifacts_equal"] is True
         assert any(line.startswith("artifacts sha256 ") for line in entry["artifacts"]["this"])
         for side in ("parent", "this"):
             pipeline = entry["metrics"][side]["pipeline_s"]
