@@ -10,7 +10,7 @@ attributes, encoded by one codec (_Model.state_dict, _Model.load_state):
 * AdaBoost          - SAMME over depth-1 stumps picked by weighted error
 * LogisticRegression- L2 negative log-likelihood, batch gradient descent:
                       the MLP's descent with no hidden layer
-* LinearSVM         - hinge + L2 via Pegasos-style stochastic subgradient
+* LinearSVM         - the same descent on the squared hinge (L2-loss SVM)
 * GaussianNB        - per-class per-feature Gaussians with a variance floor
 * MLP / DeepNN      - tanh hidden layers, logistic-loss backprop (1 vs >=2
                       hidden layers)
@@ -58,6 +58,9 @@ from .hypotheses import (
 #: hyperparameters that take a positive integer, and the other values each allows
 _COUNT_HYPERPARAMS = {"n_estimators": (), "n_rounds": (), "epochs": (), "patience": (None,),
                       "max_features": (None, "sqrt"), "max_depth": (None,), "min_leaf": ()}
+#: real-valued hyperparameters, each a finite int or float, never a bool: True
+#: if it must be > 0, False if >= 0
+_REAL_HYPERPARAMS = {"l2": False, "tol": False, "var_smoothing": False, "lr": True}
 
 #: the stratified share of an MLP's training rows it holds out to stop on
 VALIDATION_FRACTION = 0.1
@@ -155,7 +158,7 @@ class _Model:
     kind: typing.ClassVar[str]
     defaults: typing.ClassVar[dict]
 
-    def __init__(self, hyperparams: dict, seed: int):
+    def __init__(self, hyperparams: typing.Mapping, seed: int):
         self.hyperparams = hyperparams
         self.seed = seed
 
@@ -377,22 +380,41 @@ class _Standardising(_Model):
         return Z
 
 
-class LogisticModel(_Standardising):
-    kind = "LogisticRegression"
-    defaults = {"l2": 1e-3, "lr": 0.5, "epochs": 400, "tol": 1e-9, "class_weight": None}
+class RowLoss(typing.NamedTuple):
+    """A row's loss as a function of its logit z and label y (0 or 1), and its slope in z."""
+
+    value: typing.Callable
+    slope: typing.Callable
+
+
+LOGISTIC = RowLoss(lambda z, y: np.logaddexp(0.0, z) - y * z, lambda z, y: _sigmoid(z) - y)
+#: max(0, 1 - m)^2 of the margin m = (2y - 1) z: the L2-loss SVM's loss
+SQUARED_HINGE = RowLoss(lambda z, y: np.square(np.maximum(0.0, 1.0 - (2 * y - 1) * z)),
+                        lambda z, y: -2.0 * (2 * y - 1) * np.maximum(0.0, 1.0 - (2 * y - 1) * z))
+
+#: the descent of the linear kinds, fixed: first step, epoch cap and least
+#: improvement per epoch (see _batch_gd); fit reads it when it runs
+LINEAR_DESCENT = {"lr": 0.5, "epochs": 400, "tol": 1e-9}
+
+
+class _Linear(_Standardising):
+    """A linear model of the z-scored inputs whose kind names its loss: the
+    MLP's descent with no hidden layer, on one (d, 1) layer whose flat
+    weights are the d feature weights, then the bias. It scores by the
+    logistic link over the margin."""
+
+    defaults = {"l2": 1e-3, "class_weight": None}
+    loss: typing.ClassVar[RowLoss]
     w: np.ndarray  # last entry is the bias
     epochs: int
     stop: str  # see _batch_gd
 
     def fit(self, X, y):
         hp = self.hyperparams
-        Z = self._fit_standardise(X)
-        sw = _sample_weights(y, hp["class_weight"])
-        w0 = np.zeros(X.shape[1] + 1)
-        # the MLP's descent with no hidden layer: one (d, 1) layer, then its bias
+        forward = mlp_forward_fn([((X.shape[1], 1), (1,))], self._fit_standardise(X), y,
+                                 hp["l2"], _sample_weights(y, hp["class_weight"]), self.loss)
         self.w, self.loss_history, self.stop, _ = _batch_gd(
-            mlp_forward_fn([((X.shape[1], 1), (1,))], Z, y, hp["l2"], sw),
-            w0, lr=hp["lr"], epochs=hp["epochs"], tol=hp["tol"])
+            forward, np.zeros(X.shape[1] + 1), **LINEAR_DESCENT)
         self.epochs = len(self.loss_history) - 1
         return self
 
@@ -401,45 +423,14 @@ class LogisticModel(_Standardising):
         return _sigmoid(self._standardise(X) @ self.w[:-1] + self.w[-1])
 
 
-class SvmModel(_Standardising):
+class LogisticModel(_Linear):
+    kind = "LogisticRegression"
+    loss = LOGISTIC
+
+
+class SvmModel(_Linear):
     kind = "LinearSVM"
-    defaults = {"l2": 1e-3, "epochs": 30, "class_weight": None}
-    w: np.ndarray
-    b: float
-
-    def fit(self, X, y):
-        hp = self.hyperparams
-        lam = hp["l2"]
-        sw = _sample_weights(y, hp["class_weight"])
-        rng = np.random.default_rng(self.seed)
-        # Python floats and prebuilt row views: numpy scalars and a view per
-        # X[i] would cost more than the arithmetic of a step
-        ypm = np.where(y == 1, 1.0, -1.0).tolist()
-        sw = sw.tolist()
-        rows = list(self._fit_standardise(X))
-        w = np.zeros(X.shape[1])
-        b = 0.0
-        t = 0
-        for _ in range(hp["epochs"]):
-            for i in rng.permutation(len(y)).tolist():
-                t += 1
-                eta = 1.0 / (lam * t)
-                xi, yi = rows[i], ypm[i]
-                margin = yi * (float(xi @ w) + b)
-                w *= (1.0 - eta * lam)
-                if margin < 1.0:
-                    c = eta * sw[i] * yi
-                    w += c * xi
-                    b += c
-        if not np.isfinite(w).all() or not math.isfinite(b):
-            raise NonConvergenceError("SVM weights diverged", last_loss=None)
-        self.w, self.b = w, b
-        return self
-
-    def predict_proba(self, X):
-        """Logistic link over the margin."""
-        _check_dim(X, len(self.w))
-        return _sigmoid(self._standardise(X) @ self.w + self.b)
+    loss = SQUARED_HINGE  # LIBLINEAR's default loss (Fan et al., JMLR 2008)
 
 
 class NaiveBayesModel(_Model):
@@ -613,11 +604,11 @@ def _mlp_logits(layers, X, acts=None):
     return (h @ W + b).ravel()
 
 
-def mlp_forward_fn(shapes, X, y, l2: float, sample_weight=None):
-    """forward(flat) over one fit's X and y: the loss of the tanh MLP with
-    logistic output, and backward(), the flattened gradient from the
-    activations this pass cached. backward skips the gradient with respect
-    to X, which no parameter needs.
+def mlp_forward_fn(shapes, X, y, l2: float, sample_weight=None, loss: RowLoss = LOGISTIC):
+    """forward(flat) over one fit's X and y: the loss of the tanh MLP whose
+    rows score loss.value of their logits, and backward(), the flattened
+    gradient (loss.slope) from the activations this pass cached. backward
+    skips the gradient with respect to X, which no parameter needs.
 
     The (n, hidden units) activation, delta and back-propagation arrays of
     each hidden layer are allocated once, here; every forward pass and
@@ -639,8 +630,8 @@ def mlp_forward_fn(shapes, X, y, l2: float, sample_weight=None):
         own = generation
         layers = _unflatten_params(flat, shapes)
         z = _mlp_logits(layers, X, acts)
-        loss = float(np.mean(sw * (np.logaddexp(0.0, z) - y * z)))
-        loss += 0.5 * l2 * sum(float((W * W).sum()) for W, _ in layers)
+        value = float(np.mean(sw * loss.value(z, y)))
+        value += 0.5 * l2 * sum(float((W * W).sum()) for W, _ in layers)
 
         def backward():
             if generation != own:
@@ -648,7 +639,7 @@ def mlp_forward_fn(shapes, X, y, l2: float, sample_weight=None):
                                    "a later pass has overwritten")
             inputs = [X, *acts]  # the input of each layer
             grads = [None] * len(layers)
-            d = (sw * (_sigmoid(z) - y) / n)[:, None]  # (n, 1)
+            d = (sw * loss.slope(z, y) / n)[:, None]  # (n, 1)
             W = layers[-1][0]
             grads[-1] = (inputs[-1].T @ d + l2 * W, d.sum(axis=0))
             for li in range(len(layers) - 2, -1, -1):
@@ -662,7 +653,7 @@ def mlp_forward_fn(shapes, X, y, l2: float, sample_weight=None):
                 grads[li] = (gW, d.sum(axis=0))
             return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
 
-        return loss, backward
+        return value, backward
 
     return forward
 
@@ -744,11 +735,12 @@ CLASSIFIER_KINDS = tuple(_MODEL_CLASSES)
 @dataclass(frozen=True)
 class ClassifierSpec:
     """A classifier kind, its hyperparameters and its seed, resolved and
-    checked when made: hyperparams becomes the kind's defaults with the
-    given values over them, each count an int and hidden a tuple."""
+    checked when made: hyperparams becomes a read-only view of the kind's
+    defaults with the given values over them, each count an int and hidden
+    a tuple."""
 
     kind: str
-    hyperparams: dict = field(default_factory=dict)
+    hyperparams: typing.Mapping = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
@@ -771,7 +763,13 @@ class ClassifierSpec:
             hp["hidden"] = tuple(check_count(f"{self.kind} hidden width", w) for w in hp["hidden"])
         if not isinstance(hp.get("bootstrap", True), bool):
             raise InvalidInputError(f"{self.kind} bootstrap {hp['bootstrap']!r} is not a bool")
-        object.__setattr__(self, "hyperparams", hp)
+        for key, positive in _REAL_HYPERPARAMS.items():
+            v = hp.get(key, 1.0)  # a kind without the key passes
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not (0 < v if positive else 0 <= v) or not math.isfinite(v)):
+                raise InvalidInputError(f"{self.kind} {key} must be a finite number "
+                                        f"{'>' if positive else '>='} 0, not {v!r}")
+        object.__setattr__(self, "hyperparams", types.MappingProxyType(hp))
 
 
 def default_suite(seed: int = 0, class_weight=None,
@@ -802,7 +800,7 @@ def predict_proba(model, ds: Dataset) -> np.ndarray:
 
 
 def save_model(model, spec: ClassifierSpec, path) -> None:
-    doc = {"kind": spec.kind, "hyperparams": spec.hyperparams,
+    doc = {"kind": spec.kind, "hyperparams": dict(spec.hyperparams),
            "seed": spec.seed, "state": model.state_dict()}
     write_json(path, doc)
 

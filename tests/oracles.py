@@ -14,6 +14,8 @@ array dataset.csv writer and reader match the per-field ones here, the
 array cell lookup, cell bounds and polygon mask match the scalar versions
 here, and the series CSV parse match the row-by-row one here. So must the
 per-value risk.geojson encoder match the document-and-json.dumps one here.
+The squared-hinge objective, written out here, and its L-BFGS optimum from
+scipy check the LinearSVM descent.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from pcrisk.artifacts import write_json
 from pcrisk.errors import (
@@ -548,6 +550,32 @@ def mlp_loss_grad_full(flat, shapes, X, y, l2: float, sample_weight):
         grads[li] = (acts[li].T @ d + l2 * W, d.sum(axis=0))
         back = d @ W.T
     return loss, np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+
+
+def squared_hinge_loss_grad(w, X, y, l2: float, sample_weight):
+    """Mean weighted squared hinge max(0, 1 - s z)^2 of the linear logits
+    z = X w[:-1] + w[-1] at signs s = +1 (y = 1) and -1 (y = 0), plus
+    (l2/2)||w[:-1]||^2 with the bias unpenalised, and its gradient in w,
+    the bias last: the L2-loss SVM's objective, written out in one pass."""
+    n = len(y)
+    W, b = w[:-1].reshape(-1, 1).copy(), w[-1:].copy()
+    z = (X @ W + b).ravel()
+    sign = np.where(y == 1, 1.0, -1.0)
+    gap = np.maximum(0.0, 1.0 - sign * z)
+    loss = float(np.mean(sample_weight * gap ** 2))
+    loss += 0.5 * l2 * float((W * W).sum())
+    delta = (sample_weight * (-2.0 * sign * gap) / n)[:, None]
+    return loss, np.concatenate([(X.T @ delta + l2 * W).ravel(), delta.sum(axis=0)])
+
+
+def squared_hinge_optimum(X, y, l2: float, sample_weight) -> float:
+    """The least squared_hinge_loss_grad objective, by scipy's L-BFGS-B from
+    the zero vector, run until it can make no more progress."""
+    res = optimize.minimize(squared_hinge_loss_grad, np.zeros(X.shape[1] + 1),
+                            args=(X, y, l2, sample_weight), jac=True, method="L-BFGS-B",
+                            options={"maxiter": 100_000, "maxfun": 100_000, "ftol": 0.0,
+                                     "gtol": 1e-12})
+    return float(res.fun)
 
 
 def batch_gd_every_trial(loss_grad, x0, lr: float, epochs: int, tol: float):

@@ -1,5 +1,8 @@
+import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -19,6 +22,8 @@ from oracles import (
     predict_leaf,
     run_suite_sequential,
     scalar_best_stump,
+    squared_hinge_loss_grad,
+    squared_hinge_optimum,
 )
 from pcrisk.hypotheses import encode_columns, grow_forest
 from test_hypotheses import _same_nodes
@@ -390,13 +395,27 @@ class TestModels:
         ("MLP", {"hidden": 32}, "hidden"),         # a TypeError
         ("DeepNN", {"hidden": (32.5,)}, "hidden"),  # a TypeError
         ("RandomForest", {"bootstrap": "no"}, "bootstrap"),  # read as true
+        ("LogisticRegression", {"l2": -1.0}, "l2"),  # fitted with overflow warnings
+        ("MLP", {"tol": None}, "tol"),             # a TypeError at fit
+        ("MLP", {"lr": 0.0}, "lr"),                # one epoch that never moved
+        ("GaussianNB", {"var_smoothing": -1.0}, "var_smoothing"),
+        ("LinearSVM", {"l2": True}, "l2"),         # read as 1.0
+        ("MLP", {"l2": math.nan}, "l2"),           # exit 4 as a non-convergence
     ], ids=["unknown_kind", "unknown_key", "n_estimators_0", "class_weight_foo", "epochs_2.5",
             "svm_epochs_0", "hidden_width_0", "hidden_int", "hidden_width_float",
-            "bootstrap_string"])
+            "bootstrap_string", "l2_negative", "tol_none", "lr_0", "var_smoothing_negative",
+            "l2_bool", "l2_nan"])
     def test_bad_spec_rejected_when_made(self, kind, hp, key):
         with pytest.raises(InvalidInputError) as info:
             ClassifierSpec(kind, hp)
         assert kind in str(info.value) and key in str(info.value)
+
+    def test_hyperparams_read_only(self):
+        # a checked spec once took a later edit: "epochs" 0 trained 0 epochs
+        spec = ClassifierSpec("MLP", {"patience": None})
+        with pytest.raises(TypeError):
+            spec.hyperparams["epochs"] = 0
+        assert spec.hyperparams["epochs"] == 400
 
     def test_empty_hidden_is_a_spec(self):
         assert ClassifierSpec("MLP", {"hidden": []}).hyperparams["hidden"] == ()
@@ -501,10 +520,11 @@ class TestReferenceEquivalence:
             assert rounds and rounds[:len(model.stumps)] == model.stumps
 
     @pytest.mark.parametrize("class_weight", [None, "balanced"])
-    @pytest.mark.parametrize("kind", ["LogisticRegression", "MLP", "DeepNN"])
+    @pytest.mark.parametrize("kind", ["LogisticRegression", "MLP", "DeepNN", "LinearSVM"])
     def test_gd_matches_gradient_on_every_trial(self, kind, class_weight, small_country):
         hp = {"class_weight": class_weight}
-        if kind == "LogisticRegression":
+        linear = kind in ("LogisticRegression", "LinearSVM")
+        if linear:
             # on the standardised blobs no logistic trial is ever rejected;
             # the country's correlated features still make some fail
             ds = small_country[4]
@@ -517,7 +537,7 @@ class TestReferenceEquivalence:
         Z = _standardised(ds.X)  # as fit hands it to the descent
         sw = _sample_weights(ds.y, class_weight)
         calls = []
-        if kind == "LogisticRegression":
+        if linear:
             # the MLP with no hidden layer: the d weights, then the bias
             x0 = np.zeros(ds.X.shape[1] + 1)
             shapes = [((ds.X.shape[1], 1), (1,))]
@@ -527,11 +547,15 @@ class TestReferenceEquivalence:
 
         def loss_grad(p):
             calls.append(1)
+            if kind == "LinearSVM":
+                return squared_hinge_loss_grad(p, Z, ds.y, hp["l2"], sw)
             return mlp_loss_grad_full(p, shapes, Z, ds.y, hp["l2"], sw)
-        x, history = batch_gd_every_trial(loss_grad, x0, hp["lr"], hp["epochs"], hp["tol"])
+        descent = ml.LINEAR_DESCENT if linear else hp
+        x, history = batch_gd_every_trial(loss_grad, x0, descent["lr"], descent["epochs"],
+                                          descent["tol"])
         assert len(calls) > len(history)  # some line-search trials were rejected
         assert model.loss_history == history
-        got = model.w if kind == "LogisticRegression" else _flatten_params(model.layers)[0]
+        got = model.w if linear else _flatten_params(model.layers)[0]
         assert got.tobytes() == x.tobytes()
 
     def test_deepnn_fit_at_suite_scale_matches_every_trial(self):
@@ -688,7 +712,8 @@ def _record_fits(monkeypatch, started: list, fail=None) -> None:
     starts; a kind in fail raises fail[kind] instead of fitting. Each class
     that defines fit is patched once, so a subclass that inherits it records
     through its base."""
-    for cls in {cls for cls in ml._MODEL_CLASSES.values() if "fit" in vars(cls)}:
+    for cls in {next(c for c in kind.__mro__ if "fit" in vars(c))
+                for kind in ml._MODEL_CLASSES.values()}:
         def recording_fit(self, X, y, fit=cls.fit):
             started.append((self.kind, threading.current_thread() is threading.main_thread()))
             if fail and self.kind in fail:
@@ -853,12 +878,76 @@ class TestStandardisedGradientModels:
         with pytest.raises(InvalidInputError, match="patience"):
             ClassifierSpec("DeepNN", {"patience": patience}).hyperparams
 
-    def test_logistic_stop_reason(self, small_country):
+    def test_logistic_stop_reason(self, small_country, monkeypatch):
         ds = small_country[4]
-        capped = train(ClassifierSpec("LogisticRegression", {"epochs": 5}), ds)
+        descent = ml.LINEAR_DESCENT
+        monkeypatch.setattr(ml, "LINEAR_DESCENT", {**descent, "epochs": 5})
+        capped = train(ClassifierSpec("LogisticRegression"), ds)
         assert (capped.epochs, capped.stop) == (5, "cap")
-        loose = train(ClassifierSpec("LogisticRegression", {"tol": 1.0}), ds)
+        monkeypatch.setattr(ml, "LINEAR_DESCENT", {**descent, "tol": 1.0})
+        loose = train(ClassifierSpec("LogisticRegression"), ds)
         assert (loose.epochs, loose.stop) == (1, "tol")
+
+
+@pytest.fixture(scope="module")
+def demo_75km():
+    """The bundled demo config's dataset at 75 km."""
+    return _demo_table(75.0)
+
+
+class TestLinearSvm:
+    """LinearSVM is the L2-loss (squared hinge) SVM on the descent of the
+    linear kinds: on the demo's seed-7 training splits it ends at the
+    optimum where the descent converges, and no seed enters its fit."""
+
+    @staticmethod
+    def _fit(ds, seed=7):
+        train_ds, _ = split(ds, 0.2, 7)
+        return train(ClassifierSpec("LinearSVM", seed=seed), train_ds), train_ds
+
+    @pytest.mark.parametrize("km", [75, 50])
+    def test_objective_at_the_optimum(self, km, request):
+        model, train_ds = self._fit(request.getfixturevalue(f"demo_{km}km"))
+        opt = squared_hinge_optimum(_standardised(train_ds.X), train_ds.y,
+                                    model.hyperparams["l2"], np.ones(len(train_ds)))
+        assert model.stop == "tol"
+        assert abs(model.loss_history[-1] - opt) <= 1e-5 * opt
+
+    def test_100km_fit_stops_at_the_cap(self, demo_100km):
+        model, _ = self._fit(demo_100km)
+        assert model.stop == "cap" and model.epochs == ml.LINEAR_DESCENT["epochs"]
+        assert model.loss_history[-1] < 1.0  # the objective of the zero vector
+        assert (np.diff(model.loss_history) <= 0.0).all()
+
+    def test_same_fit_at_two_spec_seeds(self, demo_100km):
+        # a stochastic subgradient fit once drew its row order from the seed
+        (a, _), (b, _) = self._fit(demo_100km, seed=7), self._fit(demo_100km, seed=8)
+        assert a.state_dict() == b.state_dict()
+
+
+def test_linear_riskmaps_equal_at_one_and_two_blas_threads(tmp_path):
+    """riskmap's model.json and risk.csv for the two linear kinds at 50 km
+    are the same bytes with one BLAS thread as with two."""
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "synthetic_demo.json").read_text(encoding="utf-8"))
+    cfg["cell_km"] = 50
+    files = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / threads
+        for kind in ("LogisticRegression", "LinearSVM"):
+            cfg["riskmap"] = {"model": kind}
+            (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+            for stage in ("build-dataset", "riskmap"):
+                proc = subprocess.run([sys.executable, "-m", "pcrisk.cli", stage, "--config",
+                                       str(tmp_path / "config.json"), "--out-dir", str(out)],
+                                      env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            files[threads, kind] = [(out / name).read_bytes() for name in ("model.json",
+                                                                           "risk.csv")]
+    for kind in ("LogisticRegression", "LinearSVM"):
+        assert files["1", kind] == files["2", kind], kind
 
 
 class TestSerialization:

@@ -60,3 +60,15 @@ def test_bench_pairs_of_this_checkout_against_itself(tmp_path):
             assert set(entry["metrics"][side]) == {"setup_s", "pipeline_s", "build_s",
                                                    "analysis_s", "peak_rss_mb"}
         assert set(entry["pairs_this_lower"]) == set(entry["metrics"]["this"])
+
+
+def test_riskmap_pairs_of_this_checkout_against_itself(tmp_path):
+    cfg = json.loads((ROOT / "configs" / "synthetic_demo.json").read_text(encoding="utf-8"))
+    cfg.update(cell_km=200, granularities=[200])
+    (tmp_path / "demo.json").write_text(json.dumps(cfg), encoding="utf-8")
+    proc = _script(tmp_path, "riskmap_pairs.py", "--parent", str(ROOT), "--config", "demo.json")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # one line per classifier kind and artifact, each equal
+    assert len(lines) == 8 * 4
+    assert all(line.endswith(" equal") for line in lines), proc.stdout
