@@ -2,14 +2,16 @@
 eval-hypotheses, train-suite, riskmap.
 
 Every command reads a JSON run config (CLI flags override a few common
-fields), writes its artifacts plus a manifest.json capturing the resolved
-config and the sha256 digests of the source's raw input files, and is
-byte-identical when rerun with the same config and seed at the same BLAS
-thread count (riskmap's DeepNN model.json at 50 km differs between 1 and 2
-threads). build-dataset hashes each raw input once and keeps that record
-with the parse of dataset.csv; the analysis stages, which read dataset.csv
-and not the raw files, record it from there. They hash the files only when
-the record is missing or names other files than the config does.
+fields) and writes its artifacts. It then records under its own name in
+manifest.json the resolved config and the sha256 of every file it read and
+wrote; a rerun replaces that command's entry and keeps the others.
+build-dataset and train-suite read the source's raw input files. The
+analysis stages read the files build-dataset and learn-tree hand on
+(dataset.csv, grid.json, tree.json), so the raw inputs behind a result are
+those of the build-dataset entry that wrote the dataset.csv digest the
+result's entry read. A command is byte-identical when rerun with the same
+config and seed at the same BLAS thread count (riskmap's DeepNN model.json
+at 50 km differs between 1 and 2 threads).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import dataclasses
 import datetime as dt
 import hashlib
-import re
+import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +31,8 @@ from . import features, grid as gridmod, hypotheses, ingest, ml, riskmap, stats
 from .artifacts import create, read_json, write_json
 from .errors import (DegeneratePartitionError, InvalidInputError, PCRiskError, SchemaError,
                      UndefinedTestError)
+
+log = logging.getLogger(__name__)
 
 #: the default of a key that only the config file may give
 _UNSET = object()
@@ -210,34 +214,40 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _input_digests(cfg: RunConfig, carried: dict | None = None) -> dict:
-    """The manifest's record of the raw inputs: the path and sha256 of each
-    file the source names, by key. carried is the record build-dataset kept
-    with the table (features.Dataset.inputs). When it names the same keys
-    and paths, its digests, those of the files the table was built from,
-    are recorded and no file is read; otherwise the files are hashed."""
-    paths = {}
-    if cfg.source["kind"] == "files":
-        paths = {key: str(Path(cfg.source[key])) for key in _INPUT_FILES if key in cfg.source}
-    if carried is not None and carried.keys() == paths.keys() and all(
-            isinstance(entry := carried[key], dict) and entry.get("path") == path
-            and isinstance(entry.get("sha256"), str)
-            and re.fullmatch("[0-9a-f]{64}", entry["sha256"])
-            for key, path in paths.items()):
-        return {key: {"path": path, "sha256": carried[key]["sha256"]}
-                for key, path in paths.items()}
-    return {key: {"path": path, "sha256": _sha256(Path(path))} for key, path in paths.items()}
+def _input(path: Path, sha256: str | None = None) -> dict:
+    """The manifest's record of a file read: its path and sha256, computed unless given."""
+    return {"path": str(path), "sha256": sha256 or _sha256(path)}
+
+
+def _raw_inputs(cfg: RunConfig) -> dict:
+    """The record of the raw input files the source names, by config key."""
+    src = cfg.source
+    return {key: _input(Path(src[key])) for key in _INPUT_FILES
+            if src["kind"] == "files" and key in src}
+
+
+def _entries(doc) -> dict:
+    """doc, if it holds one manifest entry per command."""
+    if isinstance(doc, dict) and all(isinstance(entry, dict) and entry.keys() == {
+            "config", "inputs", "outputs"} for entry in doc.values()):
+        return doc
+    raise ValueError("it holds no command entries")
 
 
 def _write_manifest(cfg: RunConfig, command: str, written: Written) -> None:
-    """manifest.json for what command wrote."""
-    doc = {
-        "command": command,
-        "config": cfg.raw,
-        "inputs": _input_digests(cfg, written.carried),
-        "outputs": sorted(p.name for p in written.outputs),
-    }
-    write_json(cfg.out_dir / "manifest.json", doc, indent=2)
+    """command's entry in manifest.json: the config, the record of the files it read, and
+    the sha256 of each file it wrote, by name. A manifest that is not valid JSON or holds
+    no entries, an earlier format's say, is replaced with a warning."""
+    path = cfg.out_dir / "manifest.json"
+    entries = {}
+    if path.exists():
+        try:
+            entries = read_json(path, "manifest", _entries)
+        except InvalidInputError as exc:
+            log.warning("%s; replacing it", exc)
+    outputs = {p.name: written.hashed.get(p) or _sha256(p) for p in written.outputs}
+    entries[command] = {"config": cfg.raw, "inputs": written.read, "outputs": outputs}
+    write_json(path, entries, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -278,55 +288,60 @@ def _stage_output(cfg: RunConfig, name: str, stage: str) -> Path:
     return path
 
 
-def _load_dataset(cfg: RunConfig) -> features.Dataset:
-    return features.load_dataset(_stage_output(cfg, "dataset.csv", "build-dataset"))
+def _load_dataset(cfg: RunConfig) -> tuple[features.Dataset, dict]:
+    """build-dataset's table, and the record of the file read, by name, for Written.read."""
+    path = _stage_output(cfg, "dataset.csv", "build-dataset")
+    ds, digest = features.load_dataset(path)
+    return ds, {path.name: _input(path, digest.hex())}
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns what it wrote and its report, for main to record and print
+# commands: each returns what it read and wrote and its report, for main to record and print
 
 
 @dataclass(frozen=True)
 class Written:
-    """A command's artifacts and exit code, its report lines for stdout and alerts for stderr,
-    and the record of the raw inputs the artifacts come from (carried, as in _input_digests)."""
+    """A command's record of the files it read (_input's, by config key for a raw input and
+    by name for a hand-off file), the artifacts it wrote and the sha256 it has of any, its
+    report lines for stdout, alerts for stderr and exit code."""
 
+    read: dict
     outputs: list[Path]
     report: list[str]
-    carried: dict | None = None
+    hashed: dict[Path, str] = dataclasses.field(default_factory=dict)
     exit_code: int = 0
     alerts: tuple = ()
 
 
 def cmd_build_dataset(cfg: RunConfig) -> Written:
     g, ds, edges = _build(cfg, cfg.cell_km)
-    inputs = _input_digests(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_ds = cfg.out_dir / "dataset.csv"
     out_grid = cfg.out_dir / "grid.json"
     out_edges = cfg.out_dir / "bin_edges.json"
     digest = features.write_dataset_csv(ds, out_ds)
-    features.cache_written_table(out_ds, digest, ds, inputs)
+    features.cache_written_table(out_ds, digest, ds)
     gridmod.save_grid(g, out_grid)
     features.write_bin_edges_json(edges, out_edges)
     n1 = int(ds.y.sum())
     report = [f"dataset: {len(ds)} cells ({g.n_rows}x{g.n_cols} grid at "
               f"{cfg.cell_km:g} km), {n1} with conflicts, {len(ds) - n1} without"]
-    return Written([out_ds, out_grid, out_edges], report, inputs)
+    return Written(_raw_inputs(cfg), [out_ds, out_grid, out_edges], report,
+                   {out_ds: digest.hex()})
 
 
 def cmd_test_univariate(cfg: RunConfig) -> Written:
-    ds = _load_dataset(cfg)
+    ds, read = _load_dataset(cfg)
     results = stats.run_univariate(ds, m=cfg.stats["bonferroni_m"])
     out = cfg.out_dir / "univariate.csv"
     stats.write_univariate_csv(results, out)
     n_sig = sum(r.p_bonferroni < 0.05 for r in results)
     report = [f"tested {len(results)} features; {n_sig} significant at 0.05 after Bonferroni"]
-    return Written([out], report, ds.inputs)
+    return Written(read, [out], report)
 
 
 def cmd_learn_tree(cfg: RunConfig) -> Written:
-    ds = _load_dataset(cfg)
+    ds, read = _load_dataset(cfg)
     tree = hypotheses.train_cart(ds, cfg.tree["max_depth"], cfg.tree["min_leaf"])
     out_json = cfg.out_dir / "tree.json"
     out_dot = cfg.out_dir / "tree.dot"
@@ -335,7 +350,7 @@ def cmd_learn_tree(cfg: RunConfig) -> Written:
         fh.write(hypotheses.tree_to_dot(tree))
     paths = hypotheses.extract_paths(tree, cfg.tree["min_support"], cfg.tree["min_purity"])
     report = [f"tree trained on {len(ds)} rows; {len(paths)} candidate hypothesis paths"]
-    return Written([out_json, out_dot], report, ds.inputs)
+    return Written(read, [out_json, out_dot], report)
 
 
 def cmd_golden(cfg: RunConfig) -> Written:
@@ -359,17 +374,19 @@ def cmd_golden(cfg: RunConfig) -> Written:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.out_dir / "hypotheses_golden.csv"
     hypotheses.write_hypothesis_csv(results, out)
-    return Written([out], report, exit_code=5 if n_bad else 0,
+    return Written({}, [out], report, exit_code=5 if n_bad else 0,
                    alerts=[f"{n_bad} golden hypothesis mismatch(es)"] if n_bad else [])
 
 
 def cmd_eval_hypotheses(cfg: RunConfig, which: str, only: str | None) -> Written:
-    ds = _load_dataset(cfg)
+    ds, read = _load_dataset(cfg)
     if which == "builtin":
         named = [(name, bh.predicate) for name, bh in hypotheses.builtin_hypotheses().items()
                  if only is None or name == only]
     else:
-        tree = hypotheses.load_tree(_stage_output(cfg, "tree.json", "learn-tree"))
+        path = _stage_output(cfg, "tree.json", "learn-tree")
+        tree = hypotheses.load_tree(path)
+        read[path.name] = _input(path)
         preds = hypotheses.extract_paths(tree, cfg.tree["min_support"], cfg.tree["min_purity"])
         named = [(f"Path{i + 1}", p) for i, p in enumerate(preds)]
     results, doc, report = [], [], []
@@ -394,7 +411,7 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, only: str | None) -> Written
     out_json = cfg.out_dir / "hypotheses.json"
     hypotheses.write_hypothesis_csv(results, out_csv)
     write_json(out_json, doc, indent=2)
-    return Written([out_csv, out_json], report, ds.inputs)
+    return Written(read, [out_csv, out_json], report)
 
 
 def cmd_train_suite(cfg: RunConfig) -> Written:
@@ -413,12 +430,14 @@ def cmd_train_suite(cfg: RunConfig) -> Written:
         ml.write_suite_csv(rows, out)
     outputs.append(cfg.out_dir / "best_summary.csv")
     ml.write_best_summary_csv(cfg.country, best_lines, outputs[-1])
-    return Written(outputs, report)
+    return Written(_raw_inputs(cfg), outputs, report)
 
 
 def cmd_riskmap(cfg: RunConfig) -> Written:
-    ds = _load_dataset(cfg)
-    g = gridmod.load_grid(_stage_output(cfg, "grid.json", "build-dataset"))
+    ds, read = _load_dataset(cfg)
+    path = _stage_output(cfg, "grid.json", "build-dataset")
+    g = gridmod.load_grid(path)
+    read[path.name] = _input(path)
     [spec] = ml.default_suite(cfg.seed, cfg.ml["class_weight"], [cfg.riskmap["model"]])
     model = ml.train(spec, ds)
     scores = ml.predict_proba(model, ds)
@@ -432,7 +451,7 @@ def cmd_riskmap(cfg: RunConfig) -> Written:
     riskmap.render_csv(surface, out_csv)
     ml.save_model(model, spec, out_model)
     report = [f"risk surface from {spec.kind}: mean {scores.mean():.3f}, max {scores.max():.3f}"]
-    return Written([out_geo, out_pgm, out_csv, out_model], report, ds.inputs)
+    return Written(read, [out_geo, out_pgm, out_csv, out_model], report)
 
 
 # ---------------------------------------------------------------------------

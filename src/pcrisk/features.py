@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
-import json
 import logging
 import os
 import sys
@@ -27,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import create, encode_json, format_values, write_json
+from .artifacts import create, format_values, write_json
 from .errors import InvalidInputError, MissingVariableError
 from .grid import Grid, cell_of, neighbor_offsets
 from .ingest import VARIABLES, ConflictEvent, VariableSeries, Window, decode_utf8, loadtxt_csv
@@ -166,15 +165,12 @@ class Dataset:
     """The feature table: one row per masked grid cell, row-major.
 
     cells is (n, 2) int (row, col), X is (n, 120) float in FEATURE_NAMES
-    order and y holds the binary conflict labels. inputs is the record of
-    the raw input files the table was built from, as build-dataset kept it
-    in the parse cache (a JSON object), or None where it is not known.
+    order and y holds the binary conflict labels.
     """
 
     cells: np.ndarray
     X: np.ndarray
     y: np.ndarray
-    inputs: dict | None = None
 
     def __len__(self) -> int:
         return len(self.y)
@@ -321,11 +317,10 @@ def read_dataset_csv(path, data: bytes | None = None) -> Dataset:
 
 # The parse cache: dataset.csv.cache beside a dataset.csv holds the parse of
 # that file as .npy arrays, in order: the sha256 digest of the file's bytes
-# (32 uint8), then cells, X and y. build-dataset writes it with the table
-# and adds a fifth array, the record of the raw inputs the table was built
-# from as JSON bytes (uint8). The first reader of a dataset.csv whose cache
-# is missing or stale writes it anew with the four arrays of the parse
-# alone, and later readers of the same bytes load it.
+# (32 uint8), then cells, X and y. build-dataset writes it with the table;
+# the first reader of a dataset.csv whose cache is missing or stale writes
+# it anew, and later readers of the same bytes load it. Whatever follows the
+# four arrays is not read.
 
 
 def cache_path(path) -> Path:
@@ -344,25 +339,12 @@ def _cached_parse(cache: Path, digest: bytes) -> Dataset | None:
             if key.dtype != np.uint8 or key.tobytes() != digest:
                 return None
             cells, X, y = (read(fh, allow_pickle=False) for _ in range(3))
-            inputs = _cached_inputs(fh)
     except (OSError, ValueError, MemoryError):
         # missing, truncated, not .npy, an object array (which needs pickle),
         # or a damaged header claiming more rows than memory can hold
         return None
-    ds = Dataset(cells=cells, X=X, y=y, inputs=inputs)
+    ds = Dataset(cells=cells, X=X, y=y)
     return ds if _has_parse_layout(ds) else None
-
-
-def _cached_inputs(fh) -> dict | None:
-    """The inputs record that follows the parse in a cache, or None if the
-    cache ends there (a reader wrote it) or the record is damaged."""
-    try:
-        record = np.lib.format.read_array(fh, allow_pickle=False)
-        # bytes that are not UTF-8 or not JSON raise ValueErrors too
-        doc = json.loads(record.tobytes()) if record.dtype == np.uint8 else None
-    except (ValueError, MemoryError):
-        return None
-    return doc if isinstance(doc, dict) else None
 
 
 def _has_parse_layout(ds: Dataset) -> bool:
@@ -378,15 +360,12 @@ def _has_parse_layout(ds: Dataset) -> bool:
             and all(a.flags.c_contiguous for a in (cells, X, y)))
 
 
-def _write_cache(cache: Path, digest: bytes, ds: Dataset,
-                 inputs: dict | None = None) -> None:
-    """ds, and the inputs record unless it is None, as the cache of the
-    dataset.csv bytes with this sha256 digest. The file is written under a
-    temporary name and renamed into place, so a reader never sees it half
-    written; a failed write is logged and leaves the cache as it was."""
+def _write_cache(cache: Path, digest: bytes, ds: Dataset) -> None:
+    """ds as the cache of the dataset.csv bytes with this sha256 digest.
+    The file is written under a temporary name and renamed into place, so a
+    reader never sees it half written; a failed write is logged and leaves
+    the cache as it was."""
     arrays = [np.frombuffer(digest, dtype=np.uint8), ds.cells, ds.X, ds.y]
-    if inputs is not None:
-        arrays.append(np.frombuffer(encode_json(inputs).encode(), dtype=np.uint8))
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
@@ -399,12 +378,9 @@ def _write_cache(cache: Path, digest: bytes, ds: Dataset,
             tmp.unlink()
 
 
-def cache_written_table(path, digest: bytes, ds: Dataset,
-                        inputs: dict | None = None) -> None:
+def cache_written_table(path, digest: bytes, ds: Dataset) -> None:
     """Cache ds as the parse of the dataset.csv at path, which
-    write_dataset_csv(ds, path) has just written with this sha256 digest,
-    together with the inputs record (a JSON-serialisable dict) unless it is
-    None; a load_dataset of those bytes returns it as Dataset.inputs.
+    write_dataset_csv(ds, path) has just written with this sha256 digest.
 
     ds's own arrays are the cache only when read_dataset_csv would return
     them bit for bit: they have the parse's layout, every histogram value
@@ -418,22 +394,21 @@ def cache_written_table(path, digest: bytes, ds: Dataset,
         integral = (counts == np.trunc(counts)) & (counts >= -2.0 ** 63) & (counts < 2.0 ** 63)
         negative_zero = (counts == 0) & np.signbit(counts)
         if np.isfinite(hist).all() and integral.all() and not negative_zero.any():
-            _write_cache(cache, digest, ds, inputs)
+            _write_cache(cache, digest, ds)
             return
     cache.unlink(missing_ok=True)
 
 
-def load_dataset(path) -> Dataset:
-    """read_dataset_csv(path), parsed at most once per content of the file.
+def load_dataset(path) -> tuple[Dataset, bytes]:
+    """read_dataset_csv(path), parsed at most once per content of the file,
+    and the sha256 digest of the bytes it came from.
 
-    The file's bytes are hashed with sha256. If the cache beside the file
-    holds a parse for that digest, with int64 cells of shape (n, 2),
-    float64 X of shape (n, 120) and int64 y of shape (n,), that parse is
-    returned, with the inputs record build-dataset cached beside it, if any.
-    Otherwise the same bytes, not a second read of the file that may since
-    have changed, are parsed by read_dataset_csv, with its errors, and the
-    parse is cached without a record (inputs None). A cache that is stale,
-    damaged or cannot be written costs only the parse.
+    If the cache beside the file holds a parse for that digest, with int64
+    cells of shape (n, 2), float64 X of shape (n, 120) and int64 y of shape
+    (n,), that parse is returned. Otherwise the same bytes, not a second
+    read of the file that may since have changed, are parsed by
+    read_dataset_csv, with its errors, and the parse is cached. A cache
+    that is stale, damaged or cannot be written costs only the parse.
     """
     data = Path(path).read_bytes()
     digest = hashlib.sha256(data).digest()
@@ -442,7 +417,7 @@ def load_dataset(path) -> Dataset:
     if ds is None:
         ds = read_dataset_csv(path, data)
         _write_cache(cache, digest, ds)
-    return ds
+    return ds, digest
 
 
 def write_bin_edges_json(edges: dict[str, BinEdges], path) -> None:

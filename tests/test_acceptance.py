@@ -277,9 +277,11 @@ def test_c10_cli_determinism(tmp_path):
             for cmd in commands:
                 code = cli_main(cmd + ["--config", str(cfg_path), "--out-dir", str(out)])
                 assert code == 0, cmd
-                manifest = json.loads((out / "manifest.json").read_text())
-                written = set(manifest["outputs"]) | {"manifest.json"}
-                snap[tuple(cmd)] = {name: (out / name).read_bytes() for name in written}
+                # the manifest holds every command's entry; this command's is its own
+                entry = json.loads((out / "manifest.json").read_text())[cmd[0]]
+                snap[tuple(cmd)] = {"manifest entry": entry, **{
+                    name: (out / name).read_bytes() for name in entry["outputs"]}}
+            snap["manifest.json"] = (out / "manifest.json").read_bytes()
             return snap
 
         first = run_all()

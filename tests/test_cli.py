@@ -563,8 +563,8 @@ class TestPipelineCommands:
                     "--out-dir", str(out)) == 5
         assert len((out / "hypotheses_golden.csv").read_text().splitlines()) == 9
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "eval-hypotheses"
-        assert manifest["outputs"] == ["hypotheses_golden.csv"]
+        assert list(manifest) == ["eval-hypotheses"]
+        assert list(manifest["eval-hypotheses"]["outputs"]) == ["hypotheses_golden.csv"]
         captured = capsys.readouterr()
         assert captured.err == "1 golden hypothesis mismatch(es)\n"
         assert f"{first.name} ({first.country})" in captured.out and "-> MISMATCH" in captured.out
@@ -729,8 +729,9 @@ class TestPipelineCommands:
         created = {p.name for p in out.iterdir()} - before - {"manifest.json",
                                                                "dataset.csv.cache"}
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == stage[0]
-        assert created and manifest["outputs"] == sorted(created)
+        assert list(manifest) == [stage[0]]
+        assert created and manifest[stage[0]]["outputs"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in created}
 
     def test_riskmap_outputs(self, built):
         cfg, out = built
@@ -774,9 +775,22 @@ def _json_record(doc) -> np.ndarray:
     return np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8)
 
 
+_RAW_NAMES = {"events.csv", "series.csv", "rules.json"}
+
+
+def _manifest(out: Path) -> dict:
+    return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestCarriedInputDigests:
-    """build-dataset hashes each raw input once and keeps the record in the
-    parse cache; the analysis stages record it from there."""
+    """build-dataset hashes each raw input once and records it in its own
+    manifest entry, which manifest.json carries while the analysis stages
+    run; their entries record the digest of the dataset.csv they read, which
+    is the one build-dataset wrote, and no raw input."""
 
     @pytest.fixture()
     def files_run(self, tmp_path):
@@ -789,39 +803,58 @@ class TestCarriedInputDigests:
         return cfg, out
 
     @staticmethod
-    def _stage_manifests(cfg, out) -> dict[str, bytes]:
-        """The manifest.json bytes each analysis stage writes, run in order."""
-        manifests = {}
+    def _stage_entries(cfg, out) -> dict[str, dict]:
+        """The manifest entry each analysis stage writes, run in order."""
+        entries = {}
         for stage in _ANALYSIS_STAGES:
             assert _run(*stage, "--config", cfg, "--out-dir", str(out)) == 0, stage
-            manifests[stage[0]] = (out / "manifest.json").read_bytes()
-        return manifests
+            entries[stage[0]] = _manifest(out)[stage[0]]
+        return entries
+
+    @staticmethod
+    def _assert_read_the_built_table(entries: dict, out: Path) -> None:
+        """Each entry records the dataset.csv digest build-dataset's entry wrote."""
+        built = {"path": str(out / "dataset.csv"),
+                 "sha256": _manifest(out)["build-dataset"]["outputs"]["dataset.csv"]}
+        for stage, entry in entries.items():
+            assert entry["inputs"]["dataset.csv"] == built, stage
 
     def test_each_input_hashed_once_per_run(self, files_run, tmp_path, monkeypatch):
         cfg, out = files_run
         hashed = _count_hashes(monkeypatch)
         assert _run("build-dataset", "--config", cfg, "--out-dir", str(out)) == 0
-        assert sorted(hashed) == ["events.csv", "rules.json", "series.csv"]
-        build = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["inputs"]
-        assert build == {key: {"path": str(tmp_path / name),
-                               "sha256": hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}
-                         for key, name in (("events_csv", "events.csv"),
-                                           ("series_csv", "series.csv"),
-                                           ("keyword_rules", "rules.json"))}
-        for stage, manifest in self._stage_manifests(cfg, out).items():
-            assert json.loads(manifest)["inputs"] == build, stage
-        assert len(hashed) == 3  # the analysis stages hashed nothing
+        # dataset.csv's digest is the one its writer computed
+        assert sorted(hashed) == ["bin_edges.json", "events.csv", "grid.json", "rules.json",
+                                  "series.csv"]
+        build = _manifest(out)["build-dataset"]
+        assert build["inputs"] == {key: {"path": str(tmp_path / name),
+                                         "sha256": _digest(tmp_path / name)}
+                                   for key, name in (("events_csv", "events.csv"),
+                                                     ("series_csv", "series.csv"),
+                                                     ("keyword_rules", "rules.json"))}
+        assert build["outputs"] == {name: _digest(out / name)
+                                    for name in ("bin_edges.json", "dataset.csv", "grid.json")}
+        hashed.clear()
+        entries = self._stage_entries(cfg, out)
+        self._assert_read_the_built_table(entries, out)
+        assert _manifest(out)["build-dataset"] == build
+        # the analysis stages hashed no raw input, and dataset.csv only as they loaded it
+        assert not set(hashed) & (_RAW_NAMES | {"dataset.csv"}), hashed
 
     @pytest.mark.parametrize("case", [
         "deleted_cache", "four_array_cache", "reader_cache", "truncated_record",
         "not_npy_record", "non_json_record", "non_object_record", "int64_record",
         "bad_digest_record", "missing_key_record"])
     def test_cache_without_a_usable_record_hashes_the_inputs(self, files_run, monkeypatch, case):
+        # whatever the cache holds, each stage records the digest of the
+        # dataset.csv bytes it read. The record cases end the parse with a
+        # fifth array, as build-dataset's caches once did, whole or damaged.
         cfg, out = files_run
-        carried = self._stage_manifests(cfg, out)
+        carried = self._stage_entries(cfg, out)
         cache = out / "dataset.csv.cache"
-        key, cells, X, y, record = _records(cache)
-        inputs = json.loads(record.tobytes())
+        key, cells, X, y = _records(cache)
+        inputs = _manifest(out)["build-dataset"]["inputs"]
+        record = _json_record(inputs)
         if case == "deleted_cache":
             cache.unlink()
         elif case == "reader_cache":
@@ -844,24 +877,30 @@ class TestCarriedInputDigests:
             cache.write_bytes(_npy(key, cells, X, y) + fifth)
         parses = count_parses(monkeypatch)
         hashed = _count_hashes(monkeypatch)
-        assert self._stage_manifests(cfg, out) == carried
-        assert sorted(hashed) == sorted(["events.csv", "rules.json", "series.csv"] * 4)
-        # a table cached without a usable record still loads without a parse
+        entries = self._stage_entries(cfg, out)
+        assert entries == carried
+        assert entries["test-univariate"]["inputs"]["dataset.csv"]["sha256"] == _digest(
+            out / "dataset.csv")
+        assert not set(hashed) & _RAW_NAMES, hashed
+        # a table cached with or without a trailing record loads without a parse
         assert len(parses) == (1 if case == "deleted_cache" else 0)
 
     def test_rewritten_input_keeps_the_build_digest(self, files_run, tmp_path, monkeypatch):
         cfg, out = files_run
-        build = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["inputs"]
+        build = _manifest(out)["build-dataset"]
         series = tmp_path / "series.csv"
         series.write_bytes(series.read_bytes() + b"0,0,LAI,2015-03-01,9.5\r\n")
         hashed = _count_hashes(monkeypatch)
-        for stage, manifest in self._stage_manifests(cfg, out).items():
-            assert json.loads(manifest)["inputs"] == build, stage
-        assert hashed == []
-        assert build["series_csv"]["sha256"] != hashlib.sha256(series.read_bytes()).hexdigest()
+        entries = self._stage_entries(cfg, out)
+        self._assert_read_the_built_table(entries, out)
+        assert _manifest(out)["build-dataset"] == build
+        assert not set(hashed) & _RAW_NAMES, hashed
+        assert build["inputs"]["series_csv"]["sha256"] != _digest(series)
 
     @pytest.mark.parametrize("change", ["moved_series", "added_rules", "synthetic"])
     def test_other_configured_inputs_are_hashed(self, files_run, tmp_path, monkeypatch, change):
+        # by build-dataset, which reads them; an analysis stage run on the
+        # other config records that config and the table it read
         cfg, out = files_run
         doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
         source = doc["source"]
@@ -869,7 +908,8 @@ class TestCarriedInputDigests:
             moved = tmp_path / "moved"
             moved.mkdir()
             source["series_csv"] = str(moved / "series.csv")
-            (moved / "series.csv").write_bytes((tmp_path / "series.csv").read_bytes() + b"\r\n")
+            (moved / "series.csv").write_bytes((tmp_path / "series.csv").read_bytes()
+                                               + b"0,0,LAI,2015-03-01,9.5\r\n")
         elif change == "added_rules":
             del source["keyword_rules"]
         else:
@@ -878,12 +918,15 @@ class TestCarriedInputDigests:
         other.write_text(json.dumps(doc), encoding="utf-8")
         hashed = _count_hashes(monkeypatch)
         assert _run("test-univariate", "--config", str(other), "--out-dir", str(out)) == 0
-        inputs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["inputs"]
-        expected = {key: {"path": doc["source"][key],
-                          "sha256": hashlib.sha256(Path(doc["source"][key]).read_bytes()).hexdigest()}
+        entry = _manifest(out)["test-univariate"]
+        assert entry["config"]["source"]["kind"] == doc["source"]["kind"]
+        assert list(entry["inputs"]) == ["dataset.csv"] and hashed == ["univariate.csv"]
+        assert _run("build-dataset", "--config", str(other), "--out-dir", str(out)) == 0
+        expected = {key: {"path": doc["source"][key], "sha256": _digest(Path(doc["source"][key]))}
                     for key in ("events_csv", "series_csv", "keyword_rules")
                     if key in doc["source"]}
-        assert inputs == expected and len(hashed) == len(expected)
+        assert _manifest(out)["build-dataset"]["inputs"] == expected
+        assert len([name for name in hashed if name in _RAW_NAMES]) == len(expected)
 
     def test_rerun_gives_the_same_bytes_cache_included(self, files_run):
         cfg, out = files_run
@@ -892,7 +935,61 @@ class TestCarriedInputDigests:
             for stage in (["build-dataset"], *_ANALYSIS_STAGES):
                 assert _run(*stage, "--config", cfg, "--out-dir", str(out)) == 0, stage
             runs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert len(_records(out / "dataset.csv.cache")) == 5 and runs[0] == runs[1]
+        assert len(_records(out / "dataset.csv.cache")) == 4 and runs[0] == runs[1]
+
+    def test_changed_input_and_lost_cache_keep_the_lineage(self, files_run, tmp_path):
+        # an analysis stage once recorded the digest of the events table as it
+        # was after the build when the parse cache was gone, though its
+        # results came from the table built before the change
+        cfg, out = files_run
+        build = _manifest(out)["build-dataset"]
+        events = tmp_path / "events.csv"
+        before = _digest(events)
+        events.write_bytes(events.read_bytes()
+                           + b"2015-06-15,1.5,11.5,Testland,herders clashed\r\n")
+        (out / "dataset.csv.cache").unlink()
+        assert _run("test-univariate", "--config", cfg, "--out-dir", str(out)) == 0
+        manifest = _manifest(out)
+        assert manifest["build-dataset"] == build
+        assert build["inputs"]["events_csv"]["sha256"] == before != _digest(events)
+        assert manifest["test-univariate"]["inputs"] == {"dataset.csv": {
+            "path": str(out / "dataset.csv"), "sha256": build["outputs"]["dataset.csv"]}}
+
+    def test_full_run_names_the_built_table_in_every_entry(self, files_run):
+        cfg, out = files_run
+        for stage in (*_ANALYSIS_STAGES, ["eval-hypotheses", "--which", "builtin"]):
+            assert _run(*stage, "--config", cfg, "--out-dir", str(out)) == 0, stage
+        manifest = _manifest(out)
+        assert sorted(manifest) == ["build-dataset", "eval-hypotheses", "learn-tree", "riskmap",
+                                    "test-univariate"]
+        del manifest["build-dataset"]
+        self._assert_read_the_built_table(manifest, out)
+        assert manifest["eval-hypotheses"]["inputs"].keys() == {"dataset.csv"}  # the rerun's
+        assert manifest["learn-tree"]["outputs"]["tree.json"] == _digest(out / "tree.json")
+        assert manifest["riskmap"]["inputs"]["grid.json"] == {
+            "path": str(out / "grid.json"), "sha256": _digest(out / "grid.json")}
+        for entry in manifest.values():
+            assert entry["outputs"] == {name: _digest(out / name) for name in entry["outputs"]}
+
+    @pytest.mark.parametrize("text", [
+        "", "{not json", "[]", '{"build-dataset": []}',
+        '{"command": "build-dataset", "config": {}, "inputs": {}, "outputs": ["dataset.csv"]}',
+        '{"build-dataset": {"config": {}, "inputs": {}}}'],
+        ids=["empty", "not_json", "list", "entry_not_object", "one_entry_format",
+             "entry_missing_key"])
+    def test_unusable_manifest_is_replaced_with_a_warning(self, tmp_path, caplog, text):
+        cfg = _cfg(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(text, encoding="utf-8")
+        assert _run("build-dataset", "--config", cfg, "--out-dir", str(out)) == 0
+        assert list(_manifest(out)) == ["build-dataset"]
+        [warning] = [r for r in caplog.records if r.name == "pcrisk.cli"]
+        assert warning.levelname == "WARNING" and "manifest.json" in warning.getMessage()
+        caplog.clear()
+        assert _run("learn-tree", "--config", cfg, "--out-dir", str(out)) == 0
+        assert list(_manifest(out)) == ["build-dataset", "learn-tree"]
+        assert not caplog.records
 
 
 class TestInputFiles:
@@ -1015,7 +1112,7 @@ class TestRiskmapClassWeight:
     def test_null_weight_saves_the_unweighted_model(self, tmp_path):
         out = tmp_path / "out"
         assert _run("build-dataset", "--config", _cfg(tmp_path), "--out-dir", str(out)) == 0
-        ds = features.load_dataset(out / "dataset.csv")
+        ds, _ = features.load_dataset(out / "dataset.csv")
         for kind in ml.CLASSIFIER_KINDS:
             cfg = _cfg(tmp_path, ml={"class_weight": None}, riskmap={"model": kind})
             assert _run("riskmap", "--config", cfg, "--out-dir", str(out)) == 0, kind
@@ -1040,5 +1137,5 @@ def test_closed_stdout_exits_quietly_after_the_manifest(tmp_path, unbuffered):
          "--out-dir", str(out)], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
     os.close(write)
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+    assert list(json.loads((out / "manifest.json").read_text())["build-dataset"]["outputs"]) == [
         "bin_edges.json", "dataset.csv", "grid.json"]

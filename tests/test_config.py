@@ -172,8 +172,8 @@ def test_null_object_takes_its_defaults(tmp_path, prebuilt):
     # null stands for {} in every object, as it did in source.planted
     doc = dict(BASE, tree=None, ml=None, stats=None, riskmap=None)
     assert _check(["learn-tree"], doc, tmp_path, prebuilt)[0] == 0
-    assert (json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["tree"]
-            is None)
+    assert (json.loads((tmp_path / "out" / "manifest.json").read_text())["learn-tree"]["config"]
+            ["tree"] is None)
     tree = (tmp_path / "out" / "tree.json").read_bytes()
     assert tree == (prebuilt / "tree.json").read_bytes()
 

@@ -455,7 +455,7 @@ class TestDatasetCsv:
             with pytest.raises(InvalidInputError, match="line 5"):
                 load_dataset(path)
         else:
-            back = load_dataset(path)
+            back, _ = load_dataset(path)
             assert _same_table(back, read_dataset_csv(path)) and not _same_table(back, ds)
 
     @pytest.mark.parametrize("config, cell_km", [
@@ -490,7 +490,7 @@ class TestDatasetCsv:
         # build-dataset cached the parse, so a load parses nothing
         assert cache_path(built).exists()
         parses = count_parses(monkeypatch)
-        assert _same_table(load_dataset(built), ds) and parses == []
+        assert _same_table(load_dataset(built)[0], ds) and parses == []
 
     def test_header_names(self, tmp_path, small_country):
         _, _, _, _, ds = small_country
@@ -553,11 +553,11 @@ class TestParseCache:
     def test_rewritten_table_parsed_again_and_cache_replaced(self, table, monkeypatch):
         path, ds = table
         parses = count_parses(monkeypatch)
-        assert _same_table(load_dataset(path), ds) and len(parses) == 1
+        assert _same_table(load_dataset(path)[0], ds) and len(parses) == 1
         other = ds.take(np.arange(len(ds))[::-1])
         write_dataset_csv(other, path)
-        assert _same_table(load_dataset(path), other) and len(parses) == 2
-        assert _same_table(load_dataset(path), other) and len(parses) == 2
+        assert _same_table(load_dataset(path)[0], other) and len(parses) == 2
+        assert _same_table(load_dataset(path)[0], other) and len(parses) == 2
 
     @pytest.mark.parametrize("damage", [
         "zero_bytes", "truncated", "not_npy", "no_digest", "wrong_digest", "wrong_shape",
@@ -570,9 +570,9 @@ class TestParseCache:
         assert damaged != _npy(np.frombuffer(digest, dtype=np.uint8), ds.cells, ds.X, ds.y)
         cache_path(path).write_bytes(damaged)
         parses = count_parses(monkeypatch)
-        assert _same_table(load_dataset(path), ds) and len(parses) == 1
+        assert _same_table(load_dataset(path)[0], ds) and len(parses) == 1
         # the parse replaced the damaged cache
-        assert _same_table(load_dataset(path), ds) and len(parses) == 1
+        assert _same_table(load_dataset(path)[0], ds) and len(parses) == 1
 
     def test_zero_d_label_falls_back_to_the_parse(self, tmp_path, small_country, monkeypatch):
         # a 0-d label record has no length: the cache is rejected, not read
@@ -582,7 +582,7 @@ class TestParseCache:
         cache_path(path).write_bytes(_npy(np.frombuffer(digest, dtype=np.uint8),
                                           one.cells, one.X, np.array(0)))
         parses = count_parses(monkeypatch)
-        assert _same_table(load_dataset(path), one) and len(parses) == 1
+        assert _same_table(load_dataset(path)[0], one) and len(parses) == 1
         assert cache_path(path).read_bytes() == _npy(np.frombuffer(digest, dtype=np.uint8),
                                                      one.cells, one.X, one.y)
 
@@ -632,27 +632,10 @@ class TestParseCache:
 
     def test_cache_holds_the_digest_then_the_parse(self, table):
         path, ds = table
-        load_dataset(path)
-        digest = hashlib.sha256(path.read_bytes()).digest()
+        _, digest = load_dataset(path)
+        assert digest == hashlib.sha256(path.read_bytes()).digest()
         assert cache_path(path).read_bytes() == _npy(np.frombuffer(digest, dtype=np.uint8),
                                                      ds.cells, ds.X, ds.y)
-
-    def test_written_table_carries_its_inputs_record(self, tmp_path, small_country,
-                                                     monkeypatch):
-        ds = small_country[4]
-        path = tmp_path / "dataset.csv"
-        record = {"series_csv": {"path": "séries.csv", "sha256": "0" * 64}}
-        digest = write_dataset_csv(ds, path)
-        cache_written_table(path, digest, ds, record)
-        assert cache_path(path).read_bytes() == _npy(
-            np.frombuffer(digest, dtype=np.uint8), ds.cells, ds.X, ds.y,
-            np.frombuffer(json.dumps(record, sort_keys=True).encode(), dtype=np.uint8))
-        parses = count_parses(monkeypatch)
-        back = load_dataset(path)
-        assert _same_table(back, ds) and back.inputs == record and parses == []
-        cache_written_table(path, digest, ds)  # no record: the parse's four arrays
-        back = load_dataset(path)
-        assert _same_table(back, ds) and back.inputs is None and parses == []
 
     @pytest.mark.parametrize("record", [
         b"", b"\x93NUMPY garbage", _npy(np.frombuffer(b"\xff{}", dtype=np.uint8)),
@@ -660,13 +643,15 @@ class TestParseCache:
         _npy(np.array([123, 125], dtype=np.int64))],
         ids=["none", "not_npy", "not_utf8", "not_json", "not_object", "not_uint8"])
     def test_unusable_record_loads_the_table_without_one(self, table, monkeypatch, record):
+        # caches that build-dataset once wrote end in a fifth array, a record of
+        # the raw inputs; whatever follows the parse is not read
         path, ds = table
         digest = hashlib.sha256(path.read_bytes()).digest()
         cache_path(path).write_bytes(
             _npy(np.frombuffer(digest, dtype=np.uint8), ds.cells, ds.X, ds.y) + record)
         parses = count_parses(monkeypatch)
-        back = load_dataset(path)
-        assert _same_table(back, ds) and back.inputs is None and parses == []
+        back, back_digest = load_dataset(path)
+        assert _same_table(back, ds) and back_digest == digest and parses == []
 
 
 class TestEventCounts:
