@@ -15,7 +15,12 @@ BLAS thread setting the runs saw, and each side's line count of
   printed the same ones, and whether both sides' first runs did;
 - per side and per end-to-end metric, the median, the quartiles, the run
   count and every run's value;
-- per metric, the number of pairs in which this checkout did better.
+- per metric, the number of pairs in which this checkout did better;
+- under ``raw_wall_s``, per side, the same summary of each run's median
+  unscaled stage-sum wall time (from the run's ``report.json``), with the
+  pairs this checkout won. The end-to-end times are scaled by a speed
+  probe that runs beside the stages, so a change that only moves the
+  probe shows in them and not here.
 
 Usage, from anywhere:
     python3 scripts/bench_pairs.py --parent ../parent --workload demo \\
@@ -49,7 +54,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, tiny: boo
     return {"env": env,
             "artifacts": [line for line in lines if line.startswith("artifact")],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-            "units": {name: m["unit"] for name, m in result["metrics"].items()}}
+            "units": {name: m["unit"] for name, m in result["metrics"].items()},
+            "raw_wall_s": raw_wall_s(checkout / ".perfbench_out" / workload / "report.json")}
+
+
+def raw_wall_s(report: Path) -> float:
+    """The median over a perfbench run's repetitions of the unscaled
+    wall time of all its stages."""
+    reps = json.loads(report.read_text(encoding="utf-8"))["reps"]
+    return statistics.median(sum(s["s"] for s in rep["stages"]) for rep in reps)
 
 
 def src_lines(checkout: Path) -> int:
@@ -83,6 +96,9 @@ def workload_entry(runs: dict[str, list[dict]]) -> dict:
         "pairs_this_lower": {name: sum(t["metrics"][name] < p["metrics"][name]
                                        for p, t in zip(runs["parent"], runs["this"]))
                              for name in units},
+        "raw_wall_s": {**{side: summary([r["raw_wall_s"] for r in runs[side]]) for side in SIDES},
+                       "pairs_this_lower": sum(t["raw_wall_s"] < p["raw_wall_s"] for p, t
+                                               in zip(runs["parent"], runs["this"]))},
     }
 
 
@@ -112,8 +128,10 @@ def main(argv=None) -> int:
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 runs[side].append(run_once(checkouts[side], workload, args.seed,
                                            args.seconds, args.tiny))
+                run = runs[side][-1]
                 print(f"{workload} pair {i + 1}/{args.pairs} {side}: " + " ".join(
-                    f"{k}={v:.4g}" for k, v in runs[side][-1]["metrics"].items()), flush=True)
+                    f"{k}={v:.4g}" for k, v in run["metrics"].items())
+                    + f" raw_wall_s={run['raw_wall_s']:.4g}", flush=True)
         entries[workload] = workload_entry(runs)
         env = runs["this"][0]["env"]
 
@@ -132,8 +150,12 @@ def main(argv=None) -> int:
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for workload, entry in entries.items():
+        rows, metrics, raw = [], entry["metrics"], entry["raw_wall_s"]
         for name, won in entry["pairs_this_lower"].items():
-            p, t = entry["metrics"]["parent"][name], entry["metrics"]["this"][name]
+            rows.append((name, metrics["parent"][name], metrics["this"][name], won))
+            if name == "pipeline_s":
+                rows.append(("raw_wall_s", raw["parent"], raw["this"], raw["pairs_this_lower"]))
+        for name, p, t, won in rows:
             print(f"{workload} {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
                   f"this {t['median']:.4g} [{t['q1']:.4g}, {t['q3']:.4g}]  "
                   f"this lower in {won}/{args.pairs}")

@@ -491,6 +491,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        entry = args.command  # its manifest entry's key
         if args.command == "eval-hypotheses":
             only = args.hypothesis
             if only is not None:
@@ -499,8 +500,10 @@ def main(argv=None) -> int:
                                     "and no --golden")
                 if only not in hypotheses.builtin_hypotheses():
                     _parser().error(f"unknown hypothesis name {only!r}")
-            written = (cmd_golden(cfg) if args.golden
-                       else cmd_eval_hypotheses(cfg, args.which, only))
+            if args.golden:  # an entry of its own, so the scored paths keep theirs
+                entry, written = "eval-hypotheses --golden", cmd_golden(cfg)
+            else:
+                written = cmd_eval_hypotheses(cfg, args.which, only)
         else:
             written = {
                 "build-dataset": cmd_build_dataset,
@@ -509,7 +512,7 @@ def main(argv=None) -> int:
                 "train-suite": cmd_train_suite,
                 "riskmap": cmd_riskmap,
             }[args.command](cfg)
-        _write_manifest(cfg, args.command, written)
+        _write_manifest(cfg, entry, written)
         try:
             sys.stdout.writelines(f"{line}\n" for line in written.report)
             sys.stderr.writelines(f"{line}\n" for line in written.alerts)

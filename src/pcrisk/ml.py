@@ -22,8 +22,9 @@ halve-on-increase step, so their recorded training loss is non-increasing
 across epochs. A line-search trial costs one
 forward pass; backpropagation runs only for the trial that is accepted.
 MLP and DeepNN fits allocate their (rows, hidden units) activation, delta
-and back-propagation arrays once per fit, and the AdaBoost stump search its
-(features, rows) cumulative-weight arrays; every step writes into them.
+and back-propagation arrays once per fit, and every step writes into them.
+The AdaBoost stump search encodes its columns once per fit, as the CART
+does, and each round bins the signed weights by distinct value.
 """
 
 from __future__ import annotations
@@ -309,44 +310,40 @@ def _stump_predict(X, f: int, thr: float, pol: int) -> np.ndarray:
 
 class _StumpSearch:
     """Exhaustive weighted-error stump search over midpoint thresholds
-    (hypotheses.midpoint).
+    (hypotheses.midpoint), on the CART's column codes (encode_columns).
 
     Polarity +1 predicts class 1 on value > threshold, -1 on value <=
     threshold. Ties resolve to the lowest feature, lowest threshold,
-    polarity +1 first. The per-feature sort order and the candidate
-    thresholds do not depend on the weights, so they are computed once per
-    fit; each search is then one cumsum per class over feature-major (d, n)
-    arrays, written into two buffers allocated once per fit.
+    polarity +1 first. The codes and the candidates, one after every
+    distinct value of a column but its last, do not depend on the weights,
+    so they are made once per fit. Each search is then one bincount of the
+    signed weights (+w for class 1, -w for class 0) over the bins, and one
+    cumulative sum that restarts at every column: at each candidate it is
+    the class-1 minus the class-0 weight at or below the threshold.
     """
 
     def __init__(self, X, y):
-        Xt = X.T
-        self.order = np.argsort(Xt, axis=1, kind="stable")  # (d, n)
-        xs = np.take_along_axis(Xt, self.order, axis=1)
-        self.pos = y == 1
-        self.neg = y == 0
-        # one candidate per gap between consecutive distinct sorted values,
-        # in (feature, threshold) order
-        self.feature, self.index = np.nonzero(xs[:, :-1] < xs[:, 1:])
-        self.threshold = midpoint(xs[self.feature, self.index], xs[self.feature, self.index + 1])
-        self.wp, self.wn = np.empty(self.order.shape), np.empty(self.order.shape)
+        codes = encode_columns(X)
+        self.bins = codes.bins.astype(np.intp).ravel()  # bincount adds a bin's rows in order
+        self.sign = np.where(y == 1, 1.0, -1.0)
+        self.starts = codes.starts
+        self.cand = np.delete(np.arange(len(codes.values)), self.starts[1:] - 1)
+        self.feature = np.searchsorted(self.starts, self.cand, side="right") - 1
+        self.threshold = midpoint(codes.values[self.cand], codes.values[self.cand + 1])
 
     def best(self, w) -> tuple[int, float, int] | None:
         """(feature, threshold, polarity) of least weighted error under w, or None."""
-        if self.feature.size == 0:
+        if self.cand.size == 0:
             return None
-        pos_total = float(w[self.pos].sum())
-        wp, wn = self.wp, self.wn
-        for buf, in_class in ((wp, self.pos), (wn, self.neg)):  # mass left per class
-            # np.where(in_class, w, 0.0)[order] is np.where(in_class[order],
-            # w[order], 0.0); mode="clip" (the indices are in range) keeps
-            # take from buffering out, as the default mode="raise" does
-            np.take(np.where(in_class, w, 0.0), self.order, out=buf, mode="clip")
-            np.cumsum(buf, axis=1, out=buf)
-        pos_left = wp[self.feature, self.index]
-        neg_left = wn[self.feature, self.index]
-        err_gt = pos_left + (wn[self.feature, -1] - neg_left)
-        err_le = (pos_total - pos_left) + neg_left
+        pos_total, neg_total = float(w[self.sign > 0].sum()), float(w[self.sign < 0].sum())
+        hist = np.bincount(self.bins, np.repeat(w * self.sign, len(self.starts) - 1),
+                           minlength=self.starts[-1])
+        # every column's signed weights sum to pos_total - neg_total, so taking
+        # that off each column's first bin restarts the sum there, up to dust
+        hist[self.starts[1:-1]] -= pos_total - neg_total
+        left = np.cumsum(hist)[self.cand]  # pos_left - neg_left
+        err_gt = neg_total + left
+        err_le = pos_total - left
         # round(err, 9) absorbs cumsum dust so genuinely tied errors fall
         # through to the (feature, threshold, polarity) tie rule; every error
         # that can round to the minimum's rounding lies within 1e-8 of it

@@ -278,7 +278,8 @@ def test_c10_cli_determinism(tmp_path):
                 code = cli_main(cmd + ["--config", str(cfg_path), "--out-dir", str(out)])
                 assert code == 0, cmd
                 # the manifest holds every command's entry; this command's is its own
-                entry = json.loads((out / "manifest.json").read_text())[cmd[0]]
+                key = "eval-hypotheses --golden" if "--golden" in cmd else cmd[0]
+                entry = json.loads((out / "manifest.json").read_text())[key]
                 snap[tuple(cmd)] = {"manifest entry": entry, **{
                     name: (out / name).read_bytes() for name in entry["outputs"]}}
             snap["manifest.json"] = (out / "manifest.json").read_bytes()

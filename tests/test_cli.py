@@ -563,12 +563,27 @@ class TestPipelineCommands:
                     "--out-dir", str(out)) == 5
         assert len((out / "hypotheses_golden.csv").read_text().splitlines()) == 9
         manifest = json.loads((out / "manifest.json").read_text())
-        assert list(manifest) == ["eval-hypotheses"]
-        assert list(manifest["eval-hypotheses"]["outputs"]) == ["hypotheses_golden.csv"]
+        assert list(manifest) == ["eval-hypotheses --golden"]
+        assert list(manifest["eval-hypotheses --golden"]["outputs"]) == ["hypotheses_golden.csv"]
         captured = capsys.readouterr()
         assert captured.err == "1 golden hypothesis mismatch(es)\n"
         assert f"{first.name} ({first.country})" in captured.out and "-> MISMATCH" in captured.out
         assert captured.out.endswith(f"wrote {out / 'hypotheses_golden.csv'}\n")
+
+    def test_golden_mode_keeps_the_scored_paths_entry(self, built):
+        # the golden check once replaced the entry naming hypotheses.csv and .json
+        cfg, out = built
+        for argv in (["learn-tree"], ["eval-hypotheses", "--which", "tree"],
+                     ["eval-hypotheses", "--golden"]):
+            assert _run(*argv, "--config", cfg, "--out-dir", str(out)) == 0, argv
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"build-dataset", "learn-tree", "eval-hypotheses",
+                                 "eval-hypotheses --golden"}
+        scored = manifest["eval-hypotheses"]
+        assert list(scored["outputs"]) == ["hypotheses.csv", "hypotheses.json"]
+        assert scored["inputs"]["tree.json"]["sha256"] == manifest["learn-tree"]["outputs"][
+            "tree.json"]
+        assert list(manifest["eval-hypotheses --golden"]["outputs"]) == ["hypotheses_golden.csv"]
 
     def test_golden_mode_refuses_a_degenerate_bbox(self, tmp_path, capsys):
         # --golden builds no grid, so it once ran on such a config and exited 0
@@ -729,8 +744,9 @@ class TestPipelineCommands:
         created = {p.name for p in out.iterdir()} - before - {"manifest.json",
                                                                "dataset.csv.cache"}
         manifest = json.loads((out / "manifest.json").read_text())
-        assert list(manifest) == [stage[0]]
-        assert created and manifest[stage[0]]["outputs"] == {
+        entry = "eval-hypotheses --golden" if "--golden" in stage else stage[0]
+        assert list(manifest) == [entry]
+        assert created and manifest[entry]["outputs"] == {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in created}
 
     def test_riskmap_outputs(self, built):

@@ -60,6 +60,12 @@ def test_bench_pairs_of_this_checkout_against_itself(tmp_path):
             assert set(entry["metrics"][side]) == {"setup_s", "pipeline_s", "build_s",
                                                    "analysis_s", "peak_rss_mb"}
         assert set(entry["pairs_this_lower"]) == set(entry["metrics"]["this"])
+        # each side's unscaled stage-sum wall time, from perfbench's report.json
+        raw = entry["raw_wall_s"]
+        assert raw["pairs_this_lower"] in (0, 1)
+        for side in ("parent", "this"):
+            assert raw[side]["n"] == 1 and raw[side]["median"] > 0
+    assert "demo raw_wall_s: parent " in proc.stdout
 
 
 def test_riskmap_pairs_of_this_checkout_against_itself(tmp_path):
