@@ -24,4 +24,4 @@ from .features import (  # noqa: F401
     fit_bin_edges,
 )
 from .stats import ContingencyTable, ExactTestResult, MeanDiffResult  # noqa: F401
-from .hypotheses import HypothesisPredicate, TreeNode, train_cart  # noqa: F401
+from .hypotheses import HypothesisPredicate, Tree, train_cart  # noqa: F401

@@ -47,9 +47,10 @@ def write_json(path, doc, indent: int | None = None) -> None:
 def read_json(path, what: str, parse=None):
     """The JSON document in path, or parse(document). A file that cannot be
     read or is not UTF-8 JSON, or whose document parse fails on with a
-    KeyError, ValueError, TypeError or InvalidInputError, raises
-    InvalidInputError naming `what` and the path; so does a document nested
-    too deep for json or parse to recurse through (RecursionError)."""
+    KeyError, ValueError, TypeError, OverflowError (an int past int64, say)
+    or InvalidInputError, raises InvalidInputError naming `what` and the
+    path; so does a document nested too deep for json to recurse through
+    (RecursionError). The tree loader does not recurse; json does."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:  # a directory, say
@@ -58,7 +59,8 @@ def read_json(path, what: str, parse=None):
         raise InvalidInputError(f"{what} {path} is not valid JSON: {exc}") from None
     try:
         return doc if parse is None else parse(doc)
-    except (KeyError, ValueError, TypeError, InvalidInputError, RecursionError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, InvalidInputError,
+            RecursionError) as exc:
         raise InvalidInputError(
             f"{what} {path} is malformed ({type(exc).__name__}: {exc})") from None
 

@@ -13,7 +13,9 @@ tree is identical to an exhaustive best-split search and reproducible
 across platforms. A fit ranks each column's values among its distinct
 values once. The trees of a forest then grow together, one depth at a
 time: the split search of a level's nodes counts their rows per value
-with np.bincount instead of sorting them.
+with np.bincount instead of sorting them. A forest is one flat node record,
+as in scikit-learn's Tree; leaf_purity moves every (tree, row) pair down
+it one level per step, and a Tree is a view of one of its nodes.
 """
 
 from __future__ import annotations
@@ -38,20 +40,33 @@ from .ingest import VARIABLES
 from .stats import ContingencyTable, ExactTestResult, exact_test
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature/threshold set) or leaf (both None)."""
+#: one node of a tree record: a split's column and threshold (a row goes left
+#: where x[feature] <= threshold) and its children's indices, all -1 at a
+#: leaf, and the node's row and class-1 counts
+_NODE = np.dtype([("feature", np.intp), ("threshold", np.float64), ("left", np.intp),
+                  ("right", np.intp), ("n_samples", np.int64), ("n_class1", np.int64)])
 
-    n_samples: int
-    n_class1: int
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A view of node `at` of a node record (_NODE), whose fields read as
+    attributes: feature and threshold are None at a leaf, and left and right
+    are views (None at a leaf). The trees of a forest share one record."""
+
+    nodes: np.ndarray
+    at: int
+
+    def __getattr__(self, name):
+        if name not in _NODE.names:
+            raise AttributeError(name)
+        value = self.nodes[name][self.at].item()
+        if name in ("left", "right"):
+            return None if value < 0 else Tree(self.nodes, value)
+        return None if name in ("feature", "threshold") and self.is_leaf else value
 
     @property
     def is_leaf(self) -> bool:
-        return self.feature is None
+        return bool(self.nodes["feature"][self.at] < 0)
 
     @property
     def purity(self) -> float:
@@ -104,8 +119,8 @@ class HypothesisPredicate:
 #: row limit below which every split score's integer numerator fits int64;
 #: no grid holds as many cells
 MAX_CART_ROWS = MAX_CELLS
-#: depth limit of a tree. A tree this deep saves, reloads and is walked
-#: recursively (tree_to_dict, json, tree_to_dot, extract_paths) under
+#: depth limit of a tree. json, tree_to_dot and extract_paths walk a tree
+#: this deep recursively (the record's encoder and loader do not) under
 #: Python's default recursion limit of 1000; a 1,000-level chain does not,
 #: and the margin leaves room for the callers' frames
 MAX_TREE_DEPTH = 500
@@ -306,7 +321,7 @@ def _exact_argmins(num: np.ndarray, den: np.ndarray, group: np.ndarray) -> np.nd
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
-              min_leaf: int = 1) -> TreeNode:
+              min_leaf: int = 1) -> Tree:
     """Greedy CART on a finite feature matrix and a label array in {0, 1}.
 
     max_depth is None or an integer >= 1 and min_leaf an integer >= 1. A
@@ -321,7 +336,7 @@ def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = 4,
 def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
                 max_depth: int | None = 4, min_leaf: int = 1,
                 rng: np.random.Generator | None = None,
-                max_features: int | None = None) -> list[TreeNode]:
+                max_features: int | None = None) -> list[Tree]:
     """One greedy CART per array of rows in roots, all grown together one
     depth at a time. Rows may repeat, and a repeated row counts once per
     occurrence, as if it were copied.
@@ -346,7 +361,8 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
     counting no more bins than that. The rows of each node that splits go
     to its children with one comparison and a stable regrouping. A split
     whose children would lie deeper than MAX_TREE_DEPTH raises
-    InvalidInputError.
+    InvalidInputError. The trees share one record: the roots, then the two
+    children of each split in the order made, split s's at len(roots) + 2s.
     """
     check_count("max_depth", max_depth, None)
     check_count("min_leaf", min_leaf)
@@ -362,17 +378,22 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
     budget, bin_budget = max(codes.bins.size, 1), max(codes.bins.shape[0] * k, 1)
     sizes = np.diff(codes.starts)
     class1 = np.asarray(y) == 1
-    trees = [TreeNode(n_samples=len(rows), n_class1=int(np.count_nonzero(class1[rows])))
-             for rows in roots]
-    n = np.array([t.n_samples for t in trees], dtype=np.int64)
-    n1 = np.array([t.n_class1 for t in trees], dtype=np.int64)
-    grows = ((n >= 2 * min_leaf) & (n1 > 0) & (n1 < n) & (d > 0)).tolist()
-    nodes = [t for t, ok in zip(trees, grows) if ok]
-    level = [rows for rows, ok in zip(roots, grows) if ok]
-    n, n1 = n[grows], n1[grows]
-    depth = 1  # of the level's children
-    while nodes:
-        m, rows = len(nodes), np.concatenate(level)
+    n = np.array([len(rows) for rows in roots], dtype=np.int64)
+    n1 = np.array([np.count_nonzero(class1[rows]) for rows in roots], dtype=np.int64)
+    # the record's chunks: the (node, feature, threshold) of each batch's
+    # splits, and the (n, n1) of the roots, then of each split's children
+    splits = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+    counts = [np.column_stack([n, n1])]
+    ids = np.arange(len(roots))  # the record index of each node of the level
+    rows = np.concatenate([np.zeros(0, np.intp), *roots])  # grouped by node
+    depth = 0  # of the level's nodes
+    while True:
+        grows = (n >= 2 * min_leaf) & (n1 > 0) & (n1 < n) & (d > 0) & (depth != max_depth)
+        rows = rows[np.repeat(grows, n)]
+        ids, n, n1 = ids[grows], n[grows], n1[grows]
+        if not len(ids):
+            break
+        m = len(ids)
         if k < d:
             chunk = max(1, bin_budget // d)
             fids = np.concatenate([
@@ -383,7 +404,7 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
             fids = np.broadcast_to(np.arange(d), (m, d))
         node_bins = sizes[fids].sum(axis=1)
         entries_end, bins_end, rows_end = (n * k).cumsum(), node_bins.cumsum(), n.cumsum()
-        kids, kid_n, kid_n1, level = [], [], [], []
+        level_chunk, level = len(counts), []
         a = 0
         while a < m:
             # the longest run of nodes from a within both bounds, at least one
@@ -396,44 +417,36 @@ def grow_forest(codes: ColumnCodes, y: np.ndarray, roots: list[np.ndarray],
             batch = rows[rows_end[a] - nb[0]:rows_end[b - 1]]
             split, feature, lo, threshold, n_left, n_left1 = _best_splits(
                 codes, class1, batch, nb, nb1, min_leaf, fids[a:b])
-            if depth > MAX_TREE_DEPTH and split.size:
+            if depth >= MAX_TREE_DEPTH and split.size:  # the children would lie deeper
                 raise InvalidInputError(f"a tree would grow past depth {MAX_TREE_DEPTH}; "
                                         f"set max_depth to at most {MAX_TREE_DEPTH}")
-            # batch node j's children are 2j (left) and 2j + 1 (right)
-            child_n = np.zeros((b - a, 2), dtype=np.int64)
-            child_n1 = np.zeros_like(child_n)
-            child_n[split, 0], child_n[split, 1] = n_left, nb[split] - n_left
-            child_n1[split, 0], child_n1[split, 1] = n_left1, nb1[split] - n_left1
-            child_n, child_n1 = child_n.ravel(), child_n1.ravel()
-            grows = (child_n >= 2 * min_leaf) & (child_n1 > 0) & (child_n1 < child_n)
-            grows &= depth != max_depth
-            route_f = np.zeros(b - a, dtype=np.intp)
+            route_f = np.full(b - a, -1, dtype=np.intp)  # -1: the node does not split
             route_lo = np.zeros(b - a, dtype=codes.bins.dtype)
             route_f[split], route_lo[split] = feature, lo
             node = np.repeat(np.arange(b - a), nb)
+            moved = route_f[node] >= 0
+            # the rows of batch node j's left child, then its right child
             child = 2 * node + (codes.bins[batch, route_f[node]] > route_lo[node])
-            moved = grows[child]
             level.append(batch[moved][np.argsort(child[moved], kind="stable")])
-            born_kids = []
-            for j, f, t, nl, al in zip((split + a).tolist(), feature.tolist(), threshold.tolist(),
-                                       n_left.tolist(), n_left1.tolist()):
-                parent = nodes[j]
-                parent.feature, parent.threshold = f, t
-                parent.left = TreeNode(n_samples=nl, n_class1=al)
-                parent.right = TreeNode(n_samples=parent.n_samples - nl,
-                                        n_class1=parent.n_class1 - al)
-                born_kids += [parent.left, parent.right]
-            kids += [kid for kid, ok in zip(born_kids, grows.reshape(-1, 2)[split].ravel().tolist())
-                     if ok]
-            kid_n.append(child_n[grows])
-            kid_n1.append(child_n1[grows])
+            splits.append((ids[a + split], feature, threshold))
+            counts.append(np.column_stack([n_left, n_left1, nb[split] - n_left,
+                                           nb1[split] - n_left1]).reshape(-1, 2))
             a = b
-        nodes, n, n1 = kids, np.concatenate(kid_n), np.concatenate(kid_n1)
+        kids = np.concatenate(counts[level_chunk:])  # they follow the chunks before
+        ids = sum(map(len, counts)) - len(kids) + np.arange(len(kids))
+        n, n1, rows = kids[:, 0], kids[:, 1], np.concatenate(level)
         depth += 1
-    return trees
+    at, feature, threshold = map(np.concatenate, zip(*splits))
+    nodes = np.zeros(sum(map(len, counts)), dtype=_NODE)
+    nodes["feature"] = nodes["left"] = nodes["right"] = -1
+    nodes["n_samples"], nodes["n_class1"] = np.concatenate(counts).T
+    nodes["feature"][at], nodes["threshold"][at] = feature, threshold
+    nodes["left"][at] = len(roots) + 2 * np.arange(len(at))
+    nodes["right"][at] = nodes["left"][at] + 1
+    return [Tree(nodes, i) for i in range(len(roots))]
 
 
-def train_cart(ds: Dataset, max_depth: int | None = 4, min_leaf: int = 1) -> TreeNode:
+def train_cart(ds: Dataset, max_depth: int | None = 4, min_leaf: int = 1) -> Tree:
     """CART over a dataset; single-class data yields a single leaf."""
     X, y = to_matrix(ds)
     if len(y) == 0:
@@ -441,21 +454,25 @@ def train_cart(ds: Dataset, max_depth: int | None = 4, min_leaf: int = 1) -> Tre
     return grow_tree(X, y, max_depth, min_leaf)
 
 
-def leaf_purity(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    """The purity of the leaf each row x of X reaches (left where
-    x[feature] <= threshold), found by routing arrays of row indices down
-    the tree: one comparison per internal node that rows reach, not one
-    walk per row."""
-    out = np.empty(len(X))
-    todo = [(node, np.arange(len(X)))]
-    while todo:
-        node, rows = todo.pop()
-        if node.is_leaf:
-            out[rows] = node.purity
-        elif rows.size:
-            go_left = X[rows, node.feature] <= node.threshold
-            todo += [(node.left, rows[go_left]), (node.right, rows[~go_left])]
-    return out
+def leaf_purity(trees: list[Tree], X: np.ndarray) -> np.ndarray:
+    """The purity of the leaf each row x of X reaches in each of trees, which
+    share one record, as a (len(trees), len(X)) array. Each step moves every
+    (tree, row) pair down one level in one gather, left where x[feature] <=
+    threshold (so a NaN goes right); a leaf routes its pairs to itself."""
+    nodes = trees[0].nodes
+    if any(tree.nodes is not nodes for tree in trees):
+        raise InvalidInputError("leaf_purity needs trees that share one record")
+    leaf = nodes["feature"] < 0
+    stay = np.arange(len(nodes))
+    feature = np.where(leaf, 0, nodes["feature"])
+    left, right = np.where(leaf, stay, nodes["left"]), np.where(leaf, stay, nodes["right"])
+    at = np.repeat(np.array([tree.at for tree in trees], dtype=np.intp), len(X))
+    row = np.tile(np.arange(len(X)), len(trees))
+    while not leaf[at].all():
+        at = np.where(X[row, feature[at]] <= nodes["threshold"][at], left[at], right[at])
+    n = nodes["n_samples"][at]
+    purity = np.divide(nodes["n_class1"][at], n, out=np.zeros(len(at)), where=n > 0)
+    return purity.reshape(len(trees), len(X))
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +497,13 @@ def _merge_conditions(conds: list[Condition]) -> tuple:
     return tuple(tight[k] for k in order)
 
 
-def extract_paths(tree: TreeNode, min_support: int = 5,
+def extract_paths(tree: Tree, min_support: int = 5,
                   min_purity: float = 0.6) -> list[HypothesisPredicate]:
     """Root-to-leaf paths whose leaf has >= min_support rows and class-1
     purity >= min_purity, as predicates; left-to-right traversal order."""
     out = []
 
-    def walk(node: TreeNode, conds: list[Condition]):
+    def walk(node: Tree, conds: list[Condition]):
         if node.is_leaf:
             if conds and node.n_samples >= min_support and node.purity >= min_purity:
                 out.append(HypothesisPredicate(conditions=_merge_conditions(conds)))
@@ -656,35 +673,46 @@ def _template_vector(pred: HypothesisPredicate, satisfy: bool) -> np.ndarray:
 # tree export and hypothesis reports
 
 
-def tree_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"n_samples": node.n_samples, "n_class1": node.n_class1}
-    return {
-        "n_samples": node.n_samples,
-        "n_class1": node.n_class1,
-        "feature": FEATURE_NAMES[node.feature],
-        "threshold": node.threshold,
-        "left": tree_to_dict(node.left),
-        "right": tree_to_dict(node.right),
-    }
+def trees_to_dicts(trees: list[Tree]) -> list[dict]:
+    """Each tree as nested dicts, without recursion. Each record's columns
+    are read once (.tolist()): every node's dict takes its counts, and then
+    each split's dict its feature, threshold and children's dicts."""
+    docs, nodes, encoded = [], None, []
+    for tree in trees:
+        if tree.nodes is not nodes:
+            nodes = tree.nodes
+            feature, threshold, left, right, n, n1 = (nodes[f].tolist() for f in _NODE.names)
+            encoded = [{"n_samples": a, "n_class1": b} for a, b in zip(n, n1)]
+            for i in np.flatnonzero(nodes["feature"] >= 0).tolist():
+                doc = encoded[i]
+                doc["feature"], doc["threshold"] = FEATURE_NAMES[feature[i]], threshold[i]
+                doc["left"], doc["right"] = encoded[left[i]], encoded[right[i]]
+        docs.append(encoded[tree.at])
+    return docs
 
 
-def tree_from_dict(d: dict) -> TreeNode:
-    node = TreeNode(n_samples=int(d["n_samples"]), n_class1=int(d["n_class1"]))
-    if "feature" in d:
-        node.feature = FEATURE_NAMES.index(d["feature"])
-        node.threshold = float(d["threshold"])
-        node.left = tree_from_dict(d["left"])
-        node.right = tree_from_dict(d["right"])
-    return node
+def trees_from_dicts(docs: list) -> list[Tree]:
+    """The trees that trees_to_dicts encoded as docs, in one record laid out
+    as grow_forest lays out a forest: the roots, then the two children of
+    each split in breadth-first order. No recursion."""
+    queue, rows = list(docs), []
+    for doc in queue:  # each split appends its children
+        split = (-1, 0.0, -1, -1)  # a leaf's feature, threshold and children
+        if "feature" in doc:
+            split = (FEATURE_NAMES.index(doc["feature"]), float(doc["threshold"]),
+                     len(queue), len(queue) + 1)
+            queue += [doc["left"], doc["right"]]
+        rows.append(split + (int(doc["n_samples"]), int(doc["n_class1"])))
+    nodes = np.array(rows, dtype=_NODE)
+    return [Tree(nodes, i) for i in range(len(docs))]
 
 
-def tree_to_dot(node: TreeNode) -> str:
+def tree_to_dot(node: Tree) -> str:
     """Graphviz digraph of the tree (left edge = condition holds)."""
     lines = ["digraph cart {", "  node [shape=box];"]
     counter = [0]
 
-    def emit(n: TreeNode) -> int:
+    def emit(n: Tree) -> int:
         nid = counter[0]
         counter[0] += 1
         if n.is_leaf:
@@ -704,13 +732,13 @@ def tree_to_dot(node: TreeNode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_tree(node: TreeNode, path) -> None:
-    write_json(path, tree_to_dict(node), indent=2)
+def save_tree(node: Tree, path) -> None:
+    write_json(path, trees_to_dicts([node])[0], indent=2)
 
 
-def load_tree(path) -> TreeNode:
+def load_tree(path) -> Tree:
     """Inverse of save_tree; a damaged file raises InvalidInputError naming it."""
-    return read_json(path, "tree", tree_from_dict)
+    return read_json(path, "tree", lambda doc: trees_from_dicts([doc])[0])
 
 
 def write_hypothesis_csv(results, path) -> None:

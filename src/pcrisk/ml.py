@@ -6,7 +6,8 @@ a fixed seed. A model's model.json state is its annotated instance
 attributes, encoded by one codec (_Model.state_dict, _Model.load_state):
 
 * DecisionTree      - the CART from the hypotheses module
-* RandomForest      - bagged CARTs with per-split feature subsampling
+* RandomForest      - bagged CARTs with per-split feature subsampling, in
+                      one node record that scores every tree in one pass
 * AdaBoost          - SAMME over depth-1 stumps picked by weighted error
 * LogisticRegression- L2 negative log-likelihood, batch gradient descent:
                       the MLP's descent with no hidden layer
@@ -45,15 +46,15 @@ from .errors import (
 )
 from .features import Dataset, to_matrix
 from .hypotheses import (
-    TreeNode,
+    Tree,
     check_count,
     encode_columns,
     grow_forest,
     grow_tree,
     leaf_purity,
     midpoint,
-    tree_from_dict,
-    tree_to_dict,
+    trees_from_dicts,
+    trees_to_dicts,
 )
 
 #: hyperparameters that take a positive integer, and the other values each allows
@@ -179,9 +180,11 @@ class _Model:
 
 def _to_json(value):
     """A state value as JSON data: an array or a tuple becomes a list, and a
-    TreeNode goes through tree_to_dict."""
-    if isinstance(value, TreeNode):
-        return tree_to_dict(value)
+    Tree or a forest's list of them goes through trees_to_dicts."""
+    if isinstance(value, Tree):
+        return trees_to_dicts([value])[0]
+    if isinstance(value, list) and value and isinstance(value[0], Tree):
+        return trees_to_dicts(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (list, tuple)):
@@ -193,12 +196,15 @@ def _from_json(hint, value):
     """The state value annotated hint that _to_json encoded as value: an
     np.ndarray is a float array, list[T] and tuple[...] are decoded item by
     item, T | None is None or a T, and any other T is T(value), which must
-    equal value (so 2.5 is not an int, nor 5 a str)."""
+    equal value (so 2.5 is not an int, nor 5 a str); a list[Tree] is one
+    record (trees_from_dicts)."""
     args = typing.get_args(hint)
     if hint is np.ndarray:
         return np.asarray(value, dtype=float)
-    if hint is TreeNode:
-        return tree_from_dict(value)
+    if hint is Tree:
+        return trees_from_dicts([value])[0]
+    if hint == list[Tree]:
+        return trees_from_dicts(value)
     if typing.get_origin(hint) is list:
         return [_from_json(args[0], v) for v in value]
     if typing.get_origin(hint) is tuple:
@@ -213,7 +219,7 @@ def _from_json(hint, value):
 class TreeModel(_Model):
     kind = "DecisionTree"
     defaults = {"max_depth": 4, "min_leaf": 1}
-    tree: TreeNode
+    tree: Tree
     n_features: int
 
     def fit(self, X, y):
@@ -224,14 +230,14 @@ class TreeModel(_Model):
 
     def predict_proba(self, X):
         _check_dim(X, self.n_features)
-        return leaf_purity(self.tree, X)
+        return leaf_purity([self.tree], X)[0]
 
 
 class ForestModel(_Model):
     kind = "RandomForest"
     defaults = {"n_estimators": 30, "max_depth": 12, "min_leaf": 1, "max_features": "sqrt",
                 "bootstrap": True}
-    trees: list[TreeNode]
+    trees: list[Tree]
     n_features: int
 
     def _n_split_features(self, d: int) -> int | None:
@@ -255,10 +261,7 @@ class ForestModel(_Model):
 
     def predict_proba(self, X):
         _check_dim(X, self.n_features)
-        acc = np.zeros(len(X))
-        for tree in self.trees:
-            acc += leaf_purity(tree, X)
-        return acc / len(self.trees)
+        return leaf_purity(self.trees, X).sum(axis=0) / len(self.trees)
 
 
 class AdaBoostModel(_Model):

@@ -42,12 +42,34 @@ from pcrisk.errors import (
 )
 from pcrisk.features import FEATURE_NAMES, HIST_FEATURE_NAMES
 from pcrisk.grid import Grid, cell_of
-from pcrisk.hypotheses import MAX_CART_ROWS, TreeNode
+from pcrisk.hypotheses import MAX_CART_ROWS
 from pcrisk.ingest import VARIABLES, VariableSeries, _open_csv
 from pcrisk.ml import metrics, predict_proba, split, train
 from pcrisk.riskmap import risk_color
 
 TIE = Fraction(1, 10**7)  # relative tie tolerance mirrored by the library
+
+
+@dataclass
+class TreeNode:
+    """The reference growers' tree node: an internal node (feature and
+    threshold set) or a leaf (both None). It reads as the library's Tree
+    views do."""
+
+    n_samples: int
+    n_class1: int
+    feature: int | None = None
+    threshold: float | None = None
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+    @property
+    def purity(self) -> float:
+        return self.n_class1 / self.n_samples if self.n_samples else 0.0
 
 
 def fisher_p_enumerate(a: int, b: int, c: int, d: int) -> Fraction:
@@ -161,7 +183,7 @@ def _wgini(y, idx) -> Fraction:
 
 
 def same_tree(node, oracle) -> bool:
-    """Structural equality between a library TreeNode and an oracle dict."""
+    """Structural equality between a library Tree and an oracle dict."""
     if node.n_samples != oracle["n"] or node.n_class1 != oracle["n1"]:
         return False
     if node.is_leaf != ("feature" not in oracle):
@@ -224,7 +246,7 @@ def _best_split(X, y, min_leaf, feature_ids):
     return best_split_sorted(X.T[feature_ids], y, min_leaf, feature_ids)
 
 
-def predict_leaf(node: TreeNode, vector: np.ndarray) -> TreeNode:
+def predict_leaf(node, vector: np.ndarray):
     """The leaf one row reaches, walking from the root: left where
     vector[feature] <= threshold (a NaN goes right)."""
     while not node.is_leaf:

@@ -537,7 +537,8 @@ class TestPipelineCommands:
                     "left": {"n_samples": 2, "n_class1": 0},
                     "right": {"n_samples": 2, "n_class1": 2}}),
         "not json",
-    ], ids=["missing_key", "unknown_feature", "not_json"])
+        json.dumps({"n_samples": 2 ** 63, "n_class1": 0}),
+    ], ids=["missing_key", "unknown_feature", "not_json", "count_past_int64"])
     def test_damaged_tree_exits_3(self, built, capsys, text):
         cfg, out = built
         (out / "tree.json").write_text(text, encoding="utf-8")

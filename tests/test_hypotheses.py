@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    TreeNode,
     exact_argmin,
     exhaustive_cart,
     grow_tree_copying,
@@ -30,7 +31,7 @@ from pcrisk.hypotheses import (
     load_tree,
     save_tree,
     train_cart,
-    tree_to_dict,
+    trees_to_dicts,
     tree_to_dot,
     _best_splits,
     encode_columns,
@@ -103,9 +104,8 @@ class TestTrainCart:
         y = (rng.random(30) < 0.5).astype(int)
         t1 = grow_tree(X, y, 4, 1)
         t2 = grow_tree(X, y, 4, 1)
-        from pcrisk.hypotheses import tree_to_dict
 
-        assert tree_to_dict(t1) == tree_to_dict(t2)
+        assert trees_to_dicts([t1]) == trees_to_dicts([t2])
 
     def test_bad_params(self):
         X = np.arange(8.0)[:, None]
@@ -442,7 +442,7 @@ class TestExtractPaths:
             assert ym[member].sum() == leaf.n_class1
 
     def test_same_feature_conditions_merged(self):
-        n0 = __import__("pcrisk.hypotheses", fromlist=["TreeNode"]).TreeNode
+        n0 = TreeNode
         leaf_hot = n0(n_samples=6, n_class1=6)
         leaf_a = n0(n_samples=4, n_class1=0)
         leaf_b = n0(n_samples=10, n_class1=2)
@@ -526,9 +526,8 @@ class TestTreeExport:
         tree = grow_tree(X, y, 3, 1)
         p = tmp_path / "tree.json"
         save_tree(tree, p)
-        from pcrisk.hypotheses import tree_to_dict
 
-        assert tree_to_dict(load_tree(p)) == tree_to_dict(tree)
+        assert trees_to_dicts([load_tree(p)]) == trees_to_dicts([tree])
 
     def test_dot_export_mentions_features(self):
         X = np.array([[0.0], [1.0], [0.2], [0.9]])
@@ -558,7 +557,7 @@ class TestTreeDepthLimit:
         assert _depth(tree) == MAX_TREE_DEPTH
         save_tree(tree, tmp_path / "tree.json")
         back = load_tree(tmp_path / "tree.json")
-        assert tree_to_dict(back) == tree_to_dict(tree)
+        assert trees_to_dicts([back]) == trees_to_dicts([tree])
         assert tree_to_dot(back).count("->") == 2 * MAX_TREE_DEPTH
         assert len(extract_paths(back, 1, 0.0)) == MAX_TREE_DEPTH + 1
 

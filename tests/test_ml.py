@@ -234,17 +234,30 @@ class TestModels:
         for tree, model_tree, want in zip(trees, model.trees, oracle, strict=True):
             assert _same_nodes(tree, want) and _same_nodes(model_tree, want)
 
-    @pytest.mark.parametrize("kind", ["DecisionTree", "RandomForest"])
-    def test_tree_scores_equal_per_row_walks(self, kind):
-        X, y = _blobs(200, seed=6, d=6)
+    @pytest.mark.parametrize("kind, n", [("DecisionTree", 200), ("RandomForest", 200),
+                                         ("RandomForest", 40)],
+                             ids=["DecisionTree", "RandomForest", "RandomForest_leaf_trees"])
+    def test_tree_scores_equal_per_row_walks(self, kind, n):
+        X, y = _blobs(n, seed=6, d=6)
         X = np.round(X, 2)  # rows on the thresholds' either side and ties
+        if n == 40:  # one positive: the bootstraps that miss it grow single leaves
+            y = (np.arange(n) == 3).astype(int)
         model = train(ClassifierSpec(kind, {"max_depth": 5}, seed=2), _rows(X, y))
         trees = [model.tree] if kind == "DecisionTree" else model.trees
+        if n == 40:
+            assert 0 < sum(t.is_leaf for t in trees) < len(trees)
         probe = np.vstack([_rows(X, y).X, np.random.default_rng(1).random((50, 120))])
         probe[-1, :] = np.nan  # a NaN fails every comparison and goes right
         walked = sum(np.array([predict_leaf(t, x).purity for x in probe]) for t in trees)
         got = model.predict_proba(probe)
         assert got.tobytes() == (walked / len(trees)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["DecisionTree", "RandomForest"])
+    def test_tree_scores_of_no_rows(self, kind):
+        X, y = _blobs(80, seed=6, d=6)
+        model = train(ClassifierSpec(kind, seed=2), _rows(X, y))
+        got = model.predict_proba(np.zeros((0, 120)))
+        assert got.dtype == np.float64 and got.shape == (0,)
 
     @pytest.mark.parametrize("a, b", [(float(np.nextafter(1.0, 2.0)),
                                        float(np.nextafter(np.nextafter(1.0, 2.0), 2.0))),
@@ -1022,6 +1035,19 @@ class TestSerialization:
             save_model(back, spec2, tmp_path / f"{kind}.again.json")
             assert (tmp_path / f"{kind}.again.json").read_bytes() == p.read_bytes()
 
+    def test_loaded_forest_shares_one_record(self, small_country, tmp_path):
+        # the loader lays the record out as the grower does, so a loaded
+        # forest routes in one gather and scores the fitted forest's bytes
+        rows = small_country[4]
+        spec = ClassifierSpec("RandomForest", seed=2)
+        model = train(spec, rows)
+        save_model(model, spec, tmp_path / "model.json")
+        back, _ = load_model(tmp_path / "model.json")
+        assert all(t.nodes is back.trees[0].nodes for t in back.trees)
+        assert [t.at for t in back.trees] == list(range(len(model.trees)))
+        assert back.trees[0].nodes.tobytes() == model.trees[0].nodes.tobytes()
+        assert predict_proba(back, rows).tobytes() == predict_proba(model, rows).tobytes()
+
     def test_state_is_the_annotated_attributes(self, small_country):
         rows = small_country[4]
         for kind in CLASSIFIER_KINDS:
@@ -1054,9 +1080,12 @@ class TestSerialization:
                                       '"state": {}}',
                                       '{"kind": "DecisionTree", "hyperparams": {}, "seed": 0, '
                                       '"state": {"tree": {"n_samples": 1, "n_class1": 0}, '
-                                      '"n_features": 120.5}}'],
+                                      '"n_features": 120.5}}',
+                                      '{"kind": "RandomForest", "hyperparams": {}, "seed": 0, '
+                                      '"state": {"trees": [{"n_samples": 9223372036854775808, '
+                                      '"n_class1": 0}], "n_features": 120}}'],
                              ids=["missing_key", "not_object", "bad_state", "truncated",
-                                  "unknown_kind", "fractional_count"])
+                                  "unknown_kind", "fractional_count", "count_past_int64"])
     def test_damaged_file_names_it(self, tmp_path, text):
         p = tmp_path / "model.json"
         p.write_text(text, encoding="utf-8")

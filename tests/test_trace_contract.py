@@ -56,6 +56,14 @@ def test_traced_pipeline_runs(tmp_path):
     g = build_grid(BBox(*cfg["bbox"]), cfg["cell_km"], cfg.get("mask_polygon"))
     n_samples = len(VARIABLES) * int(g.mask.sum()) * cfg["source"]["months"]
     assert doc["layers"]["features.samples_binned"] == n_samples
+    # the tracer walks train_cart's tree through its views; learn-tree saved it
+    tree = json.loads((tmp_path / "out" / "tree.json").read_text(encoding="utf-8"))
+    assert doc["layers"]["hypotheses.tree_nodes"] == _json_nodes(tree) > 1
+
+
+def _json_nodes(node: dict) -> int:
+    """The number of nodes of a tree saved as tree.json."""
+    return 1 + sum(_json_nodes(node[side]) for side in ("left", "right") if side in node)
 
 
 def test_traced_files_pipeline_reads_series_once(tmp_path):
