@@ -38,10 +38,14 @@ def encode_json(doc, indent: int | None = None) -> str:
     return json.dumps(doc, sort_keys=True, indent=indent)
 
 
+def write_text(path, text: str) -> None:
+    with create(path) as fh:
+        fh.write(text)
+
+
 def write_json(path, doc, indent: int | None = None) -> None:
     """encode_json(doc, indent) and a newline."""
-    with create(path) as fh:
-        fh.write(encode_json(doc, indent) + "\n")
+    write_text(path, encode_json(doc, indent) + "\n")
 
 
 def read_json(path, what: str, parse=None):

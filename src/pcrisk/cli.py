@@ -2,9 +2,9 @@
 eval-hypotheses, train-suite, riskmap.
 
 Every command reads a JSON run config (CLI flags override a few common
-fields) and writes its artifacts. It then records under its own name in
-manifest.json the resolved config and the sha256 of every file it read and
-wrote; a rerun replaces that command's entry and keeps the others.
+fields) and returns its artifacts' writers; main writes them, all or none,
+with the command's entry in manifest.json: the resolved config and the sha256
+of every file it read and wrote. A rerun replaces that entry, keeping others.
 build-dataset and train-suite read the source's raw input files. The
 analysis stages read the files build-dataset and learn-tree hand on
 (dataset.csv, grid.json, tree.json), so the raw inputs behind a result are
@@ -21,14 +21,17 @@ import dataclasses
 import datetime as dt
 import hashlib
 import logging
+import os
 import sys
+import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import features, grid as gridmod, hypotheses, ingest, ml, riskmap, stats
-from .artifacts import create, read_json, write_json
+from .artifacts import read_json, write_json, write_text
 from .errors import (DegeneratePartitionError, InvalidInputError, PCRiskError, SchemaError,
                      UndefinedTestError)
 
@@ -235,19 +238,36 @@ def _entries(doc) -> dict:
 
 
 def _write_manifest(cfg: RunConfig, command: str, written: Written) -> None:
-    """command's entry in manifest.json: the config, the record of the files it read, and
-    the sha256 of each file it wrote, by name. A manifest that is not valid JSON or holds
-    no entries, an earlier format's say, is replaced with a warning."""
-    path = cfg.out_dir / "manifest.json"
-    entries = {}
-    if path.exists():
-        try:
-            entries = read_json(path, "manifest", _entries)
-        except InvalidInputError as exc:
-            log.warning("%s; replacing it", exc)
-    outputs = {p.name: written.hashed.get(p) or _sha256(p) for p in written.outputs}
-    entries[command] = {"config": cfg.raw, "inputs": written.read, "outputs": outputs}
-    write_json(path, entries, indent=2)
+    """Write command's outputs and its manifest.json entry (the config, the record of the
+    files read, and each output's sha256, by name) into a stage in the out-dir, then rename
+    each into place, the manifest last. An OS fault, or a directory at a staged name, leaves
+    the out-dir as it was. A manifest that is not valid JSON or holds no entries, an earlier
+    format's say, is replaced with a warning."""
+    out_dir, manifest = cfg.out_dir, "manifest.json"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".pcrisk-", dir=out_dir,
+                                         ignore_cleanup_errors=True) as tmp:
+            stage = Path(tmp)
+            outputs = {name: write(stage / name) or _sha256(stage / name)
+                       for name, write in written.outputs.items()}
+            entries = {}
+            if (out_dir / manifest).is_file():
+                try:
+                    entries = read_json(out_dir / manifest, "manifest", _entries)
+                except InvalidInputError as exc:
+                    log.warning("%s; replacing it", exc)
+            entries[command] = {"config": cfg.raw, "inputs": written.read, "outputs": outputs}
+            write_json(stage / manifest, entries, indent=2)
+            names = [*outputs, *sorted(set(os.listdir(stage)) - {*outputs, manifest}), manifest]
+            for name in names:
+                if (out_dir / name).is_dir():
+                    raise InvalidInputError(f"{out_dir / name} is a directory, not an output")
+            for name in names:
+                os.replace(stage / name, out_dir / name)
+    except OSError as exc:
+        raise InvalidInputError(f"out-dir {out_dir} cannot be written "
+                                f"({exc.strerror or exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -296,61 +316,55 @@ def _load_dataset(cfg: RunConfig) -> tuple[features.Dataset, dict]:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns what it read and wrote and its report, for main to record and print
+# commands: each returns what it read, its outputs' writers and its report, for main
 
 
 @dataclass(frozen=True)
 class Written:
     """A command's record of the files it read (_input's, by config key for a raw input and
-    by name for a hand-off file), the artifacts it wrote and the sha256 it has of any, its
-    report lines for stdout, alerts for stderr and exit code."""
+    by name for a hand-off file), its outputs in order, each a writer by name that takes
+    the path to write and returns the sha256 it has of the bytes or None, its report lines
+    for stdout, alerts for stderr and exit code."""
 
     read: dict
-    outputs: list[Path]
+    outputs: dict
     report: list[str]
-    hashed: dict[Path, str] = dataclasses.field(default_factory=dict)
     exit_code: int = 0
     alerts: tuple = ()
 
 
 def cmd_build_dataset(cfg: RunConfig) -> Written:
     g, ds, edges = _build(cfg, cfg.cell_km)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out_ds = cfg.out_dir / "dataset.csv"
-    out_grid = cfg.out_dir / "grid.json"
-    out_edges = cfg.out_dir / "bin_edges.json"
-    digest = features.write_dataset_csv(ds, out_ds)
-    features.cache_written_table(out_ds, digest, ds)
-    gridmod.save_grid(g, out_grid)
-    features.write_bin_edges_json(edges, out_edges)
+
+    def write_table(path: Path) -> str:
+        digest = features.write_dataset_csv(ds, path)
+        features.cache_written_table(path, digest, ds)
+        return digest.hex()
+
     n1 = int(ds.y.sum())
     report = [f"dataset: {len(ds)} cells ({g.n_rows}x{g.n_cols} grid at "
               f"{cfg.cell_km:g} km), {n1} with conflicts, {len(ds) - n1} without"]
-    return Written(_raw_inputs(cfg), [out_ds, out_grid, out_edges], report,
-                   {out_ds: digest.hex()})
+    return Written(_raw_inputs(cfg), {
+        "dataset.csv": write_table, "grid.json": partial(gridmod.save_grid, g),
+        "bin_edges.json": partial(features.write_bin_edges_json, edges)}, report)
 
 
 def cmd_test_univariate(cfg: RunConfig) -> Written:
     ds, read = _load_dataset(cfg)
     results = stats.run_univariate(ds, m=cfg.stats["bonferroni_m"])
-    out = cfg.out_dir / "univariate.csv"
-    stats.write_univariate_csv(results, out)
     n_sig = sum(r.p_bonferroni < 0.05 for r in results)
     report = [f"tested {len(results)} features; {n_sig} significant at 0.05 after Bonferroni"]
-    return Written(read, [out], report)
+    return Written(read, {"univariate.csv": partial(stats.write_univariate_csv, results)}, report)
 
 
 def cmd_learn_tree(cfg: RunConfig) -> Written:
     ds, read = _load_dataset(cfg)
     tree = hypotheses.train_cart(ds, cfg.tree["max_depth"], cfg.tree["min_leaf"])
-    out_json = cfg.out_dir / "tree.json"
-    out_dot = cfg.out_dir / "tree.dot"
-    hypotheses.save_tree(tree, out_json)
-    with create(out_dot) as fh:
-        fh.write(hypotheses.tree_to_dot(tree))
     paths = hypotheses.extract_paths(tree, cfg.tree["min_support"], cfg.tree["min_purity"])
     report = [f"tree trained on {len(ds)} rows; {len(paths)} candidate hypothesis paths"]
-    return Written(read, [out_json, out_dot], report)
+    return Written(read, {"tree.json": partial(hypotheses.save_tree, tree),
+                          "tree.dot": partial(write_text, text=hypotheses.tree_to_dot(tree))},
+                   report)
 
 
 def cmd_golden(cfg: RunConfig) -> Written:
@@ -371,10 +385,8 @@ def cmd_golden(cfg: RunConfig) -> Written:
         report.append(f"{name} ({bh.country}): OR {res.odds_ratio:.2f} vs {bh.odds_ratio:.2f}, "
                       f"p {res.p:.3g} vs {bh.p:.3g} -> {status}")
         results.append((bh.country, name, table, res))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out = cfg.out_dir / "hypotheses_golden.csv"
-    hypotheses.write_hypothesis_csv(results, out)
-    return Written({}, [out], report, exit_code=5 if n_bad else 0,
+    outputs = {"hypotheses_golden.csv": partial(hypotheses.write_hypothesis_csv, results)}
+    return Written({}, outputs, report, exit_code=5 if n_bad else 0,
                    alerts=[f"{n_bad} golden hypothesis mismatch(es)"] if n_bad else [])
 
 
@@ -407,15 +419,11 @@ def cmd_eval_hypotheses(cfg: RunConfig, which: str, only: str | None) -> Written
             "p": res.p,
         })
         report.append(f"{name}: [{pred.describe()}] OR={res.odds_ratio:.3g} p={res.p:.3g}")
-    out_csv = cfg.out_dir / "hypotheses.csv"
-    out_json = cfg.out_dir / "hypotheses.json"
-    hypotheses.write_hypothesis_csv(results, out_csv)
-    write_json(out_json, doc, indent=2)
-    return Written(read, [out_csv, out_json], report)
+    return Written(read, {"hypotheses.csv": partial(hypotheses.write_hypothesis_csv, results),
+                          "hypotheses.json": partial(write_json, doc=doc, indent=2)}, report)
 
 
 def cmd_train_suite(cfg: RunConfig) -> Written:
-    """Every granularity's suite, written once all have fitted."""
     specs = ml.default_suite(cfg.seed, cfg.ml["class_weight"])
     suites = []
     for km in cfg.granularities:
@@ -424,12 +432,9 @@ def cmd_train_suite(cfg: RunConfig) -> Written:
     best_lines = [(km, ml.best_row(rows)) for km, rows in zip(cfg.granularities, suites)]
     report = [f"{km:g} km: best {best.classifier} F1={best.f1:.2f} "
               f"AUC={'NA' if best.auc is None else f'{best.auc:.2f}'}" for km, best in best_lines]
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [cfg.out_dir / f"suite_{km:g}km.csv" for km in cfg.granularities]
-    for rows, out in zip(suites, outputs):
-        ml.write_suite_csv(rows, out)
-    outputs.append(cfg.out_dir / "best_summary.csv")
-    ml.write_best_summary_csv(cfg.country, best_lines, outputs[-1])
+    outputs = {f"suite_{km:g}km.csv": partial(ml.write_suite_csv, rows)
+               for km, rows in zip(cfg.granularities, suites)}
+    outputs["best_summary.csv"] = partial(ml.write_best_summary_csv, cfg.country, best_lines)
     return Written(_raw_inputs(cfg), outputs, report)
 
 
@@ -439,19 +444,17 @@ def cmd_riskmap(cfg: RunConfig) -> Written:
     g = gridmod.load_grid(path)
     read[path.name] = _input(path)
     [spec] = ml.default_suite(cfg.seed, cfg.ml["class_weight"], [cfg.riskmap["model"]])
-    model = ml.train(spec, ds)
+    model = ml.train(spec, ds)  # first, so an empty table exits 4 as in every analysis stage
+    if not np.array_equal(ds.cells[np.lexsort(ds.cells.T[::-1])], np.argwhere(g.mask)):
+        raise InvalidInputError(f"{read['dataset.csv']['path']} and {path} are from different "
+                                "builds: the rows are not the grid's masked cells, each once")
     scores = ml.predict_proba(model, ds)
     surface = riskmap.surface_from_rows(g, ds.cells, scores, model_id=spec.kind)
-    out_geo = cfg.out_dir / "risk.geojson"
-    out_pgm = cfg.out_dir / "risk.pgm"
-    out_csv = cfg.out_dir / "risk.csv"
-    out_model = cfg.out_dir / "model.json"
-    riskmap.render_geojson(surface, out_geo)
-    riskmap.render_pgm(surface, out_pgm)
-    riskmap.render_csv(surface, out_csv)
-    ml.save_model(model, spec, out_model)
     report = [f"risk surface from {spec.kind}: mean {scores.mean():.3f}, max {scores.max():.3f}"]
-    return Written(read, [out_geo, out_pgm, out_csv, out_model], report)
+    return Written(read, {"risk.geojson": partial(riskmap.render_geojson, surface),
+                          "risk.pgm": partial(riskmap.render_pgm, surface),
+                          "risk.csv": partial(riskmap.render_csv, surface),
+                          "model.json": partial(ml.save_model, model, spec)}, report)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +519,7 @@ def main(argv=None) -> int:
         try:
             sys.stdout.writelines(f"{line}\n" for line in written.report)
             sys.stderr.writelines(f"{line}\n" for line in written.alerts)
-            sys.stdout.writelines(f"wrote {p}\n" for p in written.outputs)
+            sys.stdout.writelines(f"wrote {cfg.out_dir / name}\n" for name in written.outputs)
             sys.stdout.flush()
         except BrokenPipeError:  # the reader left early, as `| head` does
             try:

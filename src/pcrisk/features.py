@@ -410,7 +410,10 @@ def load_dataset(path) -> tuple[Dataset, bytes]:
     read_dataset_csv, with its errors, and the parse is cached. A cache
     that is stale, damaged or cannot be written costs only the parse.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:  # a directory, say
+        raise InvalidInputError(f"dataset {path} cannot be read ({exc.strerror or exc})") from None
     digest = hashlib.sha256(data).digest()
     cache = cache_path(path)
     ds = _cached_parse(cache, digest)

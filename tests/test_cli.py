@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import count_parses
-from pcrisk import cli, errors, features, hypotheses, ml
+from pcrisk import cli, errors, features, hypotheses, ml, riskmap
 from pcrisk.cli import main
 from pcrisk.grid import BBox, build_grid
 from pcrisk.ingest import VARIABLES, PlantedEffect, synth_country
@@ -1156,3 +1157,96 @@ def test_closed_stdout_exits_quietly_after_the_manifest(tmp_path, unbuffered):
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert list(json.loads((out / "manifest.json").read_text())["build-dataset"]["outputs"]) == [
         "bin_edges.json", "dataset.csv", "grid.json"]
+
+
+def _entries(out: Path) -> dict:
+    """Each entry of out by name: a file's bytes, or None for a directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in out.iterdir()}
+
+
+class TestAllOrNothing:
+    """A command's outputs and its manifest entry land together or not at all."""
+
+    @pytest.fixture()
+    def mapped(self, tmp_path):
+        """The config and out-dir of build-dataset, learn-tree and riskmap."""
+        cfg, out = _cfg(tmp_path), tmp_path / "out"
+        for command in ("build-dataset", "learn-tree", "riskmap"):
+            assert _run(command, "--config", cfg, "--out-dir", str(out)) == 0, command
+        return cfg, out
+
+    @staticmethod
+    def _refused(capsys, argv, out: Path, before: dict, *words) -> None:
+        """argv exits 3 with one error line naming words, leaving out as before."""
+        capsys.readouterr()
+        assert _run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(word in err for word in words), err
+        assert _entries(out) == before
+
+    def test_failing_writer_changes_no_file(self, mapped, capsys, monkeypatch):
+        cfg, out = mapped
+
+        def full_disk(surface, path):
+            Path(path).write_bytes(b"P5\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(riskmap, "render_pgm", full_disk)
+        before = _entries(out)
+        self._refused(capsys, ["riskmap", "--config", cfg, "--out-dir", str(out)], out, before,
+                      str(out), os.strerror(errno.ENOSPC))
+        assert not list(out.glob(".pcrisk-*"))
+
+    @pytest.mark.parametrize("argv", [["build-dataset"], ["eval-hypotheses", "--golden"]],
+                             ids=["build_dataset", "golden"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+    def test_out_dir_at_a_file_exits_3(self, tmp_path, capsys, argv, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"not a directory\n")
+        out = blocker / "sub" if under else blocker
+        self._refused(capsys, [*argv, "--config", _cfg(tmp_path), "--out-dir", str(out)],
+                      tmp_path, _entries(tmp_path), str(out))
+
+    @pytest.mark.parametrize("command, name", [("riskmap", "risk.pgm"),
+                                               ("test-univariate", "manifest.json")])
+    def test_directory_at_an_output_name_exits_3(self, tmp_path, capsys, command, name):
+        cfg, out = _cfg(tmp_path), tmp_path / "out"
+        assert _run("build-dataset", "--config", cfg, "--out-dir", str(out)) == 0
+        if name == "manifest.json":
+            (out / name).unlink()
+        (out / name).mkdir()
+        (out / name / "kept").write_bytes(b"")
+        self._refused(capsys, [command, "--config", cfg, "--out-dir", str(out)], out,
+                      _entries(out), str(out / name))
+        assert (out / name / "kept").is_file()
+
+    @pytest.mark.parametrize("argv", [["test-univariate"], ["learn-tree"], ["riskmap"],
+                                      ["eval-hypotheses", "--which", "tree"]],
+                             ids=lambda argv: argv[0])
+    def test_unreadable_table_exits_3_naming_it(self, mapped, capsys, argv):
+        cfg, out = mapped
+        (out / "dataset.csv").unlink()
+        (out / "dataset.csv").mkdir()
+        self._refused(capsys, [*argv, "--config", cfg, "--out-dir", str(out)], out,
+                      _entries(out), str(out / "dataset.csv"), "cannot be read")
+
+    @pytest.mark.parametrize("case", ["finer_table", "coarser_table", "row_deleted"])
+    def test_riskmap_refuses_a_table_and_grid_of_different_builds(self, mapped, capsys, case):
+        cfg, out = mapped
+        other = out.parent / "other"
+        km = "50" if case == "finer_table" else "100"
+        assert _run("build-dataset", "--config", cfg, "--cell-km", km,
+                    "--out-dir", str(other)) == 0
+        if case == "coarser_table":
+            assert _run("build-dataset", "--config", cfg, "--cell-km", "50",
+                        "--out-dir", str(out)) == 0
+            shutil.copyfile(other / "dataset.csv", out / "dataset.csv")
+        elif case == "finer_table":
+            shutil.copyfile(other / "dataset.csv", out / "dataset.csv")
+        else:
+            lines = (out / "dataset.csv").read_text(encoding="utf-8").splitlines()
+            (out / "dataset.csv").write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        features.load_dataset(out / "dataset.csv")  # caches its parse, which riskmap would
+        self._refused(capsys, ["riskmap", "--config", cfg, "--out-dir", str(out)], out,
+                      _entries(out), str(out / "dataset.csv"), str(out / "grid.json"))

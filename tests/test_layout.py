@@ -102,3 +102,13 @@ def test_only_main_writes_the_manifest():
              if getattr(node, "name", None) != "_write_manifest"
              and any(_references(node)[kind, "_write_manifest"] for kind in ("name", "attr"))]
     assert users == ["cli:main"], f"code in src/pcrisk besides cli.main that writes manifests: {users}"
+
+
+def test_only_main_writes_outputs():
+    # a command returns its outputs' writers; main stages and commits them
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    writers = [node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+               and any(_references(node)[kind, name] for kind in ("name", "attr")
+                       for name in ("out_dir", "mkdir", "create"))]
+    assert writers == [], f"commands in cli.py that build output paths or write: {writers}"
